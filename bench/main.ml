@@ -20,26 +20,19 @@
      bechamel         - Bechamel micro-measurements (one group per table)
      all (default)    - everything above except bechamel
 
-   [scale] is a float (0.01 gives a seconds-long smoke run); flags
-   --no-block-cache / --no-fast-path disable the core's decoded-block
-   cache / untainted fast path for the timed subcommands, and --trace adds
+   [scale] is a positive number (0.01 gives a seconds-long smoke run);
+   anything else is refused before any measurement runs. Flags (run with
+   --help for the full list): --no-block-cache measures the core's
+   single-step reference instead of the superblock compiler; --trace adds
    a third vp+trace row per workload (VP+ with the tracing subsystem
    attached) to table2 / table2-extended so reports record the tracing
-   overhead. --jobs=N sets the worker-domain count for table1 and
-   parallel (default: the runtime's recommended domain count),
-   --reps=N repeats each parallel row N times, and --no-warm-start
-   cold-boots campaign SoCs instead of restoring the shared boot
-   snapshot (see docs/parallel.md). For table2 / table2-extended,
-   --engine=interp|threaded|superblock (repeatable) measures the
-   workloads once per named execution engine — rows carry an "engine"
-   field so CI can compare superblock vs threaded vs interpreter
-   throughput — and --only=W1[,W2,...] restricts the set to the named
-   workloads (the perf-smoke job runs `table2 --only=hello,dispatch
-   --engine=interp --engine=threaded --engine=superblock`; slowest
-   engine first, so process warmup is not charged to a gated
-   comparison). Each timed
-   subcommand also writes a BENCH_<name>.json report (schema in
-   docs/perf.md). *)
+   overhead; --jobs=N sets the worker-domain count for table1 and
+   parallel (default: the runtime's recommended domain count); --reps=N
+   repeats each parallel row N times; --no-warm-start cold-boots campaign
+   SoCs instead of restoring the shared boot snapshot (see
+   docs/parallel.md); --only=W1[,W2,...] restricts table2 /
+   table2-extended to the named workloads. Each timed subcommand also
+   writes a BENCH_<name>.json report (schema in docs/perf.md). *)
 
 let pf = Printf.printf
 let now_s = Benchkit.Clock.now_s
@@ -113,12 +106,12 @@ let table1 ~jobs () =
 (* Machine-readable reports                                            *)
 (* ------------------------------------------------------------------ *)
 
-let write_report ~file ~bench ~scale ~block_cache ~fast_path rows =
-  let doc = D.doc ~bench ~scale ~block_cache ~fast_path rows in
+let write_report ~file ~bench ~scale ~block_cache rows =
+  let doc = D.doc ~bench ~scale ~block_cache rows in
   (match D.validate doc with
   | Ok () -> ()
   | Error e -> pf "!! report failed schema validation: %s\n" e);
-  Snapshot.Io.write_file_atomic file (Benchkit.Json.to_string doc ^ "\n");
+  Snapshot.Io.write_file_atomic file (Jsonkit.Json.to_string doc ^ "\n");
   pf "\nwrote %s\n" file
 
 (* ------------------------------------------------------------------ *)
@@ -166,28 +159,16 @@ let print_table2 groups =
            match g with _ :: _ :: vpt :: _ -> vpt.D.m_overhead | _ -> 1.));
   pf "\n"
 
-let measure_set ~block_cache ~fast_path ~trace ~engine defs =
-  List.map (D.measure ~block_cache ~fast_path ~trace ~engine) defs
-
-(* One measurement pass per requested engine; the rows of every engine
-   land in the same report (distinguished by their "engine" field), so
-   CI can compare threaded vs interpreter throughput from one file. *)
-let measure_engines ~block_cache ~fast_path ~trace ~engines defs =
-  List.concat_map
-    (fun engine ->
-      if List.length engines > 1 then
-        pf "--- engine: %s ---\n" (Rv32.Core.engine_name engine);
-      let groups = measure_set ~block_cache ~fast_path ~trace ~engine defs in
-      print_table2 groups;
-      pf "\n";
-      List.concat groups)
-    engines
+let measure_defs ~block_cache ~trace defs =
+  let groups = List.map (D.measure ~block_cache ~trace) defs in
+  print_table2 groups;
+  pf "\n";
+  List.concat groups
 
 let filter_defs ~only defs =
   match only with
   | None -> defs
   | Some names ->
-      let names = String.split_on_char ',' names in
       List.iter
         (fun name ->
           if not (List.exists (fun d -> d.D.d_name = name) defs) then begin
@@ -198,22 +179,22 @@ let filter_defs ~only defs =
         names;
       List.filter (fun d -> List.mem d.D.d_name names) defs
 
-let table2 ~scale ~block_cache ~fast_path ~trace ~engines ~only () =
+let table2 ~scale ~block_cache ~trace ~only () =
   pf "=== Table II: performance overhead of VP-based DIFT (scale %g) ===\n\n"
     scale;
   pf "(workloads scaled down vs the paper's multi-billion-instruction runs;\n";
   pf " the target is the overhead SHAPE: VP+ roughly 1.2x-3x, average ~2x)\n\n";
   let defs = filter_defs ~only (D.table2 ~scale) in
-  let rows = measure_engines ~block_cache ~fast_path ~trace ~engines defs in
+  let rows = measure_defs ~block_cache ~trace defs in
   write_report ~file:"BENCH_table2.json" ~bench:"table2" ~scale ~block_cache
-    ~fast_path rows
+    rows
 
-let table2_extended ~scale ~block_cache ~fast_path ~trace ~engines ~only () =
+let table2_extended ~scale ~block_cache ~trace ~only () =
   pf "=== Extended workloads (beyond the paper's Table II set) ===\n\n";
   let defs = filter_defs ~only (D.extended ~scale) in
-  let rows = measure_engines ~block_cache ~fast_path ~trace ~engines defs in
+  let rows = measure_defs ~block_cache ~trace defs in
   write_report ~file:"BENCH_table2_extended.json" ~bench:"table2-extended"
-    ~scale ~block_cache ~fast_path rows
+    ~scale ~block_cache rows
 
 (* ------------------------------------------------------------------ *)
 (* LoC statistic (Section V-B1's 6.81%)                                *)
@@ -265,14 +246,12 @@ let loc_report () =
 (* ------------------------------------------------------------------ *)
 
 (* One qsort run under explicit platform knobs, as a report row. *)
-let qsort_case ~mode ~tracking ~dmi ~quantum ~block_cache ~fast_path
-    ~policy_of =
+let qsort_case ~mode ~tracking ~dmi ~quantum ~block_cache ~policy_of =
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let policy = policy_of img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~dmi ~quantum ~block_cache
-      ~fast_path ()
+    Vp.Soc.create ~policy ~monitor ~tracking ~dmi ~quantum ~block_cache ()
   in
   Vp.Soc.load_image soc img;
   soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000_000;
@@ -284,7 +263,6 @@ let qsort_case ~mode ~tracking ~dmi ~quantum ~block_cache ~fast_path
   {
     D.m_workload = "qsort";
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
     m_instructions = instr;
     m_seconds = dt;
     m_mips = D.mips instr dt;
@@ -339,38 +317,38 @@ let unrestricted_policy img =
   let lat = Dift.Lattice.integrity () in
   Dift.Policy.unrestricted lat ~default_tag:(Dift.Lattice.tag_of_name lat "HI")
 
-let ablate_dmi ~block_cache ~fast_path () =
+let ablate_dmi ~block_cache () =
   pf "=== Ablation: DMI fast path vs full TLM routing (qsort) ===\n\n";
   let rows =
     relativize
       (List.map
          (fun (mode, dmi, tracking) ->
            qsort_case ~mode ~tracking ~dmi ~quantum:1000 ~block_cache
-             ~fast_path ~policy_of:D.integrity_policy)
+             ~policy_of:D.integrity_policy)
          [ ("vp+dmi", true, false); ("vp+tlm-only", false, false);
            ("vp++dmi", true, true); ("vp++tlm-only", false, true) ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_dmi.json" ~bench:"ablate-dmi" ~scale:1.
-    ~block_cache ~fast_path rows
+    ~block_cache rows
 
-let ablate_policy ~block_cache ~fast_path () =
+let ablate_policy ~block_cache () =
   pf "=== Ablation: cost decomposition of the DIFT engine (qsort) ===\n\n";
   let rows =
     relativize
       (List.map
          (fun (mode, tracking, policy_of) ->
            qsort_case ~mode ~tracking ~dmi:true ~quantum:1000 ~block_cache
-             ~fast_path ~policy_of)
+             ~policy_of)
          [ ("vp-no-tags", false, D.integrity_policy);
            ("vp+tags-only", true, unrestricted_policy);
            ("vp+tags+fetch-check", true, D.integrity_policy) ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_policy.json" ~bench:"ablate-policy"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. ~block_cache rows
 
-let ablate_quantum ~block_cache ~fast_path () =
+let ablate_quantum ~block_cache () =
   pf "=== Ablation: loosely-timed quantum sweep (qsort, VP+) ===\n\n";
   let rows =
     relativize
@@ -378,15 +356,15 @@ let ablate_quantum ~block_cache ~fast_path () =
          (fun quantum ->
            qsort_case
              ~mode:(Printf.sprintf "quantum-%d" quantum)
-             ~tracking:true ~dmi:true ~quantum ~block_cache ~fast_path
+             ~tracking:true ~dmi:true ~quantum ~block_cache
              ~policy_of:D.integrity_policy)
          [ 1; 10; 100; 1000; 10000 ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_quantum.json" ~bench:"ablate-quantum"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. ~block_cache rows
 
-let ablate_lub ~block_cache ~fast_path () =
+let ablate_lub ~block_cache () =
   pf "=== Ablation: precomputed LUB table vs on-the-fly search ===\n\n";
   let lats =
     [ ("ifp2", "IFP-2 (2 classes)", Dift.Lattice.integrity ());
@@ -417,7 +395,6 @@ let ablate_lub ~block_cache ~fast_path () =
           {
             D.m_workload = key;
             m_mode = mode;
-            m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
             m_instructions = iters;
             m_seconds = t;
             m_mips = D.mips iters t;
@@ -448,11 +425,11 @@ let ablate_lub ~block_cache ~fast_path () =
       lats
   in
   write_report ~file:"BENCH_ablate_lub.json" ~bench:"ablate-lub" ~scale:1.
-    ~block_cache ~fast_path rows
+    ~block_cache rows
 
 (* Overhead vs lattice size: the LUB table should keep the per-class cost
    flat (an experiment beyond the paper). *)
-let sweep_lattice ~block_cache ~fast_path () =
+let sweep_lattice ~block_cache () =
   pf "=== Sweep: VP+ overhead vs IFP size (qsort) ===\n\n";
   let lattices =
     [ ("ifp2-2", Dift.Lattice.integrity ());
@@ -462,7 +439,7 @@ let sweep_lattice ~block_cache ~fast_path () =
   in
   let baseline =
     qsort_case ~mode:"vp-baseline" ~tracking:false ~dmi:true ~quantum:1000
-      ~block_cache ~fast_path ~policy_of:D.integrity_policy
+      ~block_cache ~policy_of:D.integrity_policy
   in
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let tracked =
@@ -478,13 +455,13 @@ let sweep_lattice ~block_cache ~fast_path () =
             ()
         in
         qsort_case ~mode ~tracking:true ~dmi:true ~quantum:1000 ~block_cache
-          ~fast_path ~policy_of)
+          ~policy_of)
       lattices
   in
   let rows = relativize (baseline :: tracked) in
   print_cases rows;
   write_report ~file:"BENCH_sweep_lattice.json" ~bench:"sweep-lattice"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. ~block_cache rows
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot cost                                                       *)
@@ -494,7 +471,7 @@ let sweep_lattice ~block_cache ~fast_path () =
    put a price on Soc.save alone and on the full save + restore-into-a-
    fresh-SoC cycle, relative to the uninterrupted run; per-snapshot
    latency and encoded size are printed alongside. *)
-let bench_snapshot ~block_cache ~fast_path () =
+let bench_snapshot ~block_cache () =
   pf "=== Snapshot: full-platform save/restore cost (qsort, VP+) ===\n\n";
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let stride = 100_000 in
@@ -503,7 +480,7 @@ let bench_snapshot ~block_cache ~fast_path () =
     let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
     let soc =
       Vp.Soc.create ~policy ~monitor ~tracking:true ~quantum:1000 ~block_cache
-        ~fast_path ()
+        ()
     in
     Vp.Soc.load_image soc img;
     soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000_000;
@@ -515,7 +492,6 @@ let bench_snapshot ~block_cache ~fast_path () =
     {
       D.m_workload = "qsort";
       m_mode = mode;
-      m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
       m_instructions = instr;
       m_seconds = dt;
       m_mips = D.mips instr dt;
@@ -600,7 +576,7 @@ let bench_snapshot ~block_cache ~fast_path () =
       (1000. *. !save_s /. float_of_int !snaps)
       (1000. *. !restore_s /. float_of_int (max 1 !snaps));
   write_report ~file:"BENCH_snapshot.json" ~bench:"snapshot" ~scale:1.
-    ~block_cache ~fast_path rows
+    ~block_cache rows
 
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign engine                                            *)
@@ -615,7 +591,7 @@ let bench_snapshot ~block_cache ~fast_path () =
    host_domains). Reports from the jobs=1 and jobs=N campaigns are
    compared for byte equality and the verdict lands in the rows'
    exit_ok, so a determinism regression poisons the artifact loudly. *)
-let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
+let bench_parallel ~jobs ~warm ~reps ~block_cache () =
   pf "=== Parallel campaign engine: wall vs cpu scaling ===\n\n";
   let host = Parallelkit.Pool.default_jobs () in
   pf "host: %d recommended domain(s); rows at jobs=1 and jobs=%d, %d rep(s) per row, warm-start %s\n\n"
@@ -739,21 +715,21 @@ let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
     D.doc
       ~extra:
         [
-          ("host_domains", Benchkit.Json.num_of_int host);
-          ("jobs", Benchkit.Json.num_of_int jobs);
-          ("reps", Benchkit.Json.num_of_int reps);
-          ("warm_start", Benchkit.Json.Bool warm);
-          ("reports_identical", Benchkit.Json.Bool identical);
-          ("ws_reports_identical", Benchkit.Json.Bool ws_same);
-          ("steals", Benchkit.Json.num_of_int steal_stats.Parallelkit.Pool.steals);
+          ("host_domains", Jsonkit.Json.num_of_int host);
+          ("jobs", Jsonkit.Json.num_of_int jobs);
+          ("reps", Jsonkit.Json.num_of_int reps);
+          ("warm_start", Jsonkit.Json.Bool warm);
+          ("reports_identical", Jsonkit.Json.Bool identical);
+          ("ws_reports_identical", Jsonkit.Json.Bool ws_same);
+          ("steals", Jsonkit.Json.num_of_int steal_stats.Parallelkit.Pool.steals);
         ]
-      ~bench:"parallel" ~scale:1. ~block_cache ~fast_path rows
+      ~bench:"parallel" ~scale:1. ~block_cache rows
   in
   (match D.validate doc with
   | Ok () -> ()
   | Error e -> pf "!! report failed schema validation: %s\n" e);
   Snapshot.Io.write_file_atomic "BENCH_parallel.json"
-    (Benchkit.Json.to_string doc ^ "\n");
+    (Jsonkit.Json.to_string doc ^ "\n");
   pf "\nwrote BENCH_parallel.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -768,7 +744,7 @@ let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
    (docs/ift_graph.md); exit_ok on both rows asserts the whole chain —
    attack detected, cold query reaching a seed, repeat answered without
    another store read. *)
-let bench_graph ~block_cache ~fast_path () =
+let bench_graph ~block_cache () =
   pf "=== Graph store: ingest + backward-query cost (mtvec hijack) ===\n\n";
   let scenario = Firmware.Trap_attacks.Mtvec_hijack in
   let img = Firmware.Trap_attacks.image scenario in
@@ -823,7 +799,7 @@ let bench_graph ~block_cache ~fast_path () =
   in
   let rows = [ row "analyze-cold" cold_ns; row "analyze-warm" warm_ns ] in
   write_report ~file:"BENCH_graph.json" ~bench:"graph" ~scale:1. ~block_cache
-    ~fast_path rows
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-measurements                                          *)
@@ -922,132 +898,130 @@ let bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
-  let is_flag a = String.length a >= 2 && a.[0] = '-' && a.[1] = '-' in
-  let flags, args = List.partition is_flag (List.tl (Array.to_list Sys.argv)) in
-  let starts_with p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* Reject a bad scale, count or workload list at parse time, before any
+   measurement starts: a typo must not silently fall back to a full-size
+   run. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0. -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
   in
-  (* --jobs=N / --reps=N carry a value; everything else is exact-match. *)
-  let int_flag name default =
-    let p = name ^ "=" in
-    List.fold_left
-      (fun acc f ->
-        if starts_with p f then
-          match
-            int_of_string_opt
-              (String.sub f (String.length p) (String.length f - String.length p))
-          with
-          | Some v when v >= 1 -> v
-          | _ ->
-              pf "flag %s needs a positive integer (got %S)\n" name f;
-              exit 1
-        else acc)
-      default flags
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 1 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
-  List.iter
-    (fun f ->
-      if
-        f <> "--no-block-cache" && f <> "--no-fast-path" && f <> "--trace"
-        && f <> "--no-warm-start"
-        && not (starts_with "--jobs=" f)
-        && not (starts_with "--reps=" f)
-        && not (starts_with "--engine=" f)
-        && not (starts_with "--only=" f)
-      then begin
-        pf
-          "unknown flag %S (known: --no-block-cache --no-fast-path --trace \
-           --no-warm-start --jobs=N --reps=N \
-           --engine=interp|threaded|superblock --only=W1[,W2,...])\n"
-          f;
-        exit 1
-      end)
-    flags;
-  let block_cache = not (List.mem "--no-block-cache" flags) in
-  let fast_path = not (List.mem "--no-fast-path" flags) in
-  let trace = List.mem "--trace" flags in
-  let warm = not (List.mem "--no-warm-start" flags) in
-  let jobs = int_flag "--jobs" (Parallelkit.Pool.default_jobs ()) in
-  let reps = int_flag "--reps" 1 in
-  (* --engine= is repeatable: table2 measures once per named engine
-     (given order, duplicates collapsed); default superblock only. *)
-  let engines =
-    let named =
-      List.filter_map
-        (fun f ->
-          if not (starts_with "--engine=" f) then None
-          else
-            let v = String.sub f 9 (String.length f - 9) in
-            match Rv32.Core.engine_of_string v with
-            | Some e -> Some e
-            | None ->
-                pf "flag --engine needs interp, threaded or superblock (got %S)\n"
-                  v;
-                exit 1)
-        flags
-    in
-    match List.fold_left (fun acc e -> if List.mem e acc then acc else acc @ [ e ]) [] named with
-    | [] -> [ Rv32.Core.Threaded_superblock ]
-    | es -> es
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+let commands =
+  [ "fig1"; "table1"; "table2"; "loc"; "ablate-dmi"; "ablate-policy";
+    "ablate-lub"; "ablate-quantum"; "sweep-lattice"; "snapshot"; "parallel";
+    "graph"; "table2-extended"; "bechamel"; "all" ]
+
+let run command scale no_block_cache trace no_warm_start jobs reps only =
+  let block_cache = not no_block_cache in
+  let warm = not no_warm_start in
+  let jobs =
+    match jobs with Some j -> j | None -> Parallelkit.Pool.default_jobs ()
   in
-  let only =
-    List.fold_left
-      (fun acc f ->
-        if starts_with "--only=" f then
-          Some (String.sub f 7 (String.length f - 7))
-        else acc)
-      None flags
-  in
-  let scale =
-    match args with
-    | _ :: s :: _ -> (
-        match float_of_string_opt s with Some v when v > 0. -> v | _ -> 1.)
-    | _ -> 1.
-  in
-  match args with
-  | "fig1" :: _ -> fig1 ()
-  | "table1" :: _ -> table1 ~jobs ()
-  | "table2" :: _ ->
-      table2 ~scale ~block_cache ~fast_path ~trace ~engines ~only ()
-  | "loc" :: _ -> loc_report ()
-  | "ablate-dmi" :: _ -> ablate_dmi ~block_cache ~fast_path ()
-  | "ablate-policy" :: _ -> ablate_policy ~block_cache ~fast_path ()
-  | "ablate-lub" :: _ -> ablate_lub ~block_cache ~fast_path ()
-  | "ablate-quantum" :: _ -> ablate_quantum ~block_cache ~fast_path ()
-  | "sweep-lattice" :: _ -> sweep_lattice ~block_cache ~fast_path ()
-  | "snapshot" :: _ -> bench_snapshot ~block_cache ~fast_path ()
-  | "parallel" :: _ ->
-      bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path ()
-  | "graph" :: _ -> bench_graph ~block_cache ~fast_path ()
-  | "table2-extended" :: _ ->
-      table2_extended ~scale ~block_cache ~fast_path ~trace ~engines ~only ()
-  | "bechamel" :: _ -> bechamel ()
-  | "all" :: _ | [] ->
+  match command with
+  | "fig1" -> fig1 ()
+  | "table1" -> table1 ~jobs ()
+  | "table2" -> table2 ~scale ~block_cache ~trace ~only ()
+  | "loc" -> loc_report ()
+  | "ablate-dmi" -> ablate_dmi ~block_cache ()
+  | "ablate-policy" -> ablate_policy ~block_cache ()
+  | "ablate-lub" -> ablate_lub ~block_cache ()
+  | "ablate-quantum" -> ablate_quantum ~block_cache ()
+  | "sweep-lattice" -> sweep_lattice ~block_cache ()
+  | "snapshot" -> bench_snapshot ~block_cache ()
+  | "parallel" -> bench_parallel ~jobs ~warm ~reps ~block_cache ()
+  | "graph" -> bench_graph ~block_cache ()
+  | "table2-extended" -> table2_extended ~scale ~block_cache ~trace ~only ()
+  | "bechamel" -> bechamel ()
+  | _ ->
       fig1 ();
       pf "\n";
       table1 ~jobs ();
       pf "\n";
-      table2 ~scale:1. ~block_cache ~fast_path ~trace ~engines ~only ();
+      table2 ~scale:1. ~block_cache ~trace ~only ();
       pf "\n";
       loc_report ();
       pf "\n";
-      ablate_dmi ~block_cache ~fast_path ();
+      ablate_dmi ~block_cache ();
       pf "\n";
-      ablate_policy ~block_cache ~fast_path ();
+      ablate_policy ~block_cache ();
       pf "\n";
-      ablate_lub ~block_cache ~fast_path ();
+      ablate_lub ~block_cache ();
       pf "\n";
-      ablate_quantum ~block_cache ~fast_path ();
+      ablate_quantum ~block_cache ();
       pf "\n";
-      sweep_lattice ~block_cache ~fast_path ();
+      sweep_lattice ~block_cache ();
       pf "\n";
-      bench_snapshot ~block_cache ~fast_path ();
+      bench_snapshot ~block_cache ();
       pf "\n";
-      bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path ();
+      bench_parallel ~jobs ~warm ~reps ~block_cache ();
       pf "\n";
-      bench_graph ~block_cache ~fast_path ();
+      bench_graph ~block_cache ();
       pf "\n";
-      table2_extended ~scale:1. ~block_cache ~fast_path ~trace ~engines ~only ()
-  | cmd :: _ ->
-      pf "unknown command %S\n" cmd;
-      exit 1
+      table2_extended ~scale:1. ~block_cache ~trace ~only ()
+
+let cmd =
+  let open Cmdliner in
+  let command =
+    Arg.(value
+         & pos 0 (enum (List.map (fun c -> (c, c)) commands)) "all"
+         & info [] ~docv:"COMMAND"
+             ~doc:
+               (Printf.sprintf
+                  "What to measure: %s. $(b,all) runs everything except \
+                   $(b,bechamel)."
+                  (Arg.doc_alts commands)))
+  in
+  let scale =
+    Arg.(value & pos 1 positive_float 1.
+         & info [] ~docv:"SCALE"
+             ~doc:"Workload scale for $(b,table2) / $(b,table2-extended): \
+                   a positive number multiplying each workload's \
+                   iteration count.")
+  in
+  let no_block_cache =
+    Arg.(value & flag & info [ "no-block-cache" ]
+           ~doc:"Measure the core's single-step reference instead of the \
+                 superblock compiler.")
+  in
+  let trace =
+    Arg.(value & flag & info [ "trace" ]
+           ~doc:"Add a vp+trace row per workload (VP+ with the tracing \
+                 subsystem attached) to $(b,table2) / $(b,table2-extended).")
+  in
+  let no_warm_start =
+    Arg.(value & flag & info [ "no-warm-start" ]
+           ~doc:"Cold-boot campaign SoCs instead of restoring the shared \
+                 boot snapshot ($(b,parallel)).")
+  in
+  let jobs =
+    Arg.(value & opt (some positive_int) None & info [ "jobs" ] ~docv:"N"
+           ~doc:"Worker domains for $(b,table1) and $(b,parallel) \
+                 (default: the runtime's recommended domain count).")
+  in
+  let reps =
+    Arg.(value & opt positive_int 1 & info [ "reps" ] ~docv:"N"
+           ~doc:"Repeat each $(b,parallel) row $(docv) times.")
+  in
+  let only =
+    Arg.(value & opt (some (list string)) None & info [ "only" ]
+           ~docv:"W1,W2,..."
+           ~doc:"Restrict $(b,table2) / $(b,table2-extended) to the named \
+                 workloads.")
+  in
+  Cmd.v
+    (Cmd.info "bench" ~doc:"regenerate the paper's evaluation tables")
+    Term.(const run $ command $ scale $ no_block_cache $ trace $ no_warm_start
+          $ jobs $ reps $ only)
+
+let () = exit (Cmdliner.Cmd.eval cmd)

@@ -11,30 +11,9 @@
 open Cmdliner
 
 let run programs seed size no_shrink shrink_dir graph_dir props_every inject
-    cache_diff snap_diff engine no_superblocks engine_diff jobs no_warm_start
-    shard_size checkpoint resume =
+    cache_diff snap_diff jobs no_warm_start shard_size checkpoint resume =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallelkit.Pool.default_jobs ()
-  in
-  let engine =
-    if no_superblocks && engine = Rv32.Core.Threaded_superblock then
-      Rv32.Core.Threaded
-    else engine
-  in
-  let engines =
-    if engine_diff then
-      (* Cross-check every other engine against the base one. *)
-      let all =
-        [ Rv32.Core.Threaded_superblock; Rv32.Core.Threaded; Rv32.Core.Interp ]
-      in
-      let others = List.filter (fun e -> e <> engine) all in
-      let others =
-        if no_superblocks then
-          List.filter (fun e -> e <> Rv32.Core.Threaded_superblock) others
-        else others
-      in
-      engine :: others
-    else [ engine ]
   in
   let config =
     {
@@ -48,7 +27,6 @@ let run programs seed size no_shrink shrink_dir graph_dir props_every inject
       inject;
       cache_diff;
       snap_diff;
-      engines;
       jobs;
       warm_start = not no_warm_start;
       shard_size = max 1 shard_size;
@@ -126,9 +104,10 @@ let inject_arg =
 
 let cache_diff_arg =
   Arg.(value & flag & info [ "cache-diff" ]
-         ~doc:"Also re-run every program with the decoded-block cache and \
-               untainted fast path disabled and require agreement with the \
-               cached runs (doubles oracle cost).")
+         ~doc:"Also re-run every program on the single-step reference \
+               (no block cache, no fast path) and require agreement with \
+               the compiled runs, taint tags included (doubles oracle \
+               cost).")
 
 let snap_diff_arg =
   Arg.(value & flag & info [ "snap-diff" ]
@@ -136,42 +115,6 @@ let snap_diff_arg =
                (pause, snapshot, restore into a fresh SoC, continue) and \
                require agreement with an uninterrupted run (roughly triples \
                oracle cost).")
-
-let engine_conv =
-  let parse s =
-    match Rv32.Core.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown engine '%s' (expected interp|threaded|superblock)" s))
-  in
-  Arg.conv
-    (parse, fun fmt e -> Format.pp_print_string fmt (Rv32.Core.engine_name e))
-
-let engine_arg =
-  Arg.(value & opt engine_conv Rv32.Core.Threaded_superblock
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine for the VP legs: $(b,superblock) \
-                 (default, compiled closure chains with superblock \
-                 chaining and jalr inline caches), $(b,threaded) \
-                 (single-block closure chains) or $(b,interp) \
-                 (per-instruction dispatch).")
-
-let no_superblocks_arg =
-  Arg.(value & flag & info [ "no-superblocks" ]
-         ~doc:"Demote the superblock engine to plain $(b,threaded): no \
-               hot-edge chaining, no jalr inline caches. With \
-               $(b,--engine-diff) the superblock leg is dropped too.")
-
-let engine_diff_arg =
-  Arg.(value & flag & info [ "engine-diff" ]
-         ~doc:"Also cross-check every other execution engine against \
-               $(b,--engine) on every program, on both VP flavours — \
-               byte-identical registers, memory, instret and taint tags \
-               (roughly one extra VP cost per engine). Divergences shrink \
-               to .s reproducers like every other leg.")
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
@@ -216,8 +159,7 @@ let cmd =
   Cmd.v (Cmd.info "policy_fuzz" ~doc)
     Term.(const run $ programs_arg $ seed_arg $ size_arg $ no_shrink_arg
           $ shrink_dir_arg $ graph_dir_arg $ props_every_arg $ inject_arg
-          $ cache_diff_arg $ snap_diff_arg $ engine_arg $ no_superblocks_arg
-          $ engine_diff_arg $ jobs_arg $ no_warm_start_arg $ shard_size_arg
-          $ checkpoint_arg $ resume_arg)
+          $ cache_diff_arg $ snap_diff_arg $ jobs_arg $ no_warm_start_arg
+          $ shard_size_arg $ checkpoint_arg $ resume_arg)
 
 let () = exit (Cmd.eval' cmd)

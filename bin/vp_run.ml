@@ -9,7 +9,7 @@
    through. *)
 
 open Cmdliner
-module J = Benchkit.Json
+module J = Jsonkit.Json
 
 (* Exception-safe file I/O: the read closes its descriptor even when a
    decode raises mid-stream, and state/checkpoint writes are published
@@ -66,12 +66,7 @@ let policy_name = function
 let run file policy_kind tracking max_insns uart_input show_symbols quiet
     echo_insns taint_map report coverage trace_on trace_out trace_format
     forensics graph_out json checkpoint_every checkpoint_out checkpoint_stop
-    resume state_out quantum engine no_superblocks =
-  let engine =
-    if no_superblocks && engine = Rv32.Core.Threaded_superblock then
-      Rv32.Core.Threaded
-    else engine
-  in
+    resume state_out quantum =
   let src = read_file file in
   match Rv32_asm.Parser.parse_result src with
   | Error msg ->
@@ -101,7 +96,7 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
         | _ -> None
       in
       let soc =
-        Vp.Soc.create ~policy ~monitor ~tracking ~quantum ~engine ?tracer ()
+        Vp.Soc.create ~policy ~monitor ~tracking ~quantum ?tracer ()
       in
       (* Under the confidentiality policy the sensor is a classified
          source: every frame byte it serves is HC. *)
@@ -351,7 +346,6 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
                ("exit_code", J.num_of_int code);
                ("reason", J.Str reason);
                ("instructions", J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ()));
-               ("engine", J.Str (Rv32.Core.engine_name engine));
                ( "blocks_built",
                  J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built ()) );
                ( "superblocks_built",
@@ -514,39 +508,6 @@ let quantum_arg =
                  the next one. A resumed run must use the same quantum as \
                  the run that wrote the snapshot.")
 
-let engine_arg =
-  let engine_conv =
-    let parse s =
-      match Rv32.Core.engine_of_string s with
-      | Some e -> Ok e
-      | None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown engine '%s' (expected interp|threaded|superblock)"
-                  s))
-    in
-    Arg.conv
-      (parse, fun fmt e -> Format.pp_print_string fmt (Rv32.Core.engine_name e))
-  in
-  Arg.(value & opt engine_conv Rv32.Core.Threaded_superblock
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,superblock) (default, compiled \
-                 closure chains per basic block with hot block pairs \
-                 linked into superblocks and $(b,jalr) inline caches), \
-                 $(b,threaded) (closure chains, one basic block per \
-                 dispatch) or $(b,interp) (per-instruction dispatch). \
-                 Architecturally identical; a snapshot written under one \
-                 engine resumes under any other.")
-
-let no_superblocks_arg =
-  Arg.(value & flag
-       & info [ "no-superblocks" ]
-           ~doc:"Disable superblock chaining and the $(b,jalr) inline \
-                 caches: demote the default $(b,superblock) engine to plain \
-                 $(b,threaded). No effect with an explicit \
-                 $(b,--engine=threaded) or $(b,--engine=interp).")
-
 let state_out_arg =
   Arg.(value & opt (some string) None
        & info [ "state-out" ] ~docv:"FILE"
@@ -668,15 +629,14 @@ let analyze_cmd =
 let run_term =
   Term.(
     const (fun f p nt m u s q echo tm rep cov tr trout trfmt forn gout js ck
-              ckout ckstop res stout qn eng nsb ->
+              ckout ckstop res stout qn ->
         run f p (not nt) m u s q echo tm rep cov tr trout trfmt forn gout js
-          ck ckout ckstop res stout qn eng nsb)
+          ck ckout ckstop res stout qn)
     $ file_arg $ policy_arg $ tracking_arg $ max_arg $ uart_arg $ symbols_arg
     $ quiet_arg $ echo_insns_arg $ taint_map_arg $ report_arg $ coverage_arg
     $ trace_flag_arg $ trace_out_arg $ trace_format_arg $ forensics_arg
     $ graph_out_arg $ json_arg $ checkpoint_every_arg $ checkpoint_out_arg
-    $ checkpoint_stop_arg $ resume_arg $ state_out_arg $ quantum_arg
-    $ engine_arg $ no_superblocks_arg)
+    $ checkpoint_stop_arg $ resume_arg $ state_out_arg $ quantum_arg)
 
 let cmd =
   let doc = "execute a RISC-V binary on the DIFT-enabled virtual prototype" in

@@ -1,3 +1,5 @@
+module Json = Jsonkit.Json
+
 type def = {
   d_name : string;
   make_image : unit -> Rv32_asm.Image.t;
@@ -109,8 +111,7 @@ type raw = {
   raw_exit_ok : bool;
 }
 
-let run_def ?(block_cache = true) ?(fast_path = true) ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) ~tracking def =
+let run_def ?(block_cache = true) ?(trace = false) ~tracking def =
   let img = def.make_image () in
   let policy = def.make_policy img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
@@ -124,7 +125,7 @@ let run_def ?(block_cache = true) ?(fast_path = true) ?(trace = false)
     else None
   in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ~fast_path ~engine
+    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache
       ?sensor_period:def.sensor_period ?aes_out_tag ?aes_in_clearance ?tracer ()
   in
   Vp.Soc.load_image soc img;
@@ -154,7 +155,6 @@ let run_def ?(block_cache = true) ?(fast_path = true) ?(trace = false)
 type measurement = {
   m_workload : string;
   m_mode : string;
-  m_engine : string;
   m_instructions : int;
   m_seconds : float;
   m_mips : float;
@@ -182,13 +182,10 @@ type measurement = {
 let mips instructions seconds =
   if seconds > 0. then float_of_int instructions /. seconds /. 1e6 else 0.
 
-let measurement_of_raw ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) ~workload ~mode ~overhead
-    ~loc_asm r =
+let measurement_of_raw ?(trace = false) ~workload ~mode ~overhead ~loc_asm r =
   {
     m_workload = workload;
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name engine;
     m_instructions = r.raw_instructions;
     m_seconds = r.raw_seconds;
     m_mips = mips r.raw_instructions r.raw_seconds;
@@ -219,7 +216,6 @@ let parallel_row ?(exit_ok = true) ~workload ~mode ~jobs ~tasks ~instructions
   {
     m_workload = workload;
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
     m_instructions = instructions;
     m_seconds = secs;
     m_mips = mips instructions secs;
@@ -254,7 +250,6 @@ let graph_row ?(exit_ok = true) ~workload ~mode ~store_bytes ~ingest_ns
   {
     m_workload = workload;
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
     m_instructions = 0;
     m_seconds = secs;
     m_mips = 0.;
@@ -279,29 +274,26 @@ let graph_row ?(exit_ok = true) ~workload ~mode ~store_bytes ~ingest_ns
     m_edges = Some edges;
   }
 
-let measure ?(block_cache = true) ?(fast_path = true) ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) def =
-  let vp = run_def ~block_cache ~fast_path ~engine ~tracking:false def in
-  let vpp = run_def ~block_cache ~fast_path ~engine ~tracking:true def in
+let measure ?(block_cache = true) ?(trace = false) def =
+  let vp = run_def ~block_cache ~tracking:false def in
+  let vpp = run_def ~block_cache ~tracking:true def in
   let loc_asm = (def.make_image ()).Rv32_asm.Image.insn_count in
   let rel r = if vp.raw_seconds > 0. then r.raw_seconds /. vp.raw_seconds else 1. in
   let base =
     [
-      measurement_of_raw ~engine ~workload:def.d_name ~mode:"vp" ~overhead:1.
-        ~loc_asm vp;
-      measurement_of_raw ~engine ~workload:def.d_name ~mode:"vp+"
-        ~overhead:(rel vpp) ~loc_asm vpp;
+      measurement_of_raw ~workload:def.d_name ~mode:"vp" ~overhead:1. ~loc_asm
+        vp;
+      measurement_of_raw ~workload:def.d_name ~mode:"vp+" ~overhead:(rel vpp)
+        ~loc_asm vpp;
     ]
   in
   if not trace then base
   else
-    let vpt =
-      run_def ~block_cache ~fast_path ~engine ~trace:true ~tracking:true def
-    in
+    let vpt = run_def ~block_cache ~trace:true ~tracking:true def in
     base
     @ [
-        measurement_of_raw ~trace:true ~engine ~workload:def.d_name
-          ~mode:"vp+trace" ~overhead:(rel vpt) ~loc_asm vpt;
+        measurement_of_raw ~trace:true ~workload:def.d_name ~mode:"vp+trace"
+          ~overhead:(rel vpt) ~loc_asm vpt;
       ]
 
 (* --- Report document -------------------------------------------------- *)
@@ -312,7 +304,6 @@ let row m =
     ([
        ("workload", Json.Str m.m_workload);
        ("mode", Json.Str m.m_mode);
-       ("engine", Json.Str m.m_engine);
        ("instructions", Json.num_of_int m.m_instructions);
        ("seconds", Json.Num m.m_seconds);
        ("mips", Json.Num m.m_mips);
@@ -337,13 +328,12 @@ let row m =
     @ opt "nodes" m.m_nodes Json.num_of_int
     @ opt "edges" m.m_edges Json.num_of_int)
 
-let doc ?(extra = []) ~bench ~scale ~block_cache ~fast_path rows =
+let doc ?(extra = []) ~bench ~scale ~block_cache rows =
   Json.Obj
     ([
        ("bench", Json.Str bench);
        ("scale", Json.Num scale);
        ("block_cache", Json.Bool block_cache);
-       ("fast_path", Json.Bool fast_path);
      ]
     @ extra
     @ [ ("rows", Json.List (List.map row rows)) ])
@@ -362,7 +352,6 @@ let validate j =
   let* scale = field "scale" Json.to_num j in
   let* () = if scale > 0. then Ok () else Error "\"scale\" must be > 0" in
   let* (_ : bool) = field "block_cache" Json.to_bool j in
-  let* (_ : bool) = field "fast_path" Json.to_bool j in
   let* rows = field "rows" Json.to_list j in
   let* () = if rows <> [] then Ok () else Error "\"rows\" must be non-empty" in
   List.fold_left
@@ -391,17 +380,6 @@ let validate j =
       let* () =
         if overhead > 0. then Ok () else ctx "\"overhead\" must be > 0"
       in
-      (* Optional: rows from engine-aware producers name their execution
-         engine; older reports omit the field. *)
-      let* () =
-        match Json.member "engine" r with
-        | None -> Ok ()
-        | Some v -> (
-            match Json.to_str v with
-            | Some "" -> ctx "empty optional field \"engine\""
-            | Some (_ : string) -> Ok ()
-            | None -> ctx "ill-typed optional field \"engine\"")
-      in
       (* Optional: rows from trace-enabled runs carry a boolean marker. *)
       let* () =
         match Json.member "trace" r with
@@ -423,9 +401,9 @@ let validate j =
             | None ->
                 ctx (Printf.sprintf "ill-typed optional field %S" name))
       in
-      (* Optional block-engine fields: all four travel together (a row
-         from a superblock-capable producer carries the whole group;
-         older reports omit them all). *)
+      (* Optional block-cache fields: all four travel together (a row
+         from a single-SoC measurement carries the whole group; older
+         reports omit them all). *)
       let* sblocks = opt "superblocks_built" Json.to_int (fun n -> n >= 0) in
       let* chain = opt "chain_hits" Json.to_int (fun n -> n >= 0) in
       let* ic_h = opt "ic_hits" Json.to_int (fun n -> n >= 0) in
@@ -435,7 +413,7 @@ let validate j =
         | Some _, Some _, Some _, Some _ | None, None, None, None -> Ok ()
         | _ ->
             ctx
-              "block-engine fields \"superblocks_built\", \"chain_hits\", \
+              "block-cache fields \"superblocks_built\", \"chain_hits\", \
                \"ic_hits\" and \"ic_misses\" must appear together"
       in
       let* jobs = opt "jobs" Json.to_int (fun j -> j >= 1) in

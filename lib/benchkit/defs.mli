@@ -36,9 +36,6 @@ val extended : scale:float -> def list
 type measurement = {
   m_workload : string;
   m_mode : string;  (** ["vp"] / ["vp+"] (or an ablation label). *)
-  m_engine : string;
-      (** {!Rv32.Core.engine_name} of the execution engine the row was
-          measured under (["superblock"] / ["threaded"] / ["interp"]). *)
   m_instructions : int;  (** Retired, from the core's counter. *)
   m_seconds : float;  (** Monotonic wall time of the simulation. *)
   m_mips : float;
@@ -46,11 +43,11 @@ type measurement = {
   m_fast_retired : int;
   m_blocks_built : int;
   m_superblocks : int option;
-      (** Block-engine rows only: superblock chains linked. The four
+      (** Single-SoC rows only: superblock chains linked. The four
           option fields travel together ([Some] on rows {!measure}
           produced, [None] on parallel / graph rows); {!validate}
-          enforces this. All four are zero under engines without the
-          superblock tier. *)
+          enforces this. All four are zero on the single-step reference
+          ([~block_cache:false]). *)
   m_chain_hits : int option;  (** In-chain block-to-block transitions. *)
   m_ic_hits : int option;  (** [jalr] inline-cache direct entries. *)
   m_ic_misses : int option;  (** [jalr] inline-cache misses/demotions. *)
@@ -77,23 +74,14 @@ type measurement = {
   m_edges : int option;  (** Graph edges in the store. *)
 }
 
-val measure :
-  ?block_cache:bool ->
-  ?fast_path:bool ->
-  ?trace:bool ->
-  ?engine:Rv32.Core.engine ->
-  def ->
-  measurement list
-(** Run the workload on VP then VP+ (cache/fast-path flags forwarded to
-    {!Vp.Soc.create}, default on) and return the two rows in that order.
+val measure : ?block_cache:bool -> ?trace:bool -> def -> measurement list
+(** Run the workload on VP then VP+ ([block_cache] forwarded to
+    {!Vp.Soc.create}, default on: false measures the single-step
+    reference) and return the two rows in that order.
     With [~trace:true] a third ["vp+trace"] row follows: VP+ with a
     {!Trace.Tracer} attached (ring + provenance + bus observer), its
     overhead relative to the same vp row — the guardrail number for the
-    tracing subsystem's cost. The default remains exactly two rows.
-    [engine] (default {!Rv32.Core.Threaded_superblock}) selects the
-    core's execution engine for every run and is recorded in each row's
-    [m_engine] — the engine-vs-engine perf comparison measures the same
-    workload once per engine. *)
+    tracing subsystem's cost. The default remains exactly two rows. *)
 
 val mips : int -> float -> float
 (** [mips instructions seconds], 0 when [seconds] is 0. *)
@@ -135,27 +123,28 @@ val graph_row :
     memoized, per [mode]). Fills the five graph option fields; [seconds]
     is derived from [ingest_ns + query_ns]. *)
 
-val row : measurement -> Json.t
+val row : measurement -> Jsonkit.Json.t
 
 val doc :
-  ?extra:(string * Json.t) list ->
+  ?extra:(string * Jsonkit.Json.t) list ->
   bench:string ->
   scale:float ->
   block_cache:bool ->
-  fast_path:bool ->
   measurement list ->
-  Json.t
+  Jsonkit.Json.t
 (** The full report document. [extra] appends top-level fields (e.g. the
     host's core count for parallel campaigns); {!validate} ignores
     unknown fields, so consumers stay compatible. *)
 
-val validate : Json.t -> (unit, string) result
-(** Schema check: [bench] non-empty string, [scale] > 0, [block_cache] /
-    [fast_path] booleans, [rows] a non-empty list where every row has a
-    non-empty [workload], a [mode] string, integral [instructions >= 0],
+val validate : Jsonkit.Json.t -> (unit, string) result
+(** Schema check: [bench] non-empty string, [scale] > 0, [block_cache]
+    boolean, [rows] a non-empty list where every row has a non-empty
+    [workload], a [mode] string, integral [instructions >= 0],
     [seconds >= 0], [mips >= 0] and [overhead > 0]. A row's optional
-    [trace] field, when present, must be a boolean; its optional [engine]
-    field, when present, a non-empty string. The block-engine fields
+    [trace] field, when present, must be a boolean. Unknown fields are
+    ignored, so reports from older producers (with a top-level
+    [fast_path] or a per-row [engine]) still validate. The block-cache
+    fields
     [superblocks_built], [chain_hits], [ic_hits] and [ic_misses] (ints
     >= 0) must appear all together or not at all. The parallel fields
     [jobs] (int >= 1), [wall_ns] / [cpu_ns] (ints >= 0) and

@@ -12,13 +12,12 @@ type t = {
   mutable n_violations : int;
   mutable n_declass : int;
   mutable n_checks : int;
-  mutable fast_ok : bool;
   mutable on_event : (event -> unit) option;
 }
 
 let create ?(mode = Halt) lat =
   { lat; m = mode; evs = []; n_violations = 0; n_declass = 0; n_checks = 0;
-    fast_ok = true; on_event = None }
+    on_event = None }
 
 let mode t = t.m
 let set_mode t m = t.m <- m
@@ -55,8 +54,6 @@ let clear t =
 
 let check_count t = t.n_checks
 let count_check t = t.n_checks <- t.n_checks + 1
-let fast_path_ok t = t.fast_ok
-let set_fast_path_ok t b = t.fast_ok <- b
 
 let pp_event lat fmt = function
   | Violated v -> Violation.pp lat fmt v

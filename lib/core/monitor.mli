@@ -38,18 +38,13 @@ val clear : t -> unit
 
 val check_count : t -> int
 (** Total number of clearance checks performed (both passed and failed);
-    incremented by the engine via {!count_check}. *)
+    incremented by the engine via {!count_check}. The core's untainted
+    fast path only ever skips checks that are guaranteed to pass, so
+    violations and taint state are unaffected, but the count then
+    undercounts; a core created with [~block_cache:false] (the single-step
+    reference) counts every check exactly. *)
 
 val count_check : t -> unit
-
-val fast_path_ok : t -> bool
-(** May the DIFT engine take its untainted fast path past this monitor?
-    True by default. The fast path only ever skips checks that are
-    guaranteed to pass, so violations and taint state are unaffected — but
-    {!check_count} then undercounts. A harness that needs exact per-check
-    accounting vetoes the fast path with {!set_fast_path_ok}. *)
-
-val set_fast_path_ok : t -> bool -> unit
 
 val set_on_event : t -> (event -> unit) option -> unit
 (** Install (or clear) an observer invoked synchronously from {!report}

@@ -9,7 +9,6 @@ type config = {
   inject : string option;
   cache_diff : bool;
   snap_diff : bool;
-  engines : Rv32.Core.engine list;
   jobs : int;
   warm_start : bool;
   shard_size : int;
@@ -29,7 +28,6 @@ let default =
     inject = None;
     cache_diff = false;
     snap_diff = false;
-    engines = [ Rv32.Core.Threaded_superblock ];
     jobs = 1;
     warm_start = true;
     shard_size = 25;
@@ -59,7 +57,6 @@ let fingerprint cfg =
       opt cfg.inject;
       string_of_bool cfg.cache_diff;
       string_of_bool cfg.snap_diff;
-      String.concat "," (List.map Rv32.Core.engine_name cfg.engines);
       string_of_int cfg.shard_size;
     ]
 
@@ -86,7 +83,6 @@ type report = {
   declass_violations : int;
   cache_mismatches : int;
   snapshot_mismatches : int;
-  engine_mismatches : int;
   injected_hits : int;
   violations : int;
   checks : int;
@@ -100,7 +96,7 @@ let healthy r =
   && r.purity_failures = 0 && r.monotonicity_failures = 0
   && r.trap_taint_failures = 0
   && r.declass_violations = 0 && r.cache_mismatches = 0
-  && r.snapshot_mismatches = 0 && r.engine_mismatches = 0 && r.errors = 0
+  && r.snapshot_mismatches = 0 && r.errors = 0
 
 (* Mutable accumulator threaded through the run loop. *)
 type acc = {
@@ -113,7 +109,6 @@ type acc = {
   mutable a_declass : int;
   mutable a_cache : int;
   mutable a_snapshot : int;
-  mutable a_engine : int;
   mutable a_injected : int;
   mutable a_violations : int;
   mutable a_checks : int;
@@ -134,7 +129,7 @@ let encode_shard ((acc : acc), cov) =
     [
       acc.a_completed; acc.a_golden; acc.a_transparency; acc.a_purity;
       acc.a_monotonic; acc.a_trap_taint; acc.a_declass; acc.a_cache;
-      acc.a_snapshot; acc.a_engine; acc.a_injected; acc.a_violations;
+      acc.a_snapshot; acc.a_injected; acc.a_violations;
       acc.a_checks; acc.a_errors;
     ];
   let put_opt w o =
@@ -169,7 +164,6 @@ let decode_shard payload =
   let a_declass = c () in
   let a_cache = c () in
   let a_snapshot = c () in
-  let a_engine = c () in
   let a_injected = c () in
   let a_violations = c () in
   let a_checks = c () in
@@ -193,7 +187,7 @@ let decode_shard payload =
   expect_end r;
   ( {
       a_completed; a_golden; a_transparency; a_purity; a_monotonic;
-      a_trap_taint; a_declass; a_cache; a_snapshot; a_engine; a_injected;
+      a_trap_taint; a_declass; a_cache; a_snapshot; a_injected;
       a_violations; a_checks; a_errors; a_failures;
     },
     cov )
@@ -311,13 +305,6 @@ let record_failure cfg acc ~index ~kind ~detail ~predicate prog =
    the immutable warm-boot blob.  Reproducer files are keyed by the
    global program index, so concurrent shards never collide on paths. *)
 let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
-  (* The head of [engines] is the engine every base leg runs on; the tail
-     is cross-checked against it by the engine-differential leg. *)
-  let base_engine, cross_engines =
-    match cfg.engines with
-    | [] -> (Rv32.Core.Threaded_superblock, [])
-    | e :: rest -> (e, rest)
-  in
   let rng = Rng.create ~seed:sh.Parallelkit.Campaign.seed in
   let prng =
     Rng.create ~seed:(sh.Parallelkit.Campaign.seed lxor 0x9e3779b9)
@@ -334,7 +321,6 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       a_declass = 0;
       a_cache = 0;
       a_snapshot = 0;
-      a_engine = 0;
       a_injected = 0;
       a_violations = 0;
       a_checks = 0;
@@ -350,8 +336,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       let policy = Gen.policy rng img in
       let percov = Coverage.create () in
       let res =
-        Oracle.run ~engine:base_engine ~policy ~trace:(Coverage.hook percov)
-          ?warm img
+        Oracle.run ~policy ~trace:(Coverage.hook percov) ?warm img
       in
       Coverage.merge ~into:cov percov;
       acc.a_violations <- acc.a_violations + res.Oracle.violations;
@@ -441,13 +426,13 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
               prog
         | Props.Ok -> ()
       end;
-      (* 5. Block-cache transparency: the same program single-stepped
-         (block cache and fast path off) must agree with the cached runs
-         already taken by the oracle above, on both flavours. *)
+      (* 5. Compiled-vs-reference: the same program on the single-step
+         reference (block cache off) must agree with the compiled runs
+         already taken by the oracle above, on both flavours — including
+         taint tags on VP+. *)
       if cfg.cache_diff then begin
         let nocache_vpp, _ =
-          Oracle.run_vp ~tracking:true ~block_cache:false ~fast_path:false
-            ~policy img
+          Oracle.run_vp ~tracking:true ~block_cache:false ~policy img
         in
         (match Oracle.explain res.Oracle.vpp nocache_vpp with
         | Some detail ->
@@ -459,15 +444,14 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
                   let img = Prog.assemble p in
                   let cached, _ = Oracle.run_vp ~tracking:true ~policy img in
                   let plain, _ =
-                    Oracle.run_vp ~tracking:true ~block_cache:false
-                      ~fast_path:false ~policy img
+                    Oracle.run_vp ~tracking:true ~block_cache:false ~policy img
                   in
                   not (Oracle.agree cached plain)
                 with _ -> false)
               prog
         | None -> ());
         let nocache_vp, _ =
-          Oracle.run_vp ~tracking:false ~block_cache:false ~fast_path:false img
+          Oracle.run_vp ~tracking:false ~block_cache:false img
         in
         match Oracle.explain res.Oracle.vp nocache_vp with
         | Some detail ->
@@ -479,8 +463,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
                   let img = Prog.assemble p in
                   let cached, _ = Oracle.run_vp ~tracking:false img in
                   let plain, _ =
-                    Oracle.run_vp ~tracking:false ~block_cache:false
-                      ~fast_path:false img
+                    Oracle.run_vp ~tracking:false ~block_cache:false img
                   in
                   not (Oracle.agree cached plain)
                 with _ -> false)
@@ -517,65 +500,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
               prog
         | None -> ()
       end;
-      (* 7. Engine differential: every additional engine in the config
-         must retire byte-identical architectural state on both flavours
-         — including taint tags on VP+ ([Oracle.agree] compares them when
-         both runs are tracked). A divergence means the threaded-code
-         compiler (or the interpreter) miscomputed a value or a tag. *)
-      List.iter
-        (fun other ->
-          let ename = Rv32.Core.engine_name other in
-          let other_vpp, _ =
-            Oracle.run_vp ~tracking:true ~engine:other ~policy img
-          in
-          (match Oracle.explain res.Oracle.vpp other_vpp with
-          | Some detail ->
-              acc.a_engine <- acc.a_engine + 1;
-              record_failure cfg acc ~index:i ~kind:"engine-diff"
-                ~detail:
-                  (Printf.sprintf "VP+ %s vs %s: %s"
-                     (Rv32.Core.engine_name base_engine)
-                     ename detail)
-                ~predicate:(fun p ->
-                  try
-                    let img = Prog.assemble p in
-                    let a, _ =
-                      Oracle.run_vp ~tracking:true ~engine:base_engine
-                        ~policy img
-                    in
-                    let b, _ =
-                      Oracle.run_vp ~tracking:true ~engine:other ~policy img
-                    in
-                    not (Oracle.agree a b)
-                  with _ -> false)
-                prog
-          | None -> ());
-          let other_vp, _ =
-            Oracle.run_vp ~tracking:false ~engine:other img
-          in
-          match Oracle.explain res.Oracle.vp other_vp with
-          | Some detail ->
-              acc.a_engine <- acc.a_engine + 1;
-              record_failure cfg acc ~index:i ~kind:"engine-diff"
-                ~detail:
-                  (Printf.sprintf "VP %s vs %s: %s"
-                     (Rv32.Core.engine_name base_engine)
-                     ename detail)
-                ~predicate:(fun p ->
-                  try
-                    let img = Prog.assemble p in
-                    let a, _ =
-                      Oracle.run_vp ~tracking:false ~engine:base_engine img
-                    in
-                    let b, _ =
-                      Oracle.run_vp ~tracking:false ~engine:other img
-                    in
-                    not (Oracle.agree a b)
-                  with _ -> false)
-                prog
-          | None -> ())
-        cross_engines;
-      (* 8. Fault injection: validate the detect-shrink-report pipeline. *)
+      (* 7. Fault injection: validate the detect-shrink-report pipeline. *)
       match cfg.inject with
       | Some op when Coverage.count percov op > 0 ->
           acc.a_injected <- acc.a_injected + 1;
@@ -675,7 +600,6 @@ let run ?(config = default) () =
     declass_violations = sum (fun a -> a.a_declass);
     cache_mismatches = sum (fun a -> a.a_cache);
     snapshot_mismatches = sum (fun a -> a.a_snapshot);
-    engine_mismatches = sum (fun a -> a.a_engine);
     injected_hits = sum (fun a -> a.a_injected);
     violations = sum (fun a -> a.a_violations);
     checks = sum (fun a -> a.a_checks);
@@ -693,15 +617,13 @@ let pp_report fmt r =
      trap-entry taint failures: %d@,\
      block-cache mismatches: %d@,\
      snapshot-vs-straight mismatches: %d@,\
-     engine-vs-engine mismatches: %d@,\
      injected-fault hits: %d@,\
      %d clearance checks, %d policy violations recorded (informational)@,\
      harness errors: %d@,%a"
     r.programs r.completed r.golden_mismatches r.transparency_mismatches
     r.purity_failures r.monotonicity_failures r.declass_violations
     r.trap_taint_failures
-    r.cache_mismatches r.snapshot_mismatches r.engine_mismatches
-    r.injected_hits r.checks r.violations r.errors
+    r.cache_mismatches r.snapshot_mismatches r.injected_hits r.checks r.violations r.errors
     Coverage.pp r.coverage;
   List.iter
     (fun f ->

@@ -26,11 +26,12 @@ type config = {
           opcode mnemonic as failing (a stand-in for a real tag-propagation
           bug in that instruction). *)
   cache_diff : bool;
-      (** Additionally re-run every program with the decoded basic-block
-          cache and untainted fast path disabled (both VP flavours) and
-          require architectural agreement with the cached runs — a
-          differential check of the dispatch machinery itself (see
-          [docs/perf.md]). Off by default: it doubles the oracle cost. *)
+      (** Additionally re-run every program on the single-step reference
+          ([~block_cache:false], both VP flavours) and require
+          architectural agreement, taint tags included, with the compiled
+          runs — a differential check of the superblock compiler itself
+          (see [docs/perf.md]). Off by default: it doubles the oracle
+          cost. *)
   snap_diff : bool;
       (** Additionally run every program chopped into checkpointed
           segments (pause, {!Vp.Soc.save}, restore into a fresh SoC,
@@ -38,15 +39,6 @@ type config = {
           uninterrupted run on the same time-sync grid — a differential
           check of the snapshot machinery. Off by default: it roughly
           triples the oracle cost. *)
-  engines : Rv32.Core.engine list;
-      (** Execution engines under test (default [[Threaded_superblock]]).
-          The head runs every base oracle leg; each engine in the tail is
-          additionally cross-checked against the head on both VP flavours
-          — byte-identical registers, scratch memory, instret {e and
-          taint tags} — a differential proof of the threaded-code block
-          compiler (and its superblock/inline-cache tier) against the
-          interpreter. Each extra entry adds roughly one VP cost per
-          program. *)
   jobs : int;
       (** Worker domains running shards concurrently (default 1).
           [jobs <= 1] takes the exact sequential code path (no domains
@@ -75,8 +67,7 @@ type config = {
           {e same} campaign: shards recorded there are decoded instead
           of re-run. The checkpoint's fingerprint must match every
           stream-determining config field (seed, programs, size, shrink
-          settings, props_every, inject, cache/snap diff, engines,
-          shard_size) — [jobs] and [warm_start] may differ freely; a
+          settings, props_every, inject, cache/snap diff, shard_size) — [jobs] and [warm_start] may differ freely; a
           mismatch raises {!Parallelkit.Checkpoint.Mismatch}, a corrupt
           or truncated file [Snapshot.Codec.Corrupt], in both cases
           before any oracle work runs. The merged report is
@@ -88,16 +79,15 @@ type config = {
 val default : config
 (** seed 0x5eed, 200 programs of 30 blocks, shrinking on, no file output
     (no reproducer or graph-store directories), properties every 5th
-    program, no injection, no cache / snapshot / engine differential
-    (engines = [[Threaded_superblock]] only); sequential ([jobs = 1]),
+    program, no injection, no cache / snapshot differential; sequential
+    ([jobs = 1]),
     warm-start on, 25-program shards, no checkpointing or resume. *)
 
 type failure = {
   f_kind : string;
       (** ["golden-vs-vp"], ["transparency"], ["purity"], ["monotonicity"],
           ["trap-entry-taint"], ["declassification"], ["cache-vs-nocache"],
-          ["snapshot-vs-straight"], ["engine-diff"] or
-          ["injected:<opcode>"]. *)
+          ["snapshot-vs-straight"] or ["injected:<opcode>"]. *)
   f_detail : string;  (** First observed difference / property message. *)
   f_asm : string;  (** The (shrunk) reproducer as [.s] source. *)
   f_file : string option;  (** Path written, when [shrink_dir] is set. *)
@@ -127,14 +117,11 @@ type report = {
           must be 0). *)
   declass_violations : int;  (** Unsanctioned declassification (must be 0). *)
   cache_mismatches : int;
-      (** Cached vs single-step execution disagreements, counted only when
-          [cache_diff] is set (must be 0). *)
+      (** Compiled vs single-step reference disagreements (state or
+          tags), counted only when [cache_diff] is set (must be 0). *)
   snapshot_mismatches : int;
       (** Checkpointed vs uninterrupted execution disagreements, counted
           only when [snap_diff] is set (must be 0). *)
-  engine_mismatches : int;
-      (** Engine-vs-engine disagreements (state or tags), counted only
-          when [engines] lists more than one engine (must be 0). *)
   injected_hits : int;  (** Programs the injected fault flagged. *)
   violations : int;  (** Policy violations recorded (informational). *)
   checks : int;  (** Clearance checks performed (informational). *)

@@ -130,8 +130,8 @@ let warm_boot () =
   let soc = Vp.Soc.create ~policy ~monitor ~tracking:false () in
   Vp.Soc.boot_snapshot soc
 
-let run_vp ~tracking ?(block_cache = true) ?(fast_path = true) ?engine ?policy
-    ?trace ?tracer ?quantum ?warm img =
+let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
+    ?warm img =
   let policy =
     match policy with Some p -> p | None -> unrestricted_policy ()
   in
@@ -139,8 +139,7 @@ let run_vp ~tracking ?(block_cache = true) ?(fast_path = true) ?engine ?policy
     Dift.Monitor.create ~mode:Dift.Monitor.Record policy.Dift.Policy.lattice
   in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ~fast_path ?engine
-      ?tracer ?quantum ()
+    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ?tracer ?quantum ()
   in
   (match warm with Some blob -> Vp.Soc.warm_start soc blob | None -> ());
   Vp.Soc.load_image soc img;
@@ -262,10 +261,10 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
           tags },
         !totals )
 
-let run ?engine ?policy ?trace ?warm img =
+let run ?policy ?trace ?warm img =
   let golden = run_golden img in
-  let vp, _ = run_vp ~tracking:false ?engine ?warm img in
+  let vp, _ = run_vp ~tracking:false ?warm img in
   let vpp, (violations, checks, declassifications) =
-    run_vp ~tracking:true ?engine ?policy ?trace img
+    run_vp ~tracking:true ?policy ?trace img
   in
   { golden; vp; vpp; violations; checks; declassifications }

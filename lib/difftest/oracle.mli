@@ -64,8 +64,6 @@ val warm_boot : unit -> warm
 val run_vp :
   tracking:bool ->
   ?block_cache:bool ->
-  ?fast_path:bool ->
-  ?engine:Rv32.Core.engine ->
   ?policy:Dift.Policy.t ->
   ?trace:(int -> Rv32.Insn.t -> unit) ->
   ?tracer:Trace.Tracer.t ->
@@ -76,12 +74,10 @@ val run_vp :
 (** One VP flavour; returns the outcome and the monitor's
     (violations, checks, declassifications). Without [policy] an
     unrestricted single-class policy is used. The monitor runs in [Record]
-    mode so checks never alter execution. [block_cache] / [fast_path]
-    (default true) forward to {!Vp.Soc.create} — run with
-    [~block_cache:false] to get a reference single-step execution for
-    cache-vs-nocache differential testing. [engine] selects the core's
-    execution engine (default {!Rv32.Core.Threaded_superblock}) for
-    engine-vs-engine differential testing. [tracer] attaches the tracing
+    mode so checks never alter execution. [block_cache] (default true)
+    forwards to {!Vp.Soc.create} — run with [~block_cache:false] to get
+    the single-step reference for compiled-vs-reference differential
+    testing. [tracer] attaches the tracing
     subsystem to the SoC (forensic replay of reproducers). [quantum]
     forwards to {!Vp.Soc.create} (snapshot-vs-straight comparisons need
     both runs on the same time-sync grid). [warm] stamps a boot snapshot
@@ -108,17 +104,14 @@ val run_vp_snapshot :
     Monitor counters are summed across segments. *)
 
 val run :
-  ?engine:Rv32.Core.engine ->
   ?policy:Dift.Policy.t ->
   ?trace:(int -> Rv32.Insn.t -> unit) ->
   ?warm:warm ->
   Rv32_asm.Image.t ->
   result3
-(** All three models. [engine] selects the execution engine of both VP
-    legs (default {!Rv32.Core.Threaded_superblock}); [policy] applies to
-    the VP+ run
-    only (the plain VP runs check-free on the same lattice); [trace] is
-    installed on the VP+ run (coverage); [warm] warm-starts the plain-VP
-    leg from a shared boot snapshot (the VP+ leg always cold-boots: its
-    per-task policy changes the initial tag state — the blob itself is
-    engine-agnostic, it holds only architectural state). *)
+(** All three models, both VP legs on the default compiled path. [policy]
+    applies to the VP+ run only (the plain VP runs check-free on the same
+    lattice); [trace] is installed on the VP+ run (coverage); [warm]
+    warm-starts the plain-VP leg from a shared boot snapshot (the VP+ leg
+    always cold-boots: its per-task policy changes the initial tag
+    state). *)

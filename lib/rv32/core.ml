@@ -9,34 +9,17 @@ type trap_event =
   | Trap_enter of { cause : int; epc : int; tval : int; handler : int }
   | Trap_return of { target : int; to_priv : int }
 
-(* Pluggable execution engines over the same decoded-block cache:
-   [Interp] dispatches blocks through the per-instruction execute loop;
-   [Threaded] compiles each block into a closure chain (threaded code)
-   with pre-resolved operands and an untainted specialization;
-   [Threaded_superblock] additionally chains hot block pairs across
-   their terminating branch into superblocks and inline-caches jalr
-   targets, so hot edges skip the dispatcher entirely. All engines
-   retire identical architectural state, tags, counters and hook streams
-   — pinned by test_threaded / test_superblock and the difftest
-   engine-diff legs. *)
-type engine = Interp | Threaded | Threaded_superblock
-
-let engine_name = function
-  | Interp -> "interp"
-  | Threaded -> "threaded"
-  | Threaded_superblock -> "superblock"
-
-let engine_of_string = function
-  | "interp" | "interpreter" -> Some Interp
-  | "threaded" -> Some Threaded
-  | "superblock" | "threaded-superblock" | "threaded_superblock" ->
-      Some Threaded_superblock
-  | _ -> None
+(* Two execution paths: the single-step reference ({!step}, selected by
+   [~block_cache:false]) and the superblock compiler, which compiles each
+   cached block into a closure chain (threaded code) with pre-resolved
+   operands and a value-only variant, chains hot block pairs across their
+   terminating branch into superblocks and inline-caches jalr targets.
+   Both retire identical architectural state, tags, counters and hook
+   streams — pinned by test_parity and the difftest --cache-diff leg. *)
 
 module type MODE = sig
   val tracking : bool
 end
-
 
 module type S = sig
   type t
@@ -49,8 +32,6 @@ module type S = sig
     ?cycle_time:Sysc.Time.t ->
     ?quantum:int ->
     ?block_cache:bool ->
-    ?fast_path:bool ->
-    ?engine:engine ->
     ?strict_align:bool ->
     pc:int ->
     unit ->
@@ -113,8 +94,7 @@ type block = {
 
 let max_block_insns = 32
 
-(* Block membership is classified next to the decoder so both engines
-   build identical blocks. *)
+(* Block membership is classified next to the decoder. *)
 let block_breaker insn = Decode.block_class insn = Decode.Breaker
 let block_ender insn = Decode.block_class insn = Decode.Ender
 
@@ -129,7 +109,7 @@ module Make (M : MODE) = struct
      block is stored with [cb_n = 0] so the dispatcher falls back to
      {!step} without re-probing.
 
-     The superblock engine additionally keeps the decoded source
+     Each chain also keeps the decoded source
      ([cb_blk], for recompiling the block chained into a hot successor),
      an exit-edge profile ([cb_edge_pc]/[cb_edge_n]: the last observed
      dispatcher-entry pc after this chain ran, and how many consecutive
@@ -195,37 +175,28 @@ module Make (M : MODE) = struct
        cached code must call {!flush_code} (wired from Bus_if and the
        SoC memory model). *)
     use_blocks : bool;
-    engine : engine;
-    blocks : block option array;  (* Interp engine; [||] when disabled *)
-    cblocks : cblock option array;  (* Threaded engine; [||] when disabled *)
+    cblocks : cblock option array;  (* [||] when the cache is disabled *)
     blk_base : int;
     blk_limit : int;
     mutable code_lo : int;  (* byte range ever covered by built blocks *)
     mutable code_hi : int;
     mutable flush_epoch : int;
     (* [flush_epoch] at entry of the currently running compiled chain;
-       compiled instructions stop the chain when the two diverge (the
-       threaded engine's equivalent of exec_block's epoch0). *)
+       compiled instructions stop the chain when the two diverge. *)
     mutable chain_epoch : int;
-    (* Untainted fast path (tracking mode): when enabled and the current
-       block is b_fast with all register tags at bottom, tag propagation
-       and clearance checks are skipped — they can only produce bottom tags
-       and passing checks. [fast] is true only while such a block runs. *)
-    fast_enabled : bool;
-    (* Whether the threaded compiler may emit the value-only specialized
-       variant. Tracked cores inherit [fast_enabled]; untracked cores get
-       it whenever the fast path is configured on — with no tags anywhere
-       the specialization is exact semantics, not an optimistic gamble,
-       so it needs no per-entry tag precondition and never falls back. *)
+    (* Whether the compiler may emit the value-only variant of a block.
+       On tracked cores it is the untainted fast path: entered only while
+       every register tag and every fetched word's tag is bottom, and only
+       when bottom passes every clearance the variant leaves out. On
+       untracked cores there are no tags anywhere, so the variant is exact
+       semantics, not an optimistic gamble: it needs no per-entry tag
+       precondition and never falls back. *)
     fast_spec : bool;
-    mutable fast : bool;
-    (* Superblock chaining (Threaded_superblock engine): [prev_cb] is the
-       chain that ran in the previous scheduling round (exit-edge
-       profiling), [sblocks] the registry of slots currently holding a
-       recompiled superblock — their spans cover two blocks, so
-       invalidation scans the registry in addition to the positional
-       window. *)
-    superblocks : bool;
+    (* Superblock chaining: [prev_cb] is the chain that ran in the
+       previous scheduling round (exit-edge profiling), [sblocks] the
+       registry of slots currently holding a recompiled superblock — their
+       spans cover two blocks, so invalidation scans the registry in
+       addition to the positional window. *)
     mutable prev_cb : cblock option;
     mutable sblocks : (int * cblock) list;
     mutable n_blocks : int;
@@ -274,22 +245,12 @@ module Make (M : MODE) = struct
       let hi = min last t.blk_limit in
       if lo <= hi then begin
         let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
-        if Array.length t.blocks > 0 then
-          for i = i0 to i1 do
-            match Array.unsafe_get t.blocks i with
-            | Some b ->
-                let words = max 1 (Array.length b.b_insns) in
-                if b.b_pc + (4 * words) - 1 >= addr then
-                  Array.unsafe_set t.blocks i None
-            | None -> ()
-          done;
-        if Array.length t.cblocks > 0 then
-          for i = i0 to i1 do
-            match Array.unsafe_get t.cblocks i with
-            | Some cb ->
-                if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
-            | None -> ()
-          done
+        for i = i0 to i1 do
+          match Array.unsafe_get t.cblocks i with
+          | Some cb ->
+              if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
+          | None -> ()
+        done
       end;
       (* Superblocks span two blocks, so the slot may sit outside the
          positional window above; their registry is scanned by span.
@@ -311,8 +272,7 @@ module Make (M : MODE) = struct
     end
 
   let create ~kernel ~bus ~policy ~monitor ?(cycle_time = Sysc.Time.ns 10)
-      ?(quantum = 1000) ?(block_cache = true) ?(fast_path = true)
-      ?(engine = Threaded_superblock) ?(strict_align = false) ~pc () =
+      ?(quantum = 1000) ?(block_cache = true) ?(strict_align = false) ~pc () =
     let pc_cache_base, pc_cache_words, pc_cache_insns =
       match Bus_if.dmi_range bus with
       | Some (base, limit) ->
@@ -332,38 +292,23 @@ module Make (M : MODE) = struct
           (((limit - base) / 4) + 1, base, limit)
       | Some _ | None -> (0, 0, -1)
     in
-    (* Each engine keeps its own cache of derived block state: decoded
-       blocks for the interpreter, compiled closure chains for the
-       threaded engine. Only the selected engine's array is allocated. *)
-    let blocks =
-      if cache_entries > 0 && engine = Interp then
-        Array.make cache_entries None
-      else [||]
-    in
-    let cblocks : cblock option array =
-      if cache_entries > 0 && engine <> Interp then
-        Array.make cache_entries None
-      else [||]
-    in
     (* The fast path is sound only if the bottom tag passes every check the
-       engine could skip: the execution clearances and all store-integrity
-       regions. Policies where bottom itself is not cleared (so every
-       instruction would violate) simply never take it. *)
+       value-only variant leaves out: the execution clearances and all
+       store-integrity regions. Policies where bottom itself is not cleared
+       (so every instruction would violate) simply never take it. *)
     let pub_flows_to = function
       | Some req -> Dift.Lattice.allowed_flow lat pub req
       | None -> true
     in
-    let fast_enabled =
-      M.tracking && fast_path && cache_entries > 0
-      && pub_flows_to policy.Dift.Policy.exec_fetch
-      && pub_flows_to policy.Dift.Policy.exec_branch
-      && pub_flows_to policy.Dift.Policy.exec_mem_addr
-      && List.for_all
-           (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
-           policy.Dift.Policy.store_clearance
-    in
     let fast_spec =
-      if M.tracking then fast_enabled else fast_path && cache_entries > 0
+      cache_entries > 0
+      && ((not M.tracking)
+         || pub_flows_to policy.Dift.Policy.exec_fetch
+            && pub_flows_to policy.Dift.Policy.exec_branch
+            && pub_flows_to policy.Dift.Policy.exec_mem_addr
+            && List.for_all
+                 (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
+                 policy.Dift.Policy.store_clearance)
     in
     let t =
       {
@@ -391,19 +336,14 @@ module Make (M : MODE) = struct
         pc_cache_words;
         pc_cache_insns;
         use_blocks = cache_entries > 0;
-        engine;
-        blocks;
-        cblocks;
+        cblocks = Array.make cache_entries None;
         blk_base;
         blk_limit;
         code_lo = max_int;
         code_hi = min_int;
         flush_epoch = 0;
         chain_epoch = 0;
-        fast_enabled;
         fast_spec;
-        fast = false;
-        superblocks = (engine = Threaded_superblock && cache_entries > 0);
         prev_cb = None;
         sblocks = [];
         n_blocks = 0;
@@ -441,12 +381,7 @@ module Make (M : MODE) = struct
   let set_reg_tagged t r v tag =
     if r <> 0 then begin
       t.regs.(r) <- mask32 v;
-      if M.tracking then begin
-        t.rtags.(r) <- tag;
-        (* First non-bottom tag (a tainted load) ends the fast path; the
-           remainder of the block runs with full propagation. *)
-        if t.fast && tag <> t.pub then t.fast <- false
-      end
+      if M.tracking then t.rtags.(r) <- tag
     end
 
   let set_reg t r v = set_reg_tagged t r v t.pub
@@ -463,8 +398,8 @@ module Make (M : MODE) = struct
 
   (* Compiled chains capture the hook value at compile time (the common
      no-hook case pays nothing per instruction), so changing it must drop
-     every compiled block and stop any running chain; the interpreter
-     reads [t.trace] dynamically and needs neither. *)
+     every compiled block and stop any running chain; the single-step
+     reference reads [t.trace] dynamically and needs neither. *)
   let set_trace t fn =
     t.trace <- fn;
     if Array.length t.cblocks > 0 then begin
@@ -688,24 +623,16 @@ module Make (M : MODE) = struct
     let pc0 = t.cur_pc in
     let regs = t.regs and rtags = t.rtags in
     let itag = t.insn_tag in
-    (* On the fast path every live tag is the bottom tag, so propagation is
-       the identity and every clearance check passes by construction (see
-       [fast_enabled]); both are skipped. A tainted load drops [t.fast]
-       inside set_reg_tagged, but [fast] here is deliberately the value at
-       instruction entry: nothing after the load reads tags. *)
-    let fast = M.tracking && t.fast in
     let rt r = if M.tracking then rtags.(r) else t.pub in
     (* Tag of an ALU result from one / two register sources: immediates and
        the operation itself inherit the instruction's classification. *)
-    let tag1 r = if M.tracking && not fast then lub t rtags.(r) itag else t.pub in
+    let tag1 r = if M.tracking then lub t rtags.(r) itag else t.pub in
     let tag2 a b =
-      if M.tracking && not fast then lub t (lub t rtags.(a) rtags.(b)) itag
-      else t.pub
+      if M.tracking then lub t (lub t rtags.(a) rtags.(b)) itag else t.pub
     in
     let branch_to target = t.pc <- mask32 target in
     let cond_branch a b off taken =
-      if M.tracking && not fast then
-        check_branch t (lub t (rt a) (rt b)) "branch condition";
+      if M.tracking then check_branch t (lub t (rt a) (rt b)) "branch condition";
       if taken then branch_to (pc0 + off)
     in
     match insn with
@@ -715,8 +642,7 @@ module Make (M : MODE) = struct
         set_reg_tagged t rd (pc0 + 4) itag;
         branch_to (pc0 + off)
     | JALR (rd, rs1, off) ->
-        if M.tracking && not fast then
-          check_branch t (rt rs1) "indirect jump target";
+        if M.tracking then check_branch t (rt rs1) "indirect jump target";
         let target = mask32 (regs.(rs1) + off) land lnot 1 in
         set_reg_tagged t rd (pc0 + 4) itag;
         branch_to target
@@ -728,50 +654,50 @@ module Make (M : MODE) = struct
     | BGEU (a, b, off) -> cond_branch a b off (regs.(a) >= regs.(b))
     | LB (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking then check_mem_addr t (rt rs1) addr;
         let v = do_load t ~width:1 ~addr in
         set_reg_tagged t rd
           (if v land 0x80 <> 0 then v lor 0xffffff00 else v)
           (Bus_if.last_tag t.bus)
     | LH (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking then check_mem_addr t (rt rs1) addr;
         let v = do_load t ~width:2 ~addr in
         set_reg_tagged t rd
           (if v land 0x8000 <> 0 then v lor 0xffff0000 else v)
           (Bus_if.last_tag t.bus)
     | LW (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking then check_mem_addr t (rt rs1) addr;
         let v = do_load t ~width:4 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | LBU (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking then check_mem_addr t (rt rs1) addr;
         let v = do_load t ~width:1 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | LHU (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking then check_mem_addr t (rt rs1) addr;
         let v = do_load t ~width:2 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | SB (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then begin
+        if M.tracking then begin
           check_mem_addr t (rt rs1) addr;
           check_store_region t ~addr ~width:1 ~tag:(rt rs2)
         end;
         do_store t ~width:1 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
     | SH (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then begin
+        if M.tracking then begin
           check_mem_addr t (rt rs1) addr;
           check_store_region t ~addr ~width:2 ~tag:(rt rs2)
         end;
         do_store t ~width:2 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
     | SW (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then begin
+        if M.tracking then begin
           check_mem_addr t (rt rs1) addr;
           check_store_region t ~addr ~width:4 ~tag:(rt rs2)
         end;
@@ -1072,100 +998,25 @@ module Make (M : MODE) = struct
     done;
     !ok
 
-  (* Execute instructions from a cached block. Per-instruction semantics
-     mirror {!step} exactly (ordering of trace / instret / pc update /
-     execute); the loop additionally stops at the instruction budget, the
-     sync quantum, a pending interrupt, a taken branch or trap, or when an
-     invalidation touched cached code (self-modifying stores take effect
-     from the very next instruction, as in single-step mode). *)
-  let exec_block t b =
-    let epoch0 = t.flush_epoch in
-    let n = Array.length b.b_insns in
-    if
-      t.fast_enabled && b.b_fast
-      && regs_all_pub t
-      && Dift.Monitor.fast_path_ok t.monitor
-    then begin
-      t.fast <- true;
-      (* LUI/AUIPC/JAL/JALR read the fetch tag through [t.insn_tag]. *)
-      t.insn_tag <- t.pub
-    end;
-    let i = ref 0 in
-    let continue = ref true in
-    (try
-       while !continue && !i < n do
-         if
-           !i > 0
-           && (t.instret >= t.max_insns
-              || t.exit_reason <> Running
-              || t.local_cycles >= t.quantum
-              || t.flush_epoch <> epoch0
-              || interrupt_pending t)
-         then continue := false
-         else begin
-           let pc0 = t.pc in
-           t.cur_pc <- pc0;
-           let insn = Array.unsafe_get b.b_insns !i in
-           if M.tracking then begin
-             if t.fast then t.n_fast <- t.n_fast + 1
-             else begin
-               t.insn_word <- Array.unsafe_get b.b_words !i;
-               t.insn_tag <- Array.unsafe_get b.b_tags !i;
-               check_fetch t t.insn_tag
-             end
-           end;
-           (match t.trace with Some f -> f pc0 insn | None -> ());
-           t.instret <- t.instret + 1;
-           t.local_cycles <- t.local_cycles + 1;
-           t.pc <- mask32 (pc0 + 4);
-           (try execute t insn with Exit -> ());
-           incr i;
-           if t.pc <> mask32 (pc0 + 4) then continue := false
-         end
-       done
-     with e ->
-       t.fast <- false;
-       raise e);
-    t.fast <- false
+  (* --- Block compiler (threaded code) --------------------------------- *)
 
-  (* One scheduling round: take a pending interrupt, or run (up to) one
-     basic block from the cache, building it on a miss; pcs outside the
-     cacheable region and system instructions fall back to {!step}. *)
-  let dispatch t =
-    if interrupt_pending t then take_interrupt t
-    else begin
-      let pc0 = t.pc in
-      let idx = (pc0 - t.blk_base) lsr 2 in
-      if pc0 land 3 <> 0 || idx >= Array.length t.blocks then step t
-      else
-        let b =
-          match Array.unsafe_get t.blocks idx with
-          | Some b -> b
-          | None ->
-              let b = build_block t pc0 in
-              Array.unsafe_set t.blocks idx (Some b);
-              b
-        in
-        if Array.length b.b_insns = 0 then step t else exec_block t b
-    end
-
-  (* --- Threaded-code block compiler ---------------------------------- *)
-
-  (* The threaded engine compiles each decoded block into a chain of
-     closures, one per instruction, with register indices, immediates and
-     fetch tags pre-resolved at compile time. Closures are chained
-     tail-first (instruction [i] captures instruction [i+1]'s closure), so
-     running a block is a single indirect call. Every chain stop condition
-     of {!exec_block} is compiled into the guards below; the retirement
-     protocol (cur_pc / fetch bookkeeping / trace / instret / pc update)
-     is replicated exactly so both engines produce identical architectural
-     state, tags, counters, hook streams and snapshots — pinned by
-     test_threaded and the difftest engine-diff leg. *)
+  (* The compiler turns each decoded block into a chain of closures, one
+     per instruction, with register indices, immediates and fetch tags
+     pre-resolved at compile time. Closures are chained tail-first
+     (instruction [i] captures instruction [i+1]'s closure), so running a
+     block is a single indirect call. A chain stops where the single-step
+     loop would return to the scheduler (instruction budget, sync quantum,
+     pending interrupt, halt, an invalidation of cached code), and the
+     retirement protocol (cur_pc / fetch bookkeeping / trace / instret /
+     pc update) replicates {!step} exactly, so both paths produce
+     identical architectural state, tags, counters, hook streams and
+     snapshots — pinned by test_parity and the difftest --cache-diff
+     leg. *)
 
   (* Stop conditions checked before every chained instruction except the
-     first (mirrors exec_block's [!i > 0] guard; the dispatcher itself
-     re-checks them between blocks, and never stop-checking the head keeps
-     quantum = 0 configurations live). *)
+     first (the dispatcher itself re-checks them between blocks, and
+     never stop-checking the head keeps quantum = 0 configurations
+     live). *)
   let chain_stalled t =
     t.instret >= t.max_insns
     || t.exit_reason <> Running
@@ -1178,9 +1029,8 @@ module Make (M : MODE) = struct
   (* Full-semantics variant: the retirement shell is compiled per
      instruction (pc, word and fetch tag are constants); the body shares
      {!execute}, whose operands were pre-resolved by decoding, so tag
-     propagation and clearance checks are identical to the interpreter by
-     construction. Runs only with [t.fast] false (block entry either took
-     the fast chain or this one).
+     propagation and clearance checks are identical to the reference by
+     construction.
 
      [exit_k] runs when control leaves the straight line (a taken branch
      or trap): the chain terminator for a standalone block, or a
@@ -1234,7 +1084,7 @@ module Make (M : MODE) = struct
      JALR case inside the retirement shell (check before target, target
      before link write — rd may alias rs1), then jumps straight to the
      predicted target's chain when the prediction holds and no stop
-     condition is pending. Only built by the superblock engine. *)
+     condition is pending. *)
   let compile_full_jalr t ~guarded ~pc0 ~word ~itag ~insn ~rd ~rs1 ~off ~next =
     let next_pc = mask32 (pc0 + 4) in
     let traced = t.trace in
@@ -1253,7 +1103,7 @@ module Make (M : MODE) = struct
         t.instret <- t.instret + 1;
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- next_pc;
-        if M.tracking && not t.fast then
+        if M.tracking then
           check_branch t (Array.unsafe_get rtags rs1) "indirect jump target";
         let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
         set_reg_tagged t rd next_pc itag;
@@ -1274,10 +1124,12 @@ module Make (M : MODE) = struct
      cached word and every register carries the bottom tag, so all tag
      plumbing — propagation, lub merges, clearance checks — is compiled
      out, not just skipped. Only a load can break the invariant
-     mid-block: a non-bottom loaded tag drops [t.fast] and the chain
-     falls through to the full variant's next closure. Bodies replicate
-     {!execute} value semantics with operands and targets folded into
-     the closure. *)
+     mid-block: after a non-bottom loaded tag the chain falls through to
+     the full variant's next closure. Fast closures are reached only from
+     fast closures, the dispatcher's all-bottom check or seams between
+     them, so running one is itself the proof that every register tag is
+     bottom. Bodies replicate {!execute} value semantics with operands
+     and targets folded into the closure. *)
   let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     let open Insn in
     let regs = t.regs and rtags = t.rtags in
@@ -1291,7 +1143,7 @@ module Make (M : MODE) = struct
        rather than shared through a [retire] closure: without flambda a
        shared closure costs an extra indirect call on every retired
        instruction, which is a measurable slice of the margin this
-       engine exists to win. Register indices come from 5-bit decode
+       compiler exists to win. Register indices come from 5-bit decode
        fields, so unsafe accesses on the 32-entry files are in bounds by
        construction. *)
     (* Straight-line ops cannot redirect control: continue unconditionally. *)
@@ -1309,7 +1161,7 @@ module Make (M : MODE) = struct
       end
     in
     (* Taken branches / jumps landing exactly on [next_pc] continue the
-       chain, exactly like exec_block's pc test; any other landing site
+       chain, exactly like the single-step loop; any other landing site
        exits through [exit_k] (terminator, or superblock seam). The
        taken-path continuation is resolved at compile time. *)
     let cond_branch cond tgt =
@@ -1346,28 +1198,35 @@ module Make (M : MODE) = struct
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- next_pc;
         let addr = mask32 (Array.unsafe_get regs rs1 + off) in
-        if align && addr land (width - 1) <> 0 then begin
-          trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
-          t.insn_tag <- t.pub
-        end
-        else
-          (try
-             let v = sext (Bus_if.load t.bus ~width ~addr) in
-             if rd <> 0 then begin
-               Array.unsafe_set regs rd (mask32 v);
-               if M.tracking then begin
-                 let tag = Bus_if.last_tag t.bus in
-                 if tag <> t.pub then begin
-                   Array.unsafe_set rtags rd tag;
-                   t.fast <- false
-                 end
-               end
-             end
-           with Bus_if.Bus_error _ ->
-             trap t ~cause:Csr.cause_load_fault ~tval:addr;
-             t.insn_tag <- t.pub);
-        if t.pc = next_pc then (if t.fast then next () else fallback ())
-        else exit_k ()
+        (* The straight-line continuation: the fast successor, or the full
+           chain's once a tainted value has landed in a register. *)
+        let k =
+          if align && addr land (width - 1) <> 0 then begin
+            trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
+            t.insn_tag <- t.pub;
+            next
+          end
+          else
+            try
+              let v = sext (Bus_if.load t.bus ~width ~addr) in
+              if rd = 0 then next
+              else begin
+                Array.unsafe_set regs rd (mask32 v);
+                if not M.tracking then next
+                else
+                  let tag = Bus_if.last_tag t.bus in
+                  if tag = t.pub then next
+                  else begin
+                    Array.unsafe_set rtags rd tag;
+                    fallback
+                  end
+              end
+            with Bus_if.Bus_error _ ->
+              trap t ~cause:Csr.cause_load_fault ~tval:addr;
+              t.insn_tag <- t.pub;
+              next
+        in
+        if t.pc = next_pc then k () else exit_k ()
       end
     in
     (* Stores cannot taint registers; the written tag is bottom by the
@@ -1420,61 +1279,38 @@ module Make (M : MODE) = struct
             taken_k ()
           end
     | JALR (rd, rs1, off) ->
-        if not t.superblocks then
-          (fun () ->
-            if (not guarded) || not (chain_stalled t) then begin
-              t.cur_pc <- pc0;
-              t.n_fast <- t.n_fast + 1;
-              (match traced with Some f -> f pc0 insn | None -> ());
-              t.instret <- t.instret + 1;
-              t.local_cycles <- t.local_cycles + 1;
-              (* Target before link write: rd may alias rs1. *)
-              let tgt = mask32 (regs.(rs1) + off) land lnot 1 in
-              if rd <> 0 then regs.(rd) <- next_pc;
-              t.pc <- tgt;
-              if tgt = next_pc then next ()
-            end)
-        else begin
-          (* Superblock engine: inline-cache the jalr target. A hit jumps
-             straight into the predicted chain's fast entry; a target
-             without a fast variant gets a demoting trampoline so the
-             prediction still skips the dispatcher. The tag invariant
-             carries over the jump: [t.fast] true here means every
-             register tag is bottom, which is exactly the fast-entry
-             precondition the dispatcher would re-derive. *)
-          let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
-          let entry_of cb =
-            match cb.cb_fast with
-            | Some f -> f
-            | None ->
-                fun () ->
-                  t.fast <- false;
-                  cb.cb_full ()
-          in
-          fun () ->
-            if (not guarded) || not (chain_stalled t) then begin
-              t.cur_pc <- pc0;
-              t.n_fast <- t.n_fast + 1;
-              (match traced with Some f -> f pc0 insn | None -> ());
-              t.instret <- t.instret + 1;
-              t.local_cycles <- t.local_cycles + 1;
-              (* Target before link write: rd may alias rs1. *)
-              let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
-              if rd <> 0 then Array.unsafe_set regs rd next_pc;
-              t.pc <- tgt;
-              if tgt = next_pc then next ()
-              else if
-                ic.ic_pc = tgt
-                && ic.ic_epoch = t.flush_epoch
-                && (not (chain_stalled t))
-                && ((not M.tracking) || Dift.Monitor.fast_path_ok t.monitor)
-              then begin
-                t.n_ic_hits <- t.n_ic_hits + 1;
-                ic.ic_entry ()
-              end
-              else ic_miss t ic ~tgt ~entry_of
+        (* Inline-cache the jalr target. A hit jumps straight into the
+           predicted chain's fast entry, or its full entry when the target
+           has no fast variant, so the prediction still skips the
+           dispatcher. The tag invariant carries over the jump: every
+           register tag is bottom here, which is exactly the fast-entry
+           precondition the dispatcher would re-derive. *)
+        let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
+        let entry_of cb =
+          match cb.cb_fast with Some f -> f | None -> cb.cb_full
+        in
+        fun () ->
+          if (not guarded) || not (chain_stalled t) then begin
+            t.cur_pc <- pc0;
+            t.n_fast <- t.n_fast + 1;
+            (match traced with Some f -> f pc0 insn | None -> ());
+            t.instret <- t.instret + 1;
+            t.local_cycles <- t.local_cycles + 1;
+            (* Target before link write: rd may alias rs1. *)
+            let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
+            if rd <> 0 then Array.unsafe_set regs rd next_pc;
+            t.pc <- tgt;
+            if tgt = next_pc then next ()
+            else if
+              ic.ic_pc = tgt
+              && ic.ic_epoch = t.flush_epoch
+              && not (chain_stalled t)
+            then begin
+              t.n_ic_hits <- t.n_ic_hits + 1;
+              ic.ic_entry ()
             end
-        end
+            else ic_miss t ic ~tgt ~entry_of
+          end
     | BEQ (a, b, off) ->
         cond_branch (fun () -> regs.(a) = regs.(b)) (mask32 (pc0 + off))
     | BNE (a, b, off) ->
@@ -1648,11 +1484,12 @@ module Make (M : MODE) = struct
          dispatcher round, the pc/index lookup and, on the fast side, the
          31-register tag rescan — exactly when execution really landed on
          the successor and no stop condition is pending; anything else
-         returns to the dispatcher as before. The fast seam re-checks only
-         the monitor gate: [t.fast] being true is itself the proof that
+         returns to the dispatcher as before. The fast seam needs no tag
+         check: being reached from a fast closure is itself the proof that
          every register tag is still bottom (a tainted load would have
-         dropped it before the seam). Entries are threaded through refs so
-         a block chained to itself loops inside its own new chain. *)
+         left for the full chain before the seam). Entries are threaded
+         through refs so a block chained to itself loops inside its own new
+         chain. *)
       let full_tgt = ref chain_terminator in
       let fast_tgt = ref chain_terminator in
       let succ_pc = match link with Some s -> s.cb_pc | None -> -1 in
@@ -1666,11 +1503,7 @@ module Make (M : MODE) = struct
                   !full_tgt ()
                 end),
               fun () ->
-                if
-                  t.pc = succ_pc
-                  && (not (chain_stalled t))
-                  && ((not M.tracking) || Dift.Monitor.fast_path_ok t.monitor)
-                then begin
+                if t.pc = succ_pc && not (chain_stalled t) then begin
                   t.n_chain <- t.n_chain + 1;
                   !fast_tgt ()
                 end )
@@ -1682,7 +1515,7 @@ module Make (M : MODE) = struct
         let itag = if M.tracking then b.b_tags.(i) else t.pub in
         full.(i) <-
           (match b.b_insns.(i) with
-          | Insn.JALR (rd, rs1, off) when t.superblocks ->
+          | Insn.JALR (rd, rs1, off) ->
               compile_full_jalr t ~guarded:(i > 0)
                 ~pc0:(b.b_pc + (4 * i))
                 ~word:b.b_words.(i) ~itag ~insn:b.b_insns.(i) ~rd ~rs1 ~off
@@ -1742,12 +1575,7 @@ module Make (M : MODE) = struct
       | Some succ ->
           full_tgt := succ.cb_full;
           fast_tgt :=
-            (match succ.cb_fast with
-            | Some f -> f
-            | None ->
-                fun () ->
-                  t.fast <- false;
-                  succ.cb_full ()));
+            (match succ.cb_fast with Some f -> f | None -> succ.cb_full));
       cb
     end
 
@@ -1770,11 +1598,11 @@ module Make (M : MODE) = struct
     t.n_superblocks <- t.n_superblocks + 1;
     sb
 
-  (* Threaded-engine scheduling round: same structure as {!dispatch}, but
-     a cache hit invokes the compiled chain instead of interpreting the
-     block. The fast/full decision is made once per block entry, exactly
-     like exec_block's fast-path gate. *)
-  let dispatch_threaded t =
+  (* One scheduling round: take a pending interrupt, or run one compiled
+     chain from the cache, building it on a miss; pcs outside the
+     cacheable region and system instructions fall back to {!step}. The
+     fast/full decision is made once per chain entry. *)
+  let dispatch t =
     if interrupt_pending t then begin
       t.prev_cb <- None;
       take_interrupt t
@@ -1800,56 +1628,47 @@ module Make (M : MODE) = struct
           step t
         end
         else begin
-          (* Exit-edge profiling (superblock engine): each dispatcher
-             entry is an edge from the chain that ran last round to
-             [pc0]. When the same edge repeats superblock_threshold
-             times, the predecessor is recompiled chained into this
-             block — jalr exits are excluded (their inline caches cover
-             them). The slot identity check refuses to resurrect a chain
-             that was flushed since it last ran; a self-loop link swaps
-             in the new chain for the current round as well. *)
+          (* Exit-edge profiling: each dispatcher entry is an edge from
+             the chain that ran last round to [pc0]. When the same edge
+             repeats superblock_threshold times, the predecessor is
+             recompiled chained into this block — jalr exits are excluded
+             (their inline caches cover them). The slot identity check
+             refuses to resurrect a chain that was flushed since it last
+             ran; a self-loop link swaps in the new chain for the current
+             round as well. *)
           let cb =
-            if not t.superblocks then cb
-            else begin
-              match t.prev_cb with
-              | Some p when not p.cb_linked ->
-                  if p.cb_edge_pc = pc0 then begin
-                    p.cb_edge_n <- p.cb_edge_n + 1;
-                    if
-                      p.cb_edge_n >= superblock_threshold
-                      && not (ends_in_jalr p.cb_blk)
-                    then begin
-                      let pidx = (p.cb_pc - t.blk_base) lsr 2 in
-                      match Array.unsafe_get t.cblocks pidx with
-                      | Some cur when cur == p ->
-                          let sb = link_superblock t p pidx cb in
-                          if p.cb_pc = pc0 then sb else cb
-                      | _ -> cb
-                    end
-                    else cb
+            match t.prev_cb with
+            | Some p when not p.cb_linked ->
+                if p.cb_edge_pc = pc0 then begin
+                  p.cb_edge_n <- p.cb_edge_n + 1;
+                  if
+                    p.cb_edge_n >= superblock_threshold
+                    && not (ends_in_jalr p.cb_blk)
+                  then begin
+                    let pidx = (p.cb_pc - t.blk_base) lsr 2 in
+                    match Array.unsafe_get t.cblocks pidx with
+                    | Some cur when cur == p ->
+                        let sb = link_superblock t p pidx cb in
+                        if p.cb_pc = pc0 then sb else cb
+                    | _ -> cb
                   end
-                  else begin
-                    p.cb_edge_pc <- pc0;
-                    p.cb_edge_n <- 1;
-                    cb
-                  end
-              | _ -> cb
-            end
+                  else cb
+                end
+                else begin
+                  p.cb_edge_pc <- pc0;
+                  p.cb_edge_n <- 1;
+                  cb
+                end
+            | _ -> cb
           in
           t.prev_cb <- Some cb;
           t.chain_epoch <- t.flush_epoch;
           match cb.cb_fast with
-          | Some f
-            when (not M.tracking)
-                 || (regs_all_pub t && Dift.Monitor.fast_path_ok t.monitor) ->
-              t.fast <- true;
-              (* LUI/AUIPC/JAL/JALR read the fetch tag through insn_tag. *)
+          | Some f when (not M.tracking) || regs_all_pub t ->
+              (* Fast closures never write [insn_tag]; leave it where the
+                 single-step loop would, at the words' bottom fetch tag. *)
               t.insn_tag <- t.pub;
-              (try f ()
-               with e ->
-                 t.fast <- false;
-                 raise e);
-              t.fast <- false
+              f ()
           | _ -> cb.cb_full ()
         end
     end
@@ -1884,14 +1703,7 @@ module Make (M : MODE) = struct
     end
 
   let spawn_thread ?(stop_kernel_on_halt = true) t =
-    (* One scheduling round of the selected execution engine. *)
-    let round =
-      if not t.use_blocks then step
-      else
-        match t.engine with
-        | Interp -> dispatch
-        | Threaded | Threaded_superblock -> dispatch_threaded
-    in
+    let round = if t.use_blocks then dispatch else step in
     Sysc.Kernel.spawn t.kernel ~name:"cpu" (fun () ->
         if t.syncing then begin
           (* Restored from a snapshot taken at a sync boundary: the wakeup
@@ -2007,7 +1819,6 @@ module Make (M : MODE) = struct
        flag. *)
     t.paused <- t.syncing;
     t.pause_at <- max_int;
-    t.fast <- false;
     (* The restored state came from an arbitrary other run: drop the
        exit-edge profile and force every inline cache to re-validate.
        (The memory restore already flushed the compiled blocks through

@@ -18,33 +18,30 @@
     - stores into policy-protected regions check the data tag against the
       region's required class.
 
-    Performance machinery (both flavours, see [docs/perf.md]):
-    - a decoded basic-block cache over the DMI (RAM) region: straight-line
-      runs terminated by a control transfer are fetched and decoded once
-      and dispatched from pre-decoded arrays; stores into cached code
-      (self-modifying code via the CPU, DMA via the memory model) invalidate
-      overlapping blocks through {!flush_code};
-    - three pluggable execution {!engine}s over that cache, selected at
-      [create] time: [Interp] runs cached blocks through the
-      per-instruction execute loop; [Threaded] compiles each block into a
+    Two execution paths (both flavours, see [docs/perf.md]):
+    - the single-step reference ([~block_cache:false]): fetch, decode and
+      execute one instruction per scheduling step, with full tag
+      propagation and exact check accounting;
+    - the superblock compiler (the default): a decoded basic-block cache
+      over the DMI (RAM) region, where straight-line runs terminated by a
+      control transfer are fetched and decoded once and compiled into a
       chain of closures — one per instruction, operands pre-resolved,
-      chained tail-first — with an untainted specialization per block
-      whose tag plumbing is compiled out entirely;
-      [Threaded_superblock] (the default) additionally recompiles hot
-      block pairs into superblocks chained across their exit edge and
-      inline-caches [jalr] targets, so hot control transfers skip the
-      dispatcher (and on the fast side the per-entry register-tag rescan)
-      entirely. All engines retire identical architectural state, tags,
-      counters, hook streams and snapshots (pinned by [test_threaded] /
-      [test_superblock] and the difftest engine-differential legs);
-    - an untainted fast path (VP+ only): while every live register tag and
+      chained tail-first. Hot block pairs are recompiled into superblocks
+      chained across their exit edge and [jalr] targets are
+      inline-cached, so hot control transfers skip the dispatcher. Stores
+      into cached code (self-modifying code via the CPU, DMA via the
+      memory model) invalidate overlapping chains through {!flush_code}.
+      Each block also gets a value-only variant with its tag plumbing
+      compiled out: on the plain VP it is exact semantics; on VP+ it is
+      the untainted fast path, entered while every live register tag and
       every fetched word's tag is the lattice bottom and the bottom tag
-      passes all static clearances, tag propagation and monitor checks are
-      skipped (interpreter) or compiled out (threaded engine); the first
-      non-bottom tag re-enables full tracking mid-block. Violation
-      behaviour and final tag state are unchanged; only
-      {!Dift.Monitor.check_count} undercounts (harnesses that need exact
-      check accounting veto it via {!Dift.Monitor.set_fast_path_ok}). *)
+      passes all static clearances, and left for the full variant at the
+      first non-bottom loaded tag. Violation behaviour and final tag
+      state are unchanged; only {!Dift.Monitor.check_count} undercounts.
+
+    Both paths retire identical architectural state, tags, counters,
+    hook streams and snapshots (pinned by [test_parity] and the difftest
+    [--cache-diff] leg). *)
 
 exception Fatal_trap of { cause : int; pc : int; tval : int }
 (** A synchronous trap occurred while [mtvec] is 0 (no handler installed),
@@ -66,28 +63,6 @@ type trap_event =
       (** [mret] executed: [target] is the restored pc, [to_priv] the
           privilege level returned to. *)
 
-type engine =
-  | Interp
-      (** Dispatch cached blocks through the per-instruction execute
-          loop. *)
-  | Threaded
-      (** Compile each cached block into a threaded-code closure chain
-          with an untainted specialization. *)
-  | Threaded_superblock
-      (** [Threaded], plus superblock chaining of hot block pairs and
-          inline caches on [jalr] targets (default). Chains participate
-          in SMC/DMA flush-epoch invalidation, [set_trace] flushing and
-          cross-engine snapshot restore exactly like single-block
-          chains. *)
-
-val engine_name : engine -> string
-(** ["interp"] / ["threaded"] / ["superblock"] — stable names for CLIs
-    and bench rows. *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name} (also accepts ["interpreter"] and
-    ["threaded-superblock"]/["threaded_superblock"]). *)
-
 module type MODE = sig
   val tracking : bool
 end
@@ -103,8 +78,6 @@ module type S = sig
     ?cycle_time:Sysc.Time.t ->
     ?quantum:int ->
     ?block_cache:bool ->
-    ?fast_path:bool ->
-    ?engine:engine ->
     ?strict_align:bool ->
     pc:int ->
     unit ->
@@ -112,12 +85,9 @@ module type S = sig
   (** [cycle_time] is the modelled cost of one instruction (default 10 ns);
       [quantum] the number of local cycles the core runs ahead before
       synchronising with the kernel (default 1000, loosely-timed style).
-      [block_cache] (default true) enables the decoded basic-block cache
-      (requires a DMI region); [fast_path] (default true) enables the
-      untainted fast path on top of it (tracking flavour only).
-      [engine] (default [Threaded_superblock]) selects how cached blocks
-      are executed; with [block_cache] off (or no DMI region) every
-      engine degrades to single-stepping and the choice is irrelevant.
+      [block_cache] (default true) selects the superblock compiler over
+      the DMI region; with it off (or no DMI region) the core runs the
+      single-step reference, with no compiled chains and no fast path.
       [strict_align] (default false) traps naturally misaligned data
       accesses with causes 4/6 instead of letting the bus split them. *)
 
@@ -179,8 +149,8 @@ module type S = sig
       Contract (pinned by the [hook x block cache] tier-1 test): the hook
       observes {e every} retired instruction {e exactly once}, in
       retirement order, with the fetch pc — regardless of whether the
-      instruction was single-stepped, dispatched from a decoded
-      basic-block cache entry, or retired on the untainted fast path.
+      instruction was single-stepped, retired from a compiled chain, or
+      retired on the untainted fast path.
       [instret] equals the number of hook invocations at any observation
       point. The hook runs after fetch + decode and before execution, so
       register/memory state visible to it is the pre-execution state; an
@@ -195,7 +165,7 @@ module type S = sig
       after the architectural state change (so [mepc]/[mcause]/[mtval] and
       the new pc are already visible). Trap-taking instructions always
       execute on the shared slow path (they are block breakers), so the
-      hook sees identical streams from both engines and installing it
+      hook sees identical streams from both paths and installing it
       flushes nothing. *)
 
   val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
@@ -222,7 +192,7 @@ module type S = sig
 
   val superblocks_built : t -> int
   (** Number of hot block pairs recompiled into a chained superblock
-      ([Threaded_superblock] engine only; 0 otherwise). *)
+      (0 on the single-step reference). *)
 
   val chain_hits : t -> int
   (** Number of times execution crossed a superblock seam directly into
@@ -238,8 +208,9 @@ module type S = sig
       invalidations re-validating, and polymorphic sites being demoted. *)
 
   val fast_retired : t -> int
-  (** Number of instructions retired on the untainted fast path (0 when
-      [fast_path] is off or the flavour is non-tracking). *)
+  (** Number of instructions retired by value-only chains: the untainted
+      fast path on VP+, every compiled instruction on the plain VP (0 on
+      the single-step reference). *)
 
   (** {1 Checkpoint / restore}
 
@@ -271,11 +242,11 @@ module type S = sig
 
   val load : t -> Snapshot.Codec.reader -> unit
   (** Restore state written by [save] into a freshly created core, before
-      {!spawn_thread}. The target core may use a different {!engine} or
-      [block_cache] setting than the one that saved: the snapshot holds
-      only architectural state, and both engines produce identical
-      snapshots at identical instruction counts (pinned by the
-      cross-engine case in [test_snapshot]). *)
+      {!spawn_thread}. The target core may use a different [block_cache]
+      setting than the one that saved: the snapshot holds only
+      architectural state, and both paths produce identical snapshots at
+      identical instruction counts (pinned by the reference-save,
+      compiled-restore case in [test_snapshot]). *)
 end
 
 module Make (_ : MODE) : S

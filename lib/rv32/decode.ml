@@ -115,8 +115,7 @@ let decode w =
 (* --- Block classification ---------------------------------------------
 
    Which decoded instructions the basic-block machinery (Core's decoded
-   block cache and the threaded-code compiler) may cache, shared by both
-   execution engines so they build identical blocks. *)
+   block cache and the threaded-code compiler over it) may cache. *)
 
 type block_class = Straight | Ender | Breaker
 

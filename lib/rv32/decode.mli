@@ -11,9 +11,8 @@ val sext : width:int -> int -> int
 
 (** {1 Block classification}
 
-    How an instruction behaves inside a decoded basic block; shared by
-    the interpreter's block cache and the threaded-code compiler in
-    {!Core} so both engines build identical blocks. *)
+    How an instruction behaves inside a decoded basic block, as built by
+    the block cache and threaded-code compiler in {!Core}. *)
 
 type block_class =
   | Straight  (** Cacheable, falls through to the next instruction. *)

@@ -107,9 +107,8 @@ module Wrap_vp = Wrap (Rv32.Core.Vp)
 module Wrap_dift = Wrap (Rv32.Core.Vp_dift)
 
 let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
-    ?(dmi = true) ?(quantum = 1000) ?(block_cache = true) ?(fast_path = true)
-    ?(engine = Rv32.Core.Threaded_superblock) ?(strict_align = false)
-    ?sensor_period
+    ?(dmi = true) ?(quantum = 1000) ?(block_cache = true)
+    ?(strict_align = false) ?sensor_period
     ?aes_out_tag
     ?aes_in_clearance ?wdt_clearance ?tracer () =
   let kernel = Sysc.Kernel.create () in
@@ -158,11 +157,11 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
     if tracking then
       Wrap_dift.make
         (Rv32.Core.Vp_dift.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ())
+           ~block_cache ~strict_align ~pc:ram_base ())
     else
       Wrap_vp.make
         (Rv32.Core.Vp.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ())
+           ~block_cache ~strict_align ~pc:ram_base ())
   in
   (* Writes landing in RAM behind the CPU's back (DMA over TLM, the loader,
      direct test pokes, reclassification) invalidate decoded blocks. *)

@@ -103,8 +103,6 @@ val create :
   ?dmi:bool ->
   ?quantum:int ->
   ?block_cache:bool ->
-  ?fast_path:bool ->
-  ?engine:Rv32.Core.engine ->
   ?strict_align:bool ->
   ?sensor_period:Sysc.Time.t ->
   ?aes_out_tag:Dift.Lattice.tag ->
@@ -115,12 +113,9 @@ val create :
   t
 (** Build and wire the platform on a fresh kernel. [tracking] selects VP+
     (default true); [dmi] enables the direct RAM fast path (default true);
-    [block_cache] / [fast_path] control the core's decoded basic-block
-    cache and untainted fast path (both default true, see
-    {!Rv32.Core.S.create}); [engine] selects the core's execution engine
-    (default {!Rv32.Core.Threaded_superblock}); [strict_align] traps
-    misaligned data
-    accesses (default false); [aes_out_tag] defaults to the lattice
+    [block_cache] (default true) selects the core's superblock compiler,
+    false the single-step reference (see {!Rv32.Core.S.create});
+    [strict_align] traps misaligned data accesses (default false); [aes_out_tag] defaults to the lattice
     bottom
     (fully declassified ciphertext). RAM writes that bypass the CPU (DMA,
     the loader) are wired to block-cache invalidation. Peripheral processes

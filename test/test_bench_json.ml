@@ -3,7 +3,7 @@
    (tiny-scale) benchmark run produces a document that survives a write →
    read → parse → validate cycle, exactly as CI consumes it. *)
 
-module J = Benchkit.Json
+module J = Jsonkit.Json
 module D = Benchkit.Defs
 open Helpers
 
@@ -88,7 +88,6 @@ let good_doc ?(rows = [ good_row () ]) () =
       ("bench", J.Str "table2");
       ("scale", J.Num 1.);
       ("block_cache", J.Bool true);
-      ("fast_path", J.Bool true);
       ("rows", J.List rows);
     ]
 
@@ -106,8 +105,18 @@ let without field = function
   | J.Obj kvs -> J.Obj (List.remove_assoc field kvs)
   | v -> v
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let test_validate () =
   expect_valid (good_doc ());
+  (* Unknown fields are ignored, so the committed reports (which carry a
+     top-level "fast_path" and per-row "engine" fields) still validate. *)
+  List.iter
+    (fun file ->
+      match J.of_string (read_file (Filename.concat ".." file)) with
+      | Ok doc -> expect_valid doc
+      | Error e -> Alcotest.failf "%s: %s" file e)
+    [ "BENCH_table2.json"; "BENCH_parallel.json" ];
   expect_invalid "empty rows" (good_doc ~rows:[] ());
   expect_invalid "missing bench" (without "bench" (good_doc ()));
   expect_invalid "missing rows" (without "rows" (good_doc ()));
@@ -228,8 +237,8 @@ let test_validate () =
              (good_row ());
          ]
        ());
-  (* The block-engine fields: all four together or none at all. *)
-  let engine_fields =
+  (* The block-cache fields: all four together or none at all. *)
+  let cache_fields =
     [
       ("superblocks_built", J.num_of_int 2);
       ("chain_hits", J.num_of_int 50);
@@ -237,16 +246,16 @@ let test_validate () =
       ("ic_misses", J.num_of_int 1);
     ]
   in
-  expect_valid (good_doc ~rows:[ with_fields engine_fields (good_row ()) ] ());
+  expect_valid (good_doc ~rows:[ with_fields cache_fields (good_row ()) ] ());
   List.iter
     (fun missing ->
       expect_invalid
-        (Printf.sprintf "block-engine row without %S" missing)
+        (Printf.sprintf "block-cache row without %S" missing)
         (good_doc
            ~rows:
              [
                with_fields
-                 (List.remove_assoc missing engine_fields)
+                 (List.remove_assoc missing cache_fields)
                  (good_row ());
              ]
            ()))
@@ -257,7 +266,7 @@ let test_validate () =
          [
            with_fields
              (("chain_hits", J.num_of_int (-1))
-             :: List.remove_assoc "chain_hits" engine_fields)
+             :: List.remove_assoc "chain_hits" cache_fields)
              (good_row ());
          ]
        ());
@@ -267,7 +276,7 @@ let test_validate () =
          [
            with_fields
              (("ic_hits", J.Str "many")
-             :: List.remove_assoc "ic_hits" engine_fields)
+             :: List.remove_assoc "ic_hits" cache_fields)
              (good_row ());
          ]
        ())
@@ -291,7 +300,7 @@ let test_parallel_row () =
   check_bool "seconds derived from wall_ns" true
     (Float.abs (m.D.m_seconds -. 2.) < 1e-9);
   let doc =
-    D.doc ~bench:"parallel" ~scale:1. ~block_cache:true ~fast_path:true [ m ]
+    D.doc ~bench:"parallel" ~scale:1. ~block_cache:true [ m ]
   in
   expect_valid doc;
   (* A classic row (all four None) renders without the parallel keys. *)
@@ -320,7 +329,7 @@ let test_graph_row () =
     (Float.abs (m.D.m_seconds -. 24.5e-6) < 1e-12);
   check_bool "no parallel fields" true (m.D.m_jobs = None);
   let doc =
-    D.doc ~bench:"graph" ~scale:1. ~block_cache:true ~fast_path:true [ m ]
+    D.doc ~bench:"graph" ~scale:1. ~block_cache:true [ m ]
   in
   expect_valid doc;
   (match D.row m with
@@ -357,13 +366,13 @@ let test_real_report () =
     vpp.D.m_instructions;
   check_bool "vp+ built blocks" true (vpp.D.m_blocks_built > 0);
   check_bool "vp+ used the fast path" true (vpp.D.m_fast_retired > 0);
-  check_bool "measured rows carry the block-engine counter group" true
+  check_bool "measured rows carry the block-cache counter group" true
     (vpp.D.m_superblocks <> None
     && vpp.D.m_chain_hits <> None
     && vpp.D.m_ic_hits <> None
     && vpp.D.m_ic_misses <> None);
   let doc =
-    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true ~fast_path:true rows
+    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true rows
   in
   expect_valid doc;
   let file = Filename.temp_file "bench" ".json" in
@@ -404,7 +413,7 @@ let test_real_report () =
           in
           check_bool "vp+ overhead present and positive" true
             (match ovh with Some o -> o > 0. | None -> false);
-          check_bool "block-engine counters rendered" true
+          check_bool "block-cache counters rendered" true
             (J.member "superblocks_built" (List.nth rows' 1) <> None
             && J.member "chain_hits" (List.nth rows' 1) <> None
             && J.member "ic_hits" (List.nth rows' 1) <> None
@@ -429,7 +438,7 @@ let test_trace_row () =
     vpt.D.m_instructions;
   check_bool "vp+trace overhead positive" true (vpt.D.m_overhead > 0.);
   let doc =
-    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true ~fast_path:true rows
+    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true rows
   in
   expect_valid doc;
   (* The rendered row exposes the marker to CI trend tooling. *)
@@ -441,7 +450,7 @@ let test_trace_row () =
   | _ -> Alcotest.fail "expected three rendered rows"
 
 (* The branch-heavy dispatch workload drives all three counter classes
-   under the default superblock engine: linked superblocks, in-chain
+   on the default compiled path: linked superblocks, in-chain
    transitions, inline-cache hits (monomorphic rets) and misses (the
    rotating dispatch site). *)
 let test_dispatch_counters () =
@@ -458,14 +467,14 @@ let test_dispatch_counters () =
       check_bool (ctx "ic hits") true (some_pos m.D.m_ic_hits);
       check_bool (ctx "ic misses") true (some_pos m.D.m_ic_misses))
     rows;
-  (* Under the plain threaded engine the same workload reports the group
-     as all-zero — present (measured) but empty. *)
-  let rows = D.measure ~engine:Rv32.Core.Threaded dispatch in
+  (* On the single-step reference the same workload reports the group as
+     all-zero — present (measured) but empty. *)
+  let rows = D.measure ~block_cache:false dispatch in
   List.iter
     (fun m ->
-      check_bool "threaded rows carry zero superblocks" true
+      check_bool "reference rows carry zero superblocks" true
         (m.D.m_superblocks = Some 0);
-      check_bool "threaded rows carry zero ic traffic" true
+      check_bool "reference rows carry zero ic traffic" true
         (m.D.m_ic_hits = Some 0 && m.D.m_ic_misses = Some 0))
     rows
 

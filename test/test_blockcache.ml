@@ -8,32 +8,28 @@ open Helpers
 module A = Rv32_asm.Asm
 module R = Rv32.Reg
 
-let run_bc ?(tracking = true) ?(block_cache = true) ?(fast_path = true)
-    ?engine ?(max_insns = 200_000) build =
+let run_bc ?(tracking = true) ?(block_cache = true) ?(max_insns = 200_000)
+    build =
   let p = A.create () in
   build p;
   let img = A.assemble p in
   let policy = trivial_policy () in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
-  let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ~fast_path ?engine ()
-  in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking ~block_cache () in
   Vp.Soc.load_image soc img;
   let reason = Vp.Soc.run_for_instructions soc max_insns in
   (soc, reason)
 
 (* Run [build] under every (tracking, block_cache) combination; the exit
-   reason and instret must not depend on the cache, and the cached VP+ run
-   must also be identical with the fast path forced off. *)
+   reason and instret must not depend on the cache. *)
 let check_all_configs ~name ~code build =
   let reference = ref None in
   List.iter
-    (fun (tracking, block_cache, fast_path) ->
+    (fun (tracking, block_cache) ->
       let ctx =
-        Printf.sprintf "%s (tracking=%b cache=%b fast=%b)" name tracking
-          block_cache fast_path
+        Printf.sprintf "%s (tracking=%b cache=%b)" name tracking block_cache
       in
-      let soc, reason = run_bc ~tracking ~block_cache ~fast_path build in
+      let soc, reason = run_bc ~tracking ~block_cache build in
       (match reason with
       | Rv32.Core.Exited c -> check_int (ctx ^ ": exit code") code c
       | _ -> Alcotest.failf "%s: did not exit" ctx);
@@ -41,13 +37,7 @@ let check_all_configs ~name ~code build =
       match !reference with
       | None -> reference := Some instret
       | Some r -> check_int (ctx ^ ": instret") r instret)
-    [
-      (false, true, true);
-      (false, false, false);
-      (true, true, true);
-      (true, true, false);
-      (true, false, false);
-    ]
+    [ (false, true); (false, false); (true, true); (true, false) ]
 
 (* A function is called, then its first instruction is overwritten through
    a plain store; later calls must execute the patched instruction. *)
@@ -145,24 +135,22 @@ let test_counters () =
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0);
   check_bool "fast-path instructions retired > 0" true
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
-  let soc, reason = run_bc ~block_cache:false ~fast_path:false smc_cross_block in
+  let soc, reason = run_bc ~block_cache:false smc_cross_block in
   expect_exit reason 201;
   check_int "no blocks without cache" 0
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built ());
   check_int "no fast path without cache" 0
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ());
-  (* The plain VP has no tags, so the threaded engine runs its value-only
-     specialized chains unconditionally: fast_retired counts them. Under
-     the single-step interpreter the counter stays at zero. *)
+  (* The plain VP has no tags, so the compiler runs its value-only
+     chains unconditionally: fast_retired counts them. On the single-step
+     reference the counter stays at zero. *)
   let soc, reason = run_bc ~tracking:false smc_cross_block in
   expect_exit reason 201;
   check_bool "plain VP retires through specialized chains" true
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
-  let soc, reason =
-    run_bc ~tracking:false ~engine:Rv32.Core.Interp smc_cross_block
-  in
+  let soc, reason = run_bc ~tracking:false ~block_cache:false smc_cross_block in
   expect_exit reason 201;
-  check_int "no fast path on the interpreted plain VP" 0
+  check_int "no fast path on the plain VP reference" 0
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ())
 
 (* Pin the per-instruction hook contract documented on Core.set_trace:
@@ -171,15 +159,13 @@ let test_counters () =
    blocks and on the untainted fast path — and installing it neither
    flushes blocks nor disables the fast path. The tracing subsystem
    (lib/trace) depends on this stream being complete. *)
-let hook_pc_stream ~tracking ~block_cache ~fast_path build =
+let hook_pc_stream ~tracking ~block_cache build =
   let p = A.create () in
   build p;
   let img = A.assemble p in
   let policy = trivial_policy () in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
-  let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ~fast_path ()
-  in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking ~block_cache () in
   Vp.Soc.load_image soc img;
   let pcs = ref [] in
   soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace (Some (fun pc _ -> pcs := pc :: !pcs));
@@ -189,14 +175,11 @@ let hook_pc_stream ~tracking ~block_cache ~fast_path build =
 let test_hook_sees_cached_blocks () =
   let reference = ref None in
   List.iter
-    (fun (tracking, block_cache, fast_path) ->
+    (fun (tracking, block_cache) ->
       let ctx =
-        Printf.sprintf "hook (tracking=%b cache=%b fast=%b)" tracking
-          block_cache fast_path
+        Printf.sprintf "hook (tracking=%b cache=%b)" tracking block_cache
       in
-      let soc, reason, pcs =
-        hook_pc_stream ~tracking ~block_cache ~fast_path smc_cross_block
-      in
+      let soc, reason, pcs = hook_pc_stream ~tracking ~block_cache smc_cross_block in
       expect_exit reason 201;
       check_int
         (ctx ^ ": one hook call per retired instruction")
@@ -205,19 +188,13 @@ let test_hook_sees_cached_blocks () =
       (if block_cache then
          check_bool (ctx ^ ": hook does not disable block building") true
            (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0));
-      (if tracking && block_cache && fast_path then
+      (if tracking && block_cache then
          check_bool (ctx ^ ": hook does not disable the fast path") true
            (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0));
       match !reference with
       | None -> reference := Some pcs
       | Some r -> check_bool (ctx ^ ": pc stream identical") true (r = pcs))
-    [
-      (false, true, true);
-      (false, false, false);
-      (true, true, true);
-      (true, true, false);
-      (true, false, false);
-    ]
+    [ (false, true); (false, false); (true, true); (true, false) ]
 
 let () =
   Alcotest.run "blockcache"

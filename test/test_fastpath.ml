@@ -1,5 +1,6 @@
-(* Transparency of the untainted fast path: with the fast path on vs
-   forced off, every observable of a run must be bit-identical — exit
+(* Transparency of the untainted fast path: the default compiled path
+   (fast path on) vs the single-step reference ([~block_cache:false], no
+   fast path), every observable of a run must be bit-identical — exit
    reason, retired instructions, register tags, the memory taint map and
    the recorded violations. The fast path may only change how fast the
    simulation runs and how many checks the monitor counts. *)
@@ -39,7 +40,7 @@ type snapshot = {
   s_fast : int;
 }
 
-let run_scenario ?(fast_path = true) ?(veto = false) build =
+let run_scenario ?(block_cache = true) build =
   let p = A.create () in
   build p;
   let img = A.assemble p in
@@ -51,8 +52,7 @@ let run_scenario ?(fast_path = true) ?(veto = false) build =
       ()
   in
   let monitor = Dift.Monitor.create ~mode:Dift.Monitor.Record lat in
-  if veto then Dift.Monitor.set_fast_path_ok monitor false;
-  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~fast_path () in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache () in
   Vp.Soc.load_image soc img;
   let reason = Vp.Soc.run_for_instructions soc 200_000 in
   let cpu = soc.Vp.Soc.cpu in
@@ -77,12 +77,13 @@ let check_equal ~name a b =
     (List.length b.s_violations);
   check_bool (name ^ ": violations") true (a.s_violations = b.s_violations)
 
-(* Fast on vs off; the on-run must actually exercise the fast path. *)
+(* Compiled vs reference; the compiled run must actually exercise the
+   fast path. *)
 let compare_scenario ~name ?(expect_fast = true) build =
-  let on = run_scenario ~fast_path:true build in
-  let off = run_scenario ~fast_path:false build in
+  let on = run_scenario build in
+  let off = run_scenario ~block_cache:false build in
   check_equal ~name on off;
-  check_int (name ^ ": no fast path when disabled") 0 off.s_fast;
+  check_int (name ^ ": no fast path on the reference") 0 off.s_fast;
   if expect_fast then
     check_bool (name ^ ": fast path exercised") true (on.s_fast > 0)
 
@@ -186,33 +187,23 @@ let test_store_taint () =
   let on = run_scenario store_scenario in
   check_bool "taint map not empty" true (on.s_taint <> [])
 
-(* The monitor's veto: with set_fast_path_ok false the engine must fall
-   back to exact per-check accounting — check_count then matches the
-   fast_path:false run exactly. *)
-let test_monitor_veto () =
-  let vetoed = run_scenario ~fast_path:true ~veto:true branch_scenario in
-  let off = run_scenario ~fast_path:false branch_scenario in
-  check_int "veto disables the fast path" 0 vetoed.s_fast;
-  check_equal ~name:"vetoed vs disabled" vetoed off;
-  check_int "exact check accounting restored" off.s_checks vetoed.s_checks
-
 (* The immobilizer case study end to end: protocol run and a detected
-   attack, fast path on vs off. *)
-let immo_soc ~fast_path img =
+   attack, compiled vs reference. *)
+let immo_soc ~block_cache img =
   let policy = Immo.base_policy img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
   let aes_out_tag, aes_in_clearance = Immo.aes_args policy in
   let soc =
     Vp.Soc.create ~policy ~monitor ~tracking:true ~aes_out_tag
-      ~aes_in_clearance ~fast_path ()
+      ~aes_in_clearance ~block_cache ()
   in
   Vp.Soc.load_image soc img;
   soc
 
 let test_immobilizer_protocol () =
-  let run fast_path =
+  let run block_cache =
     let img = Immo.image ~variant:(Immo.Normal { fixed_dump = true }) () in
-    let soc = immo_soc ~fast_path img in
+    let soc = immo_soc ~block_cache img in
     let engine = Immo.Engine.attach soc ~challenge:"CHLLNG42" in
     let reason = Vp.Soc.run_for_instructions soc 2_000_000 in
     expect_exit reason 0;
@@ -223,9 +214,9 @@ let test_immobilizer_protocol () =
 
 let test_immobilizer_leak_detected () =
   List.iter
-    (fun fast_path ->
+    (fun block_cache ->
       let img = Immo.image ~variant:Immo.Leak_direct () in
-      let soc = immo_soc ~fast_path img in
+      let soc = immo_soc ~block_cache img in
       match Vp.Soc.run_for_instructions soc 2_000_000 with
       | exception Dift.Violation.Violation v ->
           check_bool "uart output-clearance violation" true
@@ -233,7 +224,7 @@ let test_immobilizer_leak_detected () =
             | Dift.Violation.Output_clearance "uart" -> true
             | _ -> false)
       | _ ->
-          Alcotest.failf "leak not detected (fast_path=%b)" fast_path)
+          Alcotest.failf "leak not detected (block_cache=%b)" block_cache)
     [ true; false ]
 
 let () =
@@ -246,7 +237,6 @@ let () =
           Alcotest.test_case "mem-addr violation" `Quick
             test_mem_addr_violation;
           Alcotest.test_case "store taint map" `Quick test_store_taint;
-          Alcotest.test_case "monitor veto" `Quick test_monitor_veto;
         ] );
       ( "immobilizer",
         [

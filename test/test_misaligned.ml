@@ -1,8 +1,10 @@
 (* Taint propagation for misaligned and byte-boundary-crossing loads and
    stores: an LH/LW whose footprint spans tainted and untainted bytes must
    carry the LUB of exactly the bytes it touches — no more, no less — and
-   the answer must not depend on whether the untainted fast path is
-   enabled (the first tainted byte disables it mid-run). *)
+   the answer must be the same on the default compiled path, where the
+   untainted fast path runs until the first tainted byte, and on the
+   single-step reference ([~block_cache:false]), which has no fast
+   path. *)
 
 open Helpers
 module A = Rv32_asm.Asm
@@ -71,13 +73,13 @@ let policy_for img =
       ]
     ~exec_fetch:(t "LC,HI") ()
 
-let run ~fast_path () =
+let run ~block_cache () =
   let p = A.create () in
   program p;
   let img = A.assemble p in
   let policy = policy_for img in
   let monitor = Dift.Monitor.create lat in
-  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~fast_path () in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache () in
   Vp.Soc.load_image soc img;
   expect_exit (Vp.Soc.run_for_instructions soc 100_000) 0;
   soc
@@ -99,20 +101,20 @@ let check_tags soc =
   check_int "byte after the stored halfword stays public" pub (tag R.s10)
 
 let test_with_fast_path () =
-  let soc = run ~fast_path:true () in
+  let soc = run ~block_cache:true () in
   check_tags soc
 
 let test_without_fast_path () =
-  let soc = run ~fast_path:false () in
+  let soc = run ~block_cache:false () in
   check_int "fast path actually off" 0
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ());
   check_tags soc
 
-(* The two flavours must agree on every register tag and every memory tag
+(* The two paths must agree on every register tag and every memory tag
    byte (the fast path may only skip work, never change results). *)
 let test_flavours_agree () =
-  let a = run ~fast_path:true () in
-  let b = run ~fast_path:false () in
+  let a = run ~block_cache:true () in
+  let b = run ~block_cache:false () in
   for r = 0 to 31 do
     check_int
       (Printf.sprintf "reg %d tag" r)

@@ -1,0 +1,917 @@
+(* Parity of the core's two execution paths: the superblock compiler
+   (the default — each cached block compiled into a closure chain with a
+   value-only variant, hot block pairs linked into superblocks, jalr
+   targets inline-cached) must be observationally identical to the
+   single-step reference ([~block_cache:false]) — same exit reason, same
+   retired-instruction count, byte-identical architectural state
+   including every register's taint tag, and byte-identical
+   full-platform snapshots.  Covers every rv32im opcode class, both as
+   cold straight-line code and looped well past the link threshold so
+   the profiler actually promotes blocks; taint entering mid-block and
+   mid-chain (fast variant -> guard -> full-chain fallback); SMC and DMA
+   patches landing in compiled and linked code; polymorphic jalr
+   demotion; a trap firing out of the middle of a chain; the Fatal_trap
+   path when no handler is installed (mtvec = 0); and a snapshot saved
+   on the reference and restored under the compiler.  The counter
+   assertions pin that compiled chains, superblocks, chain transitions
+   and inline-cache hits/misses really happened. *)
+
+open Helpers
+module A = Rv32_asm.Asm
+module R = Rv32.Reg
+
+let reason_str = function
+  | Rv32.Core.Running -> "running"
+  | Rv32.Core.Exited c -> Printf.sprintf "exited %d" c
+  | Rv32.Core.Breakpoint -> "breakpoint"
+  | Rv32.Core.Insn_limit -> "insn limit"
+
+let run_e ?(tracking = true) ?policy ?(seed = fun _ _ -> ())
+    ?(max_insns = 500_000) ~block_cache build =
+  let p = A.create () in
+  build p;
+  let img = A.assemble p in
+  let policy =
+    match policy with Some pol -> pol | None -> trivial_policy ()
+  in
+  let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking ~block_cache () in
+  Vp.Soc.load_image soc img;
+  seed soc img;
+  let reason = Vp.Soc.run_for_instructions soc max_insns in
+  (soc, reason)
+
+(* Run [build] on the reference and on the compiler and demand
+   indistinguishable outcomes: exit reason, instret, all 32 registers
+   and their tags, and the full platform snapshot (registers, tags,
+   CSRs, RAM contents and RAM tag planes, peripheral state, kernel
+   time).  Returns the compiled SoC for extra per-test assertions. *)
+let check_engines ?tracking ?policy ?seed ?code ~name build =
+  let soc_r, r_r = run_e ?tracking ?policy ?seed ~block_cache:false build in
+  let soc_c, r_c = run_e ?tracking ?policy ?seed ~block_cache:true build in
+  (match (r_r, r_c) with
+  | Rv32.Core.Exited a, Rv32.Core.Exited b ->
+      check_int (name ^ ": exit code agrees") a b;
+      Option.iter (fun c -> check_int (name ^ ": expected exit code") c a) code
+  | a, b ->
+      Alcotest.failf "%s: reference %s, compiled %s" name (reason_str a)
+        (reason_str b));
+  check_int
+    (name ^ ": instret agrees")
+    (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+    (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_instret ());
+  for r = 0 to 31 do
+    check_int
+      (Printf.sprintf "%s: x%d value" name r)
+      (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r)
+      (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r);
+    check_int
+      (Printf.sprintf "%s: x%d tag" name r)
+      (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
+      (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
+  done;
+  check_bool
+    (name ^ ": full platform snapshot byte-identical")
+    true
+    (String.equal (Vp.Soc.save soc_r) (Vp.Soc.save soc_c));
+  soc_c
+
+let exit_with p reg =
+  A.mv p R.a0 reg;
+  A.li p R.a7 93;
+  A.ecall p
+
+(* --- opcode classes ------------------------------------------------------ *)
+
+(* Integer register-immediate and register-register ops, lui/auipc,
+   shift-amount masking with a negative register operand — straight-line
+   code that runs once, so it retires from unlinked chains. *)
+let alu_straight_prog p =
+  A.lui p R.t0 0x12345000;
+  A.auipc p R.t1 0;
+  A.li p R.s0 0;
+  let acc r = A.add p R.s0 R.s0 r in
+  acc R.t0;
+  acc R.t1;
+  A.addi p R.t2 R.t0 (-273);
+  acc R.t2;
+  A.slti p R.t3 R.t2 (-1);
+  acc R.t3;
+  A.sltiu p R.t3 R.t2 (-1);
+  acc R.t3;
+  A.xori p R.t3 R.t2 0x4d2;
+  acc R.t3;
+  A.ori p R.t3 R.t2 0x2a;
+  acc R.t3;
+  A.andi p R.t3 R.t2 0x7ff;
+  acc R.t3;
+  A.slli p R.t3 R.t2 7;
+  acc R.t3;
+  A.srli p R.t3 R.t2 3;
+  acc R.t3;
+  A.srai p R.t3 R.t2 3;
+  acc R.t3;
+  A.li p R.t4 (-5);
+  A.add p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.sub p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.sll p R.t3 R.t2 R.t4 (* shamt = -5 land 31 = 27 *);
+  acc R.t3;
+  A.srl p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.sra p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.slt p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.sltu p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.xor p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.or_ p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.and_ p R.t3 R.t2 R.t4;
+  acc R.t3;
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0
+
+(* A hot self-loop (the canonical superblock case: the block links to its
+   own recompilation) plus a two-block loop whose first edge alternates
+   every iteration — the profiler must keep resetting that edge counter
+   and only ever link the stable back-edge. *)
+let alu_loop_prog p =
+  A.li p R.s0 0;
+  A.li p R.s1 100;
+  A.label p "spin";
+  A.addi p R.s0 R.s0 1;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "spin";
+  A.li p R.s1 64;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 3;
+  A.xori p R.s0 R.s0 0x155;
+  A.slli p R.t0 R.s0 2;
+  A.srai p R.t1 R.t0 1;
+  A.add p R.s0 R.s0 R.t1;
+  A.lui p R.t2 0xffff000;
+  A.xor p R.t3 R.s0 R.t2;
+  A.sltu p R.t4 R.s0 R.t3;
+  A.add p R.s0 R.s0 R.t4;
+  A.andi p R.s0 R.s0 0x7ff;
+  A.andi p R.t2 R.s1 1;
+  A.beqz_l p R.t2 "even" (* alternates taken/not-taken *);
+  A.addi p R.s0 R.s0 5;
+  A.label p "even";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0
+
+let test_alu () = ignore (check_engines ~name:"alu" alu_straight_prog)
+
+let test_alu_loop () =
+  ignore (check_engines ~name:"alu (self-loop)" alu_loop_prog)
+
+(* The M extension over a table of operand pairs that includes every edge
+   case: division by zero, the overflow pair (-2^31, -1), mixed signs,
+   and large unsigned values. *)
+let muldiv_pairs =
+  [
+    (0, 0);
+    (1, 0);
+    (0x8000_0000, -1);
+    (0x8000_0000, 1);
+    (-1, -1);
+    (7, -3);
+    (-7, 3);
+    (123456789, 1013);
+    (0xdead_beef, 0xcafe);
+    (3, 0x7fff_ffff);
+  ]
+
+(* The table walk, repeated [passes] times: one pass retires every edge
+   case from unlinked chains, four passes link the loop body so they
+   retire inside a chained superblock. *)
+let muldiv_prog ~passes p =
+  A.li p R.s3 passes;
+  A.li p R.s0 0;
+  A.label p "again";
+  A.la p R.s1 "tab";
+  A.li p R.s2 (List.length muldiv_pairs);
+  A.label p "loop";
+  A.lw p R.t0 R.s1 0;
+  A.lw p R.t1 R.s1 4;
+  let acc r = A.add p R.s0 R.s0 r in
+  A.mul p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.mulh p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.mulhsu p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.mulhu p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.div p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.divu p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.rem p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.remu p R.t2 R.t0 R.t1;
+  acc R.t2;
+  A.addi p R.s1 R.s1 8;
+  A.addi p R.s2 R.s2 (-1);
+  A.bnez_l p R.s2 "loop";
+  A.addi p R.s3 R.s3 (-1);
+  A.bnez_l p R.s3 "again";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.align p 4;
+  A.label p "tab";
+  List.iter
+    (fun (a, b) ->
+      A.word p (a land 0xffff_ffff);
+      A.word p (b land 0xffff_ffff))
+    muldiv_pairs
+
+let test_muldiv () =
+  ignore (check_engines ~name:"muldiv" (muldiv_prog ~passes:1))
+
+let test_muldiv_chain () =
+  ignore (check_engines ~name:"muldiv in a chain" (muldiv_prog ~passes:4))
+
+(* Loads and stores of every width with sign/zero extension, byte and
+   halfword sub-word addressing, and read-back through a different
+   width.  Self-checking: exits 0 on success. *)
+let memory_straight_prog p =
+  A.la p R.s1 "buf";
+  (* sw then per-byte lb/lbu across the word *)
+  A.li p R.t0 0x8042_ff7e;
+  A.sw p R.t0 R.s1 0;
+  A.lb p R.t1 R.s1 3 (* 0x80 -> -128 *);
+  A.li p R.t2 (-128);
+  A.bne_l p R.t1 R.t2 "fail";
+  A.lbu p R.t1 R.s1 3;
+  A.li p R.t2 0x80;
+  A.bne_l p R.t1 R.t2 "fail";
+  A.lb p R.t1 R.s1 1 (* 0xff -> -1 *);
+  A.li p R.t2 (-1);
+  A.bne_l p R.t1 R.t2 "fail";
+  A.lbu p R.t1 R.s1 0 (* 0x7e *);
+  A.li p R.t2 0x7e;
+  A.bne_l p R.t1 R.t2 "fail";
+  (* sh/lh/lhu on both halves *)
+  A.li p R.t0 0xbeef;
+  A.sh p R.t0 R.s1 4;
+  A.li p R.t0 0x1234;
+  A.sh p R.t0 R.s1 6;
+  A.lh p R.t1 R.s1 4 (* 0xbeef -> negative *);
+  A.li p R.t2 (0xbeef - 0x10000);
+  A.bne_l p R.t1 R.t2 "fail";
+  A.lhu p R.t1 R.s1 4;
+  A.li p R.t2 0xbeef;
+  A.bne_l p R.t1 R.t2 "fail";
+  A.lw p R.t1 R.s1 4 (* halves reassembled *);
+  A.li p R.t2 0x1234_beef;
+  A.bne_l p R.t1 R.t2 "fail";
+  (* sb overwrites one byte of a word *)
+  A.li p R.t0 0x55;
+  A.sb p R.t0 R.s1 5;
+  A.lw p R.t1 R.s1 4;
+  A.li p R.t2 0x1234_55ef;
+  A.bne_l p R.t1 R.t2 "fail";
+  (* negative offsets *)
+  A.addi p R.s2 R.s1 8;
+  A.lw p R.t1 R.s2 (-8);
+  A.li p R.t2 0x8042_ff7e;
+  A.bne_l p R.t1 R.t2 "fail";
+  A.li p R.a0 0;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.label p "fail";
+  A.li p R.a0 1;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.align p 4;
+  A.label p "buf";
+  A.space p 16
+
+(* Every load/store width with sign/zero extension inside a hot loop, so
+   the accesses run from a linked chain. *)
+let memory_loop_prog p =
+  A.la p R.s1 "buf";
+  A.li p R.s2 40;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.slli p R.t0 R.s2 8;
+  A.xori p R.t0 R.t0 0x7e;
+  A.sw p R.t0 R.s1 0;
+  A.lb p R.t1 R.s1 1;
+  A.add p R.s0 R.s0 R.t1;
+  A.lbu p R.t1 R.s1 1;
+  A.add p R.s0 R.s0 R.t1;
+  A.sh p R.t0 R.s1 4;
+  A.lh p R.t1 R.s1 4;
+  A.add p R.s0 R.s0 R.t1;
+  A.lhu p R.t1 R.s1 4;
+  A.add p R.s0 R.s0 R.t1;
+  A.sb p R.t0 R.s1 6;
+  A.lw p R.t1 R.s1 4;
+  A.add p R.s0 R.s0 R.t1;
+  A.addi p R.s2 R.s2 (-1);
+  A.bnez_l p R.s2 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.align p 4;
+  A.label p "buf";
+  A.space p 16
+
+let test_memory () =
+  ignore (check_engines ~name:"memory" ~code:0 memory_straight_prog)
+
+let test_memory_chain () =
+  ignore (check_engines ~name:"memory in a chain" memory_loop_prog)
+
+(* Branches taken and not taken in both polarities, a nested loop,
+   call/ret, jal with a dead link register, and jalr where rd aliases
+   rs1. *)
+let branch_prog p =
+  A.li p R.s0 0;
+  A.li p R.t0 5;
+  A.li p R.t1 (-3);
+  A.beq_l p R.t0 R.t1 "fail" (* not taken *);
+  A.bne_l p R.t0 R.t0 "fail";
+  A.blt_l p R.t0 R.t1 "fail" (* 5 < -3 signed: no *);
+  A.bge_l p R.t1 R.t0 "fail";
+  A.bltu_l p R.t1 R.t0 "fail" (* -3 unsigned is huge: no *);
+  A.bgeu_l p R.t0 R.t1 "fail";
+  A.blt_l p R.t1 R.t0 "b1" (* taken *);
+  A.j p "fail";
+  A.label p "b1";
+  A.bltu_l p R.t0 R.t1 "b2" (* taken *);
+  A.j p "fail";
+  A.label p "b2";
+  (* nested loop: s0 += 1 inner, outer 3 x inner 4 *)
+  A.li p R.s1 3;
+  A.label p "outer";
+  A.li p R.s2 4;
+  A.label p "inner";
+  A.addi p R.s0 R.s0 1;
+  A.addi p R.s2 R.s2 (-1);
+  A.bnez_l p R.s2 "inner";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "outer";
+  (* call/ret and jalr with rd = rs1 *)
+  A.call p "fn";
+  A.la p R.t3 "fn2";
+  A.jalr p R.t3 R.t3 0;
+  A.li p R.t4 12;
+  A.beq_l p R.s0 R.t4 "fail" (* loop + fn + fn2 = 14, not 12 *);
+  A.li p R.t4 14;
+  A.beq_l p R.s0 R.t4 "ok";
+  A.label p "fail";
+  A.li p R.a0 1;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.label p "ok";
+  A.li p R.a0 0;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.label p "fn";
+  A.addi p R.s0 R.s0 1;
+  A.ret p;
+  A.label p "fn2";
+  A.addi p R.s0 R.s0 1;
+  A.jalr p R.zero R.t3 0
+
+let test_branches () =
+  ignore (check_engines ~name:"branches" ~code:0 branch_prog)
+
+(* CSR ops, a trap round-trip through a handler (ecall -> mcause/mepc
+   read -> mret), and fence.  These retire through the step fallback —
+   the test pins that blocks broken by them still chain correctly around
+   the break. *)
+let csr_prog p =
+  A.la p R.t0 "handler";
+  A.csrrw p R.zero Rv32.Csr.mtvec R.t0;
+  A.li p R.t1 0xabc;
+  A.csrrw p R.zero Rv32.Csr.mscratch R.t1;
+  A.csrrs p R.s0 Rv32.Csr.mscratch R.zero (* s0 = 0xabc *);
+  A.li p R.t2 0x041;
+  A.csrrs p R.zero Rv32.Csr.mscratch R.t2 (* set bits *);
+  A.csrrc p R.s1 Rv32.Csr.mscratch R.t1 (* s1 = 0xafd, clear 0xabc *);
+  A.csrrwi p R.zero Rv32.Csr.mscratch 0x15;
+  A.csrrsi p R.s2 Rv32.Csr.mscratch 0x0a (* s2 = 0x15 *);
+  A.csrrci p R.s3 Rv32.Csr.mscratch 0x06 (* s3 = 0x1f *);
+  A.fence p;
+  (* trap round-trip: the handler records mcause in s4 and skips the
+     ecall *)
+  A.li p R.a7 1;
+  A.ecall p;
+  A.csrrs p R.s5 Rv32.Csr.mscratch R.zero (* survives the trap *);
+  A.add p R.s0 R.s0 R.s1;
+  A.add p R.s0 R.s0 R.s2;
+  A.add p R.s0 R.s0 R.s3;
+  A.add p R.s0 R.s0 R.s4;
+  A.add p R.s0 R.s0 R.s5;
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "handler";
+  A.csrrs p R.s4 Rv32.Csr.mcause R.zero;
+  A.csrrs p R.t5 Rv32.Csr.mepc R.zero;
+  A.addi p R.t5 R.t5 4;
+  A.csrrw p R.zero Rv32.Csr.mepc R.t5;
+  A.mret p
+
+let test_csr () = ignore (check_engines ~name:"csr" csr_prog)
+
+(* Tight call/return: the call-site block ends in a direct jal (chains),
+   the callee ends in a monomorphic ret (inline cache). *)
+let callret_prog p =
+  A.li p R.s1 64;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.call p "fn";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "fn";
+  A.addi p R.s0 R.s0 1;
+  A.ret p
+
+let test_callret () =
+  ignore (check_engines ~name:"call/ret" ~code:0 callret_prog)
+
+(* Table-driven indirect dispatch alternating between two handlers: the
+   dispatch site's inline cache must demote (two distinct targets) while
+   each handler's ret stays monomorphic. *)
+let poly_prog p =
+  A.li p R.s1 64;
+  A.li p R.s0 0;
+  A.li p R.s3 0;
+  A.label p "loop";
+  A.andi p R.t0 R.s3 1;
+  A.slli p R.t0 R.t0 2;
+  A.la p R.t1 "tab";
+  A.add p R.t0 R.t0 R.t1;
+  A.lw p R.t1 R.t0 0;
+  A.jalr p R.ra R.t1 0;
+  A.addi p R.s3 R.s3 1;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "f0";
+  A.addi p R.s0 R.s0 2;
+  A.ret p;
+  A.label p "f1";
+  A.xori p R.s0 R.s0 0x3e7;
+  A.ret p;
+  A.align p 4;
+  A.label p "tab";
+  A.word_l p "f0";
+  A.word_l p "f1"
+
+let test_poly () = ignore (check_engines ~name:"polymorphic jalr" poly_prog)
+
+(* --- trap out of the middle of a chain ----------------------------------- *)
+
+(* Once the loop body is linked, every iteration traps via ecall from
+   inside the chain, runs the handler, and mret's back — the retirement
+   protocol at the trap boundary must leave identical state. *)
+let trap_prog p =
+  A.la p R.t0 "handler";
+  A.csrrw p R.zero Rv32.Csr.mtvec R.t0;
+  A.li p R.s1 32;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 1;
+  A.xori p R.s0 R.s0 0x2a;
+  A.li p R.a7 1;
+  A.ecall p;
+  A.add p R.s0 R.s0 R.s4;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "handler";
+  A.csrrs p R.s4 Rv32.Csr.mcause R.zero;
+  A.csrrs p R.t5 Rv32.Csr.mepc R.zero;
+  A.addi p R.t5 R.t5 4;
+  A.csrrw p R.zero Rv32.Csr.mepc R.t5;
+  A.mret p
+
+let test_trap_mid_chain () =
+  ignore (check_engines ~name:"trap mid-chain" trap_prog)
+
+(* --- taint: mid-block / mid-chain entry on the fast variant -------------- *)
+
+(* A confidentiality policy with no clearance checks: taint propagates
+   but never traps. *)
+let conf_policy () =
+  let lat = Dift.Lattice.confidentiality () in
+  let lc = Dift.Lattice.tag_of_name lat "LC" in
+  Dift.Policy.make ~lattice:lat ~default_tag:lc ()
+
+(* Each iteration runs one straight-line block that starts with clean
+   ALU work (eligible for the value-only chain), then loads a secret
+   word mid-block — the fast variant's guard must catch the non-bottom
+   tag and fall back to the full chain for the rest of the block.  The
+   tainted value is parked in memory and the registers are scrubbed
+   before the back-branch, so the next dispatch starts on the fast
+   variant again: every iteration exercises the fast -> guard ->
+   fallback transition.  Fewer iterations than the link threshold keep
+   the loop body a plain block; more put the fallback in the middle of a
+   linked superblock. *)
+let taint_prog ~iterations p =
+  A.li p R.s2 iterations;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 3;
+  A.xori p R.s0 R.s0 0x155;
+  A.la p R.t2 "secret";
+  A.lw p R.t3 R.t2 0 (* taint enters mid-block *);
+  A.add p R.t4 R.t3 R.s0 (* tainted ALU result *);
+  A.la p R.t5 "cell";
+  A.sw p R.t4 R.t5 0 (* tainted store *);
+  A.li p R.t3 0;
+  A.li p R.t4 0 (* scrub: regs all-public again *);
+  A.addi p R.s2 R.s2 (-1);
+  A.bnez_l p R.s2 "loop";
+  A.la p R.t5 "cell";
+  A.lw p R.a1 R.t5 0 (* a1 must come back tainted *);
+  A.andi p R.a0 R.s0 0x3f;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.align p 4;
+  A.label p "secret";
+  A.word p 0x5ec2e700;
+  A.label p "cell";
+  A.word p 0
+
+let check_taint ~name ~iterations =
+  let policy = conf_policy () in
+  let lat = policy.Dift.Policy.lattice in
+  let hc = Dift.Lattice.tag_of_name lat "HC" in
+  let lc = Dift.Lattice.tag_of_name lat "LC" in
+  let seed soc img =
+    Vp.Soc.seed_taint soc ~origin:"secret"
+      ~addr:(Rv32_asm.Image.symbol img "secret")
+      ~len:4 hc
+  in
+  let soc = check_engines ~policy ~seed ~name (taint_prog ~iterations) in
+  let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+  check_int "a1 tainted HC" hc (tag 11);
+  check_int "s0 stays public" lc (tag 8);
+  (* The specialized chains really ran before each fallback. *)
+  check_bool "fast variant retired instructions" true
+    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
+  soc
+
+let test_taint_mid_block () =
+  ignore (check_taint ~name:"taint mid-block" ~iterations:4)
+
+let test_taint_mid_chain () =
+  let soc = check_taint ~name:"taint mid-chain" ~iterations:50 in
+  check_bool "superblocks were linked" true
+    (soc.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built () > 0)
+
+(* --- invalidation of compiled and linked chains -------------------------- *)
+
+(* Store into the currently-executing block: the patched instruction is
+   a few slots ahead in the same straight-line run and must execute in
+   its patched form at the very next fetch. *)
+let smc_in_block p =
+  A.li p R.a0 0;
+  A.la p R.t0 "site";
+  A.la p R.t1 "newinsn";
+  A.lw p R.t1 R.t1 0;
+  A.sw p R.t1 R.t0 0;
+  A.nop p;
+  A.label p "site";
+  A.addi p R.a0 R.a0 1;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.align p 4;
+  A.label p "newinsn";
+  (* addi a0, a0, 42 *)
+  A.word p (Rv32.Encode.encode (Rv32.Insn.ADDI (R.a0, R.a0, 42)))
+
+let test_smc_in_block () =
+  ignore (check_engines ~name:"smc in-block" ~code:42 smc_in_block)
+
+(* The loop runs hot (linked) for 20 iterations, then a store patches an
+   instruction further down the same loop body: the already-linked chain
+   must be flushed and the patched form must execute in the very
+   iteration that wrote it.  20 x 1 + 20 x 3 = 80. *)
+let smc_in_chain p =
+  A.li p R.s1 40;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.li p R.t2 20;
+  A.bne_l p R.s1 R.t2 "nopatch";
+  A.la p R.t0 "site";
+  A.la p R.t1 "newinsn";
+  A.lw p R.t1 R.t1 0;
+  A.sw p R.t1 R.t0 0;
+  A.label p "nopatch";
+  A.label p "site";
+  A.addi p R.s0 R.s0 1;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  exit_with p R.s0;
+  A.align p 4;
+  A.label p "newinsn";
+  (* addi s0, s0, 3 *)
+  A.word p (Rv32.Encode.encode (Rv32.Insn.ADDI (R.s0, R.s0, 3)))
+
+let test_smc_in_chain () =
+  ignore (check_engines ~name:"smc in-chain" ~code:80 smc_in_chain)
+
+(* A compiled function is overwritten by a DMA transfer behind the CPU's
+   back; the next call must run the patched code.  With [warm_calls] the
+   callee first runs hot enough to be linked (each warm call returns 1). *)
+let dma_into_code ~warm_calls p =
+  A.li p R.s1 warm_calls;
+  A.li p R.s0 0;
+  A.label p "warm";
+  A.call p "site_fn";
+  A.add p R.s0 R.s0 R.a0;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "warm";
+  A.la p R.t0 "newinsn";
+  A.la p R.t1 "site_fn";
+  A.li p R.t2 Vp.Soc.dma_base;
+  A.sw p R.t0 R.t2 0x0;
+  A.sw p R.t1 R.t2 0x4;
+  A.li p R.t3 4;
+  A.sw p R.t3 R.t2 0x8;
+  A.li p R.t3 1;
+  A.sw p R.t3 R.t2 0xc;
+  A.label p "poll";
+  A.lw p R.t3 R.t2 0xc;
+  A.bnez_l p R.t3 "poll";
+  A.call p "site_fn";
+  A.add p R.a0 R.a0 R.s0;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.label p "site_fn";
+  A.addi p R.a0 R.zero 1;
+  A.ret p;
+  A.align p 4;
+  A.label p "newinsn";
+  (* addi a0, x0, 99 *)
+  A.word p (Rv32.Encode.encode (Rv32.Insn.ADDI (R.a0, R.zero, 99)))
+
+let test_dma_into_code () =
+  ignore
+    (check_engines ~name:"dma into code" ~code:100 (dma_into_code ~warm_calls:1))
+
+let test_dma_into_chain () =
+  ignore
+    (check_engines ~name:"dma into chain" ~code:131
+       (dma_into_code ~warm_calls:32))
+
+(* --- Fatal_trap with mtvec = 0 ------------------------------------------- *)
+
+(* With no handler installed a synchronous trap is fatal; both paths
+   must report the identical (cause, pc, tval) triple at the identical
+   instruction count — the pc in particular catches any stale [cur_pc]
+   bookkeeping in compiled chains. *)
+let run_fatal ~tracking ~block_cache build =
+  let p = A.create () in
+  build p;
+  let img = A.assemble p in
+  let policy = trivial_policy () in
+  let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking ~block_cache () in
+  Vp.Soc.load_image soc img;
+  match Vp.Soc.run_for_instructions soc 10_000 with
+  | exception Rv32.Core.Fatal_trap { cause; pc; tval } ->
+      (cause, pc, tval, soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+  | r -> Alcotest.failf "expected Fatal_trap, got %s" (reason_str r)
+
+let check_fatal ~name ~cause build =
+  List.iter
+    (fun tracking ->
+      let c_r, pc_r, tv_r, n_r = run_fatal ~tracking ~block_cache:false build in
+      let c_c, pc_c, tv_c, n_c = run_fatal ~tracking ~block_cache:true build in
+      let ctx = Printf.sprintf "%s (tracking=%b)" name tracking in
+      check_int (ctx ^ ": expected cause") cause c_r;
+      check_int (ctx ^ ": cause agrees") c_r c_c;
+      check_int (ctx ^ ": pc agrees") pc_r pc_c;
+      check_int (ctx ^ ": tval agrees") tv_r tv_c;
+      check_int (ctx ^ ": instret agrees") n_r n_c)
+    [ false; true ]
+
+let unmapped = 0x0000_0100
+
+(* A little clean ALU work ahead of the faulting access keeps the fault
+   inside a compiled chain rather than at its head. *)
+let fatal_load p =
+  A.li p R.t0 unmapped;
+  A.addi p R.t1 R.t0 1;
+  A.xor p R.t2 R.t1 R.t0;
+  A.lw p R.t3 R.t0 0;
+  A.nop p;
+  exit_with p R.zero
+
+let fatal_store p =
+  A.li p R.t0 unmapped;
+  A.addi p R.t1 R.t0 1;
+  A.sw p R.t1 R.t0 0;
+  A.nop p;
+  exit_with p R.zero
+
+let fatal_fetch p =
+  A.li p R.t0 unmapped;
+  A.addi p R.t1 R.zero 7;
+  A.jalr p R.zero R.t0 0;
+  exit_with p R.zero
+
+let fatal_ecall p =
+  A.li p R.a7 1;
+  A.li p R.a0 2;
+  A.ecall p;
+  exit_with p R.zero
+
+let fatal_illegal p =
+  A.li p R.t0 3;
+  A.addi p R.t1 R.t0 4;
+  A.word p 0xffff_ffff;
+  exit_with p R.zero
+
+let test_fatal_load () =
+  check_fatal ~name:"fatal load" ~cause:Rv32.Csr.cause_load_fault fatal_load
+
+let test_fatal_store () =
+  check_fatal ~name:"fatal store" ~cause:Rv32.Csr.cause_store_fault fatal_store
+
+let test_fatal_fetch () = check_fatal ~name:"fatal fetch" ~cause:1 fatal_fetch
+
+let test_fatal_ecall () =
+  check_fatal ~name:"fatal ecall" ~cause:Rv32.Csr.cause_ecall_m fatal_ecall
+
+let test_fatal_illegal () =
+  check_fatal ~name:"fatal illegal" ~cause:Rv32.Csr.cause_illegal fatal_illegal
+
+(* --- snapshot: reference save, compiled restore -------------------------- *)
+
+(* A snapshot saved mid-run on the reference must restore into a
+   compiled SoC and continue to exactly the state an uninterrupted
+   compiled run reaches — and the second half must be long enough that
+   chains are linked again after the restore. *)
+let snapshot_prog p =
+  A.li p R.s1 2000;
+  A.li p R.s0 0;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 7;
+  A.xori p R.s0 R.s0 0x111;
+  A.call p "fn";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "fn";
+  A.addi p R.s0 R.s0 1;
+  A.ret p
+
+let make_soc ~block_cache img =
+  let policy = trivial_policy () in
+  let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache () in
+  Vp.Soc.load_image soc img;
+  soc
+
+let test_restore_under_superblocks () =
+  let p = A.create () in
+  snapshot_prog p;
+  let img = A.assemble p in
+  (* Uninterrupted compiled run. *)
+  let soc0 = make_soc ~block_cache:true img in
+  soc0.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Vp.Soc.start soc0;
+  Vp.Soc.run soc0;
+  let final0 = Vp.Soc.save soc0 in
+  let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
+  check_bool "run is long enough to split" true (total > 400);
+  (* Save mid-run on the reference. *)
+  let soc1 = make_soc ~block_cache:false img in
+  Vp.Soc.pause_at soc1 (total / 2);
+  soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Vp.Soc.start soc1;
+  Vp.Soc.run soc1;
+  check_bool "paused mid-run on the reference" true (Vp.Soc.paused soc1);
+  let mid = Vp.Soc.save soc1 in
+  (* Restore into a compiled SoC and finish. *)
+  let soc2 = make_soc ~block_cache:true img in
+  Vp.Soc.restore soc2 mid;
+  soc2.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Vp.Soc.start soc2;
+  Vp.Soc.run soc2;
+  check_bool "final snapshot matches the uninterrupted compiled run" true
+    (String.equal final0 (Vp.Soc.save soc2));
+  check_bool "superblocks linked after the restore" true
+    (soc2.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built () > 0)
+
+(* --- counters: the machinery actually fired ------------------------------ *)
+
+(* The differential only means something if the compiled runs actually
+   execute compiled chains: pin the counters on a loopy program. *)
+let test_compiled_actually_runs () =
+  let soc, reason = run_e ~block_cache:true (muldiv_prog ~passes:1) in
+  (match reason with
+  | Rv32.Core.Exited _ -> ()
+  | r -> Alcotest.failf "muldiv compiled: %s" (reason_str r));
+  check_bool "blocks built" true (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0);
+  check_bool "fast chains retired" true
+    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0)
+
+let test_counters () =
+  (* Hot call/return: superblocks link, chains run, the monomorphic ret
+     hits its inline cache. *)
+  let soc, reason = run_e ~block_cache:true callret_prog in
+  (match reason with
+  | Rv32.Core.Exited _ -> ()
+  | r -> Alcotest.failf "callret compiled: %s" (reason_str r));
+  let c = soc.Vp.Soc.cpu in
+  check_bool "blocks built" true (c.Vp.Soc.cpu_blocks_built () > 0);
+  check_bool "superblocks built" true (c.Vp.Soc.cpu_superblocks_built () > 0);
+  check_bool "chain transitions taken" true (c.Vp.Soc.cpu_chain_hits () > 0);
+  check_bool "inline-cache hits" true (c.Vp.Soc.cpu_ic_hits () > 0);
+  (* Polymorphic dispatch: the rotating target site must keep missing
+     (and stay demoted) without ever entering a stale chain. *)
+  let soc, _ = run_e ~block_cache:true poly_prog in
+  check_bool "inline-cache misses on the polymorphic site" true
+    (soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_misses () > 0);
+  (* The reference builds, links and caches nothing. *)
+  let soc, _ = run_e ~block_cache:false callret_prog in
+  let c = soc.Vp.Soc.cpu in
+  check_int "reference builds no blocks" 0 (c.Vp.Soc.cpu_blocks_built ());
+  check_int "reference links no superblocks" 0
+    (c.Vp.Soc.cpu_superblocks_built ());
+  check_int "reference installs no inline caches" 0
+    (c.Vp.Soc.cpu_ic_hits () + c.Vp.Soc.cpu_ic_misses ())
+
+let () =
+  Alcotest.run "parity"
+    [
+      ( "opcode classes",
+        [
+          Alcotest.test_case "alu" `Quick test_alu;
+          Alcotest.test_case "alu in a hot loop" `Quick test_alu_loop;
+          Alcotest.test_case "mul/div edge cases" `Quick test_muldiv;
+          Alcotest.test_case "mul/div in a chain" `Quick test_muldiv_chain;
+          Alcotest.test_case "loads/stores" `Quick test_memory;
+          Alcotest.test_case "loads/stores in a chain" `Quick test_memory_chain;
+          Alcotest.test_case "branches/jumps" `Quick test_branches;
+          Alcotest.test_case "csr/trap/mret/fence" `Quick test_csr;
+          Alcotest.test_case "call/ret (monomorphic jalr)" `Quick test_callret;
+          Alcotest.test_case "polymorphic jalr dispatch" `Quick test_poly;
+        ] );
+      ( "traps",
+        [
+          Alcotest.test_case "trap out of a linked chain" `Quick
+            test_trap_mid_chain;
+        ] );
+      ( "taint",
+        [
+          Alcotest.test_case "mid-block taint entry falls back" `Quick
+            test_taint_mid_block;
+          Alcotest.test_case "mid-chain taint entry" `Quick
+            test_taint_mid_chain;
+        ] );
+      ( "invalidation",
+        [
+          Alcotest.test_case "smc within the compiled block" `Quick
+            test_smc_in_block;
+          Alcotest.test_case "dma into compiled code" `Quick test_dma_into_code;
+          Alcotest.test_case "smc inside a linked chain" `Quick
+            test_smc_in_chain;
+          Alcotest.test_case "dma into a linked callee" `Quick
+            test_dma_into_chain;
+        ] );
+      ( "fatal traps (mtvec=0)",
+        [
+          Alcotest.test_case "load fault" `Quick test_fatal_load;
+          Alcotest.test_case "store fault" `Quick test_fatal_store;
+          Alcotest.test_case "fetch fault" `Quick test_fatal_fetch;
+          Alcotest.test_case "ecall without handler" `Quick test_fatal_ecall;
+          Alcotest.test_case "illegal instruction" `Quick test_fatal_illegal;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "interp -> superblock restore" `Quick
+            test_restore_under_superblocks;
+        ] );
+      ( "coverage",
+        [
+          Alcotest.test_case "threaded runs compiled chains" `Quick
+            test_compiled_actually_runs;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "superblock/chain/ic counters" `Quick
+            test_counters;
+        ] );
+    ]

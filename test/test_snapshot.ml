@@ -218,7 +218,7 @@ let immo_image = lazy (Immo.image ~variant:(Immo.Normal { fixed_dump = true }) (
 
 (* Build an immobilizer SoC; [collect] accumulates the complete trace
    event stream as rendered JSONL lines. *)
-let immo_soc ?engine ?block_cache () =
+let immo_soc ?block_cache () =
   let img = Lazy.force immo_image in
   let policy = Immo.base_policy img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
@@ -233,7 +233,7 @@ let immo_soc ?engine ?block_cache () =
          Buffer.add_char buf '\n'));
   let soc =
     Vp.Soc.create ~policy ~monitor ~tracking:true ~aes_out_tag
-      ~aes_in_clearance ~tracer ?engine ?block_cache ()
+      ~aes_in_clearance ~tracer ?block_cache ()
   in
   Vp.Soc.load_image soc img;
   (soc, monitor, buf)
@@ -304,16 +304,16 @@ let test_save_resume_bit_identical () =
   check_bool "restore/save is the identity on snapshots" true
     (String.equal mid (Vp.Soc.save soc3))
 
-(* --- cross-engine restore ----------------------------------------------- *)
+(* --- cross-path restore ------------------------------------------------- *)
 
-(* A snapshot holds only architectural state: one saved under the
-   interpreter engine must restore into a threaded-engine SoC (here with
-   the block cache flipped off on the saving side, too) and continue to
-   exactly the state an uninterrupted run reaches — same final snapshot,
-   same UART output, and a trace event stream whose post-checkpoint
-   suffix is byte-identical. *)
+(* A snapshot holds only architectural state: one saved on the
+   single-step reference interpreter ([~block_cache:false]) must restore
+   into a SoC running the threaded-code compiler (the default) and
+   continue to exactly the state an uninterrupted compiled run reaches —
+   same final snapshot, same UART output, and a trace event stream whose
+   post-checkpoint suffix is byte-identical. *)
 let test_restore_across_engines () =
-  (* Reference: uninterrupted run under the default (threaded) engine. *)
+  (* Uninterrupted run on the default compiled path. *)
   let soc0, _, buf0 = immo_soc () in
   let _e0 = Immo.Engine.attach soc0 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc0.Vp.Soc.uart "D";
@@ -321,29 +321,29 @@ let test_restore_across_engines () =
   finish soc0;
   let final0 = Vp.Soc.save soc0 in
   let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
-  (* Save mid-run under the interpreter with the block cache off. *)
-  let soc1, _, buf1 = immo_soc ~engine:Rv32.Core.Interp ~block_cache:false () in
+  (* Save mid-run on the reference. *)
+  let soc1, _, buf1 = immo_soc ~block_cache:false () in
   let _e1 = Immo.Engine.attach soc1 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc1.Vp.Soc.uart "D";
   Vp.Soc.pause_at soc1 (total / 2);
   soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
-  check_bool "paused mid-run under interp" true (Vp.Soc.paused soc1);
+  check_bool "paused mid-run on the reference" true (Vp.Soc.paused soc1);
   let mid = Vp.Soc.save soc1 in
   let mid_trace_len = Buffer.length buf1 in
-  (* The interpreter's pre-checkpoint trace must itself be a prefix of
-     the threaded reference stream. *)
-  check_bool "interp trace is a reference prefix" true
+  (* The reference's pre-checkpoint trace must itself be a prefix of the
+     compiled run's stream. *)
+  check_bool "reference trace is a compiled-run prefix" true
     (mid_trace_len <= Buffer.length buf0
     && String.equal (Buffer.contents buf1)
          (String.sub (Buffer.contents buf0) 0 mid_trace_len));
-  (* Restore into a threaded-engine SoC and finish. *)
-  let soc2, _, buf2 = immo_soc ~engine:Rv32.Core.Threaded () in
+  (* Restore into a compiled SoC and finish. *)
+  let soc2, _, buf2 = immo_soc () in
   Vp.Soc.restore soc2 mid;
   Vp.Soc.start soc2;
   finish soc2;
-  check_bool "final snapshot matches the threaded reference" true
+  check_bool "final snapshot matches the uninterrupted compiled run" true
     (String.equal final0 (Vp.Soc.save soc2));
   check_string "uart tx identical"
     (Vp.Uart.tx_string soc0.Vp.Soc.uart)
@@ -352,10 +352,10 @@ let test_restore_across_engines () =
     String.sub (Buffer.contents buf0) mid_trace_len
       (Buffer.length buf0 - mid_trace_len)
   in
-  check_bool "post-restore trace is the reference suffix" true
+  check_bool "post-restore trace is the compiled run's suffix" true
     (String.equal suffix (Buffer.contents buf2));
-  (* And the compiled-chain engine actually ran after the restore. *)
-  check_bool "threaded engine compiled blocks after restore" true
+  (* And compiled chains actually ran after the restore. *)
+  check_bool "compiled blocks after restore" true
     (soc2.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0)
 
 (* --- wilander attacks across a checkpoint ------------------------------ *)

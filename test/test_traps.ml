@@ -1,7 +1,8 @@
 (* Architectural trap tests: every synchronous exception cause delivered
    to an installed machine handler, with mcause/mepc/mtval and the
-   mstatus MIE/MPIE/MPP stack-unstack checked — on both execution
-   engines, with and without the decoded-block cache. *)
+   mstatus MIE/MPIE/MPP stack-unstack checked — on both execution paths:
+   the threaded-code superblock compiler (the default) and, with the
+   block cache off, the single-step reference. *)
 
 open Helpers
 module A = Rv32_asm.Asm
@@ -141,15 +142,14 @@ let cases =
         A.ecall p);
   ]
 
-let run_scaffold ~engine ~block_cache ~strict_align ?pre trigger =
+let run_scaffold ~block_cache ~strict_align ?pre trigger =
   let p = A.create () in
   scaffold ?pre trigger p;
   let img = A.assemble p in
   let policy = trivial_policy () in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking:true ~engine ~block_cache
-      ~strict_align ()
+    Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache ~strict_align ()
   in
   Vp.Soc.load_image soc img;
   expect_exit (Vp.Soc.run_for_instructions soc 100_000) 0;
@@ -157,9 +157,9 @@ let run_scaffold ~engine ~block_cache ~strict_align ?pre trigger =
 
 let reg soc r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r
 
-let test_case ~engine ~block_cache c () =
+let test_case ~block_cache c () =
   let soc, img =
-    run_scaffold ~engine ~block_cache ~strict_align:c.c_strict ~pre:c.c_pre
+    run_scaffold ~block_cache ~strict_align:c.c_strict ~pre:c.c_pre
       c.c_trigger
   in
   check_int "mcause" c.c_cause (reg soc R.s2);
@@ -180,9 +180,9 @@ let test_case ~engine ~block_cache c () =
 
 (* Without strict alignment the same misaligned access completes (the
    handler never runs: s2 keeps its reset value). *)
-let test_lenient_misaligned ~engine () =
+let test_lenient_misaligned ~block_cache () =
   let soc, _ =
-    run_scaffold ~engine ~block_cache:true ~strict_align:false (fun p ->
+    run_scaffold ~block_cache ~strict_align:false (fun p ->
         A.la p R.t1 "data";
         A.label p "fault_at";
         A.lw p R.t2 R.t1 2)
@@ -192,22 +192,14 @@ let test_lenient_misaligned ~engine () =
   check_int "misaligned value" 0x1122 (reg soc R.t2)
 
 let () =
-  let configs =
-    [
-      ("interp", Rv32.Core.Interp, true);
-      ("interp/nocache", Rv32.Core.Interp, false);
-      ("threaded", Rv32.Core.Threaded, true);
-      ("threaded/nocache", Rv32.Core.Threaded, false);
-    ]
-  in
+  let configs = [ ("threaded", true); ("threaded/nocache", false) ] in
   let suites =
     List.map
-      (fun (cname, engine, block_cache) ->
+      (fun (cname, block_cache) ->
         ( cname,
           List.map
             (fun c ->
-              Alcotest.test_case c.c_name `Quick
-                (test_case ~engine ~block_cache c))
+              Alcotest.test_case c.c_name `Quick (test_case ~block_cache c))
             cases ))
       configs
   in
@@ -217,8 +209,8 @@ let () =
         ( "lenient alignment",
           [
             Alcotest.test_case "interp" `Quick
-              (test_lenient_misaligned ~engine:Rv32.Core.Interp);
+              (test_lenient_misaligned ~block_cache:false);
             Alcotest.test_case "threaded" `Quick
-              (test_lenient_misaligned ~engine:Rv32.Core.Threaded);
+              (test_lenient_misaligned ~block_cache:true);
           ] );
       ])
