@@ -17,8 +17,7 @@
      parallel         - domain-parallel campaign engine: wall vs cpu scaling
      graph            - IFT graph store: ingest + backward-query cost
      table2-extended [scale] - additional workloads (crc32, matmul, ...)
-     bechamel         - Bechamel micro-measurements (one group per table)
-     all (default)    - everything above except bechamel
+     all (default)    - everything above
 
    [scale] is a positive number (0.01 gives a seconds-long smoke run);
    anything else is refused before any measurement runs. Flags (run with
@@ -802,101 +801,6 @@ let bench_graph ~block_cache () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-measurements                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  let open Bechamel in
-  let lat = Dift.Lattice.ifp3 () in
-  (* One Test.make per table/figure of the paper. *)
-  let fig1_test =
-    Test.make ~name:"fig1/lub+allowedFlow"
-      (Staged.stage (fun () ->
-           let n = Dift.Lattice.size lat in
-           let acc = ref 0 in
-           for i = 0 to 63 do
-             let a = i mod n and b = (i * 3) mod n in
-             acc := !acc + Dift.Lattice.lub lat a b;
-             if Dift.Lattice.allowed_flow lat a b then incr acc
-           done;
-           !acc))
-  in
-  let table1_test =
-    Test.make ~name:"table1/attack3-detection"
-      (Staged.stage (fun () -> Firmware.Wilander.run 3))
-  in
-  let table2_vp =
-    Test.make ~name:"table2/qsort-vp"
-      (Staged.stage (fun () ->
-           let img = Firmware.Qsort_fw.image ~n:64 ~rounds:1 () in
-           let policy = D.integrity_policy img in
-           let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
-           let soc = Vp.Soc.create ~policy ~monitor ~tracking:false () in
-           Vp.Soc.load_image soc img;
-           ignore (Vp.Soc.run_for_instructions soc 10_000_000)))
-  in
-  let table2_vpp =
-    Test.make ~name:"table2/qsort-vp+"
-      (Staged.stage (fun () ->
-           let img = Firmware.Qsort_fw.image ~n:64 ~rounds:1 () in
-           let policy = D.integrity_policy img in
-           let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
-           let soc = Vp.Soc.create ~policy ~monitor ~tracking:true () in
-           Vp.Soc.load_image soc img;
-           ignore (Vp.Soc.run_for_instructions soc 10_000_000)))
-  in
-  let immo_test =
-    Test.make ~name:"sec6a/immobilizer-roundtrip"
-      (Staged.stage (fun () ->
-           let img =
-             Firmware.Immo_fw.image
-               ~variant:(Firmware.Immo_fw.Normal { fixed_dump = true })
-               ()
-           in
-           let policy = Firmware.Immo_fw.base_policy img in
-           let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
-           let aes_out_tag, aes_in_clearance = Firmware.Immo_fw.aes_args policy in
-           let soc =
-             Vp.Soc.create ~policy ~monitor ~tracking:true ~aes_out_tag
-               ~aes_in_clearance ()
-           in
-           Vp.Soc.load_image soc img;
-           Vp.Can.push_rx_frame soc.Vp.Soc.can "CHALLNGE";
-           ignore (Vp.Soc.run_for_instructions soc 10_000_000)))
-  in
-  let tests =
-    Test.make_grouped ~name:"vp-dift"
-      [ fig1_test; table1_test; table2_vp; table2_vpp; immo_test ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:(Some 1000) ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    List.map (fun i -> Analyze.all ols i raw) instances
-  in
-  pf "=== Bechamel micro-measurements ===\n\n";
-  let results = benchmark () in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with
-            | Some [ e ] -> Printf.sprintf "%12.1f ns/run" e
-            | Some es ->
-                String.concat ", " (List.map (Printf.sprintf "%.1f") es)
-            | None -> "n/a"
-          in
-          pf "%-32s %s\n" name est)
-        tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 (* Reject a bad scale, count or workload list at parse time, before any
    measurement starts: a typo must not silently fall back to a full-size
@@ -920,7 +824,7 @@ let positive_int =
 let commands =
   [ "fig1"; "table1"; "table2"; "loc"; "ablate-dmi"; "ablate-policy";
     "ablate-lub"; "ablate-quantum"; "sweep-lattice"; "snapshot"; "parallel";
-    "graph"; "table2-extended"; "bechamel"; "all" ]
+    "graph"; "table2-extended"; "all" ]
 
 let run command scale no_block_cache trace no_warm_start jobs reps only =
   let block_cache = not no_block_cache in
@@ -942,7 +846,6 @@ let run command scale no_block_cache trace no_warm_start jobs reps only =
   | "parallel" -> bench_parallel ~jobs ~warm ~reps ~block_cache ()
   | "graph" -> bench_graph ~block_cache ()
   | "table2-extended" -> table2_extended ~scale ~block_cache ~trace ~only ()
-  | "bechamel" -> bechamel ()
   | _ ->
       fig1 ();
       pf "\n";
@@ -977,9 +880,7 @@ let cmd =
          & pos 0 (enum (List.map (fun c -> (c, c)) commands)) "all"
          & info [] ~docv:"COMMAND"
              ~doc:
-               (Printf.sprintf
-                  "What to measure: %s. $(b,all) runs everything except \
-                   $(b,bechamel)."
+               (Printf.sprintf "What to measure: %s. $(b,all) runs everything."
                   (Arg.doc_alts commands)))
   in
   let scale =

@@ -74,6 +74,92 @@ end
 let mask32 v = v land 0xffffffff
 let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
+(* --- RV32IM value semantics ------------------------------------------ *)
+
+(* The one definition of what each instruction computes. The reference
+   {!Make.execute} wraps it in tag propagation and clearance checks; the
+   compiler's value-only variant calls it from its retirement shells.
+   Register values are held masked to 32 bits, and so is every result. *)
+
+(* The value lui, auipc, every op-imm, every op and every M-extension
+   instruction writes to rd; [pc] is the instruction's own address. *)
+let alu_value insn (regs : int array) pc =
+  let open Insn in
+  match insn with
+  | LUI (_, imm) -> mask32 imm
+  | AUIPC (_, imm) -> mask32 (pc + imm)
+  | ADDI (_, rs1, imm) -> mask32 (regs.(rs1) + imm)
+  | SLTI (_, rs1, imm) -> if signed regs.(rs1) < imm then 1 else 0
+  | SLTIU (_, rs1, imm) -> if regs.(rs1) < mask32 imm then 1 else 0
+  | XORI (_, rs1, imm) -> regs.(rs1) lxor mask32 imm
+  | ORI (_, rs1, imm) -> regs.(rs1) lor mask32 imm
+  | ANDI (_, rs1, imm) -> regs.(rs1) land mask32 imm
+  | SLLI (_, rs1, sh) -> mask32 (regs.(rs1) lsl sh)
+  | SRLI (_, rs1, sh) -> regs.(rs1) lsr sh
+  | SRAI (_, rs1, sh) -> mask32 (signed regs.(rs1) asr sh)
+  | ADD (_, a, b) -> mask32 (regs.(a) + regs.(b))
+  | SUB (_, a, b) -> mask32 (regs.(a) - regs.(b))
+  | SLL (_, a, b) -> mask32 (regs.(a) lsl (regs.(b) land 31))
+  | SLT (_, a, b) -> if signed regs.(a) < signed regs.(b) then 1 else 0
+  | SLTU (_, a, b) -> if regs.(a) < regs.(b) then 1 else 0
+  | XOR (_, a, b) -> regs.(a) lxor regs.(b)
+  | SRL (_, a, b) -> regs.(a) lsr (regs.(b) land 31)
+  | SRA (_, a, b) -> mask32 (signed regs.(a) asr (regs.(b) land 31))
+  | OR (_, a, b) -> regs.(a) lor regs.(b)
+  | AND (_, a, b) -> regs.(a) land regs.(b)
+  | MUL (_, a, b) ->
+      (* Native ints wrap modulo 2^63, which keeps the low word exact. *)
+      mask32 (regs.(a) * regs.(b))
+  | MULH (_, a, b) | MULHSU (_, a, b) | MULHU (_, a, b) ->
+      (* High word of the 64-bit product: mulh sign-extends both operands,
+         mulhsu only rs1, mulhu neither. *)
+      let x = match insn with MULHU _ -> regs.(a) | _ -> signed regs.(a)
+      and y = match insn with MULH _ -> signed regs.(b) | _ -> regs.(b) in
+      let p = Int64.mul (Int64.of_int x) (Int64.of_int y) in
+      Int64.to_int (Int64.shift_right_logical p 32) land 0xffffffff
+  | DIV (_, a, b) ->
+      let x = signed regs.(a) and y = signed regs.(b) in
+      mask32
+        (if y = 0 then -1
+         else if x = -0x80000000 && y = -1 then -0x80000000
+         else
+           (* OCaml division truncates toward zero, matching RISC-V. *)
+           x / y)
+  | DIVU (_, a, b) -> if regs.(b) = 0 then 0xffffffff else regs.(a) / regs.(b)
+  | REM (_, a, b) ->
+      let x = signed regs.(a) and y = signed regs.(b) in
+      mask32
+        (if y = 0 then x else if x = -0x80000000 && y = -1 then 0 else x mod y)
+  | REMU (_, a, b) -> if regs.(b) = 0 then regs.(a) else regs.(a) mod regs.(b)
+  | _ -> invalid_arg "alu_value: not a register-writing ALU instruction"
+
+let branch_taken insn (regs : int array) =
+  let open Insn in
+  match insn with
+  | BEQ (a, b, _) -> regs.(a) = regs.(b)
+  | BNE (a, b, _) -> regs.(a) <> regs.(b)
+  | BLT (a, b, _) -> signed regs.(a) < signed regs.(b)
+  | BGE (a, b, _) -> signed regs.(a) >= signed regs.(b)
+  | BLTU (a, b, _) -> regs.(a) < regs.(b)
+  | BGEU (a, b, _) -> regs.(a) >= regs.(b)
+  | _ -> invalid_arg "branch_taken: not a conditional branch"
+
+(* Access width in bytes of a load or store. *)
+let mem_width insn =
+  let open Insn in
+  match insn with
+  | LB _ | LBU _ | SB _ -> 1
+  | LH _ | LHU _ | SH _ -> 2
+  | LW _ | SW _ -> 4
+  | _ -> invalid_arg "mem_width: not a load or store"
+
+(* Register value of a load that read the zero-extended [v]. *)
+let load_extend insn v =
+  match insn with
+  | Insn.LB _ -> if v land 0x80 <> 0 then v lor 0xffffff00 else v
+  | Insn.LH _ -> if v land 0x8000 <> 0 then v lor 0xffff0000 else v
+  | _ -> v
+
 (* --- Decoded basic blocks -------------------------------------------- *)
 
 (* A run of instructions starting at [b_pc], fetched and decoded once.
@@ -636,8 +722,8 @@ module Make (M : MODE) = struct
       if taken then branch_to (pc0 + off)
     in
     match insn with
-    | LUI (rd, imm) -> set_reg_tagged t rd imm itag
-    | AUIPC (rd, imm) -> set_reg_tagged t rd (pc0 + imm) itag
+    | LUI (rd, _) | AUIPC (rd, _) ->
+        set_reg_tagged t rd (alu_value insn regs pc0) itag
     | JAL (rd, off) ->
         set_reg_tagged t rd (pc0 + 4) itag;
         branch_to (pc0 + off)
@@ -646,144 +732,32 @@ module Make (M : MODE) = struct
         let target = mask32 (regs.(rs1) + off) land lnot 1 in
         set_reg_tagged t rd (pc0 + 4) itag;
         branch_to target
-    | BEQ (a, b, off) -> cond_branch a b off (regs.(a) = regs.(b))
-    | BNE (a, b, off) -> cond_branch a b off (regs.(a) <> regs.(b))
-    | BLT (a, b, off) -> cond_branch a b off (signed regs.(a) < signed regs.(b))
-    | BGE (a, b, off) -> cond_branch a b off (signed regs.(a) >= signed regs.(b))
-    | BLTU (a, b, off) -> cond_branch a b off (regs.(a) < regs.(b))
-    | BGEU (a, b, off) -> cond_branch a b off (regs.(a) >= regs.(b))
-    | LB (rd, rs1, off) ->
+    | BEQ (a, b, off) | BNE (a, b, off) | BLT (a, b, off) | BGE (a, b, off)
+    | BLTU (a, b, off) | BGEU (a, b, off) ->
+        cond_branch a b off (branch_taken insn regs)
+    | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
+    | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
         if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:1 ~addr in
-        set_reg_tagged t rd
-          (if v land 0x80 <> 0 then v lor 0xffffff00 else v)
-          (Bus_if.last_tag t.bus)
-    | LH (rd, rs1, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:2 ~addr in
-        set_reg_tagged t rd
-          (if v land 0x8000 <> 0 then v lor 0xffff0000 else v)
-          (Bus_if.last_tag t.bus)
-    | LW (rd, rs1, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:4 ~addr in
-        set_reg_tagged t rd v (Bus_if.last_tag t.bus)
-    | LBU (rd, rs1, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:1 ~addr in
-        set_reg_tagged t rd v (Bus_if.last_tag t.bus)
-    | LHU (rd, rs1, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:2 ~addr in
-        set_reg_tagged t rd v (Bus_if.last_tag t.bus)
-    | SB (rs1, rs2, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
+        let v = do_load t ~width:(mem_width insn) ~addr in
+        set_reg_tagged t rd (load_extend insn v) (Bus_if.last_tag t.bus)
+    | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
+        let addr = mask32 (regs.(rs1) + off) and width = mem_width insn in
         if M.tracking then begin
           check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:1 ~tag:(rt rs2)
+          check_store_region t ~addr ~width ~tag:(rt rs2)
         end;
-        do_store t ~width:1 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
-    | SH (rs1, rs2, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:2 ~tag:(rt rs2)
-        end;
-        do_store t ~width:2 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
-    | SW (rs1, rs2, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:4 ~tag:(rt rs2)
-        end;
-        do_store t ~width:4 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
-    | ADDI (rd, rs1, imm) -> set_reg_tagged t rd (regs.(rs1) + imm) (tag1 rs1)
-    | SLTI (rd, rs1, imm) ->
-        set_reg_tagged t rd (if signed regs.(rs1) < imm then 1 else 0) (tag1 rs1)
-    | SLTIU (rd, rs1, imm) ->
-        set_reg_tagged t rd
-          (if regs.(rs1) < mask32 imm then 1 else 0)
-          (tag1 rs1)
-    | XORI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) lxor mask32 imm) (tag1 rs1)
-    | ORI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) lor mask32 imm) (tag1 rs1)
-    | ANDI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) land mask32 imm) (tag1 rs1)
-    | SLLI (rd, rs1, sh) -> set_reg_tagged t rd (regs.(rs1) lsl sh) (tag1 rs1)
-    | SRLI (rd, rs1, sh) -> set_reg_tagged t rd (regs.(rs1) lsr sh) (tag1 rs1)
-    | SRAI (rd, rs1, sh) ->
-        set_reg_tagged t rd (signed regs.(rs1) asr sh) (tag1 rs1)
-    | ADD (rd, a, b) -> set_reg_tagged t rd (regs.(a) + regs.(b)) (tag2 a b)
-    | SUB (rd, a, b) -> set_reg_tagged t rd (regs.(a) - regs.(b)) (tag2 a b)
-    | SLL (rd, a, b) ->
-        set_reg_tagged t rd (regs.(a) lsl (regs.(b) land 31)) (tag2 a b)
-    | SLT (rd, a, b) ->
-        set_reg_tagged t rd
-          (if signed regs.(a) < signed regs.(b) then 1 else 0)
-          (tag2 a b)
-    | SLTU (rd, a, b) ->
-        set_reg_tagged t rd (if regs.(a) < regs.(b) then 1 else 0) (tag2 a b)
-    | XOR (rd, a, b) -> set_reg_tagged t rd (regs.(a) lxor regs.(b)) (tag2 a b)
-    | SRL (rd, a, b) ->
-        set_reg_tagged t rd (regs.(a) lsr (regs.(b) land 31)) (tag2 a b)
-    | SRA (rd, a, b) ->
-        set_reg_tagged t rd (signed regs.(a) asr (regs.(b) land 31)) (tag2 a b)
-    | OR (rd, a, b) -> set_reg_tagged t rd (regs.(a) lor regs.(b)) (tag2 a b)
-    | AND (rd, a, b) -> set_reg_tagged t rd (regs.(a) land regs.(b)) (tag2 a b)
-    | MUL (rd, a, b) ->
-        let p = Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b)) in
-        set_reg_tagged t rd (Int64.to_int p land 0xffffffff) (tag2 a b)
-    | MULH (rd, a, b) ->
-        let p =
-          Int64.mul
-            (Int64.of_int (signed regs.(a)))
-            (Int64.of_int (signed regs.(b)))
-        in
-        set_reg_tagged t rd
-          (Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-          (tag2 a b)
-    | MULHSU (rd, a, b) ->
-        let p =
-          Int64.mul (Int64.of_int (signed regs.(a))) (Int64.of_int regs.(b))
-        in
-        set_reg_tagged t rd
-          (Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-          (tag2 a b)
-    | MULHU (rd, a, b) ->
-        let p = Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b)) in
-        set_reg_tagged t rd
-          (Int64.to_int (Int64.shift_right_logical p 32) land 0xffffffff)
-          (tag2 a b)
-    | DIV (rd, a, b) ->
-        let x = signed regs.(a) and y = signed regs.(b) in
-        let q =
-          if y = 0 then -1
-          else if x = -0x80000000 && y = -1 then -0x80000000
-          else
-            (* OCaml division truncates toward zero, matching RISC-V. *)
-            x / y
-        in
-        set_reg_tagged t rd q (tag2 a b)
-    | DIVU (rd, a, b) ->
-        let q = if regs.(b) = 0 then 0xffffffff else regs.(a) / regs.(b) in
-        set_reg_tagged t rd q (tag2 a b)
-    | REM (rd, a, b) ->
-        let x = signed regs.(a) and y = signed regs.(b) in
-        let r =
-          if y = 0 then x
-          else if x = -0x80000000 && y = -1 then 0
-          else x mod y
-        in
-        set_reg_tagged t rd r (tag2 a b)
-    | REMU (rd, a, b) ->
-        let r = if regs.(b) = 0 then regs.(a) else regs.(a) mod regs.(b) in
-        set_reg_tagged t rd r (tag2 a b)
+        do_store t ~width ~addr ~value:regs.(rs2) ~tag:(rt rs2)
+    | ADDI (rd, rs1, _) | SLTI (rd, rs1, _) | SLTIU (rd, rs1, _)
+    | XORI (rd, rs1, _) | ORI (rd, rs1, _) | ANDI (rd, rs1, _)
+    | SLLI (rd, rs1, _) | SRLI (rd, rs1, _) | SRAI (rd, rs1, _) ->
+        set_reg_tagged t rd (alu_value insn regs pc0) (tag1 rs1)
+    | ADD (rd, a, b) | SUB (rd, a, b) | SLL (rd, a, b) | SLT (rd, a, b)
+    | SLTU (rd, a, b) | XOR (rd, a, b) | SRL (rd, a, b) | SRA (rd, a, b)
+    | OR (rd, a, b) | AND (rd, a, b)
+    | MUL (rd, a, b) | MULH (rd, a, b) | MULHSU (rd, a, b) | MULHU (rd, a, b)
+    | DIV (rd, a, b) | DIVU (rd, a, b) | REM (rd, a, b) | REMU (rd, a, b) ->
+        set_reg_tagged t rd (alu_value insn regs pc0) (tag2 a b)
     | FENCE -> ()
     | ECALL ->
         if t.priv = Csr.priv_m && regs.(17) = 93 then
@@ -1032,10 +1006,10 @@ module Make (M : MODE) = struct
      propagation and clearance checks are identical to the reference by
      construction.
 
-     [exit_k] runs when control leaves the straight line (a taken branch
-     or trap): the chain terminator for a standalone block, or a
-     superblock seam that continues into the chained successor when the
-     divergence lands exactly on it. *)
+     [exit_k] runs when control leaves the fall-through path (a taken branch
+     or trap): the chain terminator for a standalone block, a superblock
+     seam that continues into the chained successor when the divergence
+     lands exactly on it, or a jalr's inline cache ({!ic_exit}). *)
   let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
     let next_pc = mask32 (pc0 + 4) in
     (* Captured at compile time; set_trace drops compiled blocks. *)
@@ -1060,11 +1034,11 @@ module Make (M : MODE) = struct
 
   let ic_demoted = -2
 
-  (* Monomorphic-install / demote state machine shared by both jalr
-     variants. On a miss with an empty (or epoch-invalidated) cache the
-     current target's compiled chain is installed if it exists; a second
-     distinct target demotes the site for good. Never *enters* a chain —
-     control falls back to the dispatcher, which re-checks everything. *)
+  (* Monomorphic-install / demote state machine. On a miss with an empty
+     (or epoch-invalidated) cache the current target's compiled chain is
+     installed if it exists; a second distinct target demotes the site for
+     good. Never *enters* a chain — control falls back to the dispatcher,
+     which re-checks everything. *)
   let ic_miss t ic ~tgt ~entry_of =
     t.n_ic_miss <- t.n_ic_miss + 1;
     if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
@@ -1080,45 +1054,22 @@ module Make (M : MODE) = struct
     end
     else ic.ic_pc <- ic_demoted
 
-  (* Full-semantics jalr with an inline cache: replicates {!execute}'s
-     JALR case inside the retirement shell (check before target, target
-     before link write — rd may alias rs1), then jumps straight to the
-     predicted target's chain when the prediction holds and no stop
-     condition is pending. *)
-  let compile_full_jalr t ~guarded ~pc0 ~word ~itag ~insn ~rd ~rs1 ~off ~next =
-    let next_pc = mask32 (pc0 + 4) in
-    let traced = t.trace in
+  (* The exit continuation of a compiled jalr, shared by both variants
+     (each gets its own cache): the jalr has already retired and set
+     [t.pc]; jump directly to the predicted target's chain when the
+     prediction holds and no stop condition is pending, otherwise record
+     the miss and return to the dispatcher. [entry_of] picks which entry
+     of the target chain the cache installs. *)
+  let ic_exit t ~entry_of =
     let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
-    let entry_of cb = cb.cb_full in
-    let regs = t.regs and rtags = t.rtags in
     fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        if M.tracking then begin
-          t.insn_word <- word;
-          t.insn_tag <- itag;
-          check_fetch t itag
-        end;
-        (match traced with Some f -> f pc0 insn | None -> ());
-        t.instret <- t.instret + 1;
-        t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        if M.tracking then
-          check_branch t (Array.unsafe_get rtags rs1) "indirect jump target";
-        let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
-        set_reg_tagged t rd next_pc itag;
-        t.pc <- tgt;
-        if tgt = next_pc then next ()
-        else if
-          ic.ic_pc = tgt
-          && ic.ic_epoch = t.flush_epoch
-          && not (chain_stalled t)
-        then begin
-          t.n_ic_hits <- t.n_ic_hits + 1;
-          ic.ic_entry ()
-        end
-        else ic_miss t ic ~tgt ~entry_of
+      let tgt = t.pc in
+      if ic.ic_pc = tgt && ic.ic_epoch = t.flush_epoch && not (chain_stalled t)
+      then begin
+        t.n_ic_hits <- t.n_ic_hits + 1;
+        ic.ic_entry ()
       end
+      else ic_miss t ic ~tgt ~entry_of
 
   (* Untainted specialization (tracking mode): entered only when every
      cached word and every register carries the bottom tag, so all tag
@@ -1128,8 +1079,10 @@ module Make (M : MODE) = struct
      the full variant's next closure. Fast closures are reached only from
      fast closures, the dispatcher's all-bottom check or seams between
      them, so running one is itself the proof that every register tag is
-     bottom. Bodies replicate {!execute} value semantics with operands
-     and targets folded into the closure. *)
+     bottom. Values come from the same definitions {!execute} uses
+     ({!alu_value}, {!branch_taken}, {!mem_width}, {!load_extend}); only
+     the retirement shells around them are written here, with branch and
+     jump targets folded in at compile time. *)
   let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     let open Insn in
     let regs = t.regs and rtags = t.rtags in
@@ -1146,8 +1099,9 @@ module Make (M : MODE) = struct
        compiler exists to win. Register indices come from 5-bit decode
        fields, so unsafe accesses on the 32-entry files are in bounds by
        construction. *)
-    (* Straight-line ops cannot redirect control: continue unconditionally. *)
-    let straight body =
+    (* Register-writing ALU ops cannot redirect control: continue
+       unconditionally. *)
+    let alu rd =
      fun () ->
       if (not guarded) || not (chain_stalled t) then begin
         t.cur_pc <- pc0;
@@ -1156,7 +1110,7 @@ module Make (M : MODE) = struct
         t.instret <- t.instret + 1;
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- next_pc;
-        body ();
+        if rd <> 0 then Array.unsafe_set regs rd (alu_value insn regs pc0);
         next ()
       end
     in
@@ -1164,7 +1118,7 @@ module Make (M : MODE) = struct
        chain, exactly like the single-step loop; any other landing site
        exits through [exit_k] (terminator, or superblock seam). The
        taken-path continuation is resolved at compile time. *)
-    let cond_branch cond tgt =
+    let cond_branch tgt =
      let taken_k = if tgt = next_pc then next else exit_k in
      fun () ->
       if (not guarded) || not (chain_stalled t) then begin
@@ -1174,7 +1128,7 @@ module Make (M : MODE) = struct
         t.instret <- t.instret + 1;
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- next_pc;
-        if cond () then begin
+        if branch_taken insn regs then begin
           t.pc <- tgt;
           taken_k ()
         end
@@ -1185,7 +1139,8 @@ module Make (M : MODE) = struct
        ends the specialization and resumes on the full chain. A faulting
        load traps exactly like {!do_load} (the trap itself cannot taint:
        CSR tags are written as bottom). *)
-    let load width sext rd rs1 off =
+    let load rd rs1 off =
+     let width = mem_width insn in
      (* Alignment strictness is a create-time constant, so the check is
         specialized away on default cores. *)
      let align = t.strict_align && width > 1 in
@@ -1198,7 +1153,7 @@ module Make (M : MODE) = struct
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- next_pc;
         let addr = mask32 (Array.unsafe_get regs rs1 + off) in
-        (* The straight-line continuation: the fast successor, or the full
+        (* The fall-through continuation: the fast successor, or the full
            chain's once a tainted value has landed in a register. *)
         let k =
           if align && addr land (width - 1) <> 0 then begin
@@ -1208,7 +1163,7 @@ module Make (M : MODE) = struct
           end
           else
             try
-              let v = sext (Bus_if.load t.bus ~width ~addr) in
+              let v = load_extend insn (Bus_if.load t.bus ~width ~addr) in
               if rd = 0 then next
               else begin
                 Array.unsafe_set regs rd (mask32 v);
@@ -1231,7 +1186,8 @@ module Make (M : MODE) = struct
     in
     (* Stores cannot taint registers; the written tag is bottom by the
        fast-path invariant (rs2's tag is bottom whenever this runs). *)
-    let store width rs1 rs2 off =
+    let store rs1 rs2 off =
+     let width = mem_width insn in
      let align = t.strict_align && width > 1 in
      fun () ->
       if (not guarded) || not (chain_stalled t) then begin
@@ -1254,16 +1210,17 @@ module Make (M : MODE) = struct
         if t.pc = next_pc then next () else exit_k ()
       end
     in
-    let sext8 v = if v land 0x80 <> 0 then v lor 0xffffff00 else v in
-    let sext16 v = if v land 0x8000 <> 0 then v lor 0xffff0000 else v in
-    let id v = v in
     match insn with
-    | LUI (rd, imm) ->
-        let v = mask32 imm in
-        straight (fun () -> if rd <> 0 then regs.(rd) <- v)
-    | AUIPC (rd, imm) ->
-        let v = mask32 (pc0 + imm) in
-        straight (fun () -> if rd <> 0 then regs.(rd) <- v)
+    | LUI (rd, _) | AUIPC (rd, _)
+    | ADDI (rd, _, _) | SLTI (rd, _, _) | SLTIU (rd, _, _) | XORI (rd, _, _)
+    | ORI (rd, _, _) | ANDI (rd, _, _) | SLLI (rd, _, _) | SRLI (rd, _, _)
+    | SRAI (rd, _, _)
+    | ADD (rd, _, _) | SUB (rd, _, _) | SLL (rd, _, _) | SLT (rd, _, _)
+    | SLTU (rd, _, _) | XOR (rd, _, _) | SRL (rd, _, _) | SRA (rd, _, _)
+    | OR (rd, _, _) | AND (rd, _, _)
+    | MUL (rd, _, _) | MULH (rd, _, _) | MULHSU (rd, _, _) | MULHU (rd, _, _)
+    | DIV (rd, _, _) | DIVU (rd, _, _) | REM (rd, _, _) | REMU (rd, _, _) ->
+        alu rd
     | JAL (rd, off) ->
         let tgt = mask32 (pc0 + off) in
         let taken_k = if tgt = next_pc then next else exit_k in
@@ -1279,15 +1236,15 @@ module Make (M : MODE) = struct
             taken_k ()
           end
     | JALR (rd, rs1, off) ->
-        (* Inline-cache the jalr target. A hit jumps straight into the
-           predicted chain's fast entry, or its full entry when the target
-           has no fast variant, so the prediction still skips the
-           dispatcher. The tag invariant carries over the jump: every
-           register tag is bottom here, which is exactly the fast-entry
-           precondition the dispatcher would re-derive. *)
-        let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
-        let entry_of cb =
-          match cb.cb_fast with Some f -> f | None -> cb.cb_full
+        (* A cache hit jumps directly into the predicted chain's fast
+           entry, or its full entry when the target has no fast variant,
+           so the prediction still skips the dispatcher. The tag invariant
+           carries over the jump: every register tag is bottom here, which
+           is exactly the fast-entry precondition the dispatcher would
+           re-derive. *)
+        let ic_k =
+          ic_exit t ~entry_of:(fun cb ->
+              match cb.cb_fast with Some f -> f | None -> cb.cb_full)
         in
         fun () ->
           if (not guarded) || not (chain_stalled t) then begin
@@ -1300,160 +1257,16 @@ module Make (M : MODE) = struct
             let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
             if rd <> 0 then Array.unsafe_set regs rd next_pc;
             t.pc <- tgt;
-            if tgt = next_pc then next ()
-            else if
-              ic.ic_pc = tgt
-              && ic.ic_epoch = t.flush_epoch
-              && not (chain_stalled t)
-            then begin
-              t.n_ic_hits <- t.n_ic_hits + 1;
-              ic.ic_entry ()
-            end
-            else ic_miss t ic ~tgt ~entry_of
+            if tgt = next_pc then next () else ic_k ()
           end
-    | BEQ (a, b, off) ->
-        cond_branch (fun () -> regs.(a) = regs.(b)) (mask32 (pc0 + off))
-    | BNE (a, b, off) ->
-        cond_branch (fun () -> regs.(a) <> regs.(b)) (mask32 (pc0 + off))
-    | BLT (a, b, off) ->
-        cond_branch
-          (fun () -> signed regs.(a) < signed regs.(b))
-          (mask32 (pc0 + off))
-    | BGE (a, b, off) ->
-        cond_branch
-          (fun () -> signed regs.(a) >= signed regs.(b))
-          (mask32 (pc0 + off))
-    | BLTU (a, b, off) ->
-        cond_branch (fun () -> regs.(a) < regs.(b)) (mask32 (pc0 + off))
-    | BGEU (a, b, off) ->
-        cond_branch (fun () -> regs.(a) >= regs.(b)) (mask32 (pc0 + off))
-    | LB (rd, rs1, off) -> load 1 sext8 rd rs1 off
-    | LH (rd, rs1, off) -> load 2 sext16 rd rs1 off
-    | LW (rd, rs1, off) -> load 4 id rd rs1 off
-    | LBU (rd, rs1, off) -> load 1 id rd rs1 off
-    | LHU (rd, rs1, off) -> load 2 id rd rs1 off
-    | SB (rs1, rs2, off) -> store 1 rs1 rs2 off
-    | SH (rs1, rs2, off) -> store 2 rs1 rs2 off
-    | SW (rs1, rs2, off) -> store 4 rs1 rs2 off
-    | ADDI (rd, rs1, imm) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (regs.(rs1) + imm))
-    | SLTI (rd, rs1, imm) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- (if signed regs.(rs1) < imm then 1 else 0))
-    | SLTIU (rd, rs1, imm) ->
-        let imm = mask32 imm in
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- (if regs.(rs1) < imm then 1 else 0))
-    | XORI (rd, rs1, imm) ->
-        let imm = mask32 imm in
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(rs1) lxor imm)
-    | ORI (rd, rs1, imm) ->
-        let imm = mask32 imm in
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(rs1) lor imm)
-    | ANDI (rd, rs1, imm) ->
-        let imm = mask32 imm in
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(rs1) land imm)
-    | SLLI (rd, rs1, sh) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (regs.(rs1) lsl sh))
-    | SRLI (rd, rs1, sh) ->
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(rs1) lsr sh)
-    | SRAI (rd, rs1, sh) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (signed regs.(rs1) asr sh))
-    | ADD (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (regs.(a) + regs.(b)))
-    | SUB (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (regs.(a) - regs.(b)))
-    | SLL (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- mask32 (regs.(a) lsl (regs.(b) land 31)))
-    | SLT (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              regs.(rd) <- (if signed regs.(a) < signed regs.(b) then 1 else 0))
-    | SLTU (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- (if regs.(a) < regs.(b) then 1 else 0))
-    | XOR (rd, a, b) ->
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(a) lxor regs.(b))
-    | SRL (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then regs.(rd) <- regs.(a) lsr (regs.(b) land 31))
-    | SRA (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              regs.(rd) <- mask32 (signed regs.(a) asr (regs.(b) land 31)))
-    | OR (rd, a, b) ->
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(a) lor regs.(b))
-    | AND (rd, a, b) ->
-        straight (fun () -> if rd <> 0 then regs.(rd) <- regs.(a) land regs.(b))
-    | MUL (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              let p =
-                Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b))
-              in
-              regs.(rd) <- Int64.to_int p land 0xffffffff)
-    | MULH (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              let p =
-                Int64.mul
-                  (Int64.of_int (signed regs.(a)))
-                  (Int64.of_int (signed regs.(b)))
-              in
-              regs.(rd) <- Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-    | MULHSU (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              let p =
-                Int64.mul (Int64.of_int (signed regs.(a))) (Int64.of_int regs.(b))
-              in
-              regs.(rd) <- Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-    | MULHU (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              let p =
-                Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b))
-              in
-              regs.(rd) <-
-                Int64.to_int (Int64.shift_right_logical p 32) land 0xffffffff)
-    | DIV (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then begin
-              let x = signed regs.(a) and y = signed regs.(b) in
-              let q =
-                if y = 0 then -1
-                else if x = -0x80000000 && y = -1 then -0x80000000
-                else x / y
-              in
-              regs.(rd) <- mask32 q
-            end)
-    | DIVU (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              regs.(rd) <-
-                (if regs.(b) = 0 then 0xffffffff else regs.(a) / regs.(b)))
-    | REM (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then begin
-              let x = signed regs.(a) and y = signed regs.(b) in
-              let r =
-                if y = 0 then x
-                else if x = -0x80000000 && y = -1 then 0
-                else x mod y
-              in
-              regs.(rd) <- mask32 r
-            end)
-    | REMU (rd, a, b) ->
-        straight (fun () ->
-            if rd <> 0 then
-              regs.(rd) <-
-                (if regs.(b) = 0 then regs.(a) else regs.(a) mod regs.(b)))
+    | BEQ (_, _, off) | BNE (_, _, off) | BLT (_, _, off) | BGE (_, _, off)
+    | BLTU (_, _, off) | BGEU (_, _, off) ->
+        cond_branch (mask32 (pc0 + off))
+    | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
+    | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
+        load rd rs1 off
+    | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
+        store rs1 rs2 off
     | FENCE | ECALL | EBREAK | MRET | WFI
     | CSRRW _ | CSRRS _ | CSRRC _ | CSRRWI _ | CSRRSI _ | CSRRCI _
     | ILLEGAL _ ->
@@ -1480,7 +1293,7 @@ module Make (M : MODE) = struct
       (* Superblock seams: with a hot successor [link], every exit path of
          this block (slot [n] fall-off, taken branches, even a mid-block
          trap) funnels through a seam instead of the chain terminator. The
-         seam continues straight into the successor's chain — eliding the
+         seam continues directly into the successor's chain — eliding the
          dispatcher round, the pc/index lookup and, on the fast side, the
          31-register tag rescan — exactly when execution really landed on
          the successor and no stop condition is pending; anything else
@@ -1513,19 +1326,16 @@ module Make (M : MODE) = struct
       let full = Array.make (n + 1) full_seam in
       for i = n - 1 downto 0 do
         let itag = if M.tracking then b.b_tags.(i) else t.pub in
+        let insn = b.b_insns.(i) in
+        let exit_k =
+          match insn with
+          | Insn.JALR _ -> ic_exit t ~entry_of:(fun cb -> cb.cb_full)
+          | _ -> full_seam
+        in
         full.(i) <-
-          (match b.b_insns.(i) with
-          | Insn.JALR (rd, rs1, off) ->
-              compile_full_jalr t ~guarded:(i > 0)
-                ~pc0:(b.b_pc + (4 * i))
-                ~word:b.b_words.(i) ~itag ~insn:b.b_insns.(i) ~rd ~rs1 ~off
-                ~next:full.(i + 1)
-          | insn ->
-              compile_full t ~guarded:(i > 0)
-                ~pc0:(b.b_pc + (4 * i))
-                ~word:b.b_words.(i) ~itag ~insn
-                ~next:full.(i + 1)
-                ~exit_k:full_seam)
+          compile_full t ~guarded:(i > 0)
+            ~pc0:(b.b_pc + (4 * i))
+            ~word:b.b_words.(i) ~itag ~insn ~next:full.(i + 1) ~exit_k
       done;
       let cb_fast =
         if t.fast_spec && b.b_fast then begin

@@ -4,60 +4,100 @@
    future work, done with QCheck.
 
    Programs are straight-line RV32IM with optional one-instruction forward
-   skips; memory traffic is confined to a scratch buffer. *)
+   skips under any of the six branch conditions; memory traffic is
+   confined to a scratch buffer. Four working registers start at the
+   corner values 0, -1, 0x7fffffff and 0x80000000, so the DIV/REM
+   overflow case and mixed-sign MULH* products come up routinely. *)
 
 open Helpers
 module A = Rv32_asm.Asm
 module I = Rv32.Insn
 
-(* Working registers x5..x15; x28 holds the scratch-buffer base. *)
+(* Working registers x5..x15; x28 holds the scratch-buffer base.
+   Results land in x5..x11 only, so x12..x15 keep their corner values
+   for the whole program. *)
 let wreg = QCheck.Gen.int_range 5 15
+let dst = QCheck.Gen.int_range 5 11
+let corner = QCheck.Gen.int_range 12 15
 let buf_reg = 28
 
-type rinsn = Plain of I.t | Skip_if_eq of int * int
+(* [Skip b]: the conditional branch [b] jumps over the next instruction. *)
+type rinsn = Plain of I.t | Skip of I.t
 
 let gen_rinsn =
   let open QCheck.Gen in
   let imm = int_range (-2048) 2047 in
   let off = map (fun x -> x * 4) (int_bound 62) (* word-aligned, in buffer *) in
-  let boff = int_bound 255 in
   let shamt = int_bound 31 in
+  (* Any two corner registers; a quarter of the time the DIV/REM
+     overflow pair 0x80000000 / -1. *)
+  let corner_pair =
+    frequency [ (3, pair corner corner); (1, return (15, 13)) ]
+  in
   frequency
     [
-      (6, map3 (fun rd a b -> Plain (I.ADD (rd, a, b))) wreg wreg wreg);
-      (4, map3 (fun rd a b -> Plain (I.SUB (rd, a, b))) wreg wreg wreg);
-      (4, map3 (fun rd a b -> Plain (I.XOR (rd, a, b))) wreg wreg wreg);
-      (4, map3 (fun rd a b -> Plain (I.OR (rd, a, b))) wreg wreg wreg);
-      (4, map3 (fun rd a b -> Plain (I.AND (rd, a, b))) wreg wreg wreg);
-      (3, map3 (fun rd a b -> Plain (I.SLT (rd, a, b))) wreg wreg wreg);
-      (3, map3 (fun rd a b -> Plain (I.SLTU (rd, a, b))) wreg wreg wreg);
-      (3, map3 (fun rd a b -> Plain (I.SLL (rd, a, b))) wreg wreg wreg);
-      (3, map3 (fun rd a b -> Plain (I.SRL (rd, a, b))) wreg wreg wreg);
-      (3, map3 (fun rd a b -> Plain (I.SRA (rd, a, b))) wreg wreg wreg);
-      (4, map3 (fun rd a b -> Plain (I.MUL (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.MULH (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.MULHU (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.DIV (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.DIVU (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.REM (rd, a, b))) wreg wreg wreg);
-      (2, map3 (fun rd a b -> Plain (I.REMU (rd, a, b))) wreg wreg wreg);
-      (6, map3 (fun rd a i -> Plain (I.ADDI (rd, a, i))) wreg wreg imm);
-      (3, map3 (fun rd a i -> Plain (I.XORI (rd, a, i))) wreg wreg imm);
-      (3, map3 (fun rd a i -> Plain (I.ANDI (rd, a, i))) wreg wreg imm);
-      (3, map3 (fun rd a i -> Plain (I.ORI (rd, a, i))) wreg wreg imm);
-      (3, map3 (fun rd a s -> Plain (I.SLLI (rd, a, s))) wreg wreg shamt);
-      (3, map3 (fun rd a s -> Plain (I.SRAI (rd, a, s))) wreg wreg shamt);
-      (2, map2 (fun rd i -> Plain (I.LUI (rd, i lsl 12))) wreg (int_bound 0xfffff));
-      (4, map2 (fun rd o -> Plain (I.LW (rd, buf_reg, o))) wreg off);
-      (3, map2 (fun rd o -> Plain (I.LBU (rd, buf_reg, o))) wreg (map2 (+) off (int_bound 3)));
-      (3, map2 (fun rd o -> Plain (I.LB (rd, buf_reg, o))) wreg (map2 (+) off (int_bound 3)));
-      (2, map2 (fun rd o -> Plain (I.LH (rd, buf_reg, o))) wreg (map2 (fun a b -> a + 2 * b) off (int_bound 1)));
+      (6, map3 (fun rd a b -> Plain (I.ADD (rd, a, b))) dst wreg wreg);
+      (4, map3 (fun rd a b -> Plain (I.SUB (rd, a, b))) dst wreg wreg);
+      (4, map3 (fun rd a b -> Plain (I.XOR (rd, a, b))) dst wreg wreg);
+      (4, map3 (fun rd a b -> Plain (I.OR (rd, a, b))) dst wreg wreg);
+      (4, map3 (fun rd a b -> Plain (I.AND (rd, a, b))) dst wreg wreg);
+      (3, map3 (fun rd a b -> Plain (I.SLT (rd, a, b))) dst wreg wreg);
+      (3, map3 (fun rd a b -> Plain (I.SLTU (rd, a, b))) dst wreg wreg);
+      (3, map3 (fun rd a b -> Plain (I.SLL (rd, a, b))) dst wreg wreg);
+      (3, map3 (fun rd a b -> Plain (I.SRL (rd, a, b))) dst wreg wreg);
+      (3, map3 (fun rd a b -> Plain (I.SRA (rd, a, b))) dst wreg wreg);
+      (4, map3 (fun rd a b -> Plain (I.MUL (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.MULH (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.MULHU (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.DIV (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.DIVU (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.REM (rd, a, b))) dst wreg wreg);
+      (2, map3 (fun rd a b -> Plain (I.REMU (rd, a, b))) dst wreg wreg);
+      (6, map3 (fun rd a i -> Plain (I.ADDI (rd, a, i))) dst wreg imm);
+      (3, map3 (fun rd a i -> Plain (I.XORI (rd, a, i))) dst wreg imm);
+      (3, map3 (fun rd a i -> Plain (I.ANDI (rd, a, i))) dst wreg imm);
+      (3, map3 (fun rd a i -> Plain (I.ORI (rd, a, i))) dst wreg imm);
+      (3, map3 (fun rd a s -> Plain (I.SLLI (rd, a, s))) dst wreg shamt);
+      (3, map3 (fun rd a s -> Plain (I.SRAI (rd, a, s))) dst wreg shamt);
+      (3, map3 (fun rd a s -> Plain (I.SRLI (rd, a, s))) dst wreg shamt);
+      (3, map3 (fun rd a i -> Plain (I.SLTI (rd, a, i))) dst wreg imm);
+      (3, map3 (fun rd a i -> Plain (I.SLTIU (rd, a, i))) dst wreg imm);
+      (2, map3 (fun rd a b -> Plain (I.MULHSU (rd, a, b))) dst wreg wreg);
+      (2, map2 (fun rd i -> Plain (I.LUI (rd, i lsl 12))) dst (int_bound 0xfffff));
+      (2, map2 (fun rd i -> Plain (I.AUIPC (rd, i lsl 12))) dst (int_bound 0xfffff));
+      (4, map2 (fun rd o -> Plain (I.LW (rd, buf_reg, o))) dst off);
+      (3, map2 (fun rd o -> Plain (I.LBU (rd, buf_reg, o))) dst (map2 (+) off (int_bound 3)));
+      (3, map2 (fun rd o -> Plain (I.LB (rd, buf_reg, o))) dst (map2 (+) off (int_bound 3)));
+      (2, map2 (fun rd o -> Plain (I.LH (rd, buf_reg, o))) dst (map2 (fun a b -> a + 2 * b) off (int_bound 1)));
+      (2, map2 (fun rd o -> Plain (I.LHU (rd, buf_reg, o))) dst (map2 (fun a b -> a + 2 * b) off (int_bound 1)));
       (4, map2 (fun rs o -> Plain (I.SW (buf_reg, rs, o))) wreg off);
       (3, map2 (fun rs o -> Plain (I.SB (buf_reg, rs, o))) wreg (map2 (+) off (int_bound 3)));
       (2, map2 (fun rs o -> Plain (I.SH (buf_reg, rs, o))) wreg (map2 (fun a b -> a + 2 * b) off (int_bound 1)));
-      (3, map2 (fun a b -> Skip_if_eq (a, b)) wreg wreg);
+      (* M-extension ops on two corner values. *)
+      ( 8,
+        map2
+          (fun (op, rd) (a, b) -> Plain (op rd a b))
+          (pair
+             (oneofl
+                [ (fun rd a b -> I.MUL (rd, a, b));
+                  (fun rd a b -> I.MULH (rd, a, b));
+                  (fun rd a b -> I.MULHSU (rd, a, b));
+                  (fun rd a b -> I.MULHU (rd, a, b));
+                  (fun rd a b -> I.DIV (rd, a, b));
+                  (fun rd a b -> I.DIVU (rd, a, b));
+                  (fun rd a b -> I.REM (rd, a, b));
+                  (fun rd a b -> I.REMU (rd, a, b)) ])
+             dst)
+          corner_pair );
+      ( 6,
+        map3
+          (fun cond a b -> Skip (cond a b))
+          (oneofl
+             [ (fun a b -> I.BEQ (a, b, 8)); (fun a b -> I.BNE (a, b, 8));
+               (fun a b -> I.BLT (a, b, 8)); (fun a b -> I.BGE (a, b, 8));
+               (fun a b -> I.BLTU (a, b, 8)); (fun a b -> I.BGEU (a, b, 8)) ])
+          wreg wreg );
       (1, return (Plain I.FENCE));
-      (1, map (fun b -> Plain (I.SLTIU (5, 5, b))) boff);
     ]
 
 let gen_program =
@@ -68,9 +108,7 @@ let print_program prog =
     (List.map
        (function
          | Plain i -> Rv32.Disasm.insn i
-         | Skip_if_eq (a, b) ->
-             Printf.sprintf "beq %s, %s, +8 (skip)" (Rv32.Reg.name a)
-               (Rv32.Reg.name b))
+         | Skip b -> Rv32.Disasm.insn b ^ " (skip)")
        prog)
 
 let arb_program = QCheck.make ~print:print_program gen_program
@@ -78,14 +116,15 @@ let arb_program = QCheck.make ~print:print_program gen_program
 let build_image prog =
   let p = A.create () in
   Firmware.Rt.entry p ();
-  (* Seed the working registers deterministically and point x28 at the
-     buffer. *)
-  List.iteri (fun i r -> A.li p r (0x1234 * (i + 1))) [ 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ];
+  (* Seed the working registers deterministically, the last four with
+     corner values, and point x28 at the buffer. *)
+  List.iteri (fun i r -> A.li p r (0x1234 * (i + 1))) [ 5; 6; 7; 8; 9; 10; 11 ];
+  List.iter2 (A.li p) [ 12; 13; 14; 15 ] [ 0; -1; 0x7fffffff; 0x80000000 ];
   A.la p buf_reg "buf";
   List.iter
     (function
       | Plain i -> A.insn p i
-      | Skip_if_eq (a, b) -> A.insn p (I.BEQ (a, b, 8)))
+      | Skip b -> A.insn p b)
     prog;
   (* A trailing skip must not jump over the exit sequence. *)
   A.nop p;

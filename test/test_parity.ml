@@ -549,17 +549,20 @@ let taint_prog ~iterations p =
   A.label p "cell";
   A.word p 0
 
+(* [run_e] seed: classify the program's "secret" word as [tag]. *)
+let seed_secret tag soc img =
+  Vp.Soc.seed_taint soc ~origin:"secret"
+    ~addr:(Rv32_asm.Image.symbol img "secret")
+    ~len:4 tag
+
 let check_taint ~name ~iterations =
   let policy = conf_policy () in
   let lat = policy.Dift.Policy.lattice in
   let hc = Dift.Lattice.tag_of_name lat "HC" in
   let lc = Dift.Lattice.tag_of_name lat "LC" in
-  let seed soc img =
-    Vp.Soc.seed_taint soc ~origin:"secret"
-      ~addr:(Rv32_asm.Image.symbol img "secret")
-      ~len:4 hc
+  let soc =
+    check_engines ~policy ~seed:(seed_secret hc) ~name (taint_prog ~iterations)
   in
-  let soc = check_engines ~policy ~seed ~name (taint_prog ~iterations) in
   let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
   check_int "a1 tainted HC" hc (tag 11);
   check_int "s0 stays public" lc (tag 8);
@@ -827,6 +830,17 @@ let test_compiled_actually_runs () =
   check_bool "fast chains retired" true
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0)
 
+(* Call/return with a secret parked in an otherwise unused register
+   (t6): after the prelude's load every dispatch sees a non-bottom
+   register tag, so the loop runs on the full variant only. *)
+let tainted_callret_prog p =
+  A.la p R.t6 "secret";
+  A.lw p R.t6 R.t6 0;
+  callret_prog p;
+  A.align p 4;
+  A.label p "secret";
+  A.word p 0x5ec2e700
+
 let test_counters () =
   (* Hot call/return: superblocks link, chains run, the monomorphic ret
      hits its inline cache. *)
@@ -839,6 +853,20 @@ let test_counters () =
   check_bool "superblocks built" true (c.Vp.Soc.cpu_superblocks_built () > 0);
   check_bool "chain transitions taken" true (c.Vp.Soc.cpu_chain_hits () > 0);
   check_bool "inline-cache hits" true (c.Vp.Soc.cpu_ic_hits () > 0);
+  (* The same loop under taint: the full variant's ret hits its own
+     inline cache, and only the prelude up to the tainted load (la = two
+     instructions, then the lw) retires on the value-only variant. *)
+  let policy = conf_policy () in
+  let hc = Dift.Lattice.tag_of_name policy.Dift.Policy.lattice "HC" in
+  let soc =
+    check_engines ~policy ~seed:(seed_secret hc) ~code:0
+      ~name:"tainted call/ret" tainted_callret_prog
+  in
+  let c = soc.Vp.Soc.cpu in
+  check_int "t6 tainted HC" hc (c.Vp.Soc.cpu_get_reg_tag R.t6);
+  check_bool "full-variant inline-cache hits" true
+    (c.Vp.Soc.cpu_ic_hits () > 0);
+  check_int "fast variant stops at the taint" 3 (c.Vp.Soc.cpu_fast_retired ());
   (* Polymorphic dispatch: the rotating target site must keep missing
      (and stay demoted) without ever entering a stale chain. *)
   let soc, _ = run_e ~block_cache:true poly_prog in
