@@ -11,12 +11,3 @@
    delta to float. *)
 let origin = Monotonic_clock.now ()
 let now_s () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) origin) /. 1e9
-
-let now_ns () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) origin)
-
-(* Processor time of the whole process — on Linux clock() sums the CPU
-   time of every thread, so domain-parallel runs report aggregate burn.
-   Wall vs cpu is the honest scaling picture: on a single-core host a
-   4-domain run shows cpu ~ wall (timeslicing), on a 4-core host
-   cpu ~ 4 * wall. *)
-let cpu_ns () = int_of_float (Sys.time () *. 1e9)

@@ -3,12 +3,3 @@ val now_s : unit -> float
     backwards; use differences only). The epoch is captured at module
     init so the value stays small enough that float conversion keeps
     nanosecond resolution regardless of system uptime. *)
-
-val now_ns : unit -> int
-(** Same clock as {!now_s}, in integer nanoseconds (differences only). *)
-
-val cpu_ns : unit -> int
-(** Processor time consumed by the whole process (all domains summed), in
-    nanoseconds. Compare a duration on this clock against the same
-    duration on {!now_ns} to see real parallelism: cpu/wall ~ the number
-    of cores actually working. *)

@@ -99,348 +99,224 @@ let extended ~scale =
 
 (* --- Measurement ----------------------------------------------------- *)
 
-type raw = {
-  raw_instructions : int;
-  raw_seconds : float;
-  raw_fast : int;
-  raw_blocks : int;
-  raw_superblocks : int;
-  raw_chain : int;
-  raw_ic_hits : int;
-  raw_ic_misses : int;
-  raw_exit_ok : bool;
+type sample = {
+  s_instructions : int;
+  s_seconds : float;
+  s_fast_retired : int;
+  s_blocks_built : int;
+  s_superblocks : int;
+  s_chain_hits : int;
+  s_ic_hits : int;
+  s_ic_misses : int;
+  s_exit_ok : bool;
 }
 
-let run_def ?(block_cache = true) ?(trace = false) ~tracking def =
-  let img = def.make_image () in
-  let policy = def.make_policy img in
+let run ?block_cache ?dmi ?quantum ?policy ~tracking def img =
+  let policy =
+    match policy with Some p -> p | None -> def.make_policy img
+  in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
   let aes_out_tag, aes_in_clearance =
     match def.aes img with
     | Some (o, c) -> (Some o, Some c)
     | None -> (None, None)
   in
-  let tracer =
-    if trace then Some (Trace.Tracer.create policy.Dift.Policy.lattice)
-    else None
-  in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache
-      ?sensor_period:def.sensor_period ?aes_out_tag ?aes_in_clearance ?tracer ()
+    Vp.Soc.create ~policy ~monitor ~tracking ?block_cache ?dmi ?quantum
+      ?sensor_period:def.sensor_period ?aes_out_tag ?aes_in_clearance ()
   in
   Vp.Soc.load_image soc img;
   def.setup soc;
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000_000;
+  let cpu = soc.Vp.Soc.cpu in
+  cpu.Vp.Soc.cpu_set_max 500_000_000;
   Vp.Soc.start soc;
   let t0 = Clock.now_s () in
   Vp.Soc.run soc;
   let dt = Clock.now_s () -. t0 in
-  let exit_ok =
-    match soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () with
-    | Rv32.Core.Exited 0 -> true
-    | _ -> false
-  in
   {
-    raw_instructions = soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ();
-    raw_seconds = dt;
-    raw_fast = soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ();
-    raw_blocks = soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built ();
-    raw_superblocks = soc.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built ();
-    raw_chain = soc.Vp.Soc.cpu.Vp.Soc.cpu_chain_hits ();
-    raw_ic_hits = soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_hits ();
-    raw_ic_misses = soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_misses ();
-    raw_exit_ok = exit_ok;
+    s_instructions = cpu.Vp.Soc.cpu_instret ();
+    s_seconds = dt;
+    s_fast_retired = cpu.Vp.Soc.cpu_fast_retired ();
+    s_blocks_built = cpu.Vp.Soc.cpu_blocks_built ();
+    s_superblocks = cpu.Vp.Soc.cpu_superblocks_built ();
+    s_chain_hits = cpu.Vp.Soc.cpu_chain_hits ();
+    s_ic_hits = cpu.Vp.Soc.cpu_ic_hits ();
+    s_ic_misses = cpu.Vp.Soc.cpu_ic_misses ();
+    s_exit_ok = cpu.Vp.Soc.cpu_exit () = Rv32.Core.Exited 0;
   }
+
+let timed ~instructions f =
+  let t0 = Clock.now_s () in
+  f ();
+  {
+    s_instructions = instructions;
+    s_seconds = Clock.now_s () -. t0;
+    s_fast_retired = 0;
+    s_blocks_built = 0;
+    s_superblocks = 0;
+    s_chain_hits = 0;
+    s_ic_hits = 0;
+    s_ic_misses = 0;
+    s_exit_ok = true;
+  }
+
+(* Odd, so the median is a sample; every timed row is cheap enough. *)
+let reps = 11
 
 type measurement = {
   m_workload : string;
   m_mode : string;
   m_instructions : int;
   m_seconds : float;
+  m_seconds_p25 : float;
+  m_seconds_p75 : float;
   m_mips : float;
   m_overhead : float;
   m_fast_retired : int;
   m_blocks_built : int;
-  m_superblocks : int option;
-  m_chain_hits : int option;
-  m_ic_hits : int option;
-  m_ic_misses : int option;
+  m_superblocks : int;
+  m_chain_hits : int;
+  m_ic_hits : int;
+  m_ic_misses : int;
   m_loc_asm : int;
   m_exit_ok : bool;
-  m_trace : bool;
-  m_jobs : int option;
-  m_wall_ns : int option;
-  m_cpu_ns : int option;
-  m_worker_throughput : float option;
-  m_store_bytes : int option;
-  m_ingest_ns : int option;
-  m_query_ns : int option;
-  m_nodes : int option;
-  m_edges : int option;
 }
 
 let mips instructions seconds =
   if seconds > 0. then float_of_int instructions /. seconds /. 1e6 else 0.
 
-let measurement_of_raw ?(trace = false) ~workload ~mode ~overhead ~loc_asm r =
-  {
-    m_workload = workload;
-    m_mode = mode;
-    m_instructions = r.raw_instructions;
-    m_seconds = r.raw_seconds;
-    m_mips = mips r.raw_instructions r.raw_seconds;
-    m_overhead = overhead;
-    m_fast_retired = r.raw_fast;
-    m_blocks_built = r.raw_blocks;
-    m_superblocks = Some r.raw_superblocks;
-    m_chain_hits = Some r.raw_chain;
-    m_ic_hits = Some r.raw_ic_hits;
-    m_ic_misses = Some r.raw_ic_misses;
-    m_loc_asm = loc_asm;
-    m_exit_ok = r.raw_exit_ok;
-    m_trace = trace;
-    m_jobs = None;
-    m_wall_ns = None;
-    m_cpu_ns = None;
-    m_worker_throughput = None;
-    m_store_bytes = None;
-    m_ingest_ns = None;
-    m_query_ns = None;
-    m_nodes = None;
-    m_edges = None;
-  }
+(* Linear interpolation between the closest ranks. *)
+let quantile q xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let h = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float h in
+  if i + 1 >= Array.length a then a.(i)
+  else a.(i) +. ((h -. float_of_int i) *. (a.(i + 1) -. a.(i)))
 
-let parallel_row ?(exit_ok = true) ~workload ~mode ~jobs ~tasks ~instructions
-    ~wall_ns ~cpu_ns ~overhead () =
-  let secs = float_of_int wall_ns /. 1e9 in
-  {
-    m_workload = workload;
-    m_mode = mode;
-    m_instructions = instructions;
-    m_seconds = secs;
-    m_mips = mips instructions secs;
-    m_overhead = overhead;
-    m_fast_retired = 0;
-    m_blocks_built = 0;
-    m_superblocks = None;
-    m_chain_hits = None;
-    m_ic_hits = None;
-    m_ic_misses = None;
-    m_loc_asm = 0;
-    m_exit_ok = exit_ok;
-    m_trace = false;
-    m_jobs = Some jobs;
-    m_wall_ns = Some wall_ns;
-    m_cpu_ns = Some cpu_ns;
-    m_worker_throughput =
-      Some
-        (if secs > 0. && jobs > 0 then
-           float_of_int tasks /. secs /. float_of_int jobs
-         else 0.);
-    m_store_bytes = None;
-    m_ingest_ns = None;
-    m_query_ns = None;
-    m_nodes = None;
-    m_edges = None;
-  }
+let measure ~workload ~loc_asm configs =
+  let runs = Array.of_list (List.map snd configs) in
+  (* rounds.(r).(i): configuration i in round r. *)
+  let rounds = Array.init reps (fun _ -> Array.map (fun run -> run ()) runs) in
+  let base r = rounds.(r).(0).s_seconds in
+  List.mapi
+    (fun i (mode, _) ->
+      let samples = Array.map (fun round -> round.(i)) rounds in
+      let seconds = Array.map (fun s -> s.s_seconds) samples in
+      let ratios =
+        Array.mapi (fun r t -> if base r > 0. then t /. base r else 1.) seconds
+      in
+      let first = samples.(0) in
+      let median = quantile 0.5 seconds in
+      {
+        m_workload = workload;
+        m_mode = mode;
+        m_instructions = first.s_instructions;
+        m_seconds = median;
+        m_seconds_p25 = quantile 0.25 seconds;
+        m_seconds_p75 = quantile 0.75 seconds;
+        m_mips = mips first.s_instructions median;
+        m_overhead = quantile 0.5 ratios;
+        m_fast_retired = first.s_fast_retired;
+        m_blocks_built = first.s_blocks_built;
+        m_superblocks = first.s_superblocks;
+        m_chain_hits = first.s_chain_hits;
+        m_ic_hits = first.s_ic_hits;
+        m_ic_misses = first.s_ic_misses;
+        m_loc_asm = loc_asm;
+        m_exit_ok =
+          Array.for_all
+            (fun s -> s.s_exit_ok && s.s_instructions = first.s_instructions)
+            samples;
+      })
+    configs
 
-let graph_row ?(exit_ok = true) ~workload ~mode ~store_bytes ~ingest_ns
-    ~query_ns ~nodes ~edges () =
-  let secs = float_of_int (ingest_ns + query_ns) /. 1e9 in
-  {
-    m_workload = workload;
-    m_mode = mode;
-    m_instructions = 0;
-    m_seconds = secs;
-    m_mips = 0.;
-    m_overhead = 1.;
-    m_fast_retired = 0;
-    m_blocks_built = 0;
-    m_superblocks = None;
-    m_chain_hits = None;
-    m_ic_hits = None;
-    m_ic_misses = None;
-    m_loc_asm = 0;
-    m_exit_ok = exit_ok;
-    m_trace = false;
-    m_jobs = None;
-    m_wall_ns = None;
-    m_cpu_ns = None;
-    m_worker_throughput = None;
-    m_store_bytes = Some store_bytes;
-    m_ingest_ns = Some ingest_ns;
-    m_query_ns = Some query_ns;
-    m_nodes = Some nodes;
-    m_edges = Some edges;
-  }
-
-let measure ?(block_cache = true) ?(trace = false) def =
-  let vp = run_def ~block_cache ~tracking:false def in
-  let vpp = run_def ~block_cache ~tracking:true def in
-  let loc_asm = (def.make_image ()).Rv32_asm.Image.insn_count in
-  let rel r = if vp.raw_seconds > 0. then r.raw_seconds /. vp.raw_seconds else 1. in
-  let base =
+let measure_def ?block_cache def =
+  let img = def.make_image () in
+  measure ~workload:def.d_name ~loc_asm:img.Rv32_asm.Image.insn_count
     [
-      measurement_of_raw ~workload:def.d_name ~mode:"vp" ~overhead:1. ~loc_asm
-        vp;
-      measurement_of_raw ~workload:def.d_name ~mode:"vp+" ~overhead:(rel vpp)
-        ~loc_asm vpp;
+      ("vp", fun () -> run ?block_cache ~tracking:false def img);
+      ("vp+", fun () -> run ?block_cache ~tracking:true def img);
     ]
-  in
-  if not trace then base
-  else
-    let vpt = run_def ~block_cache ~trace:true ~tracking:true def in
-    base
-    @ [
-        measurement_of_raw ~trace:true ~workload:def.d_name ~mode:"vp+trace"
-          ~overhead:(rel vpt) ~loc_asm vpt;
-      ]
 
 (* --- Report document -------------------------------------------------- *)
 
 let row m =
-  let opt name v f = match v with None -> [] | Some x -> [ (name, f x) ] in
   Json.Obj
-    ([
-       ("workload", Json.Str m.m_workload);
-       ("mode", Json.Str m.m_mode);
-       ("instructions", Json.num_of_int m.m_instructions);
-       ("seconds", Json.Num m.m_seconds);
-       ("mips", Json.Num m.m_mips);
-       ("overhead", Json.Num m.m_overhead);
-       ("fast_retired", Json.num_of_int m.m_fast_retired);
-       ("blocks_built", Json.num_of_int m.m_blocks_built);
-       ("loc_asm", Json.num_of_int m.m_loc_asm);
-       ("exit_ok", Json.Bool m.m_exit_ok);
-       ("trace", Json.Bool m.m_trace);
-     ]
-    @ opt "superblocks_built" m.m_superblocks Json.num_of_int
-    @ opt "chain_hits" m.m_chain_hits Json.num_of_int
-    @ opt "ic_hits" m.m_ic_hits Json.num_of_int
-    @ opt "ic_misses" m.m_ic_misses Json.num_of_int
-    @ opt "jobs" m.m_jobs Json.num_of_int
-    @ opt "wall_ns" m.m_wall_ns Json.num_of_int
-    @ opt "cpu_ns" m.m_cpu_ns Json.num_of_int
-    @ opt "worker_throughput" m.m_worker_throughput (fun x -> Json.Num x)
-    @ opt "store_bytes" m.m_store_bytes Json.num_of_int
-    @ opt "ingest_ns" m.m_ingest_ns Json.num_of_int
-    @ opt "query_ns" m.m_query_ns Json.num_of_int
-    @ opt "nodes" m.m_nodes Json.num_of_int
-    @ opt "edges" m.m_edges Json.num_of_int)
+    [
+      ("workload", Json.Str m.m_workload);
+      ("mode", Json.Str m.m_mode);
+      ("instructions", Json.num_of_int m.m_instructions);
+      ("seconds", Json.Num m.m_seconds);
+      ("seconds_p25", Json.Num m.m_seconds_p25);
+      ("seconds_p75", Json.Num m.m_seconds_p75);
+      ("mips", Json.Num m.m_mips);
+      ("overhead", Json.Num m.m_overhead);
+      ("fast_retired", Json.num_of_int m.m_fast_retired);
+      ("blocks_built", Json.num_of_int m.m_blocks_built);
+      ("superblocks_built", Json.num_of_int m.m_superblocks);
+      ("chain_hits", Json.num_of_int m.m_chain_hits);
+      ("ic_hits", Json.num_of_int m.m_ic_hits);
+      ("ic_misses", Json.num_of_int m.m_ic_misses);
+      ("loc_asm", Json.num_of_int m.m_loc_asm);
+      ("exit_ok", Json.Bool m.m_exit_ok);
+    ]
 
-let doc ?(extra = []) ~bench ~scale ~block_cache rows =
+let doc ~bench ~scale ~block_cache rows =
   Json.Obj
-    ([
-       ("bench", Json.Str bench);
-       ("scale", Json.Num scale);
-       ("block_cache", Json.Bool block_cache);
-     ]
-    @ extra
-    @ [ ("rows", Json.List (List.map row rows)) ])
+    [
+      ("bench", Json.Str bench);
+      ("scale", Json.Num scale);
+      ("block_cache", Json.Bool block_cache);
+      ("rows", Json.List (List.map row rows));
+    ]
 
 (* Schema check for consumers (CI trend scripts): fail loudly on malformed
    reports rather than silently charting garbage. *)
 let validate j =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let field name conv v =
+  let check ok e = if ok then Ok () else Error e in
+  let field v name conv =
     match Option.bind (Json.member name v) conv with
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
   in
-  let* bench = field "bench" Json.to_str j in
-  let* () = if bench <> "" then Ok () else Error "empty \"bench\"" in
-  let* scale = field "scale" Json.to_num j in
-  let* () = if scale > 0. then Ok () else Error "\"scale\" must be > 0" in
-  let* (_ : bool) = field "block_cache" Json.to_bool j in
-  let* rows = field "rows" Json.to_list j in
-  let* () = if rows <> [] then Ok () else Error "\"rows\" must be non-empty" in
+  let* bench = field j "bench" Json.to_str in
+  let* () = check (bench <> "") "empty \"bench\"" in
+  let* scale = field j "scale" Json.to_num in
+  let* () = check (scale > 0.) "\"scale\" must be > 0" in
+  let* (_ : bool) = field j "block_cache" Json.to_bool in
+  let* rows = field j "rows" Json.to_list in
+  let* () = check (rows <> []) "\"rows\" must be non-empty" in
+  let check_row r =
+    let* workload = field r "workload" Json.to_str in
+    let* () = check (workload <> "") "empty \"workload\"" in
+    let* (_ : string) = field r "mode" Json.to_str in
+    let* p25 = field r "seconds_p25" Json.to_num in
+    let* median = field r "seconds" Json.to_num in
+    let* p75 = field r "seconds_p75" Json.to_num in
+    let* () =
+      check
+        (0. <= p25 && p25 <= median && median <= p75)
+        "need 0 <= \"seconds_p25\" <= \"seconds\" <= \"seconds_p75\""
+    in
+    let* m = field r "mips" Json.to_num in
+    let* () = check (m >= 0.) "negative \"mips\"" in
+    let* overhead = field r "overhead" Json.to_num in
+    let* () = check (overhead > 0.) "\"overhead\" must be > 0" in
+    List.fold_left
+      (fun acc name ->
+        let* () = acc in
+        let* n = field r name Json.to_int in
+        check (n >= 0) (Printf.sprintf "negative %S" name))
+      (Ok ())
+      [ "instructions"; "superblocks_built"; "chain_hits"; "ic_hits";
+        "ic_misses" ]
+  in
   List.fold_left
     (fun acc r ->
       let* () = acc in
-      let ctx e =
-        Error (Printf.sprintf "row %s: %s" (Json.to_string r) e)
-      in
-      let rfield name conv =
-        match Option.bind (Json.member name r) conv with
-        | Some x -> Ok x
-        | None -> ctx (Printf.sprintf "missing or ill-typed field %S" name)
-      in
-      let* workload = rfield "workload" Json.to_str in
-      let* () = if workload <> "" then Ok () else ctx "empty \"workload\"" in
-      let* (_ : string) = rfield "mode" Json.to_str in
-      let* instructions = rfield "instructions" Json.to_int in
-      let* () =
-        if instructions >= 0 then Ok () else ctx "negative \"instructions\""
-      in
-      let* seconds = rfield "seconds" Json.to_num in
-      let* () = if seconds >= 0. then Ok () else ctx "negative \"seconds\"" in
-      let* m = rfield "mips" Json.to_num in
-      let* () = if m >= 0. then Ok () else ctx "negative \"mips\"" in
-      let* overhead = rfield "overhead" Json.to_num in
-      let* () =
-        if overhead > 0. then Ok () else ctx "\"overhead\" must be > 0"
-      in
-      (* Optional: rows from trace-enabled runs carry a boolean marker. *)
-      let* () =
-        match Json.member "trace" r with
-        | None -> Ok ()
-        | Some v -> (
-            match Json.to_bool v with
-            | Some (_ : bool) -> Ok ()
-            | None -> ctx "ill-typed optional field \"trace\"")
-      in
-      (* Optional parallel-campaign fields: all four travel together (a
-         row either is a parallel measurement or is not). *)
-      let opt name conv check =
-        match Json.member name r with
-        | None -> Ok None
-        | Some v -> (
-            match conv v with
-            | Some x when check x -> Ok (Some x)
-            | Some _ -> ctx (Printf.sprintf "out-of-range field %S" name)
-            | None ->
-                ctx (Printf.sprintf "ill-typed optional field %S" name))
-      in
-      (* Optional block-cache fields: all four travel together (a row
-         from a single-SoC measurement carries the whole group; older
-         reports omit them all). *)
-      let* sblocks = opt "superblocks_built" Json.to_int (fun n -> n >= 0) in
-      let* chain = opt "chain_hits" Json.to_int (fun n -> n >= 0) in
-      let* ic_h = opt "ic_hits" Json.to_int (fun n -> n >= 0) in
-      let* ic_m = opt "ic_misses" Json.to_int (fun n -> n >= 0) in
-      let* () =
-        match (sblocks, chain, ic_h, ic_m) with
-        | Some _, Some _, Some _, Some _ | None, None, None, None -> Ok ()
-        | _ ->
-            ctx
-              "block-cache fields \"superblocks_built\", \"chain_hits\", \
-               \"ic_hits\" and \"ic_misses\" must appear together"
-      in
-      let* jobs = opt "jobs" Json.to_int (fun j -> j >= 1) in
-      let* wall = opt "wall_ns" Json.to_int (fun n -> n >= 0) in
-      let* cpu = opt "cpu_ns" Json.to_int (fun n -> n >= 0) in
-      let* tput = opt "worker_throughput" Json.to_num (fun t -> t >= 0.) in
-      let* () =
-        match (jobs, wall, cpu, tput) with
-        | Some _, Some _, Some _, Some _ | None, None, None, None -> Ok ()
-        | _ ->
-            ctx
-              "parallel fields \"jobs\", \"wall_ns\", \"cpu_ns\" and \
-               \"worker_throughput\" must appear together"
-      in
-      (* Optional graph-store fields: all five travel together (a row
-         either is an analyze measurement or is not). *)
-      let* store_bytes = opt "store_bytes" Json.to_int (fun n -> n >= 0) in
-      let* ingest = opt "ingest_ns" Json.to_int (fun n -> n >= 0) in
-      let* query = opt "query_ns" Json.to_int (fun n -> n >= 0) in
-      let* nodes = opt "nodes" Json.to_int (fun n -> n >= 0) in
-      let* edges = opt "edges" Json.to_int (fun n -> n >= 0) in
-      match (store_bytes, ingest, query, nodes, edges) with
-      | Some _, Some _, Some _, Some _, Some _ | None, None, None, None, None
-        ->
-          Ok ()
-      | _ ->
-          ctx
-            "graph fields \"store_bytes\", \"ingest_ns\", \"query_ns\", \
-             \"nodes\" and \"edges\" must appear together")
+      match check_row r with
+      | Ok () -> Ok ()
+      | Error e -> Error (Printf.sprintf "row %s: %s" (Json.to_string r) e))
     (Ok ()) rows

@@ -1,7 +1,9 @@
 (* Tier-1 guard for the machine-readable perf reports: the Json
-   renderer/parser round-trips, the report schema validates, and a real
+   renderer/parser round-trips, the report schema validates, a real
    (tiny-scale) benchmark run produces a document that survives a write →
-   read → parse → validate cycle, exactly as CI consumes it. *)
+   read → parse → validate cycle, exactly as CI consumes it, and the
+   committed BENCH_table2.json is a full-scale run that EXPERIMENTS.md
+   quotes. *)
 
 module J = Jsonkit.Json
 module D = Benchkit.Defs
@@ -67,17 +69,23 @@ let test_json_unicode_escape () =
 
 (* A hand-built document that matches the schema. *)
 let good_row ?(workload = "w") ?(mode = "vp") ?(instructions = 100)
-    ?(seconds = 0.5) ?(overhead = 1.) () =
+    ?(p25 = 0.4) ?(seconds = 0.5) ?(p75 = 0.6) ?(overhead = 1.) () =
   J.Obj
     [
       ("workload", J.Str workload);
       ("mode", J.Str mode);
       ("instructions", J.num_of_int instructions);
       ("seconds", J.Num seconds);
+      ("seconds_p25", J.Num p25);
+      ("seconds_p75", J.Num p75);
       ("mips", J.Num (D.mips instructions seconds));
       ("overhead", J.Num overhead);
       ("fast_retired", J.num_of_int 10);
       ("blocks_built", J.num_of_int 3);
+      ("superblocks_built", J.num_of_int 2);
+      ("chain_hits", J.num_of_int 50);
+      ("ic_hits", J.num_of_int 9);
+      ("ic_misses", J.num_of_int 1);
       ("loc_asm", J.num_of_int 20);
       ("exit_ok", J.Bool true);
     ]
@@ -105,18 +113,17 @@ let without field = function
   | J.Obj kvs -> J.Obj (List.remove_assoc field kvs)
   | v -> v
 
+let with_field k v = function
+  | J.Obj kvs -> J.Obj ((k, v) :: List.remove_assoc k kvs)
+  | j -> j
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_validate () =
   expect_valid (good_doc ());
-  (* Unknown fields are ignored, so the committed reports (which carry a
-     top-level "fast_path" and per-row "engine" fields) still validate. *)
-  List.iter
-    (fun file ->
-      match J.of_string (read_file (Filename.concat ".." file)) with
-      | Ok doc -> expect_valid doc
-      | Error e -> Alcotest.failf "%s: %s" file e)
-    [ "BENCH_table2.json"; "BENCH_parallel.json" ];
+  expect_valid
+    (good_doc ~rows:[ with_field "unknown" (J.Str "ignored") (good_row ()) ] ());
+  expect_valid (good_doc ~rows:[ good_row ~p25:0.5 ~seconds:0.5 ~p75:0.5 () ] ());
   expect_invalid "empty rows" (good_doc ~rows:[] ());
   expect_invalid "missing bench" (without "bench" (good_doc ()));
   expect_invalid "missing rows" (without "rows" (good_doc ()));
@@ -129,223 +136,32 @@ let test_validate () =
   expect_invalid "negative instructions"
     (good_doc ~rows:[ good_row ~instructions:(-1) () ] ());
   expect_invalid "non-object document" (J.List []);
-  (* The optional per-row trace marker: bool ok, anything else rejected. *)
-  let with_field k v = function
-    | J.Obj kvs -> J.Obj (kvs @ [ (k, v) ])
-    | j -> j
-  in
-  expect_valid
-    (good_doc ~rows:[ with_field "trace" (J.Bool true) (good_row ()) ] ());
-  expect_invalid "non-bool trace field"
-    (good_doc ~rows:[ with_field "trace" (J.Str "yes") (good_row ()) ] ());
-  (* The parallel-campaign fields: all four together or none at all,
-     each range-checked. *)
-  let parallel_fields =
-    [
-      ("jobs", J.num_of_int 4);
-      ("wall_ns", J.num_of_int 1_000_000);
-      ("cpu_ns", J.num_of_int 3_900_000);
-      ("worker_throughput", J.Num 12.5);
-    ]
-  in
-  let with_fields kvs j = List.fold_left (fun j (k, v) -> with_field k v j) j kvs in
-  expect_valid
-    (good_doc ~rows:[ with_fields parallel_fields (good_row ()) ] ());
+  (* Median seconds with its quartiles: all three required, in order. *)
   List.iter
-    (fun missing ->
+    (fun field ->
       expect_invalid
-        (Printf.sprintf "parallel row without %S" missing)
-        (good_doc
-           ~rows:
-             [
-               with_fields
-                 (List.remove_assoc missing parallel_fields)
-                 (good_row ());
-             ]
-           ()))
-    [ "jobs"; "wall_ns"; "cpu_ns"; "worker_throughput" ];
-  expect_invalid "zero jobs"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("jobs", J.num_of_int 0)
-             :: List.remove_assoc "jobs" parallel_fields)
-             (good_row ());
-         ]
-       ());
-  expect_invalid "negative wall_ns"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("wall_ns", J.num_of_int (-1))
-             :: List.remove_assoc "wall_ns" parallel_fields)
-             (good_row ());
-         ]
-       ());
-  expect_invalid "ill-typed worker_throughput"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("worker_throughput", J.Str "fast")
-             :: List.remove_assoc "worker_throughput" parallel_fields)
-             (good_row ());
-         ]
-       ());
-  (* The graph-analyze fields: all five together or none at all. *)
-  let graph_fields =
-    [
-      ("store_bytes", J.num_of_int 199);
-      ("ingest_ns", J.num_of_int 20_000);
-      ("query_ns", J.num_of_int 4_500);
-      ("nodes", J.num_of_int 2);
-      ("edges", J.num_of_int 1);
-    ]
-  in
-  expect_valid (good_doc ~rows:[ with_fields graph_fields (good_row ()) ] ());
+        (Printf.sprintf "row without %S" field)
+        (good_doc ~rows:[ without field (good_row ()) ] ()))
+    [ "seconds"; "seconds_p25"; "seconds_p75" ];
+  expect_invalid "p25 above the median"
+    (good_doc ~rows:[ good_row ~p25:0.55 () ] ());
+  expect_invalid "median above p75"
+    (good_doc ~rows:[ good_row ~p75:0.45 () ] ());
+  expect_invalid "negative p25"
+    (good_doc ~rows:[ good_row ~p25:(-0.1) () ] ());
+  (* The four block-cache counters: required integers >= 0. *)
   List.iter
-    (fun missing ->
+    (fun field ->
       expect_invalid
-        (Printf.sprintf "graph row without %S" missing)
-        (good_doc
-           ~rows:
-             [
-               with_fields
-                 (List.remove_assoc missing graph_fields)
-                 (good_row ());
-             ]
-           ()))
-    [ "store_bytes"; "ingest_ns"; "query_ns"; "nodes"; "edges" ];
-  expect_invalid "negative query_ns"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("query_ns", J.num_of_int (-1))
-             :: List.remove_assoc "query_ns" graph_fields)
-             (good_row ());
-         ]
-       ());
-  expect_invalid "ill-typed nodes"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("nodes", J.Str "two") :: List.remove_assoc "nodes" graph_fields)
-             (good_row ());
-         ]
-       ());
-  (* The block-cache fields: all four together or none at all. *)
-  let cache_fields =
-    [
-      ("superblocks_built", J.num_of_int 2);
-      ("chain_hits", J.num_of_int 50);
-      ("ic_hits", J.num_of_int 9);
-      ("ic_misses", J.num_of_int 1);
-    ]
-  in
-  expect_valid (good_doc ~rows:[ with_fields cache_fields (good_row ()) ] ());
-  List.iter
-    (fun missing ->
+        (Printf.sprintf "row without %S" field)
+        (good_doc ~rows:[ without field (good_row ()) ] ());
       expect_invalid
-        (Printf.sprintf "block-cache row without %S" missing)
-        (good_doc
-           ~rows:
-             [
-               with_fields
-                 (List.remove_assoc missing cache_fields)
-                 (good_row ());
-             ]
-           ()))
-    [ "superblocks_built"; "chain_hits"; "ic_hits"; "ic_misses" ];
-  expect_invalid "negative chain_hits"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("chain_hits", J.num_of_int (-1))
-             :: List.remove_assoc "chain_hits" cache_fields)
-             (good_row ());
-         ]
-       ());
-  expect_invalid "ill-typed ic_hits"
-    (good_doc
-       ~rows:
-         [
-           with_fields
-             (("ic_hits", J.Str "many")
-             :: List.remove_assoc "ic_hits" cache_fields)
-             (good_row ());
-         ]
-       ())
-
-(* The parallel_row constructor fills the four optional fields
-   consistently and renders/validates end to end. *)
-let test_parallel_row () =
-  let m =
-    D.parallel_row ~workload:"difftest" ~mode:"jobs-4" ~jobs:4 ~tasks:200
-      ~instructions:0 ~wall_ns:2_000_000_000 ~cpu_ns:7_600_000_000
-      ~overhead:0.27 ()
-  in
-  check_bool "jobs recorded" true (m.D.m_jobs = Some 4);
-  check_bool "wall recorded" true (m.D.m_wall_ns = Some 2_000_000_000);
-  check_bool "cpu recorded" true (m.D.m_cpu_ns = Some 7_600_000_000);
-  (* 200 tasks / 2 s / 4 workers = 25 tasks per second per worker. *)
-  check_bool "throughput" true
-    (match m.D.m_worker_throughput with
-    | Some t -> Float.abs (t -. 25.) < 1e-9
-    | None -> false);
-  check_bool "seconds derived from wall_ns" true
-    (Float.abs (m.D.m_seconds -. 2.) < 1e-9);
-  let doc =
-    D.doc ~bench:"parallel" ~scale:1. ~block_cache:true [ m ]
-  in
-  expect_valid doc;
-  (* A classic row (all four None) renders without the parallel keys. *)
-  (match D.row m with
-  | J.Obj kvs -> check_bool "jobs rendered" true (List.mem_assoc "jobs" kvs)
-  | _ -> Alcotest.fail "expected object");
-  let classic = { m with D.m_jobs = None; m_wall_ns = None; m_cpu_ns = None;
-                  m_worker_throughput = None } in
-  match D.row classic with
-  | J.Obj kvs -> check_bool "no jobs key" false (List.mem_assoc "jobs" kvs)
-  | _ -> Alcotest.fail "expected object"
-
-(* The graph_row constructor fills the five optional fields consistently
-   and renders/validates end to end — the BENCH_graph.json shape. *)
-let test_graph_row () =
-  let m =
-    D.graph_row ~workload:"trap-hijack" ~mode:"analyze-cold" ~store_bytes:199
-      ~ingest_ns:20_000 ~query_ns:4_500 ~nodes:2 ~edges:1 ()
-  in
-  check_bool "store_bytes recorded" true (m.D.m_store_bytes = Some 199);
-  check_bool "ingest recorded" true (m.D.m_ingest_ns = Some 20_000);
-  check_bool "query recorded" true (m.D.m_query_ns = Some 4_500);
-  check_bool "nodes recorded" true (m.D.m_nodes = Some 2);
-  check_bool "edges recorded" true (m.D.m_edges = Some 1);
-  check_bool "seconds derived from ingest + query" true
-    (Float.abs (m.D.m_seconds -. 24.5e-6) < 1e-12);
-  check_bool "no parallel fields" true (m.D.m_jobs = None);
-  let doc =
-    D.doc ~bench:"graph" ~scale:1. ~block_cache:true [ m ]
-  in
-  expect_valid doc;
-  (match D.row m with
-  | J.Obj kvs ->
-      check_bool "store_bytes rendered" true
-        (List.mem_assoc "store_bytes" kvs);
-      check_bool "no jobs key" false (List.mem_assoc "jobs" kvs)
-  | _ -> Alcotest.fail "expected object");
-  let classic =
-    { m with D.m_store_bytes = None; m_ingest_ns = None; m_query_ns = None;
-      m_nodes = None; m_edges = None }
-  in
-  match D.row classic with
-  | J.Obj kvs ->
-      check_bool "no store_bytes key" false (List.mem_assoc "store_bytes" kvs)
-  | _ -> Alcotest.fail "expected object"
+        (Printf.sprintf "negative %S" field)
+        (good_doc ~rows:[ with_field field (J.num_of_int (-1)) (good_row ()) ] ());
+      expect_invalid
+        (Printf.sprintf "ill-typed %S" field)
+        (good_doc ~rows:[ with_field field (J.Str "many") (good_row ()) ] ()))
+    [ "superblocks_built"; "chain_hits"; "ic_hits"; "ic_misses" ]
 
 (* End to end: run one real workload at a tiny scale, build the report,
    write it, read it back, parse and validate — the exact CI pipeline. *)
@@ -354,7 +170,7 @@ let test_real_report () =
   let qsort =
     List.find (fun d -> d.D.d_name = "qsort") defs
   in
-  let rows = D.measure qsort in
+  let rows = D.measure_def qsort in
   check_int "vp and vp+ rows" 2 (List.length rows);
   let vp = List.nth rows 0 and vpp = List.nth rows 1 in
   check_string "vp row first" "vp" vp.D.m_mode;
@@ -366,11 +182,16 @@ let test_real_report () =
     vpp.D.m_instructions;
   check_bool "vp+ built blocks" true (vpp.D.m_blocks_built > 0);
   check_bool "vp+ used the fast path" true (vpp.D.m_fast_retired > 0);
-  check_bool "measured rows carry the block-cache counter group" true
-    (vpp.D.m_superblocks <> None
-    && vpp.D.m_chain_hits <> None
-    && vpp.D.m_ic_hits <> None
-    && vpp.D.m_ic_misses <> None);
+  check_bool "vp+ linked superblocks" true (vpp.D.m_superblocks > 0);
+  List.iter
+    (fun m ->
+      check_bool (m.D.m_mode ^ ": p25 <= median <= p75") true
+        (m.D.m_seconds_p25 <= m.D.m_seconds
+        && m.D.m_seconds <= m.D.m_seconds_p75);
+      check_bool (m.D.m_mode ^ ": mips from the median") true
+        (m.D.m_mips = D.mips m.D.m_instructions m.D.m_seconds))
+    rows;
+  check_bool "vp is its own baseline" true (vp.D.m_overhead = 1.);
   let doc =
     D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true rows
   in
@@ -383,71 +204,24 @@ let test_real_report () =
       output_string oc (J.to_string doc);
       output_string oc "\n";
       close_out oc;
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match J.of_string (String.trim s) with
+      match J.of_string (String.trim (read_file file)) with
       | Error e -> Alcotest.failf "re-parse of written report failed: %s" e
       | Ok doc' ->
           expect_valid doc';
           check_bool "round-tripped document identical" true (doc = doc');
           (* Spot-check the fields CI's trend tooling reads. *)
-          let get path =
-            List.fold_left
-              (fun acc k ->
-                match acc with Some v -> J.member k v | None -> None)
-              (Some doc') path
-          in
           check_bool "bench name" true
-            (get [ "bench" ] |> Option.map (J.to_str) |> Option.join
-            = Some "table2");
+            (Option.bind (J.member "bench" doc') J.to_str = Some "table2");
           let rows' =
-            get [ "rows" ] |> Option.map J.to_list |> Option.join
+            Option.bind (J.member "rows" doc') J.to_list
             |> Option.value ~default:[]
           in
           check_int "two rows in file" 2 (List.length rows');
           let ovh =
-            J.member "overhead" (List.nth rows' 1)
-            |> Option.map J.to_num |> Option.join
+            Option.bind (J.member "overhead" (List.nth rows' 1)) J.to_num
           in
           check_bool "vp+ overhead present and positive" true
-            (match ovh with Some o -> o > 0. | None -> false);
-          check_bool "block-cache counters rendered" true
-            (J.member "superblocks_built" (List.nth rows' 1) <> None
-            && J.member "chain_hits" (List.nth rows' 1) <> None
-            && J.member "ic_hits" (List.nth rows' 1) <> None
-            && J.member "ic_misses" (List.nth rows' 1) <> None))
-
-(* The tracing guardrail: --trace adds exactly one vp+trace row that is
-   architecturally identical to the untraced runs (same instret, clean
-   exit) and carries the trace marker; the default measure stays two rows
-   (checked by test_real_report), i.e. tracing is strictly opt-in. *)
-let test_trace_row () =
-  let defs = D.table2 ~scale:0.01 in
-  let qsort = List.find (fun d -> d.D.d_name = "qsort") defs in
-  let rows = D.measure ~trace:true qsort in
-  check_int "vp, vp+ and vp+trace rows" 3 (List.length rows);
-  let vp = List.nth rows 0 and vpp = List.nth rows 1 in
-  let vpt = List.nth rows 2 in
-  check_string "third row mode" "vp+trace" vpt.D.m_mode;
-  check_bool "third row marked traced" true vpt.D.m_trace;
-  check_bool "untraced rows unmarked" false (vp.D.m_trace || vpp.D.m_trace);
-  check_bool "vp+trace exited cleanly" true vpt.D.m_exit_ok;
-  check_int "tracing is transparent (instret)" vp.D.m_instructions
-    vpt.D.m_instructions;
-  check_bool "vp+trace overhead positive" true (vpt.D.m_overhead > 0.);
-  let doc =
-    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true rows
-  in
-  expect_valid doc;
-  (* The rendered row exposes the marker to CI trend tooling. *)
-  match J.member "rows" doc |> Option.map J.to_list |> Option.join with
-  | Some [ _; _; r ] ->
-      check_bool "rendered trace marker" true
-        (J.member "trace" r |> Option.map J.to_bool |> Option.join
-        = Some true)
-  | _ -> Alcotest.fail "expected three rendered rows"
+            (match ovh with Some o -> o > 0. | None -> false))
 
 (* The branch-heavy dispatch workload drives all three counter classes
    on the default compiled path: linked superblocks, in-chain
@@ -456,27 +230,92 @@ let test_trace_row () =
 let test_dispatch_counters () =
   let defs = D.table2 ~scale:0.01 in
   let dispatch = List.find (fun d -> d.D.d_name = "dispatch") defs in
-  let rows = D.measure dispatch in
-  let some_pos = function Some n -> n > 0 | None -> false in
   List.iter
     (fun m ->
       let ctx what = Printf.sprintf "dispatch %s: %s" m.D.m_mode what in
       check_bool (ctx "exited cleanly") true m.D.m_exit_ok;
-      check_bool (ctx "superblocks linked") true (some_pos m.D.m_superblocks);
-      check_bool (ctx "chains taken") true (some_pos m.D.m_chain_hits);
-      check_bool (ctx "ic hits") true (some_pos m.D.m_ic_hits);
-      check_bool (ctx "ic misses") true (some_pos m.D.m_ic_misses))
-    rows;
-  (* On the single-step reference the same workload reports the group as
-     all-zero — present (measured) but empty. *)
-  let rows = D.measure ~block_cache:false dispatch in
+      check_bool (ctx "superblocks linked") true (m.D.m_superblocks > 0);
+      check_bool (ctx "chains taken") true (m.D.m_chain_hits > 0);
+      check_bool (ctx "ic hits") true (m.D.m_ic_hits > 0);
+      check_bool (ctx "ic misses") true (m.D.m_ic_misses > 0))
+    (D.measure_def dispatch);
+  (* On the single-step reference the same workload reports all four
+     counters as zero. *)
   List.iter
     (fun m ->
-      check_bool "reference rows carry zero superblocks" true
-        (m.D.m_superblocks = Some 0);
-      check_bool "reference rows carry zero ic traffic" true
-        (m.D.m_ic_hits = Some 0 && m.D.m_ic_misses = Some 0))
-    rows
+      check_int "reference rows carry zero superblocks" 0 m.D.m_superblocks;
+      check_int "reference rows carry zero chain hits" 0 m.D.m_chain_hits;
+      check_int "reference rows carry zero ic traffic" 0
+        (m.D.m_ic_hits + m.D.m_ic_misses))
+    (D.measure_def ~block_cache:false dispatch)
+
+let committed_table2 () =
+  match J.of_string (read_file "../BENCH_table2.json") with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "BENCH_table2.json: %s" e
+
+let rows_of doc =
+  Option.bind (J.member "rows" doc) J.to_list |> Option.value ~default:[]
+
+let str k r = Option.bind (J.member k r) J.to_str |> Option.value ~default:""
+let num k r = Option.bind (J.member k r) J.to_num |> Option.value ~default:0.
+
+(* The committed report is a full-scale run of the default set on the
+   compiled path: a vp and a vp+ row per workload, in order. *)
+let test_committed_report () =
+  let doc = committed_table2 () in
+  expect_valid doc;
+  check_bool "scale 1" true (J.member "scale" doc = Some (J.Num 1.));
+  check_bool "compiled path" true
+    (J.member "block_cache" doc = Some (J.Bool true));
+  let expected =
+    List.concat_map
+      (fun d -> [ (d.D.d_name, "vp"); (d.D.d_name, "vp+") ])
+      (D.table2 ~scale:1.)
+  in
+  check_bool "one vp and one vp+ row per default workload" true
+    (List.map (fun r -> (str "workload" r, str "mode" r)) (rows_of doc)
+    = expected);
+  List.iter
+    (fun r ->
+      check_bool (str "workload" r ^ " exited cleanly") true
+        (J.member "exit_ok" r = Some (J.Bool true)))
+    (rows_of doc)
+
+(* EXPERIMENTS.md's measured Table II (the table whose header has an
+   "#instr" column) shows, on each workload's line, the committed row's
+   VP and VP+ MIPS to one decimal. *)
+let test_experiments_quote_report () =
+  let cells line = List.map String.trim (String.split_on_char '|' line) in
+  let rec body = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> cells l :: body rest
+    | _ -> []
+  in
+  let rec table = function
+    | [] -> Alcotest.fail "EXPERIMENTS.md has no measured Table II"
+    | line :: rest when List.mem "#instr" (cells line) -> (cells line, body rest)
+    | _ :: rest -> table rest
+  in
+  let header, lines =
+    table (String.split_on_char '\n' (read_file "../EXPERIMENTS.md"))
+  in
+  let column name =
+    match List.find_index (String.equal name) header with
+    | Some i -> i
+    | None -> Alcotest.failf "Table II has no %S column" name
+  in
+  let cell c name = Option.value ~default:"" (List.nth_opt c (column name)) in
+  List.iter
+    (fun r ->
+      let workload = str "workload" r and mode = str "mode" r in
+      match List.find_opt (fun c -> cell c "Benchmark" = workload) lines with
+      | None -> Alcotest.failf "EXPERIMENTS.md Table II has no %s line" workload
+      | Some c ->
+          check_string
+            (Printf.sprintf "%s %s MIPS" workload mode)
+            (Printf.sprintf "%.1f" (num "mips" r))
+            (cell c (if mode = "vp" then "VP MIPS" else "VP+ MIPS")))
+    (rows_of (committed_table2 ()))
 
 let () =
   Alcotest.run "bench_json"
@@ -491,11 +330,12 @@ let () =
       ( "schema",
         [
           Alcotest.test_case "validate" `Quick test_validate;
-          Alcotest.test_case "parallel row fields" `Quick test_parallel_row;
-          Alcotest.test_case "graph row fields" `Quick test_graph_row;
           Alcotest.test_case "real report end to end" `Slow test_real_report;
-          Alcotest.test_case "trace row guardrail" `Slow test_trace_row;
           Alcotest.test_case "dispatch workload counters" `Slow
             test_dispatch_counters;
+          Alcotest.test_case "committed table2 report" `Quick
+            test_committed_report;
+          Alcotest.test_case "EXPERIMENTS.md quotes the report" `Quick
+            test_experiments_quote_report;
         ] );
     ]

@@ -358,6 +358,30 @@ let test_immobilizer_forensics () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "forensic JSON does not re-parse: %s" e
 
+(* --- Tracing is transparent ------------------------------------------ *)
+
+(* A VP+ run with a tracer attached retires exactly the instructions of
+   the same run without one, and both exit cleanly. *)
+let test_tracer_transparent () =
+  let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:1 () in
+  let policy = Benchkit.Defs.integrity_policy img in
+  let run tracer =
+    let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+    let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ?tracer () in
+    Vp.Soc.load_image soc img;
+    Vp.Soc.start soc;
+    Vp.Soc.run soc;
+    check_bool "exits cleanly" true
+      (soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () = Rv32.Core.Exited 0);
+    soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ()
+  in
+  let tracer = T.Tracer.create policy.Dift.Policy.lattice in
+  let untraced = run None in
+  let traced = run (Some tracer) in
+  check_int "same instret with a tracer attached" untraced traced;
+  check_bool "the tracer saw every instruction" true
+    (T.Ring.total tracer.T.Tracer.ring >= traced)
+
 let () =
   Alcotest.run "trace"
     [
@@ -377,5 +401,7 @@ let () =
             test_wilander_provenance;
           Alcotest.test_case "immobilizer forensic report" `Quick
             test_immobilizer_forensics;
+          Alcotest.test_case "tracer transparent on qsort" `Quick
+            test_tracer_transparent;
         ] );
     ]
