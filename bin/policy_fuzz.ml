@@ -11,7 +11,7 @@
 open Cmdliner
 
 let run programs seed size no_shrink shrink_dir graph_dir props_every inject
-    cache_diff snap_diff jobs no_warm_start shard_size checkpoint resume =
+    cache_diff snap_diff jobs shard_size checkpoint resume =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallelkit.Pool.default_jobs ()
   in
@@ -28,7 +28,6 @@ let run programs seed size no_shrink shrink_dir graph_dir props_every inject
       cache_diff;
       snap_diff;
       jobs;
-      warm_start = not no_warm_start;
       shard_size = max 1 shard_size;
       checkpoint;
       resume;
@@ -123,12 +122,6 @@ let jobs_arg =
                report is byte-identical for every value; $(b,--jobs 1) \
                takes the exact sequential code path.")
 
-let no_warm_start_arg =
-  Arg.(value & flag & info [ "no-warm-start" ]
-         ~doc:"Cold-boot a fresh SoC for every oracle run instead of \
-               restoring the shared post-reset boot snapshot. \
-               Architecturally identical; for measurement and debugging.")
-
 let shard_size_arg =
   Arg.(value & opt int Difftest.Harness.default.Difftest.Harness.shard_size
        & info [ "shard-size" ] ~docv:"N"
@@ -152,14 +145,14 @@ let resume_arg =
                shards recorded there are not re-run, and the final \
                report is byte-identical to an uninterrupted run's. The \
                campaign configuration must match the one that wrote the \
-               checkpoint ($(b,--jobs) and warm start may differ).")
+               checkpoint ($(b,--jobs) may differ).")
 
 let cmd =
   let doc = "coverage-guided differential testing of the DIFT engine" in
   Cmd.v (Cmd.info "policy_fuzz" ~doc)
     Term.(const run $ programs_arg $ seed_arg $ size_arg $ no_shrink_arg
           $ shrink_dir_arg $ graph_dir_arg $ props_every_arg $ inject_arg
-          $ cache_diff_arg $ snap_diff_arg $ jobs_arg $ no_warm_start_arg
+          $ cache_diff_arg $ snap_diff_arg $ jobs_arg
           $ shard_size_arg $ checkpoint_arg $ resume_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -109,20 +109,19 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
       (match uart_input with
       | Some s -> Vp.Uart.push_rx soc.Vp.Soc.uart s
       | None -> ());
+      (* One hook serves both flags: a second [cpu_set_trace] would
+         replace the first. *)
       let covered = Hashtbl.create 1024 in
-      if coverage then
-        soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace
-          (Some (fun pc _ -> Hashtbl.replace covered pc ()));
-      if echo_insns > 0 then begin
-        let remaining = ref echo_insns in
+      let remaining = ref echo_insns in
+      if coverage || echo_insns > 0 then
         soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace
           (Some
              (fun pc insn ->
+               if coverage then Hashtbl.replace covered pc ();
                if !remaining > 0 then begin
                  decr remaining;
                  Printf.eprintf "%08x:  %s\n" pc (Rv32.Disasm.insn insn)
-               end))
-      end;
+               end));
       (* A JSONL --trace-out is streamed as events happen rather than
          dumped from the ring afterwards: the ring only retains a tail,
          and a checkpointed run's trace plus its resumed continuation's

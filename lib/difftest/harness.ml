@@ -10,7 +10,6 @@ type config = {
   cache_diff : bool;
   snap_diff : bool;
   jobs : int;
-  warm_start : bool;
   shard_size : int;
   checkpoint : string option;
   resume : string option;
@@ -29,7 +28,6 @@ let default =
     cache_diff = false;
     snap_diff = false;
     jobs = 1;
-    warm_start = true;
     shard_size = 25;
     checkpoint = None;
     resume = None;
@@ -38,7 +36,7 @@ let default =
 (* Every config field that determines the campaign's deterministic
    stream — and therefore what a checkpointed shard payload means. A
    checkpoint written under one fingerprint refuses to resume under
-   another. [jobs], [warm_start] and the checkpoint paths themselves are
+   another. [jobs] and the checkpoint paths themselves are
    deliberately absent: they cannot change any shard's output (pinned by
    test_parallel), so a campaign may resume with a different worker
    count. *)
@@ -336,7 +334,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       let policy = Gen.policy rng img in
       let percov = Coverage.create () in
       let res =
-        Oracle.run ~policy ~trace:(Coverage.hook percov) ?warm img
+        Oracle.run ~policy ~trace:(Coverage.hook percov) ~warm img
       in
       Coverage.merge ~into:cov percov;
       acc.a_violations <- acc.a_violations + res.Oracle.violations;
@@ -546,17 +544,11 @@ let run ?(config = default) () =
            outs.(sh.Parallelkit.Campaign.index) = None)
          (Array.to_list shards))
   in
-  let warm =
-    if cfg.warm_start && Array.length pending > 0 then
-      Some (Oracle.warm_boot ())
-    else None
-  in
   (* Checkpointing rides on the pool's caller-side completion hook:
      every finished shard is folded into the container and the file is
-     atomically republished. Completion order varies with the steal
-     pattern, so the set of shards a killed run saved is timing-
-     dependent — but each payload is deterministic, so the post-resume
-     merge is not. *)
+     atomically republished. Completion order varies between runs, so
+     the set of shards a killed run saved is timing-dependent — but each
+     payload is deterministic, so the post-resume merge is not. *)
   let ckpt = ref ckpt in
   let on_done =
     Option.map
@@ -568,7 +560,10 @@ let run ?(config = default) () =
       cfg.checkpoint
   in
   let fresh =
-    Parallelkit.Pool.map ?on_done ~jobs:cfg.jobs (run_shard cfg warm) pending
+    if Array.length pending = 0 then [||]
+    else
+      let warm = Oracle.warm_boot () in
+      Parallelkit.Pool.map ?on_done ~jobs:cfg.jobs (run_shard cfg warm) pending
   in
   Array.iteri
     (fun pi out -> outs.(pending.(pi).Parallelkit.Campaign.index) <- Some out)

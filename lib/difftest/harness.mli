@@ -47,11 +47,6 @@ type config = {
           only on [programs] and [shard_size] (see
           {!Parallelkit.Campaign}), each shard runs from its own derived
           RNG and coverage table, and the merge is order-independent. *)
-  warm_start : bool;
-      (** Boot the SoC to its post-reset settlement point once in the
-          parent, serialise it ({!Oracle.warm_boot}) and warm-start the
-          plain-VP leg of every oracle call from the shared blob
-          (default true). Architecturally identical to cold boots. *)
   shard_size : int;
       (** Programs per shard (default 25) — the parallel grain. Part of
           the determinism contract: changing it changes the generated
@@ -67,7 +62,7 @@ type config = {
           {e same} campaign: shards recorded there are decoded instead
           of re-run. The checkpoint's fingerprint must match every
           stream-determining config field (seed, programs, size, shrink
-          settings, props_every, inject, cache/snap diff, shard_size) — [jobs] and [warm_start] may differ freely; a
+          settings, props_every, inject, cache/snap diff, shard_size) — [jobs] may differ freely; a
           mismatch raises {!Parallelkit.Checkpoint.Mismatch}, a corrupt
           or truncated file [Snapshot.Codec.Corrupt], in both cases
           before any oracle work runs. The merged report is
@@ -80,8 +75,7 @@ val default : config
 (** seed 0x5eed, 200 programs of 30 blocks, shrinking on, no file output
     (no reproducer or graph-store directories), properties every 5th
     program, no injection, no cache / snapshot differential; sequential
-    ([jobs = 1]),
-    warm-start on, 25-program shards, no checkpointing or resume. *)
+    ([jobs = 1]), 25-program shards, no checkpointing or resume. *)
 
 type failure = {
   f_kind : string;
@@ -138,12 +132,14 @@ val healthy : report -> bool
 val run : ?config:config -> unit -> report
 (** Run the campaign: shard the program range, restore any shards a
     resumed checkpoint already completed, run the rest on a
-    {!Parallelkit.Pool} of [config.jobs] work-stealing domains
-    (sequentially in-process when [jobs <= 1]), and merge the shard
+    {!Parallelkit.Pool} of [config.jobs] domains (sequentially
+    in-process when [jobs <= 1]), and merge the shard
     outputs in shard-index order. The report — counters, merged
     coverage, failure list and shrunk reproducer sources — is
     byte-identical for every [jobs] value and across any
     kill/checkpoint/resume split; the tier-1 determinism tests pin both.
-    Shrinking runs inside the worker that found the failure. *)
+    Shrinking runs inside the worker that found the failure. The
+    plain-VP leg of every oracle call warm-starts from one boot snapshot
+    ({!Oracle.warm_boot}) taken before the shards run. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -18,7 +18,6 @@ type result3 = {
 }
 
 let max_insns = 50_000
-let ram_size = 1 lsl 20
 
 (* Taint state is compared only when both sides observed it (tracked
    runs); a tracked-vs-untracked comparison stays purely architectural. *)
@@ -92,7 +91,7 @@ let buf_window img =
   (buf, Prog.buf_size)
 
 let run_golden img =
-  let g = Rv32.Golden.create ~mem_base:Vp.Soc.ram_base ~mem_size:ram_size in
+  let g = Rv32.Golden.create ~mem_base:Vp.Soc.ram_base ~mem_size:Vp.Soc.ram_size in
   Rv32.Golden.load g ~addr:img.Rv32_asm.Image.org
     (Bytes.to_string img.Rv32_asm.Image.code);
   Rv32.Golden.set_pc g

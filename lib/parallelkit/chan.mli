@@ -12,8 +12,9 @@ val send : 'a t -> 'a -> unit
 (** Enqueue a value. Raises [Invalid_argument] on a closed channel. *)
 
 val recv : 'a t -> 'a option
-(** Dequeue, blocking while the channel is open and empty. [None] once the
-    channel is closed {e and} drained — the worker-shutdown signal. *)
+(** Take the oldest value, blocking while the channel is open and empty.
+    [None] once the channel is closed {e and} drained — the
+    worker-shutdown signal. *)
 
 val close : 'a t -> unit
 (** Idempotent. Values already enqueued are still delivered. *)

@@ -8,14 +8,6 @@ type 'b slot =
   | Done of 'b
   | Raised of exn * Printexc.raw_backtrace
 
-type stats = {
-  workers : int;
-  steals : int;
-  tasks_per_worker : int array;
-}
-
-let sequential_stats n = { workers = 1; steals = 0; tasks_per_worker = [| n |] }
-
 let run_task f x =
   match f x with
   | v -> Done v
@@ -39,64 +31,35 @@ let finish results =
           assert false)
     results
 
-let map_stats ?on_done ~jobs f tasks =
+let map ?on_done ~jobs f tasks =
   let n = Array.length tasks in
   if jobs <= 1 || n <= 1 then
     (* The exact sequential path: in-order evaluation on the calling
        domain, no domains spawned, no channels, no locks. *)
-    let results =
-      Array.mapi
-        (fun i x ->
-          let v = f x in
-          (match on_done with Some g -> g i v | None -> ());
-          v)
-        tasks
-    in
-    (results, sequential_stats n)
+    Array.mapi
+      (fun i x ->
+        let v = f x in
+        (match on_done with Some g -> g i v | None -> ());
+        v)
+      tasks
   else begin
-    let w = min jobs n in
     let results = Array.make n Empty in
-    (* Every index is distributed round-robin across the per-worker
-       deques before any domain spawns; workers never produce new work,
-       so "all deques empty" is a stable termination condition. *)
-    let deques = Array.init w (fun _ -> Deque.create ()) in
-    for i = 0 to n - 1 do
-      Deque.push deques.(i mod w) i
-    done;
+    (* Workers claim task indices in ascending order from one shared
+       counter, so a worker stuck on a long task never holds back the
+       rest: the others keep claiming. *)
+    let next = Atomic.make 0 in
     let completions = Chan.create () in
     let abort = Atomic.make false in
-    let steals = Array.make w 0 in
-    let ran = Array.make w 0 in
-    let worker wid () =
-      (* Own deque first (front: its indices in ascending order), then a
-         steal sweep over the other workers' backs. *)
-      let rec take k =
-        if k = w then None
-        else
-          let victim = (wid + k) mod w in
-          let got =
-            if k = 0 then Deque.pop_front deques.(victim)
-            else Deque.steal deques.(victim)
-          in
-          match got with
-          | Some i ->
-              if k > 0 then steals.(wid) <- steals.(wid) + 1;
-              Some i
-          | None -> take (k + 1)
-      in
-      let rec loop () =
-        if not (Atomic.get abort) then
-          match take 0 with
-          | None -> ()
-          | Some i ->
-              results.(i) <- run_task f tasks.(i);
-              ran.(wid) <- ran.(wid) + 1;
-              Chan.send completions i;
-              loop ()
-      in
-      loop ()
+    let rec worker () =
+      if not (Atomic.get abort) then
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- run_task f tasks.(i);
+          Chan.send completions i;
+          worker ()
+        end
     in
-    let domains = Array.make w None in
+    let domains = Array.make (min jobs n) None in
     (* If anything below raises — [Domain.spawn] mid-loop, [on_done] —
        the abort flag stops the workers at their next task boundary and
        every spawned domain is joined before the original exception
@@ -107,7 +70,7 @@ let map_stats ?on_done ~jobs f tasks =
         Array.iter (function Some d -> Domain.join d | None -> ()) domains)
       (fun () ->
         Array.iteri
-          (fun k _ -> domains.(k) <- Some (Domain.spawn (worker k)))
+          (fun k _ -> domains.(k) <- Some (Domain.spawn worker))
           domains;
         (* Drain one completion per task on the calling domain, so
            [on_done] runs here — free to touch caller state (checkpoint
@@ -120,11 +83,7 @@ let map_stats ?on_done ~jobs f tasks =
               | Some g, Done v -> g i v
               | _ -> ())
         done);
-    ( finish results,
-      { workers = w; steals = Array.fold_left ( + ) 0 steals;
-        tasks_per_worker = ran } )
+    finish results
   end
-
-let map ?on_done ~jobs f tasks = fst (map_stats ?on_done ~jobs f tasks)
 
 let map_list ~jobs f xs = Array.to_list (map ~jobs f (Array.of_list xs))

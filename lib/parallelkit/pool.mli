@@ -1,4 +1,4 @@
-(** A fixed-size [Domain]-based worker pool with work stealing.
+(** A fixed-size [Domain]-based worker pool over one shared task counter.
 
     [map ~jobs f tasks] applies [f] to every element of [tasks] and
     returns the results {e in task order}, regardless of which worker ran
@@ -9,13 +9,12 @@
       synchronisation. A [--jobs 1] campaign is therefore bit-for-bit
       the sequential program.
     - [jobs > 1] spawns [min jobs (Array.length tasks)] worker domains.
-      Task indices are distributed round-robin across per-worker
-      {!Deque}s before the workers start; each worker drains its own
-      deque from the front and, when empty, {e steals} from the other
-      workers' backs — so a worker that drew short tasks rebalances the
-      long tail instead of idling. Results land in a slot array keyed by
-      index, so neither completion order nor steal pattern can reorder
-      them: the merged output is byte-identical at any [jobs].
+      Each worker claims the next unclaimed task index from one shared
+      atomic counter, so a worker that drew short tasks keeps claiming
+      while another is stuck on a long one. Results land in a slot array
+      keyed by index, so neither completion order nor which worker ran a
+      task can reorder them: the merged output is byte-identical at any
+      [jobs].
 
     Exception safety: a task that raises does not tear down the pool
     mid-flight. Every worker runs to completion, all domains are joined,
@@ -30,13 +29,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default for [--jobs]
     flags. *)
 
-type stats = {
-  workers : int;  (** Domains actually spawned (1 on the sequential path). *)
-  steals : int;  (** Tasks taken from another worker's deque. *)
-  tasks_per_worker : int array;
-      (** Tasks each worker executed; sums to the task count. *)
-}
-
 val map : ?on_done:(int -> 'b -> unit) -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** See above. [jobs] values above the task count are clamped.
 
@@ -46,12 +38,6 @@ val map : ?on_done:(int -> 'b -> unit) -> jobs:int -> ('a -> 'b) -> 'a array -> 
     touch caller-side state — the campaign checkpoint writer hangs off
     this hook. A raise from [on_done] aborts the pool cleanly (workers
     stopped and joined) and propagates. *)
-
-val map_stats :
-  ?on_done:(int -> 'b -> unit) -> jobs:int -> ('a -> 'b) -> 'a array ->
-  'b array * stats
-(** [map] plus scheduler observability — the bench reports steal counts
-    and per-worker task splits from here. *)
 
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] on lists (order preserved). *)

@@ -41,6 +41,7 @@ let create ~lattice ~default_tag ~tracking ~name =
   }
 
 let socket b = b.socket
+let tracking b = b.tracking
 
 let set_dmi b ~base ~data ~tags =
   if Bytes.length data <> Bytes.length tags then

@@ -23,6 +23,9 @@ val create :
     DMI path; tags still travel in TLM payloads so peripherals are oblivious
     to the mode. *)
 
+val tracking : t -> bool
+(** The flavour given to [create]; a {!Core} built on this bus takes it. *)
+
 val socket : t -> Tlm.Socket.initiator
 (** Bind this to the SoC router. *)
 

@@ -17,67 +17,13 @@ type trap_event =
    Both retire identical architectural state, tags, counters and hook
    streams — pinned by test_parity and the difftest --cache-diff leg. *)
 
-module type MODE = sig
-  val tracking : bool
-end
-
-module type S = sig
-  type t
-
-  val create :
-    kernel:Sysc.Kernel.t ->
-    bus:Bus_if.t ->
-    policy:Dift.Policy.t ->
-    monitor:Dift.Monitor.t ->
-    ?cycle_time:Sysc.Time.t ->
-    ?quantum:int ->
-    ?block_cache:bool ->
-    ?strict_align:bool ->
-    pc:int ->
-    unit ->
-    t
-
-  val pc : t -> int
-  val set_pc : t -> int -> unit
-  val get_reg : t -> Reg.t -> int
-  val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
-  val set_reg : t -> Reg.t -> int -> unit
-  val set_reg_tagged : t -> Reg.t -> int -> Dift.Lattice.tag -> unit
-  val csr : t -> Csr.t
-  val instret : t -> int
-  val priv : t -> int
-  val set_irq : t -> bit:int -> bool -> unit
-  val step : t -> unit
-  val spawn_thread : ?stop_kernel_on_halt:bool -> t -> unit
-  val set_max_instructions : t -> int -> unit
-  val exit_reason : t -> exit_reason
-  val halted : t -> bool
-  val halt : t -> exit_reason -> unit
-  val unhalt : t -> unit
-  val set_trace : t -> (int -> Insn.t -> unit) option -> unit
-  val set_trap_hook : t -> (trap_event -> unit) option -> unit
-  val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
-  val flush_code : t -> addr:int -> len:int -> unit
-  val blocks_built : t -> int
-  val superblocks_built : t -> int
-  val chain_hits : t -> int
-  val ic_hits : t -> int
-  val ic_misses : t -> int
-  val fast_retired : t -> int
-  val set_pause_at : t -> int -> unit
-  val paused : t -> bool
-  val clear_paused : t -> unit
-  val save : t -> Snapshot.Codec.writer -> unit
-  val load : t -> Snapshot.Codec.reader -> unit
-end
-
 let mask32 v = v land 0xffffffff
 let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 (* --- RV32IM value semantics ------------------------------------------ *)
 
 (* The one definition of what each instruction computes. The reference
-   {!Make.execute} wraps it in tag propagation and clearance checks; the
+   {!execute} wraps it in tag propagation and clearance checks; the
    compiler's value-only variant calls it from its retirement shells.
    Register values are held masked to 32 bits, and so is every result. *)
 
@@ -180,1462 +126,1461 @@ type block = {
 
 let max_block_insns = 32
 
+(* The modelled cost of one instruction. *)
+let cycle_time = Sysc.Time.ns 10
+
 (* Block membership is classified next to the decoder. *)
 let block_breaker insn = Decode.block_class insn = Decode.Breaker
 let block_ender insn = Decode.block_class insn = Decode.Ender
 
-module Make (M : MODE) = struct
-  (* A basic block compiled to threaded code (see [compile_block]): one
-     closure per instruction with operands pre-resolved, chained
-     tail-first so executing the block is a single indirect call.
-     [cb_full] is the full-semantics variant (tag plumbing per the
-     flavour); [cb_fast] is the untainted specialization with all tag
-     code compiled out, present only for blocks whose every word carries
-     the bottom tag on cores where the fast path is enabled. A breaker-led
-     block is stored with [cb_n = 0] so the dispatcher falls back to
-     {!step} without re-probing.
+(* A basic block compiled to threaded code (see [compile_block]): one
+   closure per instruction with operands pre-resolved, chained
+   tail-first so executing the block is a single indirect call.
+   [cb_full] is the full-semantics variant (tag plumbing per the
+   flavour); [cb_fast] is the untainted specialization with all tag
+   code compiled out, present only for blocks whose every word carries
+   the bottom tag on cores where the fast path is enabled. A breaker-led
+   block is stored with [cb_n = 0] so the dispatcher falls back to
+   {!step} without re-probing.
 
-     Each chain also keeps the decoded source
-     ([cb_blk], for recompiling the block chained into a hot successor),
-     an exit-edge profile ([cb_edge_pc]/[cb_edge_n]: the last observed
-     dispatcher-entry pc after this chain ran, and how many consecutive
-     times it repeated), and the byte span the compiled code depends on
-     ([cb_lo..cb_hi] — the block itself, widened to the convex hull of
-     predecessor and successor once chained, so invalidation stays a
-     range compare). *)
-  type cblock = {
-    cb_pc : int;
-    cb_n : int;
-    cb_full : unit -> unit;
-    cb_fast : (unit -> unit) option;
-    cb_blk : block;
-    cb_lo : int;
-    cb_hi : int;
-    mutable cb_edge_pc : int;
-    mutable cb_edge_n : int;
-    mutable cb_linked : bool;
-  }
+   Each chain also keeps the decoded source
+   ([cb_blk], for recompiling the block chained into a hot successor),
+   an exit-edge profile ([cb_edge_pc]/[cb_edge_n]: the last observed
+   dispatcher-entry pc after this chain ran, and how many consecutive
+   times it repeated), and the byte span the compiled code depends on
+   ([cb_lo..cb_hi] — the block itself, widened to the convex hull of
+   predecessor and successor once chained, so invalidation stays a
+   range compare). *)
+type cblock = {
+  cb_pc : int;
+  cb_n : int;
+  cb_full : unit -> unit;
+  cb_fast : (unit -> unit) option;
+  cb_blk : block;
+  cb_lo : int;
+  cb_hi : int;
+  mutable cb_edge_pc : int;
+  mutable cb_edge_n : int;
+  mutable cb_linked : bool;
+}
 
-  (* Inline cache for a compiled jalr site: predicted target pc plus the
-     direct chain entry for it. [ic_pc] is -1 while empty and -2 once
-     demoted (two distinct targets were observed — the site is
-     polymorphic and keeps paying the dispatcher). A cached entry is
-     trusted only while no flush epoch has passed since it was installed;
-     epoch bumps (SMC/DMA writes, set_trace, privilege changes, snapshot
-     restore) invalidate every cache at once. *)
-  type ic = {
-    mutable ic_pc : int;
-    mutable ic_epoch : int;
-    mutable ic_entry : unit -> unit;
-  }
+(* Inline cache for a compiled jalr site: predicted target pc plus the
+   direct chain entry for it. [ic_pc] is -1 while empty and -2 once
+   demoted (two distinct targets were observed — the site is
+   polymorphic and keeps paying the dispatcher). A cached entry is
+   trusted only while no flush epoch has passed since it was installed;
+   epoch bumps (SMC/DMA writes, set_trace, privilege changes, snapshot
+   restore) invalidate every cache at once. *)
+type ic = {
+  mutable ic_pc : int;
+  mutable ic_epoch : int;
+  mutable ic_entry : unit -> unit;
+}
 
-  type t = {
-    kernel : Sysc.Kernel.t;
-    bus : Bus_if.t;
-    policy : Dift.Policy.t;
-    monitor : Dift.Monitor.t;
-    lat : Dift.Lattice.t;
-    regs : int array;
-    rtags : int array;
-    mutable pc : int;
-    mutable cur_pc : int;  (* pc of the instruction in flight *)
-    mutable insn_word : int;
-    mutable insn_tag : int;
-    csrf : Csr.t;
-    mutable priv : int;  (* current privilege: Csr.priv_m or Csr.priv_u *)
-    pub : int;  (* lattice bottom: tag of constants / x0 *)
-    fetch_req : int option;
-    branch_req : int option;
-    mem_addr_req : int option;
-    has_store_clearance : bool;
-    strict_align : bool;  (* misaligned data accesses fault (cause 4 / 6) *)
-    decode_cache : (int, Insn.t) Hashtbl.t;
-    (* pc-indexed direct cache over the DMI (RAM) region: validated by
-       comparing the cached word, so self-modifying code re-decodes. Used
-       by the single-step path and during block building. *)
-    pc_cache_base : int;
-    pc_cache_words : int array;  (* empty if no DMI region *)
-    pc_cache_insns : Insn.t array;
-    (* Decoded basic-block cache over the same region, keyed by start pc.
-       Unlike the per-word cache it is NOT self-validating: stores into
-       cached code must call {!flush_code} (wired from Bus_if and the
-       SoC memory model). *)
-    use_blocks : bool;
-    cblocks : cblock option array;  (* [||] when the cache is disabled *)
-    blk_base : int;
-    blk_limit : int;
-    mutable code_lo : int;  (* byte range ever covered by built blocks *)
-    mutable code_hi : int;
-    mutable flush_epoch : int;
-    (* [flush_epoch] at entry of the currently running compiled chain;
-       compiled instructions stop the chain when the two diverge. *)
-    mutable chain_epoch : int;
-    (* Whether the compiler may emit the value-only variant of a block.
-       On tracked cores it is the untainted fast path: entered only while
-       every register tag and every fetched word's tag is bottom, and only
-       when bottom passes every clearance the variant leaves out. On
-       untracked cores there are no tags anywhere, so the variant is exact
-       semantics, not an optimistic gamble: it needs no per-entry tag
-       precondition and never falls back. *)
-    fast_spec : bool;
-    (* Superblock chaining: [prev_cb] is the chain that ran in the
-       previous scheduling round (exit-edge profiling), [sblocks] the
-       registry of slots currently holding a recompiled superblock — their
-       spans cover two blocks, so invalidation scans the registry in
-       addition to the positional window. *)
-    mutable prev_cb : cblock option;
-    mutable sblocks : (int * cblock) list;
-    mutable n_blocks : int;
-    mutable n_superblocks : int;
-    mutable n_chain : int;
-    mutable n_ic_hits : int;
-    mutable n_ic_miss : int;
-    mutable n_fast : int;
-    irq_event : Sysc.Kernel.event;
-    (* Time sync goes through a named event (not [wait_for]) so that a
-       paused core's pending wakeup is serialisable: at a sync boundary the
-       kernel's only CPU-related state is one pending notification on
-       [sync_event]. [syncing] is true while the thread is parked on it. *)
-    sync_event : Sysc.Kernel.event;
-    mutable syncing : bool;
-    mutable pause_at : int;  (* pause at the first sync with instret >= this *)
-    mutable paused : bool;
-    cycle_time : Sysc.Time.t;
-    quantum : int;
-    mutable local_cycles : int;
-    mutable instret : int;
-    mutable max_insns : int;
-    mutable in_wfi : bool;
-    mutable exit_reason : exit_reason;
-    mutable trace : (int -> Insn.t -> unit) option;
-    mutable on_merge : (int -> int -> int -> unit) option;
-    (* Read dynamically by enter_trap / mret (never from compiled chains:
-       trap instructions are breakers), so installing it needs no flush. *)
-    mutable on_trap : (trap_event -> unit) option;
-  }
+type t = {
+  kernel : Sysc.Kernel.t;
+  bus : Bus_if.t;
+  tracking : bool;  (* VP+ or the plain VP, as the bus was created *)
+  policy : Dift.Policy.t;
+  monitor : Dift.Monitor.t;
+  lat : Dift.Lattice.t;
+  regs : int array;
+  rtags : int array;
+  mutable pc : int;
+  mutable cur_pc : int;  (* pc of the instruction in flight *)
+  mutable insn_word : int;
+  mutable insn_tag : int;
+  csrf : Csr.t;
+  mutable priv : int;  (* current privilege: Csr.priv_m or Csr.priv_u *)
+  pub : int;  (* lattice bottom: tag of constants / x0 *)
+  fetch_req : int option;
+  branch_req : int option;
+  mem_addr_req : int option;
+  has_store_clearance : bool;
+  strict_align : bool;  (* misaligned data accesses fault (cause 4 / 6) *)
+  decode_cache : (int, Insn.t) Hashtbl.t;
+  (* pc-indexed direct cache over the DMI (RAM) region: validated by
+     comparing the cached word, so self-modifying code re-decodes. Used
+     by the single-step path and during block building. *)
+  pc_cache_base : int;
+  pc_cache_words : int array;  (* empty if no DMI region *)
+  pc_cache_insns : Insn.t array;
+  (* Decoded basic-block cache over the same region, keyed by start pc.
+     Unlike the per-word cache it is NOT self-validating: stores into
+     cached code must call {!flush_code} (wired from Bus_if and the
+     SoC memory model). *)
+  use_blocks : bool;
+  cblocks : cblock option array;  (* [||] when the cache is disabled *)
+  blk_base : int;
+  blk_limit : int;
+  mutable code_lo : int;  (* byte range ever covered by built blocks *)
+  mutable code_hi : int;
+  mutable flush_epoch : int;
+  (* [flush_epoch] at entry of the currently running compiled chain;
+     compiled instructions stop the chain when the two diverge. *)
+  mutable chain_epoch : int;
+  (* Whether the compiler may emit the value-only variant of a block.
+     On tracked cores it is the untainted fast path: entered only while
+     every register tag and every fetched word's tag is bottom, and only
+     when bottom passes every clearance the variant leaves out. On
+     untracked cores there are no tags anywhere, so the variant is exact
+     semantics, not an optimistic gamble: it needs no per-entry tag
+     precondition and never falls back. *)
+  fast_spec : bool;
+  (* Superblock chaining: [prev_cb] is the chain that ran in the
+     previous scheduling round (exit-edge profiling), [sblocks] the
+     registry of slots currently holding a recompiled superblock — their
+     spans cover two blocks, so invalidation scans the registry in
+     addition to the positional window. *)
+  mutable prev_cb : cblock option;
+  mutable sblocks : (int * cblock) list;
+  mutable n_blocks : int;
+  mutable n_superblocks : int;
+  mutable n_chain : int;
+  mutable n_ic_hits : int;
+  mutable n_ic_miss : int;
+  mutable n_fast : int;
+  irq_event : Sysc.Kernel.event;
+  (* Time sync goes through a named event (not [wait_for]) so that a
+     paused core's pending wakeup is serialisable: at a sync boundary the
+     kernel's only CPU-related state is one pending notification on
+     [sync_event]. [syncing] is true while the thread is parked on it. *)
+  sync_event : Sysc.Kernel.event;
+  mutable syncing : bool;
+  mutable pause_at : int;  (* pause at the first sync with instret >= this *)
+  mutable paused : bool;
+  quantum : int;
+  mutable local_cycles : int;
+  mutable instret : int;
+  mutable max_insns : int;
+  mutable in_wfi : bool;
+  mutable exit_reason : exit_reason;
+  mutable trace : (int -> Insn.t -> unit) option;
+  mutable on_merge : (int -> int -> int -> unit) option;
+  (* Read dynamically by enter_trap / mret (never from compiled chains:
+     trap instructions are breakers), so installing it needs no flush. *)
+  mutable on_trap : (trap_event -> unit) option;
+}
 
-  (* Invalidate every cached block overlapping [addr .. addr+len-1] (the
-     caller already wrote the bytes). Cheap when the write is outside any
-     code executed so far: one range compare. *)
-  let flush_code t ~addr ~len =
-    if
-      len > 0 && t.use_blocks
-      && addr <= t.code_hi
-      && addr + len - 1 >= t.code_lo
-    then begin
-      t.flush_epoch <- t.flush_epoch + 1;
-      let last = addr + len - 1 in
-      (* A block starting up to max_block_insns-1 words earlier can still
-         cover [addr]. *)
-      let lo = max t.blk_base (addr - ((max_block_insns - 1) * 4)) in
-      let hi = min last t.blk_limit in
-      if lo <= hi then begin
-        let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
-        for i = i0 to i1 do
-          match Array.unsafe_get t.cblocks i with
-          | Some cb ->
-              if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
-          | None -> ()
-        done
-      end;
-      (* Superblocks span two blocks, so the slot may sit outside the
-         positional window above; their registry is scanned by span.
-         Entries whose slot no longer holds them (already flushed, or
-         replaced) are dropped along the way. *)
-      if t.sblocks <> [] then
-        t.sblocks <-
-          List.filter
-            (fun (i, cb) ->
-              match Array.unsafe_get t.cblocks i with
-              | Some cur when cur == cb ->
-                  if cb.cb_hi >= addr && cb.cb_lo <= last then begin
-                    Array.unsafe_set t.cblocks i None;
-                    false
-                  end
-                  else true
-              | _ -> false)
-            t.sblocks
-    end
-
-  let create ~kernel ~bus ~policy ~monitor ?(cycle_time = Sysc.Time.ns 10)
-      ?(quantum = 1000) ?(block_cache = true) ?(strict_align = false) ~pc () =
-    let pc_cache_base, pc_cache_words, pc_cache_insns =
-      match Bus_if.dmi_range bus with
-      | Some (base, limit) ->
-          let entries = ((limit - base) / 4) + 1 in
-          (base, Array.make entries (-1), Array.make entries (Insn.ILLEGAL 0))
-      | None -> (0, [||], [||])
-    in
-    let lat = policy.Dift.Policy.lattice in
-    let pub =
-      match Dift.Lattice.bottom lat with
-      | Some b -> b
-      | None -> policy.Dift.Policy.default_tag
-    in
-    let cache_entries, blk_base, blk_limit =
-      match Bus_if.dmi_range bus with
-      | Some (base, limit) when block_cache ->
-          (((limit - base) / 4) + 1, base, limit)
-      | Some _ | None -> (0, 0, -1)
-    in
-    (* The fast path is sound only if the bottom tag passes every check the
-       value-only variant leaves out: the execution clearances and all
-       store-integrity regions. Policies where bottom itself is not cleared
-       (so every instruction would violate) simply never take it. *)
-    let pub_flows_to = function
-      | Some req -> Dift.Lattice.allowed_flow lat pub req
-      | None -> true
-    in
-    let fast_spec =
-      cache_entries > 0
-      && ((not M.tracking)
-         || pub_flows_to policy.Dift.Policy.exec_fetch
-            && pub_flows_to policy.Dift.Policy.exec_branch
-            && pub_flows_to policy.Dift.Policy.exec_mem_addr
-            && List.for_all
-                 (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
-                 policy.Dift.Policy.store_clearance)
-    in
-    let t =
-      {
-        kernel;
-        bus;
-        policy;
-        monitor;
-        lat;
-        regs = Array.make 32 0;
-        rtags = Array.make 32 pub;
-        pc;
-        cur_pc = pc;
-        insn_word = 0;
-        insn_tag = pub;
-        csrf = Csr.create ~default_tag:pub;
-        priv = Csr.priv_m;
-        pub;
-        fetch_req = policy.Dift.Policy.exec_fetch;
-        branch_req = policy.Dift.Policy.exec_branch;
-        mem_addr_req = policy.Dift.Policy.exec_mem_addr;
-        has_store_clearance = policy.Dift.Policy.store_clearance <> [];
-        strict_align;
-        decode_cache = Hashtbl.create 1024;
-        pc_cache_base;
-        pc_cache_words;
-        pc_cache_insns;
-        use_blocks = cache_entries > 0;
-        cblocks = Array.make cache_entries None;
-        blk_base;
-        blk_limit;
-        code_lo = max_int;
-        code_hi = min_int;
-        flush_epoch = 0;
-        chain_epoch = 0;
-        fast_spec;
-        prev_cb = None;
-        sblocks = [];
-        n_blocks = 0;
-        n_superblocks = 0;
-        n_chain = 0;
-        n_ic_hits = 0;
-        n_ic_miss = 0;
-        n_fast = 0;
-        irq_event = Sysc.Kernel.create_event kernel "cpu.irq";
-        sync_event = Sysc.Kernel.create_event kernel "cpu.sync";
-        syncing = false;
-        pause_at = max_int;
-        paused = false;
-        cycle_time;
-        quantum;
-        local_cycles = 0;
-        instret = 0;
-        max_insns = max_int;
-        in_wfi = false;
-        exit_reason = Running;
-        trace = None;
-        on_merge = None;
-        on_trap = None;
-      }
-    in
-    if t.use_blocks then
-      Bus_if.set_code_write_hook bus (fun addr len -> flush_code t ~addr ~len);
-    t
-
-  let pc t = t.pc
-  let set_pc t v = t.pc <- mask32 v
-  let get_reg t r = t.regs.(r)
-  let get_reg_tag t r = t.rtags.(r)
-
-  let set_reg_tagged t r v tag =
-    if r <> 0 then begin
-      t.regs.(r) <- mask32 v;
-      if M.tracking then t.rtags.(r) <- tag
-    end
-
-  let set_reg t r v = set_reg_tagged t r v t.pub
-  let csr t = t.csrf
-  let priv t = t.priv
-  let set_trap_hook t fn = t.on_trap <- fn
-  let instret t = t.instret
-  let set_max_instructions t n = t.max_insns <- n
-  let exit_reason t = t.exit_reason
-  let halted t = t.exit_reason <> Running
-
-  let halt t reason =
-    if t.exit_reason = Running then t.exit_reason <- reason
-
-  (* Compiled chains capture the hook value at compile time (the common
-     no-hook case pays nothing per instruction), so changing it must drop
-     every compiled block and stop any running chain; the single-step
-     reference reads [t.trace] dynamically and needs neither. *)
-  let set_trace t fn =
-    t.trace <- fn;
-    if Array.length t.cblocks > 0 then begin
-      t.flush_epoch <- t.flush_epoch + 1;
-      Array.fill t.cblocks 0 (Array.length t.cblocks) None;
-      t.sblocks <- [];
-      t.prev_cb <- None
-    end
-  let set_merge_hook t fn = t.on_merge <- fn
-  let blocks_built t = t.n_blocks
-  let superblocks_built t = t.n_superblocks
-  let chain_hits t = t.n_chain
-  let ic_hits t = t.n_ic_hits
-  let ic_misses t = t.n_ic_miss
-  let fast_retired t = t.n_fast
-
-  let set_irq t ~bit on =
-    let c = t.csrf in
-    if on then begin
-      c.Csr.v_mip <- c.Csr.v_mip lor bit;
-      Sysc.Kernel.notify_immediate t.irq_event
-    end
-    else c.Csr.v_mip <- c.Csr.v_mip land lnot bit land 0xffffffff
-
-  (* --- DIFT checks ------------------------------------------------- *)
-
-  let lub t a b =
-    let r = Dift.Lattice.lub t.lat a b in
-    (match t.on_merge with Some f -> f a b r | None -> ());
-    r
-
-  (* The detail string is built lazily: these checks run on every
-     instruction, and allocating a formatted string on the hot path would
-     dominate the DIFT overhead. *)
-  let check t ~kind ~data_tag ~required ~detail =
-    Dift.Monitor.count_check t.monitor;
-    if not (Dift.Lattice.allowed_flow t.lat data_tag required) then
-      Dift.Monitor.violation t.monitor
-        {
-          Dift.Violation.kind;
-          data_tag;
-          required_tag = required;
-          pc = Some t.cur_pc;
-          detail = detail ();
-        }
-
-  let check_fetch t tag =
-    match t.fetch_req with
-    | Some required ->
-        if
-          Dift.Monitor.count_check t.monitor;
-          not (Dift.Lattice.allowed_flow t.lat tag required)
-        then
-          Dift.Monitor.violation t.monitor
-            {
-              Dift.Violation.kind = Dift.Violation.Exec_fetch;
-              data_tag = tag;
-              required_tag = required;
-              pc = Some t.cur_pc;
-              detail = Printf.sprintf "fetch of 0x%08x" t.insn_word;
-            }
-    | None -> ()
-
-  let check_branch t tag detail =
-    match t.branch_req with
-    | Some required ->
-        check t ~kind:Dift.Violation.Exec_branch ~data_tag:tag ~required
-          ~detail:(fun () -> detail)
-    | None -> ()
-
-  let check_mem_addr t tag addr =
-    match t.mem_addr_req with
-    | Some required ->
-        check t ~kind:Dift.Violation.Exec_mem_addr ~data_tag:tag ~required
-          ~detail:(fun () -> Printf.sprintf "effective address 0x%08x" addr)
-    | None -> ()
-
-  let check_store_region t ~addr ~width ~tag =
-    if t.has_store_clearance then
-      for i = 0 to width - 1 do
-        match Dift.Policy.store_required_at t.policy (addr + i) with
-        | Some (region, required) ->
-            check t ~kind:(Dift.Violation.Store_integrity region) ~data_tag:tag
-              ~required
-              ~detail:(fun () -> Printf.sprintf "store to 0x%08x" (addr + i))
+(* Invalidate every cached block overlapping [addr .. addr+len-1] (the
+   caller already wrote the bytes). Cheap when the write is outside any
+   code executed so far: one range compare. *)
+let flush_code t ~addr ~len =
+  if
+    len > 0 && t.use_blocks
+    && addr <= t.code_hi
+    && addr + len - 1 >= t.code_lo
+  then begin
+    t.flush_epoch <- t.flush_epoch + 1;
+    let last = addr + len - 1 in
+    (* A block starting up to max_block_insns-1 words earlier can still
+       cover [addr]. *)
+    let lo = max t.blk_base (addr - ((max_block_insns - 1) * 4)) in
+    let hi = min last t.blk_limit in
+    if lo <= hi then begin
+      let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
+      for i = i0 to i1 do
+        match Array.unsafe_get t.cblocks i with
+        | Some cb ->
+            if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
         | None -> ()
       done
-
-  (* --- Traps and interrupts ----------------------------------------- *)
-
-  (* A privilege change invalidates any in-flight compiled chain (no chain
-     may span a privilege boundary); the cached blocks themselves are
-     privilege-agnostic — CSR access checks run on the breaker slow path —
-     so only the epoch moves. *)
-  let set_priv t p =
-    if p <> t.priv then begin
-      t.priv <- p;
-      t.flush_epoch <- t.flush_epoch + 1
-    end
-
-  let enter_trap t ~cause ~tval ~epc =
-    let c = t.csrf in
-    if Csr.mtvec_base c.Csr.v_mtvec = 0 then
-      raise (Fatal_trap { cause; pc = epc; tval });
-    c.Csr.v_mepc <- epc;
-    c.Csr.t_mepc <- t.pub;
-    c.Csr.v_mcause <- cause;
-    c.Csr.t_mcause <- t.pub;
-    c.Csr.v_mtval <- mask32 tval;
-    c.Csr.t_mtval <- t.pub;
-    (* Stack: MPIE <- MIE, MIE <- 0, MPP <- current privilege. *)
-    let s = c.Csr.v_mstatus in
-    let mie = (s lsr 3) land 1 in
-    c.Csr.v_mstatus <-
-      s
-      land lnot (Csr.mstatus_mie lor Csr.mstatus_mpie lor Csr.mstatus_mpp_mask)
-      lor (mie lsl 7)
-      lor (t.priv lsl Csr.mstatus_mpp_shift);
-    set_priv t Csr.priv_m;
-    (* Tags stay exact on the fast path, so this check runs even there. *)
-    if M.tracking then check_branch t c.Csr.t_mtvec "trap vector (mtvec)";
-    let base = Csr.mtvec_base c.Csr.v_mtvec in
-    t.pc <-
-      (if Csr.mtvec_mode c.Csr.v_mtvec = 1 && cause land 0x80000000 <> 0 then
-         mask32 (base + (4 * (cause land 0x7fffffff)))
-       else base);
-    match t.on_trap with
-    | Some f -> f (Trap_enter { cause; epc; tval = mask32 tval; handler = t.pc })
-    | None -> ()
-
-  let trap t ~cause ~tval = enter_trap t ~cause ~tval ~epc:t.cur_pc
-
-  let take_interrupt t =
-    let c = t.csrf in
-    let pending = c.Csr.v_mip land c.Csr.v_mie in
-    let bit =
-      if pending land Csr.bit_mei <> 0 then Csr.bit_mei
-      else if pending land Csr.bit_msi <> 0 then Csr.bit_msi
-      else Csr.bit_mti
-    in
-    let idx =
-      if bit = Csr.bit_mei then 11 else if bit = Csr.bit_msi then 3 else 7
-    in
-    enter_trap t ~cause:(Csr.cause_interrupt idx) ~tval:0 ~epc:t.pc
-
-  (* --- Memory helpers ------------------------------------------------ *)
-
-  let do_load t ~width ~addr =
-    if t.strict_align && addr land (width - 1) <> 0 then begin
-      trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
-      t.insn_tag <- t.pub;
-      raise_notrace Exit
     end;
-    try Bus_if.load t.bus ~width ~addr
-    with Bus_if.Bus_error _ ->
-      trap t ~cause:Csr.cause_load_fault ~tval:addr;
-      (* Trap redirected control flow; the load value is irrelevant. *)
-      t.insn_tag <- t.pub;
-      raise_notrace Exit
+    (* Superblocks span two blocks, so the slot may sit outside the
+       positional window above; their registry is scanned by span.
+       Entries whose slot no longer holds them (already flushed, or
+       replaced) are dropped along the way. *)
+    if t.sblocks <> [] then
+      t.sblocks <-
+        List.filter
+          (fun (i, cb) ->
+            match Array.unsafe_get t.cblocks i with
+            | Some cur when cur == cb ->
+                if cb.cb_hi >= addr && cb.cb_lo <= last then begin
+                  Array.unsafe_set t.cblocks i None;
+                  false
+                end
+                else true
+            | _ -> false)
+          t.sblocks
+  end
 
-  let do_store t ~width ~addr ~value ~tag =
-    if t.strict_align && addr land (width - 1) <> 0 then begin
-      trap t ~cause:Csr.cause_store_misaligned ~tval:addr;
-      raise_notrace Exit
-    end;
-    try Bus_if.store t.bus ~width ~addr ~value ~tag
-    with Bus_if.Bus_error _ ->
-      trap t ~cause:Csr.cause_store_fault ~tval:addr;
-      raise_notrace Exit
+let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
+    ?(strict_align = false) ~pc () =
+  let pc_cache_base, pc_cache_words, pc_cache_insns =
+    match Bus_if.dmi_range bus with
+    | Some (base, limit) ->
+        let entries = ((limit - base) / 4) + 1 in
+        (base, Array.make entries (-1), Array.make entries (Insn.ILLEGAL 0))
+    | None -> (0, [||], [||])
+  in
+  let lat = policy.Dift.Policy.lattice in
+  let pub =
+    match Dift.Lattice.bottom lat with
+    | Some b -> b
+    | None -> policy.Dift.Policy.default_tag
+  in
+  let cache_entries, blk_base, blk_limit =
+    match Bus_if.dmi_range bus with
+    | Some (base, limit) when block_cache ->
+        (((limit - base) / 4) + 1, base, limit)
+    | Some _ | None -> (0, 0, -1)
+  in
+  (* The fast path is sound only if the bottom tag passes every check the
+     value-only variant leaves out: the execution clearances and all
+     store-integrity regions. Policies where bottom itself is not cleared
+     (so every instruction would violate) simply never take it. *)
+  let pub_flows_to = function
+    | Some req -> Dift.Lattice.allowed_flow lat pub req
+    | None -> true
+  in
+  let tracking = Bus_if.tracking bus in
+  let fast_spec =
+    cache_entries > 0
+    && ((not tracking)
+       || pub_flows_to policy.Dift.Policy.exec_fetch
+          && pub_flows_to policy.Dift.Policy.exec_branch
+          && pub_flows_to policy.Dift.Policy.exec_mem_addr
+          && List.for_all
+               (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
+               policy.Dift.Policy.store_clearance)
+  in
+  let t =
+    {
+      kernel;
+      bus;
+      tracking;
+      policy;
+      monitor;
+      lat;
+      regs = Array.make 32 0;
+      rtags = Array.make 32 pub;
+      pc;
+      cur_pc = pc;
+      insn_word = 0;
+      insn_tag = pub;
+      csrf = Csr.create ~default_tag:pub;
+      priv = Csr.priv_m;
+      pub;
+      fetch_req = policy.Dift.Policy.exec_fetch;
+      branch_req = policy.Dift.Policy.exec_branch;
+      mem_addr_req = policy.Dift.Policy.exec_mem_addr;
+      has_store_clearance = policy.Dift.Policy.store_clearance <> [];
+      strict_align;
+      decode_cache = Hashtbl.create 1024;
+      pc_cache_base;
+      pc_cache_words;
+      pc_cache_insns;
+      use_blocks = cache_entries > 0;
+      cblocks = Array.make cache_entries None;
+      blk_base;
+      blk_limit;
+      code_lo = max_int;
+      code_hi = min_int;
+      flush_epoch = 0;
+      chain_epoch = 0;
+      fast_spec;
+      prev_cb = None;
+      sblocks = [];
+      n_blocks = 0;
+      n_superblocks = 0;
+      n_chain = 0;
+      n_ic_hits = 0;
+      n_ic_miss = 0;
+      n_fast = 0;
+      irq_event = Sysc.Kernel.create_event kernel "cpu.irq";
+      sync_event = Sysc.Kernel.create_event kernel "cpu.sync";
+      syncing = false;
+      pause_at = max_int;
+      paused = false;
+      quantum;
+      local_cycles = 0;
+      instret = 0;
+      max_insns = max_int;
+      in_wfi = false;
+      exit_reason = Running;
+      trace = None;
+      on_merge = None;
+      on_trap = None;
+    }
+  in
+  if t.use_blocks then
+    Bus_if.set_code_write_hook bus (fun addr len -> flush_code t ~addr ~len);
+  t
 
-  (* --- CSR instructions ---------------------------------------------- *)
+let pc t = t.pc
+let set_pc t v = t.pc <- mask32 v
+let get_reg t r = t.regs.(r)
+let get_reg_tag t r = t.rtags.(r)
 
-  type csr_op = Op_w | Op_s | Op_c
+let set_reg_tagged t r v tag =
+  if r <> 0 then begin
+    t.regs.(r) <- mask32 v;
+    if t.tracking then t.rtags.(r) <- tag
+  end
 
-  let do_csr t rd n ~src_v ~src_t ~op ~do_write =
-    if t.priv < Csr.required_priv n then
-      trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
-    else
-      match Csr.read t.csrf ~cycles:t.instret ~instret:t.instret n with
-      | None -> trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
-      | Some (old_v, old_t) ->
-          let write_ok =
-            if do_write then begin
-              let new_v, new_t =
-                match op with
-                | Op_w -> (src_v, src_t)
-                | Op_s ->
-                    ( old_v lor src_v,
-                      if M.tracking then lub t old_t src_t else t.pub )
-                | Op_c ->
-                    ( old_v land lnot src_v land 0xffffffff,
-                      if M.tracking then lub t old_t src_t else t.pub )
-              in
-              (* Trap-steering clearance: the trap vector and return
-                 address decide where machine-mode execution resumes, so a
-                 policy may require their writes to be untainted. Checked
-                 before the write lands (in Halt mode the violation raise
-                 leaves the CSR unchanged). *)
-              (if M.tracking && (n = Csr.mtvec || n = Csr.mepc) then
-                 match t.policy.Dift.Policy.trap_csr with
-                 | Some required ->
-                     check t
-                       ~kind:
-                         (Dift.Violation.Trap_steering
-                            (if n = Csr.mtvec then "mtvec" else "mepc"))
-                       ~data_tag:new_t ~required
-                       ~detail:(fun () ->
-                         Printf.sprintf "csr write of 0x%08x" (mask32 new_v))
-                 | None -> ());
-              Csr.write t.csrf n ~value:new_v ~tag:new_t
-            end
-            else true
-          in
-          if write_ok then set_reg_tagged t rd old_v old_t
-          else trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
+let set_reg t r v = set_reg_tagged t r v t.pub
+let csr t = t.csrf
+let priv t = t.priv
+let set_trap_hook t fn = t.on_trap <- fn
+let instret t = t.instret
+let set_max_instructions t n = t.max_insns <- n
+let exit_reason t = t.exit_reason
+let halted t = t.exit_reason <> Running
 
-  (* --- Execute -------------------------------------------------------- *)
+let halt t reason =
+  if t.exit_reason = Running then t.exit_reason <- reason
 
-  let execute t insn =
-    let open Insn in
-    let pc0 = t.cur_pc in
-    let regs = t.regs and rtags = t.rtags in
-    let itag = t.insn_tag in
-    let rt r = if M.tracking then rtags.(r) else t.pub in
-    (* Tag of an ALU result from one / two register sources: immediates and
-       the operation itself inherit the instruction's classification. *)
-    let tag1 r = if M.tracking then lub t rtags.(r) itag else t.pub in
-    let tag2 a b =
-      if M.tracking then lub t (lub t rtags.(a) rtags.(b)) itag else t.pub
-    in
-    let branch_to target = t.pc <- mask32 target in
-    let cond_branch a b off taken =
-      if M.tracking then check_branch t (lub t (rt a) (rt b)) "branch condition";
-      if taken then branch_to (pc0 + off)
-    in
-    match insn with
-    | LUI (rd, _) | AUIPC (rd, _) ->
-        set_reg_tagged t rd (alu_value insn regs pc0) itag
-    | JAL (rd, off) ->
-        set_reg_tagged t rd (pc0 + 4) itag;
-        branch_to (pc0 + off)
-    | JALR (rd, rs1, off) ->
-        if M.tracking then check_branch t (rt rs1) "indirect jump target";
-        let target = mask32 (regs.(rs1) + off) land lnot 1 in
-        set_reg_tagged t rd (pc0 + 4) itag;
-        branch_to target
-    | BEQ (a, b, off) | BNE (a, b, off) | BLT (a, b, off) | BGE (a, b, off)
-    | BLTU (a, b, off) | BGEU (a, b, off) ->
-        cond_branch a b off (branch_taken insn regs)
-    | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
-    | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
-        let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking then check_mem_addr t (rt rs1) addr;
-        let v = do_load t ~width:(mem_width insn) ~addr in
-        set_reg_tagged t rd (load_extend insn v) (Bus_if.last_tag t.bus)
-    | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
-        let addr = mask32 (regs.(rs1) + off) and width = mem_width insn in
-        if M.tracking then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width ~tag:(rt rs2)
-        end;
-        do_store t ~width ~addr ~value:regs.(rs2) ~tag:(rt rs2)
-    | ADDI (rd, rs1, _) | SLTI (rd, rs1, _) | SLTIU (rd, rs1, _)
-    | XORI (rd, rs1, _) | ORI (rd, rs1, _) | ANDI (rd, rs1, _)
-    | SLLI (rd, rs1, _) | SRLI (rd, rs1, _) | SRAI (rd, rs1, _) ->
-        set_reg_tagged t rd (alu_value insn regs pc0) (tag1 rs1)
-    | ADD (rd, a, b) | SUB (rd, a, b) | SLL (rd, a, b) | SLT (rd, a, b)
-    | SLTU (rd, a, b) | XOR (rd, a, b) | SRL (rd, a, b) | SRA (rd, a, b)
-    | OR (rd, a, b) | AND (rd, a, b)
-    | MUL (rd, a, b) | MULH (rd, a, b) | MULHSU (rd, a, b) | MULHU (rd, a, b)
-    | DIV (rd, a, b) | DIVU (rd, a, b) | REM (rd, a, b) | REMU (rd, a, b) ->
-        set_reg_tagged t rd (alu_value insn regs pc0) (tag2 a b)
-    | FENCE -> ()
-    | ECALL ->
-        if t.priv = Csr.priv_m && regs.(17) = 93 then
-          halt t (Exited (signed regs.(10)))
-        else begin
-          (* Syscall arguments are an explicit declassification gate: every
-             argument register must meet the gate clearance; admitted
-             arguments above the declassified class are downgraded, and
-             each downgrade is recorded by the monitor. *)
-          (if M.tracking then
-             match t.policy.Dift.Policy.ecall_gate with
-             | Some g ->
-                 for rno = 10 to 15 do
-                   let tag = rtags.(rno) in
-                   Dift.Monitor.count_check t.monitor;
-                   if
-                     not
-                       (Dift.Lattice.allowed_flow t.lat tag
-                          g.Dift.Policy.g_clearance)
-                   then
-                     Dift.Monitor.violation t.monitor
-                       {
-                         Dift.Violation.kind =
-                           Dift.Violation.Custom "ecall-gate";
-                         data_tag = tag;
-                         required_tag = g.Dift.Policy.g_clearance;
-                         pc = Some pc0;
-                         detail = Printf.sprintf "ecall argument a%d" (rno - 10);
-                       }
-                   else if
-                     tag <> g.Dift.Policy.g_declass
-                     && not
-                          (Dift.Lattice.allowed_flow t.lat tag
-                             g.Dift.Policy.g_declass)
-                   then begin
-                     rtags.(rno) <- g.Dift.Policy.g_declass;
-                     Dift.Monitor.report t.monitor
-                       (Dift.Monitor.Declassified
-                          {
-                            where = Printf.sprintf "ecall-gate(a%d)" (rno - 10);
-                            from_tag = tag;
-                            to_tag = g.Dift.Policy.g_declass;
-                          })
-                   end
-                 done
-             | None -> ());
-          trap t
-            ~cause:
-              (if t.priv = Csr.priv_m then Csr.cause_ecall_m
-               else Csr.cause_ecall_u)
-            ~tval:0
-        end
-    | EBREAK ->
-        (* With a handler installed, ebreak is an architectural breakpoint
-           trap; without one it keeps the simulator's stop convention. *)
-        if Csr.mtvec_base t.csrf.Csr.v_mtvec <> 0 then
-          trap t ~cause:Csr.cause_breakpoint ~tval:pc0
-        else halt t Breakpoint
-    | MRET ->
-        if t.priv <> Csr.priv_m then
-          trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
-        else begin
-          let c = t.csrf in
-          let s = c.Csr.v_mstatus in
-          let mpie = (s lsr 7) land 1 in
-          let mpp = Csr.mstatus_mpp s in
-          (* Unstack: MIE <- MPIE, MPIE <- 1, privilege <- MPP, MPP <- U. *)
-          c.Csr.v_mstatus <-
-            s
-            land lnot (Csr.mstatus_mie lor Csr.mstatus_mpp_mask)
-            lor (mpie lsl 3) lor Csr.mstatus_mpie;
-          if M.tracking then check_branch t c.Csr.t_mepc "mret target (mepc)";
-          set_priv t mpp;
-          branch_to c.Csr.v_mepc;
-          match t.on_trap with
-          | Some f -> f (Trap_return { target = t.pc; to_priv = mpp })
-          | None -> ()
-        end
-    | WFI ->
-        if t.csrf.Csr.v_mip land t.csrf.Csr.v_mie = 0 then t.in_wfi <- true
-    | CSRRW (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_w ~do_write:true
-    | CSRRS (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_s
-          ~do_write:(rs1 <> 0)
-    | CSRRC (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_c
-          ~do_write:(rs1 <> 0)
-    | CSRRWI (rd, z, n) ->
-        do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_w ~do_write:true
-    | CSRRSI (rd, z, n) ->
-        do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_s ~do_write:(z <> 0)
-    | CSRRCI (rd, z, n) ->
-        do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_c ~do_write:(z <> 0)
-    | ILLEGAL w -> trap t ~cause:Csr.cause_illegal ~tval:w
+(* Compiled chains capture the hook value at compile time (the common
+   no-hook case pays nothing per instruction), so changing it must drop
+   every compiled block and stop any running chain; the single-step
+   reference reads [t.trace] dynamically and needs neither. *)
+let set_trace t fn =
+  t.trace <- fn;
+  if Array.length t.cblocks > 0 then begin
+    t.flush_epoch <- t.flush_epoch + 1;
+    Array.fill t.cblocks 0 (Array.length t.cblocks) None;
+    t.sblocks <- [];
+    t.prev_cb <- None
+  end
+let set_merge_hook t fn = t.on_merge <- fn
+let blocks_built t = t.n_blocks
+let superblocks_built t = t.n_superblocks
+let chain_hits t = t.n_chain
+let ic_hits t = t.n_ic_hits
+let ic_misses t = t.n_ic_miss
+let fast_retired t = t.n_fast
 
-  let decode_slow t word =
-    try Hashtbl.find t.decode_cache word
-    with Not_found ->
-      let insn = Decode.decode word in
-      Hashtbl.add t.decode_cache word insn;
-      insn
+let set_irq t ~bit on =
+  let c = t.csrf in
+  if on then begin
+    c.Csr.v_mip <- c.Csr.v_mip lor bit;
+    Sysc.Kernel.notify_immediate t.irq_event
+  end
+  else c.Csr.v_mip <- c.Csr.v_mip land lnot bit land 0xffffffff
 
-  let decode_cached t pc word =
-    let idx = (pc - t.pc_cache_base) lsr 2 in
-    if idx >= 0 && idx < Array.length t.pc_cache_words then
-      if Array.unsafe_get t.pc_cache_words idx = word then
-        Array.unsafe_get t.pc_cache_insns idx
+(* --- DIFT checks ------------------------------------------------- *)
+
+let lub t a b =
+  let r = Dift.Lattice.lub t.lat a b in
+  (match t.on_merge with Some f -> f a b r | None -> ());
+  r
+
+(* The detail string is built lazily: these checks run on every
+   instruction, and allocating a formatted string on the hot path would
+   dominate the DIFT overhead. *)
+let check t ~kind ~data_tag ~required ~detail =
+  Dift.Monitor.count_check t.monitor;
+  if not (Dift.Lattice.allowed_flow t.lat data_tag required) then
+    Dift.Monitor.violation t.monitor
+      {
+        Dift.Violation.kind;
+        data_tag;
+        required_tag = required;
+        pc = Some t.cur_pc;
+        detail = detail ();
+      }
+
+let check_fetch t tag =
+  match t.fetch_req with
+  | Some required ->
+      if
+        Dift.Monitor.count_check t.monitor;
+        not (Dift.Lattice.allowed_flow t.lat tag required)
+      then
+        Dift.Monitor.violation t.monitor
+          {
+            Dift.Violation.kind = Dift.Violation.Exec_fetch;
+            data_tag = tag;
+            required_tag = required;
+            pc = Some t.cur_pc;
+            detail = Printf.sprintf "fetch of 0x%08x" t.insn_word;
+          }
+  | None -> ()
+
+let check_branch t tag detail =
+  match t.branch_req with
+  | Some required ->
+      check t ~kind:Dift.Violation.Exec_branch ~data_tag:tag ~required
+        ~detail:(fun () -> detail)
+  | None -> ()
+
+let check_mem_addr t tag addr =
+  match t.mem_addr_req with
+  | Some required ->
+      check t ~kind:Dift.Violation.Exec_mem_addr ~data_tag:tag ~required
+        ~detail:(fun () -> Printf.sprintf "effective address 0x%08x" addr)
+  | None -> ()
+
+let check_store_region t ~addr ~width ~tag =
+  if t.has_store_clearance then
+    for i = 0 to width - 1 do
+      match Dift.Policy.store_required_at t.policy (addr + i) with
+      | Some (region, required) ->
+          check t ~kind:(Dift.Violation.Store_integrity region) ~data_tag:tag
+            ~required
+            ~detail:(fun () -> Printf.sprintf "store to 0x%08x" (addr + i))
+      | None -> ()
+    done
+
+(* --- Traps and interrupts ----------------------------------------- *)
+
+(* A privilege change invalidates any in-flight compiled chain (no chain
+   may span a privilege boundary); the cached blocks themselves are
+   privilege-agnostic — CSR access checks run on the breaker slow path —
+   so only the epoch moves. *)
+let set_priv t p =
+  if p <> t.priv then begin
+    t.priv <- p;
+    t.flush_epoch <- t.flush_epoch + 1
+  end
+
+let enter_trap t ~cause ~tval ~epc =
+  let c = t.csrf in
+  if Csr.mtvec_base c.Csr.v_mtvec = 0 then
+    raise (Fatal_trap { cause; pc = epc; tval });
+  c.Csr.v_mepc <- epc;
+  c.Csr.t_mepc <- t.pub;
+  c.Csr.v_mcause <- cause;
+  c.Csr.t_mcause <- t.pub;
+  c.Csr.v_mtval <- mask32 tval;
+  c.Csr.t_mtval <- t.pub;
+  (* Stack: MPIE <- MIE, MIE <- 0, MPP <- current privilege. *)
+  let s = c.Csr.v_mstatus in
+  let mie = (s lsr 3) land 1 in
+  c.Csr.v_mstatus <-
+    s
+    land lnot (Csr.mstatus_mie lor Csr.mstatus_mpie lor Csr.mstatus_mpp_mask)
+    lor (mie lsl 7)
+    lor (t.priv lsl Csr.mstatus_mpp_shift);
+  set_priv t Csr.priv_m;
+  (* Tags stay exact on the fast path, so this check runs even there. *)
+  if t.tracking then check_branch t c.Csr.t_mtvec "trap vector (mtvec)";
+  let base = Csr.mtvec_base c.Csr.v_mtvec in
+  t.pc <-
+    (if Csr.mtvec_mode c.Csr.v_mtvec = 1 && cause land 0x80000000 <> 0 then
+       mask32 (base + (4 * (cause land 0x7fffffff)))
+     else base);
+  match t.on_trap with
+  | Some f -> f (Trap_enter { cause; epc; tval = mask32 tval; handler = t.pc })
+  | None -> ()
+
+let trap t ~cause ~tval = enter_trap t ~cause ~tval ~epc:t.cur_pc
+
+let take_interrupt t =
+  let c = t.csrf in
+  let pending = c.Csr.v_mip land c.Csr.v_mie in
+  let bit =
+    if pending land Csr.bit_mei <> 0 then Csr.bit_mei
+    else if pending land Csr.bit_msi <> 0 then Csr.bit_msi
+    else Csr.bit_mti
+  in
+  let idx =
+    if bit = Csr.bit_mei then 11 else if bit = Csr.bit_msi then 3 else 7
+  in
+  enter_trap t ~cause:(Csr.cause_interrupt idx) ~tval:0 ~epc:t.pc
+
+(* --- Memory helpers ------------------------------------------------ *)
+
+let do_load t ~width ~addr =
+  if t.strict_align && addr land (width - 1) <> 0 then begin
+    trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
+    t.insn_tag <- t.pub;
+    raise_notrace Exit
+  end;
+  try Bus_if.load t.bus ~width ~addr
+  with Bus_if.Bus_error _ ->
+    trap t ~cause:Csr.cause_load_fault ~tval:addr;
+    (* Trap redirected control flow; the load value is irrelevant. *)
+    t.insn_tag <- t.pub;
+    raise_notrace Exit
+
+let do_store t ~width ~addr ~value ~tag =
+  if t.strict_align && addr land (width - 1) <> 0 then begin
+    trap t ~cause:Csr.cause_store_misaligned ~tval:addr;
+    raise_notrace Exit
+  end;
+  try Bus_if.store t.bus ~width ~addr ~value ~tag
+  with Bus_if.Bus_error _ ->
+    trap t ~cause:Csr.cause_store_fault ~tval:addr;
+    raise_notrace Exit
+
+(* --- CSR instructions ---------------------------------------------- *)
+
+type csr_op = Op_w | Op_s | Op_c
+
+let do_csr t rd n ~src_v ~src_t ~op ~do_write =
+  if t.priv < Csr.required_priv n then
+    trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
+  else
+    match Csr.read t.csrf ~cycles:t.instret ~instret:t.instret n with
+    | None -> trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
+    | Some (old_v, old_t) ->
+        let write_ok =
+          if do_write then begin
+            let new_v, new_t =
+              match op with
+              | Op_w -> (src_v, src_t)
+              | Op_s ->
+                  ( old_v lor src_v,
+                    if t.tracking then lub t old_t src_t else t.pub )
+              | Op_c ->
+                  ( old_v land lnot src_v land 0xffffffff,
+                    if t.tracking then lub t old_t src_t else t.pub )
+            in
+            (* Trap-steering clearance: the trap vector and return
+               address decide where machine-mode execution resumes, so a
+               policy may require their writes to be untainted. Checked
+               before the write lands (in Halt mode the violation raise
+               leaves the CSR unchanged). *)
+            (if t.tracking && (n = Csr.mtvec || n = Csr.mepc) then
+               match t.policy.Dift.Policy.trap_csr with
+               | Some required ->
+                   check t
+                     ~kind:
+                       (Dift.Violation.Trap_steering
+                          (if n = Csr.mtvec then "mtvec" else "mepc"))
+                     ~data_tag:new_t ~required
+                     ~detail:(fun () ->
+                       Printf.sprintf "csr write of 0x%08x" (mask32 new_v))
+               | None -> ());
+            Csr.write t.csrf n ~value:new_v ~tag:new_t
+          end
+          else true
+        in
+        if write_ok then set_reg_tagged t rd old_v old_t
+        else trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
+
+(* --- Execute -------------------------------------------------------- *)
+
+let execute t insn =
+  let open Insn in
+  let pc0 = t.cur_pc in
+  let regs = t.regs and rtags = t.rtags in
+  let itag = t.insn_tag in
+  let rt r = if t.tracking then rtags.(r) else t.pub in
+  (* Tag of an ALU result from one / two register sources: immediates and
+     the operation itself inherit the instruction's classification. *)
+  let tag1 r = if t.tracking then lub t rtags.(r) itag else t.pub in
+  let tag2 a b =
+    if t.tracking then lub t (lub t rtags.(a) rtags.(b)) itag else t.pub
+  in
+  let branch_to target = t.pc <- mask32 target in
+  let cond_branch a b off taken =
+    if t.tracking then check_branch t (lub t (rt a) (rt b)) "branch condition";
+    if taken then branch_to (pc0 + off)
+  in
+  match insn with
+  | LUI (rd, _) | AUIPC (rd, _) ->
+      set_reg_tagged t rd (alu_value insn regs pc0) itag
+  | JAL (rd, off) ->
+      set_reg_tagged t rd (pc0 + 4) itag;
+      branch_to (pc0 + off)
+  | JALR (rd, rs1, off) ->
+      if t.tracking then check_branch t (rt rs1) "indirect jump target";
+      let target = mask32 (regs.(rs1) + off) land lnot 1 in
+      set_reg_tagged t rd (pc0 + 4) itag;
+      branch_to target
+  | BEQ (a, b, off) | BNE (a, b, off) | BLT (a, b, off) | BGE (a, b, off)
+  | BLTU (a, b, off) | BGEU (a, b, off) ->
+      cond_branch a b off (branch_taken insn regs)
+  | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
+  | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
+      let addr = mask32 (regs.(rs1) + off) in
+      if t.tracking then check_mem_addr t (rt rs1) addr;
+      let v = do_load t ~width:(mem_width insn) ~addr in
+      set_reg_tagged t rd (load_extend insn v) (Bus_if.last_tag t.bus)
+  | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
+      let addr = mask32 (regs.(rs1) + off) and width = mem_width insn in
+      if t.tracking then begin
+        check_mem_addr t (rt rs1) addr;
+        check_store_region t ~addr ~width ~tag:(rt rs2)
+      end;
+      do_store t ~width ~addr ~value:regs.(rs2) ~tag:(rt rs2)
+  | ADDI (rd, rs1, _) | SLTI (rd, rs1, _) | SLTIU (rd, rs1, _)
+  | XORI (rd, rs1, _) | ORI (rd, rs1, _) | ANDI (rd, rs1, _)
+  | SLLI (rd, rs1, _) | SRLI (rd, rs1, _) | SRAI (rd, rs1, _) ->
+      set_reg_tagged t rd (alu_value insn regs pc0) (tag1 rs1)
+  | ADD (rd, a, b) | SUB (rd, a, b) | SLL (rd, a, b) | SLT (rd, a, b)
+  | SLTU (rd, a, b) | XOR (rd, a, b) | SRL (rd, a, b) | SRA (rd, a, b)
+  | OR (rd, a, b) | AND (rd, a, b)
+  | MUL (rd, a, b) | MULH (rd, a, b) | MULHSU (rd, a, b) | MULHU (rd, a, b)
+  | DIV (rd, a, b) | DIVU (rd, a, b) | REM (rd, a, b) | REMU (rd, a, b) ->
+      set_reg_tagged t rd (alu_value insn regs pc0) (tag2 a b)
+  | FENCE -> ()
+  | ECALL ->
+      if t.priv = Csr.priv_m && regs.(17) = 93 then
+        halt t (Exited (signed regs.(10)))
       else begin
-        let insn = Decode.decode word in
-        Array.unsafe_set t.pc_cache_words idx word;
-        Array.unsafe_set t.pc_cache_insns idx insn;
-        insn
+        (* Syscall arguments are an explicit declassification gate: every
+           argument register must meet the gate clearance; admitted
+           arguments above the declassified class are downgraded, and
+           each downgrade is recorded by the monitor. *)
+        (if t.tracking then
+           match t.policy.Dift.Policy.ecall_gate with
+           | Some g ->
+               for rno = 10 to 15 do
+                 let tag = rtags.(rno) in
+                 Dift.Monitor.count_check t.monitor;
+                 if
+                   not
+                     (Dift.Lattice.allowed_flow t.lat tag
+                        g.Dift.Policy.g_clearance)
+                 then
+                   Dift.Monitor.violation t.monitor
+                     {
+                       Dift.Violation.kind =
+                         Dift.Violation.Custom "ecall-gate";
+                       data_tag = tag;
+                       required_tag = g.Dift.Policy.g_clearance;
+                       pc = Some pc0;
+                       detail = Printf.sprintf "ecall argument a%d" (rno - 10);
+                     }
+                 else if
+                   tag <> g.Dift.Policy.g_declass
+                   && not
+                        (Dift.Lattice.allowed_flow t.lat tag
+                           g.Dift.Policy.g_declass)
+                 then begin
+                   rtags.(rno) <- g.Dift.Policy.g_declass;
+                   Dift.Monitor.report t.monitor
+                     (Dift.Monitor.Declassified
+                        {
+                          where = Printf.sprintf "ecall-gate(a%d)" (rno - 10);
+                          from_tag = tag;
+                          to_tag = g.Dift.Policy.g_declass;
+                        })
+                 end
+               done
+           | None -> ());
+        trap t
+          ~cause:
+            (if t.priv = Csr.priv_m then Csr.cause_ecall_m
+             else Csr.cause_ecall_u)
+          ~tval:0
       end
-    else decode_slow t word
+  | EBREAK ->
+      (* With a handler installed, ebreak is an architectural breakpoint
+         trap; without one it keeps the simulator's stop convention. *)
+      if Csr.mtvec_base t.csrf.Csr.v_mtvec <> 0 then
+        trap t ~cause:Csr.cause_breakpoint ~tval:pc0
+      else halt t Breakpoint
+  | MRET ->
+      if t.priv <> Csr.priv_m then
+        trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
+      else begin
+        let c = t.csrf in
+        let s = c.Csr.v_mstatus in
+        let mpie = (s lsr 7) land 1 in
+        let mpp = Csr.mstatus_mpp s in
+        (* Unstack: MIE <- MPIE, MPIE <- 1, privilege <- MPP, MPP <- U. *)
+        c.Csr.v_mstatus <-
+          s
+          land lnot (Csr.mstatus_mie lor Csr.mstatus_mpp_mask)
+          lor (mpie lsl 3) lor Csr.mstatus_mpie;
+        if t.tracking then check_branch t c.Csr.t_mepc "mret target (mepc)";
+        set_priv t mpp;
+        branch_to c.Csr.v_mepc;
+        match t.on_trap with
+        | Some f -> f (Trap_return { target = t.pc; to_priv = mpp })
+        | None -> ()
+      end
+  | WFI ->
+      if t.csrf.Csr.v_mip land t.csrf.Csr.v_mie = 0 then t.in_wfi <- true
+  | CSRRW (rd, rs1, n) ->
+      do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_w ~do_write:true
+  | CSRRS (rd, rs1, n) ->
+      do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_s
+        ~do_write:(rs1 <> 0)
+  | CSRRC (rd, rs1, n) ->
+      do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_c
+        ~do_write:(rs1 <> 0)
+  | CSRRWI (rd, z, n) ->
+      do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_w ~do_write:true
+  | CSRRSI (rd, z, n) ->
+      do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_s ~do_write:(z <> 0)
+  | CSRRCI (rd, z, n) ->
+      do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_c ~do_write:(z <> 0)
+  | ILLEGAL w -> trap t ~cause:Csr.cause_illegal ~tval:w
 
-  let step t =
-    let c = t.csrf in
-    if
-      (t.priv <> Csr.priv_m || c.Csr.v_mstatus land Csr.mstatus_mie <> 0)
-      && c.Csr.v_mip land c.Csr.v_mie <> 0
-    then take_interrupt t
+let decode_slow t word =
+  try Hashtbl.find t.decode_cache word
+  with Not_found ->
+    let insn = Decode.decode word in
+    Hashtbl.add t.decode_cache word insn;
+    insn
+
+let decode_cached t pc word =
+  let idx = (pc - t.pc_cache_base) lsr 2 in
+  if idx >= 0 && idx < Array.length t.pc_cache_words then
+    if Array.unsafe_get t.pc_cache_words idx = word then
+      Array.unsafe_get t.pc_cache_insns idx
     else begin
-      let pc0 = t.pc in
-      t.cur_pc <- pc0;
-      if pc0 land 3 <> 0 then begin
-        (* Misaligned fetch faults at the fetch itself: epc and mtval are
-           the misaligned target (branch targets are encoded in multiples
-           of 2, so only bit 1 can be set). *)
-        enter_trap t ~cause:Csr.cause_fetch_misaligned ~tval:pc0 ~epc:pc0;
-        t.instret <- t.instret + 1
-      end
-      else
-      match
-        try
-          t.insn_word <- Bus_if.load t.bus ~width:4 ~addr:pc0;
-          true
-        with Bus_if.Bus_error _ ->
-          enter_trap t ~cause:Csr.cause_fetch_fault ~tval:pc0 ~epc:pc0;
-          false
-      with
-      | false -> t.instret <- t.instret + 1
-      | true ->
-          if M.tracking then begin
-            t.insn_tag <- Bus_if.last_tag t.bus;
-            check_fetch t t.insn_tag
-          end;
-          let insn = decode_cached t pc0 t.insn_word in
-          (match t.trace with Some f -> f pc0 insn | None -> ());
-          t.instret <- t.instret + 1;
-          t.local_cycles <- t.local_cycles + 1;
-          t.pc <- mask32 (pc0 + 4);
-          (try execute t insn with Exit -> ())
+      let insn = Decode.decode word in
+      Array.unsafe_set t.pc_cache_words idx word;
+      Array.unsafe_set t.pc_cache_insns idx insn;
+      insn
     end
+  else decode_slow t word
 
-  (* --- Block dispatch ------------------------------------------------ *)
-
-  (* M-mode interrupts are always enabled below M (mstatus.MIE only gates
-     them at machine level, per the privileged spec). *)
-  let interrupt_pending t =
-    let c = t.csrf in
+let step t =
+  let c = t.csrf in
+  if
     (t.priv <> Csr.priv_m || c.Csr.v_mstatus land Csr.mstatus_mie <> 0)
     && c.Csr.v_mip land c.Csr.v_mie <> 0
-
-  (* Fetch-decode a block starting at [pc] (word-aligned, inside the DMI
-     region). DMI loads are side-effect free, so probing ahead of execution
-     is safe; words are re-checked against nothing afterwards — the
-     invalidation hooks keep the cache coherent instead. *)
-  let build_block t pc =
-    let insns = ref [] and words = ref [] and tags = ref [] in
-    let n = ref 0 in
-    let addr = ref pc in
-    let all_pub = ref true in
-    let stop = ref false in
-    while (not !stop) && !n < max_block_insns && !addr + 3 <= t.blk_limit do
-      let w = Bus_if.load t.bus ~width:4 ~addr:!addr in
-      let tag = if M.tracking then Bus_if.last_tag t.bus else t.pub in
-      let insn = decode_cached t !addr w in
-      if block_breaker insn then stop := true
-      else begin
-        insns := insn :: !insns;
-        words := w :: !words;
-        tags := tag :: !tags;
-        if tag <> t.pub then all_pub := false;
-        incr n;
-        addr := !addr + 4;
-        if block_ender insn then stop := true
-      end
-    done;
-    let b =
-      {
-        b_pc = pc;
-        b_insns = Array.of_list (List.rev !insns);
-        b_words = Array.of_list (List.rev !words);
-        b_tags = (if M.tracking then Array.of_list (List.rev !tags) else [||]);
-        b_fast = !all_pub && !n > 0;
-      }
-    in
-    t.n_blocks <- t.n_blocks + 1;
-    if pc < t.code_lo then t.code_lo <- pc;
-    let last = pc + (4 * max 1 !n) - 1 in
-    if last > t.code_hi then t.code_hi <- last;
-    b
-
-  let regs_all_pub t =
-    let rtags = t.rtags and pub = t.pub in
-    let ok = ref true in
-    let i = ref 1 in
-    while !ok && !i < 32 do
-      if Array.unsafe_get rtags !i <> pub then ok := false;
-      incr i
-    done;
-    !ok
-
-  (* --- Block compiler (threaded code) --------------------------------- *)
-
-  (* The compiler turns each decoded block into a chain of closures, one
-     per instruction, with register indices, immediates and fetch tags
-     pre-resolved at compile time. Closures are chained tail-first
-     (instruction [i] captures instruction [i+1]'s closure), so running a
-     block is a single indirect call. A chain stops where the single-step
-     loop would return to the scheduler (instruction budget, sync quantum,
-     pending interrupt, halt, an invalidation of cached code), and the
-     retirement protocol (cur_pc / fetch bookkeeping / trace / instret /
-     pc update) replicates {!step} exactly, so both paths produce
-     identical architectural state, tags, counters, hook streams and
-     snapshots — pinned by test_parity and the difftest --cache-diff
-     leg. *)
-
-  (* Stop conditions checked before every chained instruction except the
-     first (the dispatcher itself re-checks them between blocks, and
-     never stop-checking the head keeps quantum = 0 configurations
-     live). *)
-  let chain_stalled t =
-    t.instret >= t.max_insns
-    || t.exit_reason <> Running
-    || t.local_cycles >= t.quantum
-    || t.flush_epoch <> t.chain_epoch
-    || interrupt_pending t
-
-  let chain_terminator () = ()
-
-  (* Full-semantics variant: the retirement shell is compiled per
-     instruction (pc, word and fetch tag are constants); the body shares
-     {!execute}, whose operands were pre-resolved by decoding, so tag
-     propagation and clearance checks are identical to the reference by
-     construction.
-
-     [exit_k] runs when control leaves the fall-through path (a taken branch
-     or trap): the chain terminator for a standalone block, a superblock
-     seam that continues into the chained successor when the divergence
-     lands exactly on it, or a jalr's inline cache ({!ic_exit}). *)
-  let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
-    let next_pc = mask32 (pc0 + 4) in
-    (* Captured at compile time; set_trace drops compiled blocks. *)
-    let traced = t.trace in
-    fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        if M.tracking then begin
-          t.insn_word <- word;
-          t.insn_tag <- itag;
-          check_fetch t itag
-        end;
-        (match traced with Some f -> f pc0 insn | None -> ());
-        t.instret <- t.instret + 1;
-        t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        (try execute t insn with Exit -> ());
-        if t.pc = next_pc then next () else exit_k ()
-      end
-
-  (* --- jalr inline caches --------------------------------------------- *)
-
-  let ic_demoted = -2
-
-  (* Monomorphic-install / demote state machine. On a miss with an empty
-     (or epoch-invalidated) cache the current target's compiled chain is
-     installed if it exists; a second distinct target demotes the site for
-     good. Never *enters* a chain — control falls back to the dispatcher,
-     which re-checks everything. *)
-  let ic_miss t ic ~tgt ~entry_of =
-    t.n_ic_miss <- t.n_ic_miss + 1;
-    if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
-      if tgt land 3 = 0 then
-        let idx = (tgt - t.blk_base) lsr 2 in
-        if idx >= 0 && idx < Array.length t.cblocks then
-          match Array.unsafe_get t.cblocks idx with
-          | Some cb when cb.cb_n > 0 ->
-              ic.ic_pc <- tgt;
-              ic.ic_epoch <- t.flush_epoch;
-              ic.ic_entry <- entry_of cb
-          | _ -> ()
+  then take_interrupt t
+  else begin
+    let pc0 = t.pc in
+    t.cur_pc <- pc0;
+    if pc0 land 3 <> 0 then begin
+      (* Misaligned fetch faults at the fetch itself: epc and mtval are
+         the misaligned target (branch targets are encoded in multiples
+         of 2, so only bit 1 can be set). *)
+      enter_trap t ~cause:Csr.cause_fetch_misaligned ~tval:pc0 ~epc:pc0;
+      t.instret <- t.instret + 1
     end
-    else ic.ic_pc <- ic_demoted
-
-  (* The exit continuation of a compiled jalr, shared by both variants
-     (each gets its own cache): the jalr has already retired and set
-     [t.pc]; jump directly to the predicted target's chain when the
-     prediction holds and no stop condition is pending, otherwise record
-     the miss and return to the dispatcher. [entry_of] picks which entry
-     of the target chain the cache installs. *)
-  let ic_exit t ~entry_of =
-    let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
-    fun () ->
-      let tgt = t.pc in
-      if ic.ic_pc = tgt && ic.ic_epoch = t.flush_epoch && not (chain_stalled t)
-      then begin
-        t.n_ic_hits <- t.n_ic_hits + 1;
-        ic.ic_entry ()
-      end
-      else ic_miss t ic ~tgt ~entry_of
-
-  (* Untainted specialization (tracking mode): entered only when every
-     cached word and every register carries the bottom tag, so all tag
-     plumbing — propagation, lub merges, clearance checks — is compiled
-     out, not just skipped. Only a load can break the invariant
-     mid-block: after a non-bottom loaded tag the chain falls through to
-     the full variant's next closure. Fast closures are reached only from
-     fast closures, the dispatcher's all-bottom check or seams between
-     them, so running one is itself the proof that every register tag is
-     bottom. Values come from the same definitions {!execute} uses
-     ({!alu_value}, {!branch_taken}, {!mem_width}, {!load_extend}); only
-     the retirement shells around them are written here, with branch and
-     jump targets folded in at compile time. *)
-  let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
-    let open Insn in
-    let regs = t.regs and rtags = t.rtags in
-    let next_pc = mask32 (pc0 + 4) in
-    (* The per-instruction hook is specialized at compile time — the
-       common no-hook case pays nothing per retired instruction.
-       {!set_trace} drops every compiled block, so a chain can never
-       outlive the hook value it captured. *)
-    let traced = t.trace in
-    (* Retirement bookkeeping is written out inline in every shape below
-       rather than shared through a [retire] closure: without flambda a
-       shared closure costs an extra indirect call on every retired
-       instruction, which is a measurable slice of the margin this
-       compiler exists to win. Register indices come from 5-bit decode
-       fields, so unsafe accesses on the 32-entry files are in bounds by
-       construction. *)
-    (* Register-writing ALU ops cannot redirect control: continue
-       unconditionally. *)
-    let alu rd =
-     fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        t.n_fast <- t.n_fast + 1;
-        (match traced with Some f -> f pc0 insn | None -> ());
+    else
+    match
+      try
+        t.insn_word <- Bus_if.load t.bus ~width:4 ~addr:pc0;
+        true
+      with Bus_if.Bus_error _ ->
+        enter_trap t ~cause:Csr.cause_fetch_fault ~tval:pc0 ~epc:pc0;
+        false
+    with
+    | false -> t.instret <- t.instret + 1
+    | true ->
+        if t.tracking then begin
+          t.insn_tag <- Bus_if.last_tag t.bus;
+          check_fetch t t.insn_tag
+        end;
+        let insn = decode_cached t pc0 t.insn_word in
+        (match t.trace with Some f -> f pc0 insn | None -> ());
         t.instret <- t.instret + 1;
         t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        if rd <> 0 then Array.unsafe_set regs rd (alu_value insn regs pc0);
-        next ()
+        t.pc <- mask32 (pc0 + 4);
+        (try execute t insn with Exit -> ())
+  end
+
+(* --- Block dispatch ------------------------------------------------ *)
+
+(* M-mode interrupts are always enabled below M (mstatus.MIE only gates
+   them at machine level, per the privileged spec). *)
+let interrupt_pending t =
+  let c = t.csrf in
+  (t.priv <> Csr.priv_m || c.Csr.v_mstatus land Csr.mstatus_mie <> 0)
+  && c.Csr.v_mip land c.Csr.v_mie <> 0
+
+(* Fetch-decode a block starting at [pc] (word-aligned, inside the DMI
+   region). DMI loads are side-effect free, so probing ahead of execution
+   is safe; words are re-checked against nothing afterwards — the
+   invalidation hooks keep the cache coherent instead. *)
+let build_block t pc =
+  let insns = ref [] and words = ref [] and tags = ref [] in
+  let n = ref 0 in
+  let addr = ref pc in
+  let all_pub = ref true in
+  let stop = ref false in
+  while (not !stop) && !n < max_block_insns && !addr + 3 <= t.blk_limit do
+    let w = Bus_if.load t.bus ~width:4 ~addr:!addr in
+    let tag = if t.tracking then Bus_if.last_tag t.bus else t.pub in
+    let insn = decode_cached t !addr w in
+    if block_breaker insn then stop := true
+    else begin
+      insns := insn :: !insns;
+      words := w :: !words;
+      tags := tag :: !tags;
+      if tag <> t.pub then all_pub := false;
+      incr n;
+      addr := !addr + 4;
+      if block_ender insn then stop := true
+    end
+  done;
+  let b =
+    {
+      b_pc = pc;
+      b_insns = Array.of_list (List.rev !insns);
+      b_words = Array.of_list (List.rev !words);
+      b_tags = (if t.tracking then Array.of_list (List.rev !tags) else [||]);
+      b_fast = !all_pub && !n > 0;
+    }
+  in
+  t.n_blocks <- t.n_blocks + 1;
+  if pc < t.code_lo then t.code_lo <- pc;
+  let last = pc + (4 * max 1 !n) - 1 in
+  if last > t.code_hi then t.code_hi <- last;
+  b
+
+let regs_all_pub t =
+  let rtags = t.rtags and pub = t.pub in
+  let ok = ref true in
+  let i = ref 1 in
+  while !ok && !i < 32 do
+    if Array.unsafe_get rtags !i <> pub then ok := false;
+    incr i
+  done;
+  !ok
+
+(* --- Block compiler (threaded code) --------------------------------- *)
+
+(* The compiler turns each decoded block into a chain of closures, one
+   per instruction, with register indices, immediates and fetch tags
+   pre-resolved at compile time. Closures are chained tail-first
+   (instruction [i] captures instruction [i+1]'s closure), so running a
+   block is a single indirect call. A chain stops where the single-step
+   loop would return to the scheduler (instruction budget, sync quantum,
+   pending interrupt, halt, an invalidation of cached code), and the
+   retirement protocol (cur_pc / fetch bookkeeping / trace / instret /
+   pc update) replicates {!step} exactly, so both paths produce
+   identical architectural state, tags, counters, hook streams and
+   snapshots — pinned by test_parity and the difftest --cache-diff
+   leg. *)
+
+(* Stop conditions checked before every chained instruction except the
+   first (the dispatcher itself re-checks them between blocks, and
+   never stop-checking the head keeps quantum = 0 configurations
+   live). *)
+let chain_stalled t =
+  t.instret >= t.max_insns
+  || t.exit_reason <> Running
+  || t.local_cycles >= t.quantum
+  || t.flush_epoch <> t.chain_epoch
+  || interrupt_pending t
+
+let chain_terminator () = ()
+
+(* Full-semantics variant: the retirement shell is compiled per
+   instruction (pc, word and fetch tag are constants); the body shares
+   {!execute}, whose operands were pre-resolved by decoding, so tag
+   propagation and clearance checks are identical to the reference by
+   construction.
+
+   [exit_k] runs when control leaves the fall-through path (a taken branch
+   or trap): the chain terminator for a standalone block, a superblock
+   seam that continues into the chained successor when the divergence
+   lands exactly on it, or a jalr's inline cache ({!ic_exit}). *)
+let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
+  let next_pc = mask32 (pc0 + 4) in
+  (* Captured at compile time; set_trace drops compiled blocks. *)
+  let traced = t.trace in
+  fun () ->
+    if (not guarded) || not (chain_stalled t) then begin
+      t.cur_pc <- pc0;
+      if t.tracking then begin
+        t.insn_word <- word;
+        t.insn_tag <- itag;
+        check_fetch t itag
+      end;
+      (match traced with Some f -> f pc0 insn | None -> ());
+      t.instret <- t.instret + 1;
+      t.local_cycles <- t.local_cycles + 1;
+      t.pc <- next_pc;
+      (try execute t insn with Exit -> ());
+      if t.pc = next_pc then next () else exit_k ()
+    end
+
+(* --- jalr inline caches --------------------------------------------- *)
+
+let ic_demoted = -2
+
+(* Monomorphic-install / demote state machine. On a miss with an empty
+   (or epoch-invalidated) cache the current target's compiled chain is
+   installed if it exists; a second distinct target demotes the site for
+   good. Never *enters* a chain — control falls back to the dispatcher,
+   which re-checks everything. *)
+let ic_miss t ic ~tgt ~entry_of =
+  t.n_ic_miss <- t.n_ic_miss + 1;
+  if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
+    if tgt land 3 = 0 then
+      let idx = (tgt - t.blk_base) lsr 2 in
+      if idx >= 0 && idx < Array.length t.cblocks then
+        match Array.unsafe_get t.cblocks idx with
+        | Some cb when cb.cb_n > 0 ->
+            ic.ic_pc <- tgt;
+            ic.ic_epoch <- t.flush_epoch;
+            ic.ic_entry <- entry_of cb
+        | _ -> ()
+  end
+  else ic.ic_pc <- ic_demoted
+
+(* The exit continuation of a compiled jalr, shared by both variants
+   (each gets its own cache): the jalr has already retired and set
+   [t.pc]; jump directly to the predicted target's chain when the
+   prediction holds and no stop condition is pending, otherwise record
+   the miss and return to the dispatcher. [entry_of] picks which entry
+   of the target chain the cache installs. *)
+let ic_exit t ~entry_of =
+  let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
+  fun () ->
+    let tgt = t.pc in
+    if ic.ic_pc = tgt && ic.ic_epoch = t.flush_epoch && not (chain_stalled t)
+    then begin
+      t.n_ic_hits <- t.n_ic_hits + 1;
+      ic.ic_entry ()
+    end
+    else ic_miss t ic ~tgt ~entry_of
+
+(* Untainted specialization (tracking mode): entered only when every
+   cached word and every register carries the bottom tag, so all tag
+   plumbing — propagation, lub merges, clearance checks — is compiled
+   out, not just skipped. Only a load can break the invariant
+   mid-block: after a non-bottom loaded tag the chain falls through to
+   the full variant's next closure. Fast closures are reached only from
+   fast closures, the dispatcher's all-bottom check or seams between
+   them, so running one is itself the proof that every register tag is
+   bottom. Values come from the same definitions {!execute} uses
+   ({!alu_value}, {!branch_taken}, {!mem_width}, {!load_extend}); only
+   the retirement shells around them are written here, with branch and
+   jump targets folded in at compile time. *)
+let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
+  let open Insn in
+  let regs = t.regs and rtags = t.rtags in
+  let next_pc = mask32 (pc0 + 4) in
+  (* The per-instruction hook is specialized at compile time — the
+     common no-hook case pays nothing per retired instruction.
+     {!set_trace} drops every compiled block, so a chain can never
+     outlive the hook value it captured. *)
+  let traced = t.trace in
+  (* Retirement bookkeeping is written out inline in every shape below
+     rather than shared through a [retire] closure: without flambda a
+     shared closure costs an extra indirect call on every retired
+     instruction, which is a measurable slice of the margin this
+     compiler exists to win. Register indices come from 5-bit decode
+     fields, so unsafe accesses on the 32-entry files are in bounds by
+     construction. *)
+  (* Register-writing ALU ops cannot redirect control: continue
+     unconditionally. *)
+  let alu rd =
+   fun () ->
+    if (not guarded) || not (chain_stalled t) then begin
+      t.cur_pc <- pc0;
+      t.n_fast <- t.n_fast + 1;
+      (match traced with Some f -> f pc0 insn | None -> ());
+      t.instret <- t.instret + 1;
+      t.local_cycles <- t.local_cycles + 1;
+      t.pc <- next_pc;
+      if rd <> 0 then Array.unsafe_set regs rd (alu_value insn regs pc0);
+      next ()
+    end
+  in
+  (* Taken branches / jumps landing exactly on [next_pc] continue the
+     chain, exactly like the single-step loop; any other landing site
+     exits through [exit_k] (terminator, or superblock seam). The
+     taken-path continuation is resolved at compile time. *)
+  let cond_branch tgt =
+   let taken_k = if tgt = next_pc then next else exit_k in
+   fun () ->
+    if (not guarded) || not (chain_stalled t) then begin
+      t.cur_pc <- pc0;
+      t.n_fast <- t.n_fast + 1;
+      (match traced with Some f -> f pc0 insn | None -> ());
+      t.instret <- t.instret + 1;
+      t.local_cycles <- t.local_cycles + 1;
+      t.pc <- next_pc;
+      if branch_taken insn regs then begin
+        t.pc <- tgt;
+        taken_k ()
       end
-    in
-    (* Taken branches / jumps landing exactly on [next_pc] continue the
-       chain, exactly like the single-step loop; any other landing site
-       exits through [exit_k] (terminator, or superblock seam). The
-       taken-path continuation is resolved at compile time. *)
-    let cond_branch tgt =
-     let taken_k = if tgt = next_pc then next else exit_k in
-     fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        t.n_fast <- t.n_fast + 1;
-        (match traced with Some f -> f pc0 insn | None -> ());
-        t.instret <- t.instret + 1;
-        t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        if branch_taken insn regs then begin
+      else next ()
+    end
+  in
+  (* Loads keep their side effect even for rd = x0; a tainted result
+     ends the specialization and resumes on the full chain. A faulting
+     load traps exactly like {!do_load} (the trap itself cannot taint:
+     CSR tags are written as bottom). *)
+  let load rd rs1 off =
+   let width = mem_width insn in
+   (* Alignment strictness is a create-time constant, so the check is
+      specialized away on default cores. *)
+   let align = t.strict_align && width > 1 in
+   fun () ->
+    if (not guarded) || not (chain_stalled t) then begin
+      t.cur_pc <- pc0;
+      t.n_fast <- t.n_fast + 1;
+      (match traced with Some f -> f pc0 insn | None -> ());
+      t.instret <- t.instret + 1;
+      t.local_cycles <- t.local_cycles + 1;
+      t.pc <- next_pc;
+      let addr = mask32 (Array.unsafe_get regs rs1 + off) in
+      (* The fall-through continuation: the fast successor, or the full
+         chain's once a tainted value has landed in a register. *)
+      let k =
+        if align && addr land (width - 1) <> 0 then begin
+          trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
+          t.insn_tag <- t.pub;
+          next
+        end
+        else
+          try
+            let v = load_extend insn (Bus_if.load t.bus ~width ~addr) in
+            if rd = 0 then next
+            else begin
+              Array.unsafe_set regs rd (mask32 v);
+              if not t.tracking then next
+              else
+                let tag = Bus_if.last_tag t.bus in
+                if tag = t.pub then next
+                else begin
+                  Array.unsafe_set rtags rd tag;
+                  fallback
+                end
+            end
+          with Bus_if.Bus_error _ ->
+            trap t ~cause:Csr.cause_load_fault ~tval:addr;
+            t.insn_tag <- t.pub;
+            next
+      in
+      if t.pc = next_pc then k () else exit_k ()
+    end
+  in
+  (* Stores cannot taint registers; the written tag is bottom by the
+     fast-path invariant (rs2's tag is bottom whenever this runs). *)
+  let store rs1 rs2 off =
+   let width = mem_width insn in
+   let align = t.strict_align && width > 1 in
+   fun () ->
+    if (not guarded) || not (chain_stalled t) then begin
+      t.cur_pc <- pc0;
+      t.n_fast <- t.n_fast + 1;
+      (match traced with Some f -> f pc0 insn | None -> ());
+      t.instret <- t.instret + 1;
+      t.local_cycles <- t.local_cycles + 1;
+      t.pc <- next_pc;
+      let addr = mask32 (Array.unsafe_get regs rs1 + off) in
+      if align && addr land (width - 1) <> 0 then
+        trap t ~cause:Csr.cause_store_misaligned ~tval:addr
+      else
+        (try
+           Bus_if.store t.bus ~width ~addr
+             ~value:(Array.unsafe_get regs rs2)
+             ~tag:t.pub
+         with Bus_if.Bus_error _ ->
+           trap t ~cause:Csr.cause_store_fault ~tval:addr);
+      if t.pc = next_pc then next () else exit_k ()
+    end
+  in
+  match insn with
+  | LUI (rd, _) | AUIPC (rd, _)
+  | ADDI (rd, _, _) | SLTI (rd, _, _) | SLTIU (rd, _, _) | XORI (rd, _, _)
+  | ORI (rd, _, _) | ANDI (rd, _, _) | SLLI (rd, _, _) | SRLI (rd, _, _)
+  | SRAI (rd, _, _)
+  | ADD (rd, _, _) | SUB (rd, _, _) | SLL (rd, _, _) | SLT (rd, _, _)
+  | SLTU (rd, _, _) | XOR (rd, _, _) | SRL (rd, _, _) | SRA (rd, _, _)
+  | OR (rd, _, _) | AND (rd, _, _)
+  | MUL (rd, _, _) | MULH (rd, _, _) | MULHSU (rd, _, _) | MULHU (rd, _, _)
+  | DIV (rd, _, _) | DIVU (rd, _, _) | REM (rd, _, _) | REMU (rd, _, _) ->
+      alu rd
+  | JAL (rd, off) ->
+      let tgt = mask32 (pc0 + off) in
+      let taken_k = if tgt = next_pc then next else exit_k in
+      fun () ->
+        if (not guarded) || not (chain_stalled t) then begin
+          t.cur_pc <- pc0;
+          t.n_fast <- t.n_fast + 1;
+          (match traced with Some f -> f pc0 insn | None -> ());
+          t.instret <- t.instret + 1;
+          t.local_cycles <- t.local_cycles + 1;
+          if rd <> 0 then regs.(rd) <- next_pc;
           t.pc <- tgt;
           taken_k ()
         end
-        else next ()
-      end
-    in
-    (* Loads keep their side effect even for rd = x0; a tainted result
-       ends the specialization and resumes on the full chain. A faulting
-       load traps exactly like {!do_load} (the trap itself cannot taint:
-       CSR tags are written as bottom). *)
-    let load rd rs1 off =
-     let width = mem_width insn in
-     (* Alignment strictness is a create-time constant, so the check is
-        specialized away on default cores. *)
-     let align = t.strict_align && width > 1 in
-     fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        t.n_fast <- t.n_fast + 1;
-        (match traced with Some f -> f pc0 insn | None -> ());
-        t.instret <- t.instret + 1;
-        t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        let addr = mask32 (Array.unsafe_get regs rs1 + off) in
-        (* The fall-through continuation: the fast successor, or the full
-           chain's once a tainted value has landed in a register. *)
-        let k =
-          if align && addr land (width - 1) <> 0 then begin
-            trap t ~cause:Csr.cause_load_misaligned ~tval:addr;
-            t.insn_tag <- t.pub;
-            next
-          end
-          else
-            try
-              let v = load_extend insn (Bus_if.load t.bus ~width ~addr) in
-              if rd = 0 then next
-              else begin
-                Array.unsafe_set regs rd (mask32 v);
-                if not M.tracking then next
-                else
-                  let tag = Bus_if.last_tag t.bus in
-                  if tag = t.pub then next
-                  else begin
-                    Array.unsafe_set rtags rd tag;
-                    fallback
-                  end
-              end
-            with Bus_if.Bus_error _ ->
-              trap t ~cause:Csr.cause_load_fault ~tval:addr;
-              t.insn_tag <- t.pub;
-              next
-        in
-        if t.pc = next_pc then k () else exit_k ()
-      end
-    in
-    (* Stores cannot taint registers; the written tag is bottom by the
-       fast-path invariant (rs2's tag is bottom whenever this runs). *)
-    let store rs1 rs2 off =
-     let width = mem_width insn in
-     let align = t.strict_align && width > 1 in
-     fun () ->
-      if (not guarded) || not (chain_stalled t) then begin
-        t.cur_pc <- pc0;
-        t.n_fast <- t.n_fast + 1;
-        (match traced with Some f -> f pc0 insn | None -> ());
-        t.instret <- t.instret + 1;
-        t.local_cycles <- t.local_cycles + 1;
-        t.pc <- next_pc;
-        let addr = mask32 (Array.unsafe_get regs rs1 + off) in
-        if align && addr land (width - 1) <> 0 then
-          trap t ~cause:Csr.cause_store_misaligned ~tval:addr
-        else
-          (try
-             Bus_if.store t.bus ~width ~addr
-               ~value:(Array.unsafe_get regs rs2)
-               ~tag:t.pub
-           with Bus_if.Bus_error _ ->
-             trap t ~cause:Csr.cause_store_fault ~tval:addr);
-        if t.pc = next_pc then next () else exit_k ()
-      end
-    in
-    match insn with
-    | LUI (rd, _) | AUIPC (rd, _)
-    | ADDI (rd, _, _) | SLTI (rd, _, _) | SLTIU (rd, _, _) | XORI (rd, _, _)
-    | ORI (rd, _, _) | ANDI (rd, _, _) | SLLI (rd, _, _) | SRLI (rd, _, _)
-    | SRAI (rd, _, _)
-    | ADD (rd, _, _) | SUB (rd, _, _) | SLL (rd, _, _) | SLT (rd, _, _)
-    | SLTU (rd, _, _) | XOR (rd, _, _) | SRL (rd, _, _) | SRA (rd, _, _)
-    | OR (rd, _, _) | AND (rd, _, _)
-    | MUL (rd, _, _) | MULH (rd, _, _) | MULHSU (rd, _, _) | MULHU (rd, _, _)
-    | DIV (rd, _, _) | DIVU (rd, _, _) | REM (rd, _, _) | REMU (rd, _, _) ->
-        alu rd
-    | JAL (rd, off) ->
-        let tgt = mask32 (pc0 + off) in
-        let taken_k = if tgt = next_pc then next else exit_k in
-        fun () ->
-          if (not guarded) || not (chain_stalled t) then begin
-            t.cur_pc <- pc0;
-            t.n_fast <- t.n_fast + 1;
-            (match traced with Some f -> f pc0 insn | None -> ());
-            t.instret <- t.instret + 1;
-            t.local_cycles <- t.local_cycles + 1;
-            if rd <> 0 then regs.(rd) <- next_pc;
-            t.pc <- tgt;
-            taken_k ()
-          end
-    | JALR (rd, rs1, off) ->
-        (* A cache hit jumps directly into the predicted chain's fast
-           entry, or its full entry when the target has no fast variant,
-           so the prediction still skips the dispatcher. The tag invariant
-           carries over the jump: every register tag is bottom here, which
-           is exactly the fast-entry precondition the dispatcher would
-           re-derive. *)
-        let ic_k =
-          ic_exit t ~entry_of:(fun cb ->
-              match cb.cb_fast with Some f -> f | None -> cb.cb_full)
-        in
-        fun () ->
-          if (not guarded) || not (chain_stalled t) then begin
-            t.cur_pc <- pc0;
-            t.n_fast <- t.n_fast + 1;
-            (match traced with Some f -> f pc0 insn | None -> ());
-            t.instret <- t.instret + 1;
-            t.local_cycles <- t.local_cycles + 1;
-            (* Target before link write: rd may alias rs1. *)
-            let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
-            if rd <> 0 then Array.unsafe_set regs rd next_pc;
-            t.pc <- tgt;
-            if tgt = next_pc then next () else ic_k ()
-          end
-    | BEQ (_, _, off) | BNE (_, _, off) | BLT (_, _, off) | BGE (_, _, off)
-    | BLTU (_, _, off) | BGEU (_, _, off) ->
-        cond_branch (mask32 (pc0 + off))
-    | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
-    | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
-        load rd rs1 off
-    | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
-        store rs1 rs2 off
-    | FENCE | ECALL | EBREAK | MRET | WFI
-    | CSRRW _ | CSRRS _ | CSRRC _ | CSRRWI _ | CSRRSI _ | CSRRCI _
-    | ILLEGAL _ ->
-        (* Breakers never enter a block (see build_block). *)
-        invalid_arg "compile_fast: breaker instruction in block"
+  | JALR (rd, rs1, off) ->
+      (* A cache hit jumps directly into the predicted chain's fast
+         entry, or its full entry when the target has no fast variant,
+         so the prediction still skips the dispatcher. The tag invariant
+         carries over the jump: every register tag is bottom here, which
+         is exactly the fast-entry precondition the dispatcher would
+         re-derive. *)
+      let ic_k =
+        ic_exit t ~entry_of:(fun cb ->
+            match cb.cb_fast with Some f -> f | None -> cb.cb_full)
+      in
+      fun () ->
+        if (not guarded) || not (chain_stalled t) then begin
+          t.cur_pc <- pc0;
+          t.n_fast <- t.n_fast + 1;
+          (match traced with Some f -> f pc0 insn | None -> ());
+          t.instret <- t.instret + 1;
+          t.local_cycles <- t.local_cycles + 1;
+          (* Target before link write: rd may alias rs1. *)
+          let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
+          if rd <> 0 then Array.unsafe_set regs rd next_pc;
+          t.pc <- tgt;
+          if tgt = next_pc then next () else ic_k ()
+        end
+  | BEQ (_, _, off) | BNE (_, _, off) | BLT (_, _, off) | BGE (_, _, off)
+  | BLTU (_, _, off) | BGEU (_, _, off) ->
+      cond_branch (mask32 (pc0 + off))
+  | LB (rd, rs1, off) | LH (rd, rs1, off) | LW (rd, rs1, off)
+  | LBU (rd, rs1, off) | LHU (rd, rs1, off) ->
+      load rd rs1 off
+  | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
+      store rs1 rs2 off
+  | FENCE | ECALL | EBREAK | MRET | WFI
+  | CSRRW _ | CSRRS _ | CSRRC _ | CSRRWI _ | CSRRSI _ | CSRRCI _
+  | ILLEGAL _ ->
+      (* Breakers never enter a block (see build_block). *)
+      invalid_arg "compile_fast: breaker instruction in block"
 
-  let compile_block ?link t (b : block) =
-    let n = Array.length b.b_insns in
-    let lo0 = b.b_pc and hi0 = b.b_pc + (4 * max 1 n) - 1 in
-    if n = 0 then
+let compile_block ?link t (b : block) =
+  let n = Array.length b.b_insns in
+  let lo0 = b.b_pc and hi0 = b.b_pc + (4 * max 1 n) - 1 in
+  if n = 0 then
+    {
+      cb_pc = b.b_pc;
+      cb_n = 0;
+      cb_full = chain_terminator;
+      cb_fast = None;
+      cb_blk = b;
+      cb_lo = lo0;
+      cb_hi = hi0;
+      cb_edge_pc = -1;
+      cb_edge_n = 0;
+      cb_linked = false;
+    }
+  else begin
+    (* Superblock seams: with a hot successor [link], every exit path of
+       this block (slot [n] fall-off, taken branches, even a mid-block
+       trap) funnels through a seam instead of the chain terminator. The
+       seam continues directly into the successor's chain — eliding the
+       dispatcher round, the pc/index lookup and, on the fast side, the
+       31-register tag rescan — exactly when execution really landed on
+       the successor and no stop condition is pending; anything else
+       returns to the dispatcher as before. The fast seam needs no tag
+       check: being reached from a fast closure is itself the proof that
+       every register tag is still bottom (a tainted load would have
+       left for the full chain before the seam). Entries are threaded
+       through refs so a block chained to itself loops inside its own new
+       chain. *)
+    let full_tgt = ref chain_terminator in
+    let fast_tgt = ref chain_terminator in
+    let succ_pc = match link with Some s -> s.cb_pc | None -> -1 in
+    let full_seam, fast_seam =
+      match link with
+      | None -> (chain_terminator, chain_terminator)
+      | Some _ ->
+          ( (fun () ->
+              if t.pc = succ_pc && not (chain_stalled t) then begin
+                t.n_chain <- t.n_chain + 1;
+                !full_tgt ()
+              end),
+            fun () ->
+              if t.pc = succ_pc && not (chain_stalled t) then begin
+                t.n_chain <- t.n_chain + 1;
+                !fast_tgt ()
+              end )
+    in
+    (* Built backwards so each closure captures its successor; slot [n]
+       is the fall-off exit (terminator or seam). *)
+    let full = Array.make (n + 1) full_seam in
+    for i = n - 1 downto 0 do
+      let itag = if t.tracking then b.b_tags.(i) else t.pub in
+      let insn = b.b_insns.(i) in
+      let exit_k =
+        match insn with
+        | Insn.JALR _ -> ic_exit t ~entry_of:(fun cb -> cb.cb_full)
+        | _ -> full_seam
+      in
+      full.(i) <-
+        compile_full t ~guarded:(i > 0)
+          ~pc0:(b.b_pc + (4 * i))
+          ~word:b.b_words.(i) ~itag ~insn ~next:full.(i + 1) ~exit_k
+    done;
+    let cb_fast =
+      if t.fast_spec && b.b_fast then begin
+        let fast = Array.make (n + 1) fast_seam in
+        for i = n - 1 downto 0 do
+          fast.(i) <-
+            compile_fast t ~guarded:(i > 0)
+              ~pc0:(b.b_pc + (4 * i))
+              ~insn:b.b_insns.(i)
+              ~next:fast.(i + 1)
+              ~fallback:full.(i + 1)
+              ~exit_k:fast_seam
+        done;
+        Some fast.(0)
+      end
+      else None
+    in
+    let cb_lo, cb_hi =
+      match link with
+      | Some s -> (min lo0 s.cb_lo, max hi0 s.cb_hi)
+      | None -> (lo0, hi0)
+    in
+    let cb =
       {
         cb_pc = b.b_pc;
-        cb_n = 0;
-        cb_full = chain_terminator;
-        cb_fast = None;
+        cb_n = n;
+        cb_full = full.(0);
+        cb_fast;
         cb_blk = b;
-        cb_lo = lo0;
-        cb_hi = hi0;
+        cb_lo;
+        cb_hi;
         cb_edge_pc = -1;
         cb_edge_n = 0;
-        cb_linked = false;
+        cb_linked = link <> None;
       }
-    else begin
-      (* Superblock seams: with a hot successor [link], every exit path of
-         this block (slot [n] fall-off, taken branches, even a mid-block
-         trap) funnels through a seam instead of the chain terminator. The
-         seam continues directly into the successor's chain — eliding the
-         dispatcher round, the pc/index lookup and, on the fast side, the
-         31-register tag rescan — exactly when execution really landed on
-         the successor and no stop condition is pending; anything else
-         returns to the dispatcher as before. The fast seam needs no tag
-         check: being reached from a fast closure is itself the proof that
-         every register tag is still bottom (a tainted load would have
-         left for the full chain before the seam). Entries are threaded
-         through refs so a block chained to itself loops inside its own new
-         chain. *)
-      let full_tgt = ref chain_terminator in
-      let fast_tgt = ref chain_terminator in
-      let succ_pc = match link with Some s -> s.cb_pc | None -> -1 in
-      let full_seam, fast_seam =
-        match link with
-        | None -> (chain_terminator, chain_terminator)
-        | Some _ ->
-            ( (fun () ->
-                if t.pc = succ_pc && not (chain_stalled t) then begin
-                  t.n_chain <- t.n_chain + 1;
-                  !full_tgt ()
-                end),
-              fun () ->
-                if t.pc = succ_pc && not (chain_stalled t) then begin
-                  t.n_chain <- t.n_chain + 1;
-                  !fast_tgt ()
-                end )
-      in
-      (* Built backwards so each closure captures its successor; slot [n]
-         is the fall-off exit (terminator or seam). *)
-      let full = Array.make (n + 1) full_seam in
-      for i = n - 1 downto 0 do
-        let itag = if M.tracking then b.b_tags.(i) else t.pub in
-        let insn = b.b_insns.(i) in
-        let exit_k =
-          match insn with
-          | Insn.JALR _ -> ic_exit t ~entry_of:(fun cb -> cb.cb_full)
-          | _ -> full_seam
-        in
-        full.(i) <-
-          compile_full t ~guarded:(i > 0)
-            ~pc0:(b.b_pc + (4 * i))
-            ~word:b.b_words.(i) ~itag ~insn ~next:full.(i + 1) ~exit_k
-      done;
-      let cb_fast =
-        if t.fast_spec && b.b_fast then begin
-          let fast = Array.make (n + 1) fast_seam in
-          for i = n - 1 downto 0 do
-            fast.(i) <-
-              compile_fast t ~guarded:(i > 0)
-                ~pc0:(b.b_pc + (4 * i))
-                ~insn:b.b_insns.(i)
-                ~next:fast.(i + 1)
-                ~fallback:full.(i + 1)
-                ~exit_k:fast_seam
-          done;
-          Some fast.(0)
-        end
-        else None
-      in
-      let cb_lo, cb_hi =
-        match link with
-        | Some s -> (min lo0 s.cb_lo, max hi0 s.cb_hi)
-        | None -> (lo0, hi0)
-      in
-      let cb =
-        {
-          cb_pc = b.b_pc;
-          cb_n = n;
-          cb_full = full.(0);
-          cb_fast;
-          cb_blk = b;
-          cb_lo;
-          cb_hi;
-          cb_edge_pc = -1;
-          cb_edge_n = 0;
-          cb_linked = link <> None;
-        }
-      in
-      (match link with
-      | None -> ()
-      | Some succ when succ.cb_pc = b.b_pc ->
-          (* Self-loop: the back edge re-enters this block's own new
-             chain, so a hot loop body spins inside one chain until a
-             stop condition (quantum, interrupt, ...) breaks it. Entries
-             are tail calls, so the spin is stack-safe. *)
-          full_tgt := cb.cb_full;
-          fast_tgt :=
-            (match cb.cb_fast with Some f -> f | None -> chain_terminator)
-      | Some succ ->
-          full_tgt := succ.cb_full;
-          fast_tgt :=
-            (match succ.cb_fast with Some f -> f | None -> succ.cb_full));
-      cb
-    end
+    in
+    (match link with
+    | None -> ()
+    | Some succ when succ.cb_pc = b.b_pc ->
+        (* Self-loop: the back edge re-enters this block's own new
+           chain, so a hot loop body spins inside one chain until a
+           stop condition (quantum, interrupt, ...) breaks it. Entries
+           are tail calls, so the spin is stack-safe. *)
+        full_tgt := cb.cb_full;
+        fast_tgt :=
+          (match cb.cb_fast with Some f -> f | None -> chain_terminator)
+    | Some succ ->
+        full_tgt := succ.cb_full;
+        fast_tgt :=
+          (match succ.cb_fast with Some f -> f | None -> succ.cb_full));
+    cb
+  end
 
-  (* Consecutive observations of the same exit edge before the
-     predecessor is recompiled into a superblock. *)
-  let superblock_threshold = 8
+(* Consecutive observations of the same exit edge before the
+   predecessor is recompiled into a superblock. *)
+let superblock_threshold = 8
 
-  let ends_in_jalr b =
-    let n = Array.length b.b_insns in
-    n > 0 && (match b.b_insns.(n - 1) with Insn.JALR _ -> true | _ -> false)
+let ends_in_jalr b =
+  let n = Array.length b.b_insns in
+  n > 0 && (match b.b_insns.(n - 1) with Insn.JALR _ -> true | _ -> false)
 
-  (* Recompile [pred] chained across its exit edge into [succ], replacing
-     pred's cache slot and registering the new chain's two-block span for
-     invalidation. Compiled from the stored decoded block — nothing is
-     re-fetched, so [blocks_built] is unchanged. *)
-  let link_superblock t pred pidx succ =
-    let sb = compile_block ~link:succ t pred.cb_blk in
-    Array.unsafe_set t.cblocks pidx (Some sb);
-    t.sblocks <- (pidx, sb) :: t.sblocks;
-    t.n_superblocks <- t.n_superblocks + 1;
-    sb
+(* Recompile [pred] chained across its exit edge into [succ], replacing
+   pred's cache slot and registering the new chain's two-block span for
+   invalidation. Compiled from the stored decoded block — nothing is
+   re-fetched, so [blocks_built] is unchanged. *)
+let link_superblock t pred pidx succ =
+  let sb = compile_block ~link:succ t pred.cb_blk in
+  Array.unsafe_set t.cblocks pidx (Some sb);
+  t.sblocks <- (pidx, sb) :: t.sblocks;
+  t.n_superblocks <- t.n_superblocks + 1;
+  sb
 
-  (* One scheduling round: take a pending interrupt, or run one compiled
-     chain from the cache, building it on a miss; pcs outside the
-     cacheable region and system instructions fall back to {!step}. The
-     fast/full decision is made once per chain entry. *)
-  let dispatch t =
-    if interrupt_pending t then begin
+(* One scheduling round: take a pending interrupt, or run one compiled
+   chain from the cache, building it on a miss; pcs outside the
+   cacheable region and system instructions fall back to {!step}. The
+   fast/full decision is made once per chain entry. *)
+let dispatch t =
+  if interrupt_pending t then begin
+    t.prev_cb <- None;
+    take_interrupt t
+  end
+  else begin
+    let pc0 = t.pc in
+    let idx = (pc0 - t.blk_base) lsr 2 in
+    if pc0 land 3 <> 0 || idx >= Array.length t.cblocks then begin
       t.prev_cb <- None;
-      take_interrupt t
+      step t
     end
-    else begin
-      let pc0 = t.pc in
-      let idx = (pc0 - t.blk_base) lsr 2 in
-      if pc0 land 3 <> 0 || idx >= Array.length t.cblocks then begin
+    else
+      let cb =
+        match Array.unsafe_get t.cblocks idx with
+        | Some cb -> cb
+        | None ->
+            let cb = compile_block t (build_block t pc0) in
+            Array.unsafe_set t.cblocks idx (Some cb);
+            cb
+      in
+      if cb.cb_n = 0 then begin
         t.prev_cb <- None;
         step t
       end
-      else
+      else begin
+        (* Exit-edge profiling: each dispatcher entry is an edge from
+           the chain that ran last round to [pc0]. When the same edge
+           repeats superblock_threshold times, the predecessor is
+           recompiled chained into this block — jalr exits are excluded
+           (their inline caches cover them). The slot identity check
+           refuses to resurrect a chain that was flushed since it last
+           ran; a self-loop link swaps in the new chain for the current
+           round as well. *)
         let cb =
-          match Array.unsafe_get t.cblocks idx with
-          | Some cb -> cb
-          | None ->
-              let cb = compile_block t (build_block t pc0) in
-              Array.unsafe_set t.cblocks idx (Some cb);
-              cb
+          match t.prev_cb with
+          | Some p when not p.cb_linked ->
+              if p.cb_edge_pc = pc0 then begin
+                p.cb_edge_n <- p.cb_edge_n + 1;
+                if
+                  p.cb_edge_n >= superblock_threshold
+                  && not (ends_in_jalr p.cb_blk)
+                then begin
+                  let pidx = (p.cb_pc - t.blk_base) lsr 2 in
+                  match Array.unsafe_get t.cblocks pidx with
+                  | Some cur when cur == p ->
+                      let sb = link_superblock t p pidx cb in
+                      if p.cb_pc = pc0 then sb else cb
+                  | _ -> cb
+                end
+                else cb
+              end
+              else begin
+                p.cb_edge_pc <- pc0;
+                p.cb_edge_n <- 1;
+                cb
+              end
+          | _ -> cb
         in
-        if cb.cb_n = 0 then begin
-          t.prev_cb <- None;
-          step t
-        end
-        else begin
-          (* Exit-edge profiling: each dispatcher entry is an edge from
-             the chain that ran last round to [pc0]. When the same edge
-             repeats superblock_threshold times, the predecessor is
-             recompiled chained into this block — jalr exits are excluded
-             (their inline caches cover them). The slot identity check
-             refuses to resurrect a chain that was flushed since it last
-             ran; a self-loop link swaps in the new chain for the current
-             round as well. *)
-          let cb =
-            match t.prev_cb with
-            | Some p when not p.cb_linked ->
-                if p.cb_edge_pc = pc0 then begin
-                  p.cb_edge_n <- p.cb_edge_n + 1;
-                  if
-                    p.cb_edge_n >= superblock_threshold
-                    && not (ends_in_jalr p.cb_blk)
-                  then begin
-                    let pidx = (p.cb_pc - t.blk_base) lsr 2 in
-                    match Array.unsafe_get t.cblocks pidx with
-                    | Some cur when cur == p ->
-                        let sb = link_superblock t p pidx cb in
-                        if p.cb_pc = pc0 then sb else cb
-                    | _ -> cb
-                  end
-                  else cb
-                end
-                else begin
-                  p.cb_edge_pc <- pc0;
-                  p.cb_edge_n <- 1;
-                  cb
-                end
-            | _ -> cb
-          in
-          t.prev_cb <- Some cb;
-          t.chain_epoch <- t.flush_epoch;
-          match cb.cb_fast with
-          | Some f when (not M.tracking) || regs_all_pub t ->
-              (* Fast closures never write [insn_tag]; leave it where the
-                 single-step loop would, at the words' bottom fetch tag. *)
-              t.insn_tag <- t.pub;
-              f ()
-          | _ -> cb.cb_full ()
-        end
-    end
+        t.prev_cb <- Some cb;
+        t.chain_epoch <- t.flush_epoch;
+        match cb.cb_fast with
+        | Some f when (not t.tracking) || regs_all_pub t ->
+            (* Fast closures never write [insn_tag]; leave it where the
+               single-step loop would, at the words' bottom fetch tag. *)
+            t.insn_tag <- t.pub;
+            f ()
+        | _ -> cb.cb_full ()
+      end
+  end
 
-  let unhalt t = t.exit_reason <- Running
+let unhalt t = t.exit_reason <- Running
 
-  let set_pause_at t n = t.pause_at <- n
-  let paused t = t.paused
-  let clear_paused t = t.paused <- false
+let set_pause_at t n = t.pause_at <- n
+let paused t = t.paused
+let clear_paused t = t.paused <- false
 
-  let sync_time t =
-    let elapsed =
-      Sysc.Time.add
-        (t.local_cycles * t.cycle_time)
-        (Bus_if.take_delay t.bus)
-    in
-    t.local_cycles <- 0;
-    if elapsed > 0 then begin
-      Sysc.Kernel.notify_after t.sync_event elapsed;
-      t.syncing <- true;
-      if t.instret >= t.pause_at then begin
-        (* Checkpoint request: stop the scheduler with the thread parked on
-           its (pending, serialisable) sync notification. The pause is
-           invisible to the simulation — the wakeup happens at exactly the
-           instant it would have without it. *)
-        t.paused <- true;
-        t.pause_at <- max_int;
-        Sysc.Kernel.stop t.kernel
+let sync_time t =
+  let elapsed =
+    Sysc.Time.add
+      (t.local_cycles * cycle_time)
+      (Bus_if.take_delay t.bus)
+  in
+  t.local_cycles <- 0;
+  if elapsed > 0 then begin
+    Sysc.Kernel.notify_after t.sync_event elapsed;
+    t.syncing <- true;
+    if t.instret >= t.pause_at then begin
+      (* Checkpoint request: stop the scheduler with the thread parked on
+         its (pending, serialisable) sync notification. The pause is
+         invisible to the simulation — the wakeup happens at exactly the
+         instant it would have without it. *)
+      t.paused <- true;
+      t.pause_at <- max_int;
+      Sysc.Kernel.stop t.kernel
+    end;
+    Sysc.Kernel.wait_event t.sync_event;
+    t.syncing <- false
+  end
+
+let spawn_thread ?(stop_kernel_on_halt = true) t =
+  let round = if t.use_blocks then dispatch else step in
+  Sysc.Kernel.spawn t.kernel ~name:"cpu" (fun () ->
+      if t.syncing then begin
+        (* Restored from a snapshot taken at a sync boundary: the wakeup
+           is already pending (re-armed by the kernel restore); park on
+           it like the saved thread was. *)
+        Sysc.Kernel.wait_event t.sync_event;
+        t.syncing <- false
       end;
-      Sysc.Kernel.wait_event t.sync_event;
-      t.syncing <- false
-    end
+      let running = ref true in
+      while !running do
+        if halted t || Sysc.Kernel.stopped t.kernel then running := false
+        else if t.in_wfi then begin
+          sync_time t;
+          if t.csrf.Csr.v_mip land t.csrf.Csr.v_mie = 0 then
+            Sysc.Kernel.wait_event t.irq_event
+          else t.in_wfi <- false
+        end
+        else if t.instret >= t.max_insns then halt t Insn_limit
+        else begin
+          round t;
+          if t.local_cycles >= t.quantum then sync_time t
+        end
+      done;
+      sync_time t;
+      if stop_kernel_on_halt then Sysc.Kernel.stop t.kernel)
 
-  let spawn_thread ?(stop_kernel_on_halt = true) t =
-    let round = if t.use_blocks then dispatch else step in
-    Sysc.Kernel.spawn t.kernel ~name:"cpu" (fun () ->
-        if t.syncing then begin
-          (* Restored from a snapshot taken at a sync boundary: the wakeup
-             is already pending (re-armed by the kernel restore); park on
-             it like the saved thread was. *)
-          Sysc.Kernel.wait_event t.sync_event;
-          t.syncing <- false
-        end;
-        let running = ref true in
-        while !running do
-          if halted t || Sysc.Kernel.stopped t.kernel then running := false
-          else if t.in_wfi then begin
-            sync_time t;
-            if t.csrf.Csr.v_mip land t.csrf.Csr.v_mie = 0 then
-              Sysc.Kernel.wait_event t.irq_event
-            else t.in_wfi <- false
-          end
-          else if t.instret >= t.max_insns then halt t Insn_limit
-          else begin
-            round t;
-            if t.local_cycles >= t.quantum then sync_time t
-          end
-        done;
-        sync_time t;
-        if stop_kernel_on_halt then Sysc.Kernel.stop t.kernel)
+(* --- Snapshot ------------------------------------------------------- *)
 
-  (* --- Snapshot ------------------------------------------------------- *)
+let encode_exit = function
+  | Running -> (0, 0)
+  | Exited code -> (1, code)
+  | Breakpoint -> (2, 0)
+  | Insn_limit -> (3, 0)
 
-  let encode_exit = function
-    | Running -> (0, 0)
-    | Exited code -> (1, code)
-    | Breakpoint -> (2, 0)
-    | Insn_limit -> (3, 0)
+let decode_exit tag code =
+  match tag with
+  | 0 -> Running
+  | 1 -> Exited code
+  | 2 -> Breakpoint
+  | 3 -> Insn_limit
+  | n -> raise (Snapshot.Codec.Corrupt (Printf.sprintf "bad exit reason %d" n))
 
-  let decode_exit tag code =
-    match tag with
-    | 0 -> Running
-    | 1 -> Exited code
-    | 2 -> Breakpoint
-    | 3 -> Insn_limit
-    | n -> raise (Snapshot.Codec.Corrupt (Printf.sprintf "bad exit reason %d" n))
+let save t w =
+  let open Snapshot.Codec in
+  Array.iter (fun v -> put_u32 w v) t.regs;
+  Array.iter (fun v -> put_u32 w v) t.rtags;
+  put_u32 w t.pc;
+  put_u32 w t.cur_pc;
+  put_u32 w t.insn_word;
+  put_u32 w t.insn_tag;
+  put_i64 w t.instret;
+  put_i64 w t.local_cycles;
+  put_bool w t.in_wfi;
+  put_bool w t.syncing;
+  let tag, code = encode_exit t.exit_reason in
+  put_u8 w tag;
+  put_i64 w code;
+  let c = t.csrf in
+  List.iter
+    (fun v -> put_u32 w v)
+    [ c.Csr.v_mstatus; c.Csr.v_mie; c.Csr.v_mip; c.Csr.v_mtvec;
+      c.Csr.v_mscratch; c.Csr.v_mepc; c.Csr.v_mcause; c.Csr.v_mtval;
+      c.Csr.t_mstatus; c.Csr.t_mie; c.Csr.t_mip; c.Csr.t_mtvec;
+      c.Csr.t_mscratch; c.Csr.t_mepc; c.Csr.t_mcause; c.Csr.t_mtval ];
+  (* v2: current privilege level. *)
+  put_u8 w t.priv
 
-  let save t w =
-    let open Snapshot.Codec in
-    Array.iter (fun v -> put_u32 w v) t.regs;
-    Array.iter (fun v -> put_u32 w v) t.rtags;
-    put_u32 w t.pc;
-    put_u32 w t.cur_pc;
-    put_u32 w t.insn_word;
-    put_u32 w t.insn_tag;
-    put_i64 w t.instret;
-    put_i64 w t.local_cycles;
-    put_bool w t.in_wfi;
-    put_bool w t.syncing;
-    let tag, code = encode_exit t.exit_reason in
-    put_u8 w tag;
-    put_i64 w code;
-    let c = t.csrf in
-    List.iter
-      (fun v -> put_u32 w v)
-      [ c.Csr.v_mstatus; c.Csr.v_mie; c.Csr.v_mip; c.Csr.v_mtvec;
-        c.Csr.v_mscratch; c.Csr.v_mepc; c.Csr.v_mcause; c.Csr.v_mtval;
-        c.Csr.t_mstatus; c.Csr.t_mie; c.Csr.t_mip; c.Csr.t_mtvec;
-        c.Csr.t_mscratch; c.Csr.t_mepc; c.Csr.t_mcause; c.Csr.t_mtval ];
-    (* v2: current privilege level. *)
-    put_u8 w t.priv
-
-  let load t r =
-    let open Snapshot.Codec in
-    for i = 0 to 31 do
-      t.regs.(i) <- get_u32 r
-    done;
-    for i = 0 to 31 do
-      t.rtags.(i) <- get_u32 r
-    done;
-    t.pc <- get_u32 r;
-    t.cur_pc <- get_u32 r;
-    t.insn_word <- get_u32 r;
-    t.insn_tag <- get_u32 r;
-    t.instret <- get_i64 r;
-    t.local_cycles <- get_i64 r;
-    t.in_wfi <- get_bool r;
-    t.syncing <- get_bool r;
-    let tag = get_u8 r in
-    let code = get_i64 r in
-    t.exit_reason <- decode_exit tag code;
-    let c = t.csrf in
-    c.Csr.v_mstatus <- get_u32 r;
-    c.Csr.v_mie <- get_u32 r;
-    c.Csr.v_mip <- get_u32 r;
-    c.Csr.v_mtvec <- get_u32 r;
-    c.Csr.v_mscratch <- get_u32 r;
-    c.Csr.v_mepc <- get_u32 r;
-    c.Csr.v_mcause <- get_u32 r;
-    c.Csr.v_mtval <- get_u32 r;
-    c.Csr.t_mstatus <- get_u32 r;
-    c.Csr.t_mie <- get_u32 r;
-    c.Csr.t_mip <- get_u32 r;
-    c.Csr.t_mtvec <- get_u32 r;
-    c.Csr.t_mscratch <- get_u32 r;
-    c.Csr.t_mepc <- get_u32 r;
-    c.Csr.t_mcause <- get_u32 r;
-    c.Csr.t_mtval <- get_u32 r;
-    (* v1 snapshots predate the privilege architecture; everything ran in
-       machine mode then. [set_priv] so a privilege change invalidates any
-       compiled chains. *)
-    set_priv t
-      (if Snapshot.Codec.reader_version r >= 2 then get_u8 r else Csr.priv_m);
-    (* A snapshot taken at a pause has the thread parked on its sync
-       notification ([syncing] = true); the restored core is back at that
-       same checkpoint, so it counts as paused — which keeps it saveable
-       again before anything runs. [clear_paused]/running simply drops the
-       flag. *)
-    t.paused <- t.syncing;
-    t.pause_at <- max_int;
-    (* The restored state came from an arbitrary other run: drop the
-       exit-edge profile and force every inline cache to re-validate.
-       (The memory restore already flushed the compiled blocks through
-       the write hook; this covers cores restored without one.) *)
-    t.prev_cb <- None;
-    t.flush_epoch <- t.flush_epoch + 1
-end
-
-module Vp = Make (struct let tracking = false end)
-module Vp_dift = Make (struct let tracking = true end)
+let load t r =
+  let open Snapshot.Codec in
+  for i = 0 to 31 do
+    t.regs.(i) <- get_u32 r
+  done;
+  for i = 0 to 31 do
+    t.rtags.(i) <- get_u32 r
+  done;
+  t.pc <- get_u32 r;
+  t.cur_pc <- get_u32 r;
+  t.insn_word <- get_u32 r;
+  t.insn_tag <- get_u32 r;
+  t.instret <- get_i64 r;
+  t.local_cycles <- get_i64 r;
+  t.in_wfi <- get_bool r;
+  t.syncing <- get_bool r;
+  let tag = get_u8 r in
+  let code = get_i64 r in
+  t.exit_reason <- decode_exit tag code;
+  let c = t.csrf in
+  c.Csr.v_mstatus <- get_u32 r;
+  c.Csr.v_mie <- get_u32 r;
+  c.Csr.v_mip <- get_u32 r;
+  c.Csr.v_mtvec <- get_u32 r;
+  c.Csr.v_mscratch <- get_u32 r;
+  c.Csr.v_mepc <- get_u32 r;
+  c.Csr.v_mcause <- get_u32 r;
+  c.Csr.v_mtval <- get_u32 r;
+  c.Csr.t_mstatus <- get_u32 r;
+  c.Csr.t_mie <- get_u32 r;
+  c.Csr.t_mip <- get_u32 r;
+  c.Csr.t_mtvec <- get_u32 r;
+  c.Csr.t_mscratch <- get_u32 r;
+  c.Csr.t_mepc <- get_u32 r;
+  c.Csr.t_mcause <- get_u32 r;
+  c.Csr.t_mtval <- get_u32 r;
+  (* v1 snapshots predate the privilege architecture; everything ran in
+     machine mode then. [set_priv] so a privilege change invalidates any
+     compiled chains. *)
+  set_priv t
+    (if Snapshot.Codec.reader_version r >= 2 then get_u8 r else Csr.priv_m);
+  (* A snapshot taken at a pause has the thread parked on its sync
+     notification ([syncing] = true); the restored core is back at that
+     same checkpoint, so it counts as paused — which keeps it saveable
+     again before anything runs. [clear_paused]/running simply drops the
+     flag. *)
+  t.paused <- t.syncing;
+  t.pause_at <- max_int;
+  (* The restored state came from an arbitrary other run: drop the
+     exit-edge profile and force every inline cache to re-validate.
+     (The memory restore already flushed the compiled blocks through
+     the write hook; this covers cores restored without one.) *)
+  t.prev_cb <- None;
+  t.flush_epoch <- t.flush_epoch + 1

@@ -1,10 +1,11 @@
-(** The RV32IM CPU core, functorised over the taint-tracking mode.
-
-    [Make (struct let tracking = false end)] is the plain VP flavour;
-    [Make (struct let tracking = true end)] is VP+ with the DIFT engine
-    woven into the execute loop, reproducing the paper's three
+(** The RV32IM CPU core, in both flavours: the plain VP and VP+ with the
+    DIFT engine woven into the execute loop, reproducing the paper's three
     modifications: tainted register/CSR types, execution-clearance checks,
-    and a tainted memory interface (Section V-B).
+    and a tainted memory interface (Section V-B). The flavour is a run-time
+    field of the one core type, taken from the [~tracking] setting of the
+    {!Bus_if.t} the core is created on, so a core and its bus always agree.
+    On the plain VP every register tag stays at the lattice bottom and no
+    clearance check runs.
 
     Taint semantics (VP+):
     - ALU results carry the LUB of the source-register tags and the
@@ -63,196 +64,182 @@ type trap_event =
       (** [mret] executed: [target] is the restored pc, [to_priv] the
           privilege level returned to. *)
 
-module type MODE = sig
-  val tracking : bool
-end
+type t
 
-module type S = sig
-  type t
+val create :
+  kernel:Sysc.Kernel.t ->
+  bus:Bus_if.t ->
+  policy:Dift.Policy.t ->
+  monitor:Dift.Monitor.t ->
+  ?quantum:int ->
+  ?block_cache:bool ->
+  ?strict_align:bool ->
+  pc:int ->
+  unit ->
+  t
+(** Builds a core of [bus]'s flavour ({!Bus_if.tracking}). Each
+    instruction costs a modelled 10 ns; [quantum] is the number of local
+    cycles the core runs ahead before synchronising with the kernel
+    (default 1000, loosely-timed style).
+    [block_cache] (default true) selects the superblock compiler over
+    the DMI region; with it off (or no DMI region) the core runs the
+    single-step reference, with no compiled chains and no fast path.
+    [strict_align] (default false) traps naturally misaligned data
+    accesses with causes 4/6 instead of letting the bus split them. *)
 
-  val create :
-    kernel:Sysc.Kernel.t ->
-    bus:Bus_if.t ->
-    policy:Dift.Policy.t ->
-    monitor:Dift.Monitor.t ->
-    ?cycle_time:Sysc.Time.t ->
-    ?quantum:int ->
-    ?block_cache:bool ->
-    ?strict_align:bool ->
-    pc:int ->
-    unit ->
-    t
-  (** [cycle_time] is the modelled cost of one instruction (default 10 ns);
-      [quantum] the number of local cycles the core runs ahead before
-      synchronising with the kernel (default 1000, loosely-timed style).
-      [block_cache] (default true) selects the superblock compiler over
-      the DMI region; with it off (or no DMI region) the core runs the
-      single-step reference, with no compiled chains and no fast path.
-      [strict_align] (default false) traps naturally misaligned data
-      accesses with causes 4/6 instead of letting the bus split them. *)
+(** {1 Architectural state} *)
 
-  (** {1 Architectural state} *)
+val pc : t -> int
+val set_pc : t -> int -> unit
+val get_reg : t -> Reg.t -> int
+val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
+val set_reg : t -> Reg.t -> int -> unit
+(** Sets the register with the lattice-bottom (public/trusted) tag. *)
 
-  val pc : t -> int
-  val set_pc : t -> int -> unit
-  val get_reg : t -> Reg.t -> int
-  val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
-  val set_reg : t -> Reg.t -> int -> unit
-  (** Sets the register with the lattice-bottom (public/trusted) tag. *)
+val set_reg_tagged : t -> Reg.t -> int -> Dift.Lattice.tag -> unit
+val csr : t -> Csr.t
+val instret : t -> int
 
-  val set_reg_tagged : t -> Reg.t -> int -> Dift.Lattice.tag -> unit
-  val csr : t -> Csr.t
-  val instret : t -> int
+val priv : t -> int
+(** Current privilege level: {!Csr.priv_m} (3) or {!Csr.priv_u} (0).
+    Resets to machine mode; trap entry raises to M, [mret] drops to
+    [mstatus.MPP]. *)
 
-  val priv : t -> int
-  (** Current privilege level: {!Csr.priv_m} (3) or {!Csr.priv_u} (0).
-      Resets to machine mode; trap entry raises to M, [mret] drops to
-      [mstatus.MPP]. *)
+(** {1 Interrupt lines (driven by CLINT / PLIC)} *)
 
-  (** {1 Interrupt lines (driven by CLINT / PLIC)} *)
+val set_irq : t -> bit:int -> bool -> unit
+(** Set or clear an [mip] bit ({!Csr.bit_mti}, {!Csr.bit_msi},
+    {!Csr.bit_mei}) and wake the core if it is in [wfi]. *)
 
-  val set_irq : t -> bit:int -> bool -> unit
-  (** Set or clear an [mip] bit ({!Csr.bit_mti}, {!Csr.bit_msi},
-      {!Csr.bit_mei}) and wake the core if it is in [wfi]. *)
+(** {1 Execution} *)
 
-  (** {1 Execution} *)
+val step : t -> unit
+(** Execute one instruction (taking a pending enabled interrupt first).
+    Must run inside a kernel process if firmware touches TLM peripherals
+    whose transport suspends, or uses [wfi]. *)
 
-  val step : t -> unit
-  (** Execute one instruction (taking a pending enabled interrupt first).
-      Must run inside a kernel process if firmware touches TLM peripherals
-      whose transport suspends, or uses [wfi]. *)
+val spawn_thread : ?stop_kernel_on_halt:bool -> t -> unit
+(** Register the fetch-decode-execute loop as a kernel process (default
+    name ["cpu"]). When the core halts and [stop_kernel_on_halt] is true
+    (default), the whole simulation stops. *)
 
-  val spawn_thread : ?stop_kernel_on_halt:bool -> t -> unit
-  (** Register the fetch-decode-execute loop as a kernel process (default
-      name ["cpu"]). When the core halts and [stop_kernel_on_halt] is true
-      (default), the whole simulation stops. *)
+val set_max_instructions : t -> int -> unit
+val exit_reason : t -> exit_reason
+val halted : t -> bool
 
-  val set_max_instructions : t -> int -> unit
-  val exit_reason : t -> exit_reason
-  val halted : t -> bool
+val halt : t -> exit_reason -> unit
+(** Force the core to stop (used by peripherals/tests). *)
 
-  val halt : t -> exit_reason -> unit
-  (** Force the core to stop (used by peripherals/tests). *)
+val unhalt : t -> unit
+(** Clear a halt back to [Running]. Only meaningful on a core that has
+    not executed past the halt point — the warm-start protocol restores
+    a boot snapshot taken with a zero instruction budget (so the core
+    halted with {!Insn_limit} at [instret = 0] before its first fetch)
+    and un-halts it before loading the real firmware; see
+    {!Vp.Soc.boot_snapshot}. No-op when already running. *)
 
-  val unhalt : t -> unit
-  (** Clear a halt back to [Running]. Only meaningful on a core that has
-      not executed past the halt point — the warm-start protocol restores
-      a boot snapshot taken with a zero instruction budget (so the core
-      halted with {!Insn_limit} at [instret = 0] before its first fetch)
-      and un-halts it before loading the real firmware; see
-      {!Vp.Soc.boot_snapshot}. No-op when already running. *)
+val set_trace : t -> (int -> Insn.t -> unit) option -> unit
+(** Install (or remove) a per-instruction hook, called with the pc and
+    decoded instruction before execution (tracing / coverage).
 
-  val set_trace : t -> (int -> Insn.t -> unit) option -> unit
-  (** Install (or remove) a per-instruction hook, called with the pc and
-      decoded instruction before execution (tracing / coverage).
+    Contract (pinned by the [hook x block cache] tier-1 test): the hook
+    observes {e every} retired instruction {e exactly once}, in
+    retirement order, with the fetch pc — regardless of whether the
+    instruction was single-stepped, retired from a compiled chain, or
+    retired on the untainted fast path.
+    [instret] equals the number of hook invocations at any observation
+    point. The hook runs after fetch + decode and before execution, so
+    register/memory state visible to it is the pre-execution state; an
+    instruction whose {e fetch} faults (bus error, DIFT exec-fetch
+    violation) is not reported, and interrupt entry reports no event of
+    its own (the first handler instruction is reported normally).
+    Installing a hook drops the compiled chains (they capture the hook
+    when built) but disables neither block building nor the fast path. *)
 
-      Contract (pinned by the [hook x block cache] tier-1 test): the hook
-      observes {e every} retired instruction {e exactly once}, in
-      retirement order, with the fetch pc — regardless of whether the
-      instruction was single-stepped, retired from a compiled chain, or
-      retired on the untainted fast path.
-      [instret] equals the number of hook invocations at any observation
-      point. The hook runs after fetch + decode and before execution, so
-      register/memory state visible to it is the pre-execution state; an
-      instruction whose {e fetch} faults (bus error, DIFT exec-fetch
-      violation) is not reported, and interrupt entry reports no event of
-      its own (the first handler instruction is reported normally).
-      Installing a hook does not flush cached blocks and does not disable
-      the fast path. *)
+val set_trap_hook : t -> (trap_event -> unit) option -> unit
+(** Install (or remove) an observer of trap entries and [mret]s, fired
+    after the architectural state change (so [mepc]/[mcause]/[mtval] and
+    the new pc are already visible). Trap-taking instructions always
+    execute on the shared slow path (they are block breakers), so the
+    hook sees identical streams from both paths and installing it
+    flushes nothing. *)
 
-  val set_trap_hook : t -> (trap_event -> unit) option -> unit
-  (** Install (or remove) an observer of trap entries and [mret]s, fired
-      after the architectural state change (so [mepc]/[mcause]/[mtval] and
-      the new pc are already visible). Trap-taking instructions always
-      execute on the shared slow path (they are block breakers), so the
-      hook sees identical streams from both paths and installing it
-      flushes nothing. *)
+val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
+(** Install (or remove) a tag-merge observer, called as [f a b r] for
+    every LUB the core computes during tag propagation ([r = lub a b],
+    including trivial joins where [r] equals an input — filter
+    downstream). Never called on the untainted fast path (no LUBs
+    happen there) or on the plain VP (no tracking). One load-and-branch
+    per LUB when unset; used by the provenance tracker. *)
 
-  val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
-  (** Install (or remove) a tag-merge observer, called as [f a b r] for
-      every LUB the core computes during tag propagation ([r = lub a b],
-      including trivial joins where [r] equals an input — filter
-      downstream). Never called on the untainted fast path (no LUBs
-      happen there) or on the plain VP (no tracking). One load-and-branch
-      per LUB when unset; used by the provenance tracker. *)
+(** {1 Block cache and fast path} *)
 
-  (** {1 Block cache and fast path} *)
+val flush_code : t -> addr:int -> len:int -> unit
+(** Invalidate cached basic blocks overlapping
+    [addr .. addr + len - 1]. Wired automatically to {!Bus_if}'s DMI
+    store hook at [create] time; external writers that bypass the bus
+    (loaders, DMA models not routed through {!Vp}'s memory) must call it
+    themselves. No-op when the block cache is disabled. *)
 
-  val flush_code : t -> addr:int -> len:int -> unit
-  (** Invalidate cached basic blocks overlapping
-      [addr .. addr + len - 1]. Wired automatically to {!Bus_if}'s DMI
-      store hook at [create] time; external writers that bypass the bus
-      (loaders, DMA models not routed through {!Vp}'s memory) must call it
-      themselves. No-op when the block cache is disabled. *)
+val blocks_built : t -> int
+(** Number of basic blocks fetch-decoded so far (rebuilds after
+    invalidation count again). Superblock recompilation reuses the
+    already-decoded block and does not count. *)
 
-  val blocks_built : t -> int
-  (** Number of basic blocks fetch-decoded so far (rebuilds after
-      invalidation count again). Superblock recompilation reuses the
-      already-decoded block and does not count. *)
+val superblocks_built : t -> int
+(** Number of hot block pairs recompiled into a chained superblock
+    (0 on the single-step reference). *)
 
-  val superblocks_built : t -> int
-  (** Number of hot block pairs recompiled into a chained superblock
-      (0 on the single-step reference). *)
+val chain_hits : t -> int
+(** Number of times execution crossed a superblock seam directly into
+    the chained successor, skipping the dispatcher. *)
 
-  val chain_hits : t -> int
-  (** Number of times execution crossed a superblock seam directly into
-      the chained successor, skipping the dispatcher. *)
+val ic_hits : t -> int
+(** Number of [jalr] retirements that jumped through a valid inline
+    cache straight into the target's compiled chain. *)
 
-  val ic_hits : t -> int
-  (** Number of [jalr] retirements that jumped through a valid inline
-      cache straight into the target's compiled chain. *)
+val ic_misses : t -> int
+(** Number of [jalr] retirements (with an off-fall-through target) that
+    fell back to the dispatcher: cold caches filling in, flush-epoch
+    invalidations re-validating, and polymorphic sites being demoted. *)
 
-  val ic_misses : t -> int
-  (** Number of [jalr] retirements (with an off-fall-through target) that
-      fell back to the dispatcher: cold caches filling in, flush-epoch
-      invalidations re-validating, and polymorphic sites being demoted. *)
+val fast_retired : t -> int
+(** Number of instructions retired by value-only chains: the untainted
+    fast path on VP+, every compiled instruction on the plain VP (0 on
+    the single-step reference). *)
 
-  val fast_retired : t -> int
-  (** Number of instructions retired by value-only chains: the untainted
-      fast path on VP+, every compiled instruction on the plain VP (0 on
-      the single-step reference). *)
+(** {1 Checkpoint / restore}
 
-  (** {1 Checkpoint / restore}
+    The core synchronises with the kernel through a named event
+    (["cpu.sync"]) rather than [wait_for], so a paused core's only
+    kernel-side state is one pending timed notification — serialisable
+    by {!Sysc.Kernel.pending_timed}. See [docs/snapshot.md]. *)
 
-      The core synchronises with the kernel through a named event
-      (["cpu.sync"]) rather than [wait_for], so a paused core's only
-      kernel-side state is one pending timed notification — serialisable
-      by {!Sysc.Kernel.pending_timed}. See [docs/snapshot.md]. *)
+val set_pause_at : t -> int -> unit
+(** Request a pause at the first time-sync boundary where [instret] has
+    reached the given count. Pausing stops the kernel with the CPU
+    thread parked on its pending sync notification; it does not perturb
+    the schedule — resuming (or restoring a snapshot taken there)
+    continues bit-identically to an uninterrupted run. *)
 
-  val set_pause_at : t -> int -> unit
-  (** Request a pause at the first time-sync boundary where [instret] has
-      reached the given count. Pausing stops the kernel with the CPU
-      thread parked on its pending sync notification; it does not perturb
-      the schedule — resuming (or restoring a snapshot taken there)
-      continues bit-identically to an uninterrupted run. *)
+val paused : t -> bool
+(** True after a requested pause has been taken (cleared by [load] and
+    {!clear_paused}). *)
 
-  val paused : t -> bool
-  (** True after a requested pause has been taken (cleared by [load] and
-      {!clear_paused}). *)
+val clear_paused : t -> unit
+(** Acknowledge the pause before resuming the kernel. *)
 
-  val clear_paused : t -> unit
-  (** Acknowledge the pause before resuming the kernel. *)
+val save : t -> Snapshot.Codec.writer -> unit
+(** Serialise the architectural state: registers and their taint tags,
+    [pc], in-flight instruction word/tag, [instret], wfi/sync flags,
+    exit reason, and all CSR values and tags. Decoded-block, compiled
+    threaded-code and decode caches are derived state, rebuilt on
+    demand, and are not saved. *)
 
-  val save : t -> Snapshot.Codec.writer -> unit
-  (** Serialise the architectural state: registers and their taint tags,
-      [pc], in-flight instruction word/tag, [instret], wfi/sync flags,
-      exit reason, and all CSR values and tags. Decoded-block, compiled
-      threaded-code and decode caches are derived state, rebuilt on
-      demand, and are not saved. *)
-
-  val load : t -> Snapshot.Codec.reader -> unit
-  (** Restore state written by [save] into a freshly created core, before
-      {!spawn_thread}. The target core may use a different [block_cache]
-      setting than the one that saved: the snapshot holds only
-      architectural state, and both paths produce identical snapshots at
-      identical instruction counts (pinned by the reference-save,
-      compiled-restore case in [test_snapshot]). *)
-end
-
-module Make (_ : MODE) : S
-
-module Vp : S
-(** The plain VP core. *)
-
-module Vp_dift : S
-(** The VP+ core with DIFT enabled. *)
+val load : t -> Snapshot.Codec.reader -> unit
+(** Restore state written by [save] into a freshly created core, before
+    {!spawn_thread}. The target core may use a different [block_cache]
+    setting than the one that saved: the snapshot holds only
+    architectural state, and both paths produce identical snapshots at
+    identical instruction counts (pinned by the reference-save,
+    compiled-restore case in [test_snapshot]). *)

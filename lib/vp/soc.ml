@@ -8,6 +8,7 @@ let can_base = 0x5100_0000
 let aes_base = 0x6000_0000
 let dma_base = 0x7000_0000
 let wdt_base = 0x7100_0000
+let ram_size = 1 lsl 20
 let irq_uart = 1
 let irq_sensor = 2
 let irq_can = 3
@@ -66,50 +67,44 @@ type t = {
   trace : Trace.Tracer.t option;
 }
 
-(* Wrap a Core functor instance behind the mode-independent record. *)
-module Wrap (C : Rv32.Core.S) = struct
-  let make core =
-    {
-      cpu_step = (fun () -> C.step core);
-      cpu_spawn =
-        (fun ~stop_on_halt -> C.spawn_thread ~stop_kernel_on_halt:stop_on_halt core);
-      cpu_set_max = (fun n -> C.set_max_instructions core n);
-      cpu_instret = (fun () -> C.instret core);
-      cpu_exit = (fun () -> C.exit_reason core);
-      cpu_pc = (fun () -> C.pc core);
-      cpu_set_pc = (fun v -> C.set_pc core v);
-      cpu_get_reg = (fun r -> C.get_reg core r);
-      cpu_get_reg_tag = (fun r -> C.get_reg_tag core r);
-      cpu_set_reg = (fun r v -> C.set_reg core r v);
-      cpu_set_irq = (fun ~bit ~on -> C.set_irq core ~bit on);
-      cpu_set_trace = (fun fn -> C.set_trace core fn);
-      cpu_set_trap_hook = (fun fn -> C.set_trap_hook core fn);
-      cpu_set_merge_hook = (fun fn -> C.set_merge_hook core fn);
-      cpu_csr = C.csr core;
-      cpu_priv = (fun () -> C.priv core);
-      cpu_flush_code = (fun ~addr ~len -> C.flush_code core ~addr ~len);
-      cpu_blocks_built = (fun () -> C.blocks_built core);
-      cpu_superblocks_built = (fun () -> C.superblocks_built core);
-      cpu_chain_hits = (fun () -> C.chain_hits core);
-      cpu_ic_hits = (fun () -> C.ic_hits core);
-      cpu_ic_misses = (fun () -> C.ic_misses core);
-      cpu_fast_retired = (fun () -> C.fast_retired core);
-      cpu_set_pause_at = (fun n -> C.set_pause_at core n);
-      cpu_paused = (fun () -> C.paused core);
-      cpu_clear_paused = (fun () -> C.clear_paused core);
-      cpu_unhalt = (fun () -> C.unhalt core);
-      cpu_save = (fun w -> C.save core w);
-      cpu_load = (fun r -> C.load core r);
-    }
-end
+(* The closure record over one core. *)
+let cpu_of core =
+  let module C = Rv32.Core in
+  {
+    cpu_step = (fun () -> C.step core);
+    cpu_spawn =
+      (fun ~stop_on_halt -> C.spawn_thread ~stop_kernel_on_halt:stop_on_halt core);
+    cpu_set_max = (fun n -> C.set_max_instructions core n);
+    cpu_instret = (fun () -> C.instret core);
+    cpu_exit = (fun () -> C.exit_reason core);
+    cpu_pc = (fun () -> C.pc core);
+    cpu_set_pc = (fun v -> C.set_pc core v);
+    cpu_get_reg = (fun r -> C.get_reg core r);
+    cpu_get_reg_tag = (fun r -> C.get_reg_tag core r);
+    cpu_set_reg = (fun r v -> C.set_reg core r v);
+    cpu_set_irq = (fun ~bit ~on -> C.set_irq core ~bit on);
+    cpu_set_trace = (fun fn -> C.set_trace core fn);
+    cpu_set_trap_hook = (fun fn -> C.set_trap_hook core fn);
+    cpu_set_merge_hook = (fun fn -> C.set_merge_hook core fn);
+    cpu_csr = C.csr core;
+    cpu_priv = (fun () -> C.priv core);
+    cpu_flush_code = (fun ~addr ~len -> C.flush_code core ~addr ~len);
+    cpu_blocks_built = (fun () -> C.blocks_built core);
+    cpu_superblocks_built = (fun () -> C.superblocks_built core);
+    cpu_chain_hits = (fun () -> C.chain_hits core);
+    cpu_ic_hits = (fun () -> C.ic_hits core);
+    cpu_ic_misses = (fun () -> C.ic_misses core);
+    cpu_fast_retired = (fun () -> C.fast_retired core);
+    cpu_set_pause_at = (fun n -> C.set_pause_at core n);
+    cpu_paused = (fun () -> C.paused core);
+    cpu_clear_paused = (fun () -> C.clear_paused core);
+    cpu_unhalt = (fun () -> C.unhalt core);
+    cpu_save = (fun w -> C.save core w);
+    cpu_load = (fun r -> C.load core r);
+  }
 
-module Wrap_vp = Wrap (Rv32.Core.Vp)
-module Wrap_dift = Wrap (Rv32.Core.Vp_dift)
-
-let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
-    ?(dmi = true) ?(quantum = 1000) ?(block_cache = true)
-    ?(strict_align = false) ?sensor_period
-    ?aes_out_tag
+let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
+    ?(block_cache = true) ?(strict_align = false) ?sensor_period ?aes_out_tag
     ?aes_in_clearance ?wdt_clearance ?tracer () =
   let kernel = Sysc.Kernel.create () in
   let env =
@@ -153,16 +148,11 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
     Rv32.Bus_if.set_dmi bus ~base:ram_base ~data:(Memory.data memory)
       ~tags:(Memory.tags memory);
   Tlm.Socket.bind (Dma.initiator dma) (Tlm.Router.target_socket router);
-  let cpu =
-    if tracking then
-      Wrap_dift.make
-        (Rv32.Core.Vp_dift.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~strict_align ~pc:ram_base ())
-    else
-      Wrap_vp.make
-        (Rv32.Core.Vp.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~strict_align ~pc:ram_base ())
+  let core =
+    Rv32.Core.create ~kernel ~bus ~policy ~monitor ~quantum ~block_cache
+      ~strict_align ~pc:ram_base ()
   in
+  let cpu = cpu_of core in
   (* Writes landing in RAM behind the CPU's back (DMA over TLM, the loader,
      direct test pokes, reclassification) invalidate decoded blocks. *)
   Memory.set_write_hook memory (fun off len ->
@@ -248,8 +238,8 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
               Int32.to_int (Bytes.get_int32_le data off) land 0xffffffff
             else 0
           in
-          let t1 = cpu.cpu_get_reg_tag (Rv32.Insn.rs1 insn) in
-          let t2 = cpu.cpu_get_reg_tag (Rv32.Insn.rs2 insn) in
+          let t1 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs1 insn) in
+          let t2 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs2 insn) in
           let tag = Dift.Lattice.lub lat t1 t2 in
           Trace.Tracer.record_insn tr ~time:(now ()) ~pc ~word ~tag
             ~tainted:(tag <> pub)

@@ -13,7 +13,7 @@
       0x6000_0000  AES engine
       0x7000_0000  DMA controller
       0x7100_0000  Watchdog timer
-      0x8000_0000  RAM (default 1 MiB)
+      0x8000_0000  RAM (1 MiB)
     v}
 
     PLIC sources: 1 = UART rx, 2 = sensor frame (as in the paper), 3 = CAN
@@ -30,6 +30,9 @@ val aes_base : int
 val dma_base : int
 val wdt_base : int
 
+val ram_size : int
+(** 1 MiB. *)
+
 val irq_uart : int
 val irq_sensor : int
 val irq_can : int
@@ -37,8 +40,7 @@ val irq_dma : int
 val irq_aes : int
 val irq_gpio : int
 
-(** Mode-independent view of the CPU (the two {!Rv32.Core} functor
-    instances are wrapped behind closures so a SoC value has one type). *)
+(** The CPU as a record of closures over one {!Rv32.Core.t}. *)
 type cpu = {
   cpu_step : unit -> unit;
   cpu_spawn : stop_on_halt:bool -> unit;
@@ -99,7 +101,6 @@ val create :
   policy:Dift.Policy.t ->
   monitor:Dift.Monitor.t ->
   ?tracking:bool ->
-  ?ram_size:int ->
   ?dmi:bool ->
   ?quantum:int ->
   ?block_cache:bool ->
@@ -112,12 +113,13 @@ val create :
   unit ->
   t
 (** Build and wire the platform on a fresh kernel. [tracking] selects VP+
-    (default true); [dmi] enables the direct RAM fast path (default true);
-    [block_cache] (default true) selects the core's superblock compiler,
-    false the single-step reference (see {!Rv32.Core.S.create});
-    [strict_align] traps misaligned data accesses (default false); [aes_out_tag] defaults to the lattice
-    bottom
-    (fully declassified ciphertext). RAM writes that bypass the CPU (DMA,
+    (default true): it sets the CPU bus's flavour, which the core takes
+    ({!Rv32.Bus_if.tracking}). [dmi] enables the direct RAM fast path
+    (default true); [block_cache] (default true) selects the core's
+    superblock compiler, false the single-step reference (see
+    {!Rv32.Core.create}); [strict_align] traps misaligned data accesses
+    (default false); [aes_out_tag] defaults to the lattice bottom (fully
+    declassified ciphertext). RAM writes that bypass the CPU (DMA,
     the loader) are wired to block-cache invalidation. Peripheral processes
     are spawned; the CPU thread is not — call {!start} or
     [t.cpu.cpu_spawn] after loading firmware.

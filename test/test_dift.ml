@@ -31,7 +31,7 @@ let policy_with ?(exec_fetch = true) ?(exec_branch = true)
 (* Assemble, build the policy around the "secret" label, run; return
    (soc, result-of-run, monitor). *)
 let run_dift ?exec_fetch ?exec_branch ?exec_mem_addr ?(mode = Dift.Monitor.Halt)
-    build =
+    ?(tracking = true) ?block_cache build =
   let p = A.create () in
   build p;
   let img = A.assemble p in
@@ -43,7 +43,7 @@ let run_dift ?exec_fetch ?exec_branch ?exec_mem_addr ?(mode = Dift.Monitor.Halt)
       ()
   in
   let monitor = Dift.Monitor.create ~mode lat in
-  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true () in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking ?block_cache () in
   Vp.Soc.load_image soc img;
   let result =
     try Ok (Vp.Soc.run_for_instructions soc 100_000)
@@ -122,6 +122,50 @@ let test_byte_granular_tags () =
   let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
   check_int "overwritten byte is clean" (t "LC,HI") (tag R.s2);
   check_int "word LUBs remaining secret bytes" (t "HC,HI") (tag R.s3)
+
+(* The flavour is one setting, [~tracking]: the plain VP copies classified
+   bytes through registers and memory without ever tagging a register,
+   while VP+ tags the register they land in — on both execution paths. *)
+let test_plain_vp_never_tags () =
+  let bottom = Option.get (L.bottom lat) in
+  List.iter
+    (fun (tracking, block_cache) ->
+      let soc, result, _ =
+        run_dift ~tracking ~block_cache (fun p ->
+            Firmware.Rt.entry p ();
+            A.la p R.t0 "secret";
+            A.la p R.t2 "scratch";
+            A.li p R.t3 4;
+            A.label p "copy";
+            A.lbu p R.t1 R.t0 0;
+            A.sb p R.t1 R.t2 0;
+            A.addi p R.t0 R.t0 1;
+            A.addi p R.t2 R.t2 1;
+            A.addi p R.t3 R.t3 (-1);
+            A.bnez_l p R.t3 "copy";
+            A.la p R.t2 "scratch";
+            A.lbu p R.s2 R.t2 3;
+            Firmware.Rt.exit_ p ();
+            secret_data p;
+            A.label p "scratch";
+            A.space p 4)
+      in
+      let what =
+        Printf.sprintf "%s, block_cache=%b"
+          (if tracking then "VP+" else "VP") block_cache
+      in
+      (match result with
+      | Ok (Rv32.Core.Exited _) -> ()
+      | _ -> Alcotest.failf "%s: did not exit cleanly" what);
+      let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+      if tracking then
+        check_int (what ^ ": loaded register has the region's class")
+          (t "HC,HI") (tag R.s2)
+      else
+        for r = 0 to 31 do
+          check_int (Printf.sprintf "%s: x%d at bottom" what r) bottom (tag r)
+        done)
+    [ (false, true); (false, false); (true, true); (true, false) ]
 
 let test_branch_clearance () =
   let _, result, _ =
@@ -337,6 +381,8 @@ let () =
           Alcotest.test_case "ALU LUB" `Quick test_alu_propagation;
           Alcotest.test_case "through memory" `Quick test_memory_propagation;
           Alcotest.test_case "byte-granular tags" `Quick test_byte_granular_tags;
+          Alcotest.test_case "plain VP never tags" `Quick
+            test_plain_vp_never_tags;
         ] );
       ( "execution clearance",
         [

@@ -1,9 +1,9 @@
 (* The domain-parallel campaign engine (lib/parallelkit) and its
    determinism contract:
 
-   - the work-stealing worker pool maps task arrays in order, re-raises
-     worker exceptions, and degrades to the plain sequential path at
-     jobs <= 1; steals rebalance uneven shards without reordering
+   - the worker pool maps task arrays in order, re-raises worker
+     exceptions, and degrades to the plain sequential path at jobs <= 1;
+     idle workers take the tail of uneven shards without reordering
      results;
    - campaign sharding depends only on (total, shard_size) — never on the
      worker count — with shard 0 keeping the campaign seed so one-shard
@@ -11,7 +11,7 @@
      shard seeds never colliding across sweeps;
    - a difftest campaign (including injected failures, shrinking and
      merged coverage) renders to a byte-identical report at jobs=1 and
-     jobs=4, warm-started or cold-booted;
+     jobs=4, and a warm-started oracle run agrees with a cold boot;
    - a campaign killed mid-run and resumed from its DIFTVPCP checkpoint
      (even at a different --jobs) produces the byte-identical report,
      while corrupt or mismatched checkpoints are refused up front. *)
@@ -20,7 +20,6 @@ open Helpers
 module Pool = Parallelkit.Pool
 module Campaign = Parallelkit.Campaign
 module Chan = Parallelkit.Chan
-module Deque = Parallelkit.Deque
 module Ck = Parallelkit.Checkpoint
 module H = Difftest.Harness
 
@@ -42,41 +41,6 @@ let test_chan_fifo_and_close () =
      with Invalid_argument _ -> true);
   (* close is idempotent *)
   Chan.close c
-
-(* --- Deque ----------------------------------------------------------- *)
-
-let test_deque_ends () =
-  let d = Deque.create () in
-  check_bool "empty pop_front" true (Deque.pop_front d = None);
-  check_bool "empty steal" true (Deque.steal d = None);
-  List.iter (Deque.push d) [ 1; 2; 3; 4; 5 ];
-  check_int "length" 5 (Deque.length d);
-  check_bool "owner takes the oldest" true (Deque.pop_front d = Some 1);
-  check_bool "thief takes the newest" true (Deque.steal d = Some 5);
-  check_bool "owner again" true (Deque.pop_front d = Some 2);
-  check_bool "thief again" true (Deque.steal d = Some 4);
-  check_bool "the ends meet on the last element" true
-    (Deque.pop_front d = Some 3);
-  check_bool "drained" true (Deque.pop_front d = None && Deque.steal d = None)
-
-let test_deque_growth () =
-  let d = Deque.create () in
-  (* Pop a prefix first so the ring wraps before it grows. *)
-  for i = 0 to 9 do
-    Deque.push d i
-  done;
-  for i = 0 to 4 do
-    check_bool "pre-wrap pop" true (Deque.pop_front d = Some i)
-  done;
-  for i = 10 to 99 do
-    Deque.push d i
-  done;
-  let ok = ref true in
-  for i = 5 to 99 do
-    ok := !ok && Deque.pop_front d = Some i
-  done;
-  check_bool "growth preserves order at the owner end" true !ok;
-  check_int "empty after drain" 0 (Deque.length d)
 
 (* --- Pool ------------------------------------------------------------ *)
 
@@ -113,11 +77,10 @@ let test_pool_exception () =
 let test_default_jobs () =
   check_bool "at least one worker" true (Pool.default_jobs () >= 1)
 
-let test_pool_steals () =
-  (* Worker 0's first task spins until every other task has finished, so
-     worker 1 must steal the rest of worker 0's deque to let it finish:
-     the run deadlocks without stealing and must still return results in
-     task order with it. *)
+let test_pool_long_task () =
+  (* Task 0 spins until every other task has finished, so the run
+     deadlocks unless the other worker takes every remaining task; the
+     results must still come back in task order. *)
   let n = 10 in
   let finished = Atomic.make 0 in
   let f i =
@@ -128,20 +91,8 @@ let test_pool_steals () =
     Atomic.incr finished;
     i * 7
   in
-  let results, stats = Pool.map_stats ~jobs:2 f (Array.init n Fun.id) in
-  check_bool "results in task order despite steals" true
-    (results = Array.init n (fun i -> i * 7));
-  check_int "two workers" 2 stats.Pool.workers;
-  check_bool "at least one steal" true (stats.Pool.steals >= 1);
-  check_int "per-worker counts sum to the task count" n
-    (Array.fold_left ( + ) 0 stats.Pool.tasks_per_worker)
-
-let test_pool_stats_sequential () =
-  let _, stats = Pool.map_stats ~jobs:1 (fun i -> i) (Array.init 5 Fun.id) in
-  check_int "sequential path reports one worker" 1 stats.Pool.workers;
-  check_int "no steals" 0 stats.Pool.steals;
-  check_bool "all tasks on the one worker" true
-    (stats.Pool.tasks_per_worker = [| 5 |])
+  check_bool "results in task order" true
+    (Pool.map ~jobs:2 f (Array.init n Fun.id) = Array.init n (fun i -> i * 7))
 
 let test_on_done () =
   (* Sequential: called once per task, ascending, with the result. *)
@@ -369,11 +320,6 @@ let test_jobs_byte_identical () =
     (render r4)
 
 let test_warm_start_equivalent () =
-  let r1 = Lazy.force seq_report in
-  let cold = H.run ~config:{ det_cfg with warm_start = false } () in
-  check_string "warm-start and cold-boot reports byte-identical" (render r1)
-    (render cold);
-  (* And directly at the oracle level, on a fresh generated program. *)
   let prog =
     Difftest.Gen.program
       (Difftest.Rng.create ~seed:0x77a7)
@@ -470,20 +416,14 @@ let test_resume_mismatch () =
 let () =
   Alcotest.run "parallel"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner and thief ends" `Quick test_deque_ends;
-          Alcotest.test_case "ring growth" `Quick test_deque_growth;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "chan fifo + close" `Quick test_chan_fifo_and_close;
           Alcotest.test_case "map order" `Quick test_pool_map_order;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "default jobs" `Quick test_default_jobs;
-          Alcotest.test_case "work stealing rebalances" `Quick test_pool_steals;
-          Alcotest.test_case "sequential stats" `Quick
-            test_pool_stats_sequential;
+          Alcotest.test_case "idle worker takes the tail" `Quick
+            test_pool_long_task;
           Alcotest.test_case "on_done hook" `Quick test_on_done;
           Alcotest.test_case "on_done raise aborts cleanly" `Quick
             test_on_done_raise;
