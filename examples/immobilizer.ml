@@ -21,9 +21,6 @@ let with_trace = Array.exists (String.equal "--trace") Sys.argv
 
 let section title = Format.printf "@.== %s ==@." title
 
-(* The graph sink must be attached before [load_image] so the policy's
-   classification-region seeds (policy-region:pin, ...) land in the
-   store. *)
 let make_soc ?(per_byte = false) ?(trace = false) img =
   let policy =
     if per_byte then Immo.per_byte_policy img else Immo.base_policy img

@@ -208,7 +208,6 @@ let forensic_replay ~graph prog =
     (try ignore (Oracle.run_vp ~tracking:true ~policy ~tracer img)
      with _ -> ());
     let store = Option.map Trace.Graph.finish sink in
-    Option.iter Trace.Graph.detach sink;
     if Trace.Tracer.events_recorded tracer = 0 then (None, store)
     else
       ( Some

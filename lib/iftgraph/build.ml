@@ -46,8 +46,6 @@ type t = {
   latest : int array;  (** tag -> newest committing node id; -1 none. *)
   mutable cur_time : int;
   mutable cur_pc : int;
-  mutable dropped_edges : int;
-  mutable dropped_sources : int;
 }
 
 let create ?(context = "") ~classes () =
@@ -62,8 +60,6 @@ let create ?(context = "") ~classes () =
     latest = Array.make (max 1 (List.length classes)) (-1);
     cur_time = 0;
     cur_pc = -1;
-    dropped_edges = 0;
-    dropped_sources = 0;
   }
 
 let set_context t ctx = t.context <- ctx
@@ -71,10 +67,6 @@ let set_context t ctx = t.context <- ctx
 let set_pos t ~time ~pc =
   t.cur_time <- time;
   t.cur_pc <- pc
-
-let set_dropped t ~edges ~sources =
-  t.dropped_edges <- edges;
-  t.dropped_sources <- sources
 
 let node_count t = t.n_nodes
 let edge_count t = t.n_edges
@@ -169,8 +161,8 @@ let finish t =
       {
         Store.classes = Array.copy t.classes;
         context = t.context;
-        dropped_edges = t.dropped_edges;
-        dropped_sources = t.dropped_sources;
+        dropped_edges = 0;
+        dropped_sources = 0;
       };
     nodes;
     edges = Array.of_list (List.rev t.edges);

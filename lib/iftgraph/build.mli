@@ -1,6 +1,6 @@
 (** Incremental, deduplicating construction of a {!Store.t}.
 
-    The builder is fed by the [Trace.Graph] sink while the simulation
+    Every [Trace.Tracer.t] owns one builder, fed while the simulation
     runs: commits are appended in observation order, exact repeats (same
     kind, classes, origin, address {e and} pc) coalesce into the existing
     node's count, and flow edges are derived on append — a per-class
@@ -17,9 +17,6 @@ val set_context : t -> string -> unit
 
 val set_pos : t -> time:int -> pc:int -> unit
 (** Current simulation position; stamped onto subsequent commits. *)
-
-val set_dropped : t -> edges:int -> sources:int -> unit
-(** Bounded-provenance overflow counters for the store header. *)
 
 val add_seed : t -> origin:string -> ?addr:int -> time:int -> tag:int -> unit -> unit
 val add_merge : t -> a:int -> b:int -> result:int -> unit

@@ -1,13 +1,11 @@
 (* Queries over a single store.
 
-   Backward source-finding deliberately mirrors Trace.Provenance.chain:
-   it walks at tag granularity (visit a class -> scan every commit to
-   that class -> enqueue merge/declass input classes), so the source set
-   it returns for a violation is exactly the set the live forensic
-   walk-back reports — the tier-1 acceptance check diffs the two.
-   Forward reach works on the explicit flow edges instead, which
-   respects observation order (only commits at-or-after the start nodes
-   are reached). *)
+   Backward source-finding walks at class granularity (visit a class ->
+   scan every commit to that class -> enqueue merge/declass input
+   classes); the forensic chain of Trace.Provenance is a second view of
+   the same walk. Forward reach works on the explicit flow edges
+   instead, which respects observation order (only commits at-or-after
+   the start nodes are reached). *)
 
 type pred =
   | P_violation of int  (** k-th violation node of the store, 0-based. *)
@@ -96,28 +94,45 @@ type back = {
   bk_nodes_visited : int;
 }
 
-let sources_of store idx pred =
-  let starts = start_nodes store idx pred in
+let walk_back store idx tags visit =
   let ntags = Array.length store.Store.meta.classes in
-  let tag_seen = Array.make (max 1 ntags) false in
+  let seen = Array.make (max 1 ntags) false in
   let queue = Queue.create () in
   let push tag =
-    if tag >= 0 && tag < ntags && not tag_seen.(tag) then begin
-      tag_seen.(tag) <- true;
+    if tag >= 0 && tag < ntags && not seen.(tag) then begin
+      seen.(tag) <- true;
       Queue.add tag queue
     end
   in
-  List.iter (fun id -> push store.Store.nodes.(id).Store.n_tag) starts;
-  let sources = ref [] in
-  let visited = ref 0 in
+  List.iter push tags;
   while not (Queue.is_empty queue) do
     let tag = Queue.pop queue in
+    let ids = idx.Store.by_tag.(tag) in
+    visit tag ids;
     List.iter
       (fun id ->
-        incr visited;
         let n = store.Store.nodes.(id) in
         match n.Store.n_kind with
-        | Store.Seed ->
+        | Store.Merge ->
+            push n.Store.n_a;
+            push n.Store.n_b
+        | Store.Declass -> push n.Store.n_a
+        | Store.Seed | Store.Via | Store.Violation -> ())
+      ids
+  done
+
+let sources_of store idx pred =
+  let starts = start_nodes store idx pred in
+  let tags = ref [] and sources = ref [] and visited = ref 0 in
+  walk_back store idx
+    (List.map (fun id -> store.Store.nodes.(id).Store.n_tag) starts)
+    (fun tag ids ->
+      tags := tag :: !tags;
+      List.iter
+        (fun id ->
+          incr visited;
+          let n = store.Store.nodes.(id) in
+          if n.Store.n_kind = Store.Seed then
             sources :=
               {
                 src_origin = n.Store.n_origin;
@@ -126,18 +141,8 @@ let sources_of store idx pred =
                 src_time = n.Store.n_time;
                 src_node = n.Store.n_id;
               }
-              :: !sources
-        | Store.Merge ->
-            push n.Store.n_a;
-            push n.Store.n_b
-        | Store.Declass -> push n.Store.n_a
-        | Store.Via | Store.Violation -> ())
-      idx.Store.by_tag.(tag)
-  done;
-  let tags = ref [] in
-  for tag = ntags - 1 downto 0 do
-    if tag_seen.(tag) then tags := tag :: !tags
-  done;
+              :: !sources)
+        ids);
   let sources =
     List.sort_uniq
       (fun a b ->
@@ -150,7 +155,7 @@ let sources_of store idx pred =
     bk_pred = pred;
     bk_start = starts;
     bk_sources = sources;
-    bk_tags = !tags;
+    bk_tags = List.sort compare !tags;
     bk_nodes_visited = !visited;
   }
 

@@ -1,10 +1,9 @@
 (** Single-store queries: backward source-finding and forward reach.
 
-    Backward walks mirror [Trace.Provenance.chain] exactly — tag
-    granularity, merge/declass inputs enqueued, seeds collected — so a
-    violation's source set from the store equals the live forensic
-    walk-back's (the tier-1 acceptance diff). Forward reach follows the
-    explicit flow edges instead. *)
+    Backward queries go through {!walk_back}, which is also the walk
+    behind [Trace.Provenance.chain]: a violation's source set from a
+    store and its live forensic chain are two views of one walk. Forward
+    reach follows the explicit flow edges instead. *)
 
 (** A start-set predicate, written [kind:value] on the CLI. *)
 type pred =
@@ -36,6 +35,13 @@ type back = {
   bk_tags : int list;  (** Classes the walk visited, ascending. *)
   bk_nodes_visited : int;
 }
+
+val walk_back :
+  Store.t -> Store.index -> int list -> (int -> int list -> unit) -> unit
+(** [walk_back store idx tags visit] walks breadth-first over classes
+    from [tags]: each class is visited once, as [visit tag ids] with every
+    node committing to it (ascending ids), and the input classes of its
+    merges and declassifications are enqueued after it. *)
 
 val sources_of : Store.t -> Store.index -> pred -> back
 

@@ -44,7 +44,7 @@ type edge = { e_from : int; e_to : int }
 type meta = {
   classes : string array;  (** Lattice class names; index = tag. *)
   context : string;
-  dropped_edges : int;  (** lib/trace bounded-provenance overflow. *)
+  dropped_edges : int;  (** 0 in new stores; see store.mli. *)
   dropped_sources : int;
 }
 
@@ -180,11 +180,19 @@ let decode s =
   C.expect_end r;
   let section name =
     match List.assoc_opt name sections with
-    | Some p -> C.reader p
+    | Some p -> (C.reader p, String.length p)
     | None -> corrupt "graph store lacks a %S section" name
   in
-  let mr = section "meta" in
-  let nclasses = C.get_varint mr in
+  (* A count precedes its elements: bound it by what its section can hold
+     at [per] bytes an element, so a hostile count raises Corrupt instead
+     of allocating. *)
+  let count what n ~bytes ~per =
+    if n > bytes / per then
+      corrupt "%s count %d exceeds its %d-byte section" what n bytes;
+    n
+  in
+  let mr, meta_bytes = section "meta" in
+  let nclasses = count "class" (C.get_varint mr) ~bytes:meta_bytes ~per:4 in
   let classes = Array.init nclasses (fun _ -> C.get_string mr) in
   let context = C.get_string mr in
   let dropped_edges = C.get_varint mr in
@@ -192,15 +200,16 @@ let decode s =
   let n_nodes = C.get_varint mr in
   let n_edges = C.get_varint mr in
   C.expect_end mr;
-  let sr = section "strings" in
-  let nstrings = C.get_varint sr in
+  let sr, strings_bytes = section "strings" in
+  let nstrings = count "string" (C.get_varint sr) ~bytes:strings_bytes ~per:4 in
   let strings = Array.init nstrings (fun _ -> C.get_string sr) in
   C.expect_end sr;
   let str i =
     if i < 0 || i >= nstrings then corrupt "string-table id %d out of range" i
     else strings.(i)
   in
-  let nr = section "nodes" in
+  let nr, nodes_bytes = section "nodes" in
+  let n_nodes = count "node" n_nodes ~bytes:nodes_bytes ~per:9 in
   let nodes =
     Array.init n_nodes (fun id ->
         let n_kind = kind_of_code (C.get_varint nr) in
@@ -216,7 +225,8 @@ let decode s =
           n_addr; n_count })
     in
   C.expect_end nr;
-  let er = section "edges" in
+  let er, edges_bytes = section "edges" in
+  let n_edges = count "edge" n_edges ~bytes:edges_bytes ~per:2 in
   let prev_to = ref 0 in
   let edges =
     Array.init n_edges (fun _ ->

@@ -4,10 +4,8 @@
     per distinct tag commit — a peripheral seeding a class ({!Seed}), a
     genuine lattice join ({!Merge}), a {!Declass}, a named transfer hop
     ({!Via}) — plus {!Violation} sink observations, and an {e edge} per
-    observed flow between commits. Unlike the bounded in-memory
-    provenance of [lib/trace] (whose budgets exist to keep the hot path
-    allocation-free), the store holds the {e whole} graph: repeats are
-    coalesced into their node's [n_count], never dropped.
+    observed flow between commits. The store holds the {e whole} graph:
+    repeats are coalesced into their node's [n_count], never dropped.
 
     The container reuses the [lib/snapshot] codec conventions: magic,
     format version, named sections, little-endian, varint-packed node and
@@ -40,9 +38,10 @@ type meta = {
   classes : string array;  (** Lattice class names; index = tag. *)
   context : string;  (** Free-form run description (policy, file, ...). *)
   dropped_edges : int;
-      (** Merge/declass/via edges the {e bounded} in-memory provenance
-          discarded during the run — nonzero flags a run whose forensic
-          chains (not this store) are truncated. *)
+      (** Edges a bounded provenance recorder discarded during the run.
+          Always 0 in new stores, whose tracer drops nothing; the
+          analyzer still reports a store with a nonzero count as a
+          truncated run. *)
   dropped_sources : int;  (** Same, for source introductions. *)
 }
 

@@ -23,7 +23,9 @@ let make ?(window = 32) ?violation ?(context = "") tracer () =
     r_chain =
       Option.map
         (fun (v : Dift.Violation.t) ->
-          Provenance.chain tracer.Tracer.prov v.Dift.Violation.data_tag)
+          let store = Iftgraph.Build.finish tracer.Tracer.graph in
+          Provenance.chain store (Iftgraph.Store.index store)
+            v.Dift.Violation.data_tag)
         violation;
     r_context = context;
     r_tracer = tracer;
@@ -76,13 +78,6 @@ let pp ppf r =
   (match r.r_chain with
   | Some c -> Format.fprintf ppf "@,%a" (Provenance.pp_chain lat) c
   | None -> ());
-  (let de = Provenance.dropped_edges r.r_tracer.Tracer.prov in
-   let ds = Provenance.dropped_sources r.r_tracer.Tracer.prov in
-   if de > 0 || ds > 0 then
-     Format.fprintf ppf
-       "@,(provenance truncated by per-tag budgets: %d edges, %d sources \
-        dropped)"
-       de ds);
   Format.fprintf ppf "@]"
 
 let to_string r = Format.asprintf "%a" pp r
@@ -116,12 +111,7 @@ let to_json r =
     @ (match r.r_chain with
       | Some c -> [ ("chain", Provenance.chain_to_json lat c) ]
       | None -> [])
-    @ (match r.r_context with
-      | "" -> []
-      | ctx -> [ ("context", J.Str ctx) ])
-    @ [
-        ( "dropped_edges",
-          J.num_of_int (Provenance.dropped_edges r.r_tracer.Tracer.prov) );
-        ( "dropped_sources",
-          J.num_of_int (Provenance.dropped_sources r.r_tracer.Tracer.prov) );
-      ])
+    @
+    match r.r_context with
+    | "" -> []
+    | ctx -> [ ("context", J.Str ctx) ])

@@ -1,73 +1,11 @@
-(* The graph-store sink: captures the complete provenance stream of a
-   run into an Iftgraph.Build.t, for persisting as a .iftg store.
-
-   Two hook points, chosen so the sink composes with the existing
-   machinery instead of replacing it:
-
-   - Provenance.set_observer feeds seeds / merges / declassifications /
-     via hops. The observer fires before dedup and budget checks, so the
-     store holds the whole graph even where the bounded in-memory
-     provenance coalesces or drops (the store header still carries the
-     in-memory drop counters, flagging runs whose live forensic chains
-     are truncated).
-   - Tracer.set_on_graph (the second observer slot — stream_jsonl keeps
-     on_record) stamps the current pc/time onto subsequent commits and
-     records violation sink nodes. *)
-
-module L = Dift.Lattice
-
-type t = {
-  tracer : Tracer.t;
-  builder : Iftgraph.Build.t;
-  mutable attached : bool;
-}
-
-let classes lat = List.init (L.size lat) (L.name lat)
-
-let on_prov builder = function
-  | Provenance.Ev_source { origin; addr; time; tag } ->
-      (match addr with
-      | Some addr -> Iftgraph.Build.add_seed builder ~origin ~addr ~time ~tag ()
-      | None -> Iftgraph.Build.add_seed builder ~origin ~time ~tag ())
-  | Provenance.Ev_merge { a; b; result } ->
-      Iftgraph.Build.add_merge builder ~a ~b ~result
-  | Provenance.Ev_declass { from; result } ->
-      Iftgraph.Build.add_declass builder ~from ~result
-  | Provenance.Ev_via { channel; tag } ->
-      Iftgraph.Build.add_via builder ~channel ~tag
-
-let on_event builder (e : Event.t) =
-  match e.Event.kind with
-  | Event.Insn ->
-      Iftgraph.Build.set_pos builder ~time:e.Event.time ~pc:e.Event.addr
-  | Event.Violation ->
-      Iftgraph.Build.add_violation builder ~what:e.Event.text ~pc:e.Event.addr
-        ~time:e.Event.time ~tag:e.Event.tag
-  | Event.Tlm_read | Event.Tlm_write | Event.Trap | Event.Declass
-  | Event.Note ->
-      ()
+type t = Iftgraph.Build.t
 
 let attach ?(context = "") tracer =
-  let builder =
-    Iftgraph.Build.create ~context ~classes:(classes tracer.Tracer.lat) ()
-  in
-  Provenance.set_observer tracer.Tracer.prov (Some (on_prov builder));
-  Tracer.set_on_graph tracer (Some (on_event builder));
-  { tracer; builder; attached = true }
+  let graph = tracer.Tracer.graph in
+  Iftgraph.Build.set_context graph context;
+  graph
 
-let builder t = t.builder
-
-let detach t =
-  if t.attached then begin
-    Provenance.set_observer t.tracer.Tracer.prov None;
-    Tracer.set_on_graph t.tracer None;
-    t.attached <- false
-  end
-
-let finish t =
-  Iftgraph.Build.set_dropped t.builder
-    ~edges:(Provenance.dropped_edges t.tracer.Tracer.prov)
-    ~sources:(Provenance.dropped_sources t.tracer.Tracer.prov);
-  Iftgraph.Build.finish t.builder
-
+let builder t = t
+let finish = Iftgraph.Build.finish
 let write_file t path = Iftgraph.Store.write_file (finish t) path
+let detach _ = ()

@@ -1,29 +1,22 @@
-(** The graph-store sink: capture a run's complete provenance stream
-    into an [Iftgraph] builder, alongside (not instead of) the streaming
-    JSONL sink.
+(** The graph-store view of a tracer: name the run, then freeze and
+    persist the tracer's IFT graph ({!Tracer.t.graph}) as a store.
 
-    [attach] claims the tracer's provenance observer and its [on_graph]
-    slot; commits are fed into an incremental {!Iftgraph.Build.t} as the
-    simulation runs. Call {!finish} (or {!write_file}) at the end — it
-    stamps the bounded-provenance drop counters into the store header
-    and freezes the graph. The sink keeps recording after a [finish];
-    {!detach} releases the hooks. *)
+    The graph records from {!Tracer.create} on, so a sink attached late
+    still holds the run's earlier seeds. {!finish} may be called more
+    than once; each call freezes the graph as recorded so far. *)
 
 type t
 
 val attach : ?context:string -> Tracer.t -> t
-(** Install the sink on [tracer]'s provenance observer and [on_graph]
-    slots (displacing any previous occupants of those two slots;
-    [on_record] / {!Sink.stream_jsonl} is untouched). *)
+(** Set the store's run description (default [""]). *)
 
 val builder : t -> Iftgraph.Build.t
 
 val finish : t -> Iftgraph.Store.t
-(** Sync drop counters from the tracer's provenance and freeze the
-    current graph. The sink stays attached and usable. *)
+(** Freeze the current graph ({!Iftgraph.Build.finish}). *)
 
 val write_file : t -> string -> unit
 (** [finish] and write the store to a file. *)
 
 val detach : t -> unit
-(** Release both hook slots; idempotent. *)
+(** A no-op: the graph belongs to the tracer. *)

@@ -8,8 +8,6 @@ type source = {
   s_tag : L.tag;
 }
 
-type parent = P_merge of L.tag * L.tag | P_declass of L.tag
-
 type step =
   | Introduced of source
   | Merged of { result : L.tag; a : L.tag; b : L.tag }
@@ -18,152 +16,62 @@ type step =
 
 type chain = { c_tag : L.tag; c_steps : step list; c_sources : source list }
 
-type event =
-  | Ev_source of { origin : string; addr : int option; time : int; tag : L.tag }
-  | Ev_merge of { a : L.tag; b : L.tag; result : L.tag }
-  | Ev_declass of { from : L.tag; result : L.tag }
-  | Ev_via of { channel : string; tag : L.tag }
+module S = Iftgraph.Store
 
-type t = {
-  lat : L.t;
-  max_edges : int;
-  max_sources : int;
-  (* Indexed by tag; lists are short (bounded) so linear scans are fine
-     and the dedup checks allocate nothing. Newest first. *)
-  sources : source list array;
-  parents : parent list array;
-  vias : string list array;
-  mutable next_id : int;
-  mutable dropped_edges : int;
-  mutable dropped_sources : int;
-  mutable observer : (event -> unit) option;
-}
+(* The first node of each [key], in node order. *)
+let firsts key nodes =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun n ->
+      let k = key n in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    nodes
 
-let create ?(max_edges_per_tag = 16) ?(max_sources_per_tag = 8) lat =
-  let n = L.size lat in
-  {
-    lat;
-    max_edges = max_edges_per_tag;
-    max_sources = max_sources_per_tag;
-    sources = Array.make n [];
-    parents = Array.make n [];
-    vias = Array.make n [];
-    next_id = 0;
-    dropped_edges = 0;
-    dropped_sources = 0;
-    observer = None;
-  }
-
-let lattice t = t.lat
-let dropped t = t.dropped_edges + t.dropped_sources
-let dropped_edges t = t.dropped_edges
-let dropped_sources t = t.dropped_sources
-let set_observer t f = t.observer <- f
-
-(* The observer fires on every genuine event, before the budget checks:
-   a sink (the graph store) sees the complete stream even where the
-   bounded in-memory graph drops. *)
-let notify t ev = match t.observer with None -> () | Some f -> f ev
-
-let in_range t tag = tag >= 0 && tag < Array.length t.sources
-
-let source t ~origin ?addr ~time tag =
-  if not (in_range t tag) then invalid_arg "Provenance.source: tag out of range";
-  notify t (Ev_source { origin; addr; time; tag });
-  match
-    List.find_opt
-      (fun s -> String.equal s.s_origin origin && s.s_addr = addr)
-      t.sources.(tag)
-  with
-  | Some s -> s.s_id
-  | None ->
-      if List.length t.sources.(tag) >= t.max_sources then (
-        t.dropped_sources <- t.dropped_sources + 1;
-        -1)
-      else begin
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        t.sources.(tag) <-
-          { s_id = id; s_origin = origin; s_addr = addr; s_time = time; s_tag = tag }
-          :: t.sources.(tag);
-        id
-      end
-
-let add_parent t tag p =
-  let ps = t.parents.(tag) in
-  if List.mem p ps then ()
-  else if List.length ps >= t.max_edges then
-    t.dropped_edges <- t.dropped_edges + 1
-  else t.parents.(tag) <- p :: ps
-
-let record_merge t ~a ~b ~result =
-  (* Only genuine joins matter: if the result equals an input, walking
-     that input's provenance already covers it. This also keeps the hot
-     all-bottom case (lub pub pub = pub) free of any bookkeeping. *)
-  if result <> a && result <> b && in_range t result then begin
-    notify t (Ev_merge { a; b; result });
-    add_parent t result (P_merge (a, b))
-  end
-
-let record_declass t ~from ~result =
-  if from <> result && in_range t result then begin
-    notify t (Ev_declass { from; result });
-    add_parent t result (P_declass from)
-  end
-
-let record_via t ~channel tag =
-  if in_range t tag then begin
-    notify t (Ev_via { channel; tag });
-    let vs = t.vias.(tag) in
-    if List.mem channel vs then ()
-    else if List.length vs >= t.max_edges then
-      t.dropped_edges <- t.dropped_edges + 1
-    else t.vias.(tag) <- channel :: vs
-  end
-
-let sources_of t tag = if in_range t tag then List.rev t.sources.(tag) else []
-
-let sources t =
-  Array.to_list t.sources |> List.concat |> List.sort (fun a b -> compare a.s_id b.s_id)
-
-let chain t tag =
-  if not (in_range t tag) then { c_tag = tag; c_steps = []; c_sources = [] }
-  else begin
-    let n = Array.length t.sources in
-    let visited = Array.make n false in
-    let steps = ref [] and srcs = ref [] in
-    let queue = Queue.create () in
-    Queue.add tag queue;
-    visited.(tag) <- true;
-    let push u = if in_range t u && not visited.(u) then (visited.(u) <- true; Queue.add u queue) in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
-        (fun s ->
-          steps := Introduced s :: !steps;
-          srcs := s :: !srcs)
-        (List.rev t.sources.(u));
-      List.iter
-        (fun ch -> steps := Via { tag = u; channel = ch } :: !steps)
-        (List.rev t.vias.(u));
-      List.iter
-        (fun p ->
-          match p with
-          | P_merge (a, b) ->
-              steps := Merged { result = u; a; b } :: !steps;
-              push a;
-              push b
-          | P_declass from ->
-              steps := Declassified { result = u; from } :: !steps;
-              push from)
-        (List.rev t.parents.(u))
-    done;
+let chain store idx tag =
+  (* A source's id is its rank among the run's distinct introductions. *)
+  let ids = Hashtbl.create 16 in
+  Array.iter
+    (fun n ->
+      let k = (n.S.n_origin, n.S.n_addr, n.S.n_tag) in
+      if n.S.n_kind = S.Seed && not (Hashtbl.mem ids k) then
+        Hashtbl.add ids k (Hashtbl.length ids))
+    store.S.nodes;
+  let source n =
     {
-      c_tag = tag;
-      c_steps = List.rev !steps;
-      c_sources = List.sort (fun a b -> compare a.s_id b.s_id) !srcs;
+      s_id = Hashtbl.find ids (n.S.n_origin, n.S.n_addr, n.S.n_tag);
+      s_origin = n.S.n_origin;
+      s_addr = (if n.S.n_addr < 0 then None else Some n.S.n_addr);
+      s_time = n.S.n_time;
+      s_tag = n.S.n_tag;
     }
-  end
+  in
+  let steps = ref [] and srcs = ref [] in
+  let emit f l = List.iter (fun n -> steps := f n :: !steps) l in
+  Iftgraph.Query.walk_back store idx [ tag ] (fun u ids ->
+      let nodes = List.map (fun id -> store.S.nodes.(id)) ids in
+      let of_kinds ks = List.filter (fun n -> List.mem n.S.n_kind ks) nodes in
+      let seeds =
+        List.map source
+          (firsts (fun n -> (n.S.n_origin, n.S.n_addr)) (of_kinds [ S.Seed ]))
+      in
+      srcs := List.rev_append seeds !srcs;
+      emit (fun s -> Introduced s) seeds;
+      emit
+        (fun n -> Via { tag = u; channel = n.S.n_origin })
+        (firsts (fun n -> n.S.n_origin) (of_kinds [ S.Via ]));
+      emit
+        (fun n ->
+          if n.S.n_kind = S.Merge then
+            Merged { result = u; a = n.S.n_a; b = n.S.n_b }
+          else Declassified { result = u; from = n.S.n_a })
+        (firsts
+           (fun n -> (n.S.n_kind, n.S.n_a, n.S.n_b))
+           (of_kinds [ S.Merge; S.Declass ])));
+  {
+    c_tag = tag;
+    c_steps = List.rev !steps;
+    c_sources = List.sort (fun a b -> compare a.s_id b.s_id) !srcs;
+  }
 
 let pp_source lat ppf s =
   Format.fprintf ppf "#%d %s%s -> %s at t=%dps" s.s_id s.s_origin

@@ -1,25 +1,19 @@
 (** Taint provenance: where did this tag come from?
 
     Granularity is the security class (lattice tag), matching the DIFT
-    engine itself: every taint *introduction* (a peripheral seeding a tag
-    into the system, or a policy region classifying memory) registers a
-    {!source}, and observed propagation records bounded edges —
-    [result = lub(a, b)] merges, declassifications, and "carried via
-    DMA"-style transfer hops. {!chain} then walks any tag seen at a sink
-    back to the set of sources that introduced it.
-
-    Everything is bounded: per tag at most [max_sources_per_tag] sources
-    and [max_edges_per_tag] merge/declass edges are retained (duplicates
-    are coalesced first; overflow increments {!dropped}). Recording is a
-    few list scans over those short lists and allocates only when a new
-    source/edge is actually retained, so a hot loop that keeps producing
-    the same joins settles into allocation-free dedup hits. *)
+    engine itself. The record of a run's taint flow is the tracer's IFT
+    graph ([Tracer.t.graph]): every taint {e introduction} (a peripheral
+    seeding a tag into the system, or a policy region classifying memory)
+    is a seed node, and observed propagation adds [result = lub(a, b)]
+    merges, declassifications and "carried via DMA"-style transfer hops.
+    {!chain} walks a tag seen at a sink back over that graph to the set
+    of seeds that introduced it. *)
 
 type source = {
-  s_id : int;  (** Dense introduction id, in registration order. *)
+  s_id : int;  (** Dense introduction id, in first-observation order. *)
   s_origin : string;  (** Peripheral / region name, e.g. ["sensor"]. *)
   s_addr : int option;  (** Bus address or region base, when meaningful. *)
-  s_time : int;  (** Simulation time of first registration, ps. *)
+  s_time : int;  (** Simulation time of first observation, ps. *)
   s_tag : Dift.Lattice.tag;  (** The class this source introduces. *)
 }
 
@@ -35,76 +29,12 @@ type chain = {
   c_sources : source list;  (** Terminal introductions, by id. *)
 }
 
-type t
-
-val create :
-  ?max_edges_per_tag:int -> ?max_sources_per_tag:int -> Dift.Lattice.t -> t
-(** Defaults: 16 edges, 8 sources per tag. *)
-
-val lattice : t -> Dift.Lattice.t
-
-val source :
-  t -> origin:string -> ?addr:int -> time:int -> Dift.Lattice.tag -> int
-(** Register a taint introduction; returns its id. Re-registering the same
-    [(origin, addr)] pair for the same tag returns the existing id (so
-    peripherals may call this on every frame). Returns [-1] if the
-    per-tag source budget is exhausted. *)
-
-val record_merge :
-  t -> a:Dift.Lattice.tag -> b:Dift.Lattice.tag -> result:Dift.Lattice.tag -> unit
-(** Record [result = lub(a, b)]. A no-op unless it is a genuine join
-    ([result] differs from both inputs) — propagation that keeps a tag
-    unchanged is already covered by that tag's own chain. *)
-
-val record_declass :
-  t -> from:Dift.Lattice.tag -> result:Dift.Lattice.tag -> unit
-
-val record_via : t -> channel:string -> Dift.Lattice.tag -> unit
-(** Note that [tag] travelled through a named transfer channel (DMA,
-    crypto unit, ...) without changing class. *)
-
-val sources_of : t -> Dift.Lattice.tag -> source list
-(** Sources directly introducing [tag], oldest first. *)
-
-val sources : t -> source list
-(** Every registered source, by id. *)
-
-val chain : t -> Dift.Lattice.tag -> chain
-(** Walk back from [tag] through merge/declass edges to the introducing
-    sources. Bounded by the lattice size (each tag visited once). *)
-
-val dropped : t -> int
-(** Edges/sources discarded because a per-tag budget was exhausted
-    ([dropped_edges + dropped_sources]). *)
-
-val dropped_edges : t -> int
-(** Merge/declass/via edges discarded on per-tag budget overflow. *)
-
-val dropped_sources : t -> int
-(** Source introductions discarded on per-tag budget overflow. *)
-
-(** {1 Streaming observation}
-
-    A genuine provenance event, fired {e before} dedup and budget
-    checks: an observer (the IFT graph-store sink) sees the complete
-    stream even where the bounded in-memory graph coalesces or drops. *)
-type event =
-  | Ev_source of {
-      origin : string;
-      addr : int option;
-      time : int;
-      tag : Dift.Lattice.tag;
-    }
-  | Ev_merge of {
-      a : Dift.Lattice.tag;
-      b : Dift.Lattice.tag;
-      result : Dift.Lattice.tag;
-    }  (** Genuine joins only ([result] differs from both inputs). *)
-  | Ev_declass of { from : Dift.Lattice.tag; result : Dift.Lattice.tag }
-  | Ev_via of { channel : string; tag : Dift.Lattice.tag }
-
-val set_observer : t -> (event -> unit) option -> unit
-(** Install (or remove) the single observer slot. *)
+val chain : Iftgraph.Store.t -> Iftgraph.Store.index -> Dift.Lattice.tag -> chain
+(** The forensic view of {!Iftgraph.Query.walk_back} from [tag]: per
+    visited class, its distinct seeds (on origin, address and class),
+    then its distinct via channels, then its distinct merge/declass
+    inputs, each in first-observation order. A source's [s_id] is its
+    rank among the store's distinct introductions. *)
 
 val pp_source : Dift.Lattice.t -> Format.formatter -> source -> unit
 val pp_chain : Dift.Lattice.t -> Format.formatter -> chain -> unit

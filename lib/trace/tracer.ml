@@ -1,34 +1,34 @@
+module Build = Iftgraph.Build
+
 type t = {
   ring : Ring.t;
-  prov : Provenance.t;
+  graph : Build.t;
   lat : Dift.Lattice.t;
   mutable disasm : int -> string;
   mutable on_record : (Event.t -> unit) option;
-  mutable on_graph : (Event.t -> unit) option;
 }
 
 let default_disasm w = Printf.sprintf ".word 0x%08x" w
 
-let create ?(ring_size = 4096) lat =
+let create lat =
   {
-    ring = Ring.create ring_size;
-    prov = Provenance.create lat;
+    ring = Ring.create 4096;
+    graph =
+      Build.create
+        ~classes:(List.init (Dift.Lattice.size lat) (Dift.Lattice.name lat))
+        ();
     lat;
     disasm = default_disasm;
     on_record = None;
-    on_graph = None;
   }
 
 let set_disasm t f = t.disasm <- f
 let set_on_record t f = t.on_record <- f
-let set_on_graph t f = t.on_graph <- f
 let events_recorded t = Ring.total t.ring
 
 (* The slot is recycled on the next record_*: observers must consume (or
    copy) the event before returning. *)
-let observed t e =
-  (match t.on_record with None -> () | Some f -> f e);
-  match t.on_graph with None -> () | Some f -> f e
+let observed t e = match t.on_record with None -> () | Some f -> f e
 
 let record_insn t ~time ~pc ~word ~tag ~tainted =
   let e = Ring.emit t.ring in
@@ -39,7 +39,8 @@ let record_insn t ~time ~pc ~word ~tag ~tainted =
   e.Event.tag <- tag;
   e.Event.tainted <- tainted;
   e.Event.text <- "";
-  observed t e
+  observed t e;
+  Build.set_pos t.graph ~time ~pc
 
 let record_tlm t ~time ~write ~addr ~len ~tag ~target =
   let e = Ring.emit t.ring in
@@ -72,7 +73,8 @@ let record_violation t ~time ~pc ~tag ~what =
   e.Event.tag <- tag;
   e.Event.tainted <- true;
   e.Event.text <- what;
-  observed t e
+  observed t e;
+  Build.add_violation t.graph ~what ~pc ~time ~tag
 
 let record_declass t ~time ~from_tag ~to_tag ~where =
   let e = Ring.emit t.ring in
@@ -83,7 +85,9 @@ let record_declass t ~time ~from_tag ~to_tag ~where =
   e.Event.tag <- to_tag;
   e.Event.tainted <- false;
   e.Event.text <- where;
-  observed t e
+  observed t e;
+  if from_tag <> to_tag then
+    Build.add_declass t.graph ~from:from_tag ~result:to_tag
 
 let record_note t ~time text =
   let e = Ring.emit t.ring in
@@ -95,3 +99,14 @@ let record_note t ~time text =
   e.Event.tainted <- false;
   e.Event.text <- text;
   observed t e
+
+let record_source t ~origin ?addr ~time tag =
+  Build.add_seed t.graph ~origin ?addr ~time ~tag ()
+
+let record_via t ~channel tag = Build.add_via t.graph ~channel ~tag
+
+(* Only genuine joins matter: if the result equals an input, walking
+   that input's provenance already covers it. This also keeps the hot
+   all-bottom case (lub pub pub = pub) free of any bookkeeping. *)
+let record_merge t ~a ~b ~result =
+  if result <> a && result <> b then Build.add_merge t.graph ~a ~b ~result

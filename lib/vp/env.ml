@@ -4,30 +4,29 @@ type t = {
   policy : Dift.Policy.t;
   monitor : Dift.Monitor.t;
   pub : Dift.Lattice.tag;
-  prov : Trace.Provenance.t option;
+  tracer : Trace.Tracer.t option;
 }
 
-let create ?prov kernel policy monitor =
+let create ?tracer kernel policy monitor =
   let lat = policy.Dift.Policy.lattice in
   let pub =
     match Dift.Lattice.bottom lat with
     | Some b -> b
     | None -> policy.Dift.Policy.default_tag
   in
-  { kernel; lat; policy; monitor; pub; prov }
+  { kernel; lat; policy; monitor; pub; tracer }
 
 let taint_source env ~origin ?addr tag =
-  match env.prov with
-  | Some p when tag <> env.pub ->
-      ignore
-        (Trace.Provenance.source p ~origin ?addr
-           ~time:(Sysc.Kernel.now env.kernel)
-           tag)
+  match env.tracer with
+  | Some tr when tag <> env.pub ->
+      Trace.Tracer.record_source tr ~origin ?addr
+        ~time:(Sysc.Kernel.now env.kernel)
+        tag
   | Some _ | None -> ()
 
 let taint_via env ~channel tag =
-  match env.prov with
-  | Some p when tag <> env.pub -> Trace.Provenance.record_via p ~channel tag
+  match env.tracer with
+  | Some tr when tag <> env.pub -> Trace.Tracer.record_via tr ~channel tag
   | Some _ | None -> ()
 
 let check_output env ~port ~data_tag ~detail =

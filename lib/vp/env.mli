@@ -8,17 +8,17 @@ type t = {
   policy : Dift.Policy.t;
   monitor : Dift.Monitor.t;
   pub : Dift.Lattice.tag;
-  prov : Trace.Provenance.t option;
-      (** Provenance recorder, when the SoC runs with a tracer. *)
+  tracer : Trace.Tracer.t option;
+      (** Taint-flow recorder, when the SoC runs with a tracer. *)
 }
 
 val create :
-  ?prov:Trace.Provenance.t -> Sysc.Kernel.t -> Dift.Policy.t -> Dift.Monitor.t -> t
+  ?tracer:Trace.Tracer.t -> Sysc.Kernel.t -> Dift.Policy.t -> Dift.Monitor.t -> t
 
 val taint_source : t -> origin:string -> ?addr:int -> Dift.Lattice.tag -> unit
 (** Register a taint introduction (peripheral seeding [tag] into the
-    platform) with the provenance recorder at current simulation time.
-    No-op when no recorder is attached or [tag] is the public tag, so
+    platform) with the tracer's graph at current simulation time.
+    No-op when no tracer is attached or [tag] is the public tag, so
     peripherals call it unconditionally. *)
 
 val taint_via : t -> channel:string -> Dift.Lattice.tag -> unit

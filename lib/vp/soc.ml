@@ -107,11 +107,7 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
     ?(block_cache = true) ?(strict_align = false) ?sensor_period ?aes_out_tag
     ?aes_in_clearance ?wdt_clearance ?tracer () =
   let kernel = Sysc.Kernel.create () in
-  let env =
-    Env.create
-      ?prov:(Option.map (fun t -> t.Trace.Tracer.prov) tracer)
-      kernel policy monitor
-  in
+  let env = Env.create ?tracer kernel policy monitor in
   let router = Tlm.Router.create ~name:"bus" () in
   let memory = Memory.create env ~name:"ram" ~size:ram_size in
   let uart = Uart.create env ~name:"uart" ~port:"uart" in
@@ -187,8 +183,8 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
         let lat = env.Env.lat in
         let now () = Sysc.Kernel.now kernel in
         (* Taint propagation: every genuine LUB join the core or the bus
-           computes becomes a provenance merge edge. *)
-        let on_merge a b r = Trace.Provenance.record_merge tr.Trace.Tracer.prov ~a ~b ~result:r in
+           computes becomes a merge edge in the tracer's graph. *)
+        let on_merge a b r = Trace.Tracer.record_merge tr ~a ~b ~result:r in
         cpu.cpu_set_merge_hook (Some on_merge);
         Rv32.Bus_if.set_merge_hook bus (Some on_merge);
         (* Bus traffic: one event per routed transaction (CPU MMIO and DMA
@@ -205,7 +201,7 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
                  ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
                  ~addr:p.Tlm.Payload.addr ~len ~tag:!tag ~target));
         (* Monitor events: violations and declassifications enter the event
-           stream in order; declassifications also become provenance edges. *)
+           stream in order, and the tracer's graph. *)
         Dift.Monitor.set_on_event monitor
           (Some
              (fun ev ->
@@ -222,9 +218,7 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
                        | "" -> ""
                        | d -> ": " ^ d)
                | Dift.Monitor.Declassified { where; from_tag; to_tag } ->
-                   Trace.Tracer.record_declass tr ~time ~from_tag ~to_tag ~where;
-                   Trace.Provenance.record_declass tr.Trace.Tracer.prov
-                     ~from:from_tag ~result:to_tag
+                   Trace.Tracer.record_declass tr ~time ~from_tag ~to_tag ~where
                | Dift.Monitor.Note s -> Trace.Tracer.record_note tr ~time s));
         (* Retired instructions: the internal ring push composes with any
            externally installed per-instruction hook (coverage, --echo-insns)

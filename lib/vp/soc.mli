@@ -127,7 +127,7 @@ val create :
     [tracer] (built over the same lattice as [policy]) attaches the
     tracing subsystem: retired instructions, routed bus transactions and
     monitor events fill the tracer's ring; taint introductions, merges
-    and declassifications feed its provenance graph; the RV32
+    and declassifications feed its IFT graph; the RV32
     disassembler is installed for reports. Without it every hook stays
     unset — the simulation is byte-identical to a trace-free build. *)
 
@@ -139,8 +139,8 @@ val load_image : t -> Rv32_asm.Image.t -> unit
 val seed_taint :
   t -> origin:string -> addr:int -> len:int -> Dift.Lattice.tag -> unit
 (** Explicit taint seeding: tag [len] bytes of RAM at global address
-    [addr] and register the introduction with the provenance recorder
-    (when a tracer is attached). Raises [Invalid_argument] if the range
+    [addr] and register the introduction with the tracer's graph (when a
+    tracer is attached). Raises [Invalid_argument] if the range
     is outside RAM. *)
 
 val start : ?stop_on_halt:bool -> t -> unit

@@ -87,8 +87,35 @@ let small_store () =
   B.add_via b ~channel:"dma" ~tag:1;
   B.set_pos b ~time:30 ~pc:0x108;
   B.add_violation b ~what:"exec-clearance" ~pc:0x108 ~time:30 ~tag:1;
-  B.set_dropped b ~edges:2 ~sources:1;
-  B.finish b
+  let s = B.finish b in
+  { s with S.meta = { s.S.meta with S.dropped_edges = 2; dropped_sources = 1 } }
+
+(* A one-class, one-node store whose header claims [nclasses] classes and
+   [n_nodes] nodes: honest at 1 and 1, hostile above. *)
+let forged_store ~nclasses ~n_nodes =
+  let meta = C.writer () in
+  C.put_varint meta nclasses;
+  C.put_string meta "LI";
+  C.put_string meta "";
+  List.iter (C.put_varint meta) [ 0; 0; n_nodes; 0 ];
+  let strings = C.writer () in
+  C.put_varint strings 1;
+  C.put_string strings "";
+  let nodes = C.writer () in
+  List.iter (C.put_varint nodes) [ 0; 0; 0; 0; 0; 0; 0; 0; 1 ];
+  let w = C.writer () in
+  C.put_u32 w S.version;
+  C.put_list w
+    (fun w (name, payload) ->
+      C.put_string w name;
+      C.put_string w payload)
+    [
+      ("meta", C.contents meta);
+      ("strings", C.contents strings);
+      ("nodes", C.contents nodes);
+      ("edges", "");
+    ];
+  S.magic ^ C.contents w
 
 let test_store_roundtrip () =
   let s = small_store () in
@@ -115,7 +142,22 @@ let test_store_roundtrip () =
     (try
        ignore (S.of_string "NOTAGRPH");
        false
-     with C.Corrupt _ -> true)
+     with C.Corrupt _ -> true);
+  check_int "forged store decodes at honest counts" 1
+    (Array.length (S.of_string (forged_store ~nclasses:1 ~n_nodes:1)).S.nodes);
+  (* Inflated counts raise Corrupt before anything is allocated. *)
+  List.iter
+    (fun (what, nclasses, n_nodes) ->
+      check_bool what true
+        (try
+           ignore (S.of_string (forged_store ~nclasses ~n_nodes));
+           false
+         with C.Corrupt _ -> true))
+    [
+      ("2^60 nodes raises Corrupt", 1, 1 lsl 60);
+      ("2^27 nodes raises Corrupt", 1, 1 lsl 27);
+      ("2^60 classes raises Corrupt", 1 lsl 60, 1);
+    ]
 
 let test_store_queries () =
   let s = small_store () in
@@ -209,7 +251,8 @@ let test_trap_hijack_analyze () =
         | Some t -> t
         | None -> Alcotest.fail "no violation event in the ring"
       in
-      let chain = T.Provenance.chain tracer.T.Tracer.prov vtag in
+      let live = B.finish tracer.T.Tracer.graph in
+      let chain = T.Provenance.chain live (S.index live) vtag in
       let live_set =
         List.sort_uniq compare
           (List.map

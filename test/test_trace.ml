@@ -1,9 +1,11 @@
 (* Tier-1 tests for the tracing subsystem (lib/trace): ring-buffer
-   mechanics, the bounded provenance graph, and the end-to-end acceptance
+   mechanics, the provenance chain over the tracer's IFT graph, and the
+   end-to-end acceptance
    paths — a tainted sensor word carried by DMA and encrypted by the AES
    engine traces back to the sensor, Wilander violations carry non-empty
    provenance, and an immobilizer forensic report's chain terminates at
-   the PIN's classification region. *)
+   the PIN's classification region, which a graph sink attached after
+   the image load still holds. *)
 
 open Helpers
 module A = Rv32_asm.Asm
@@ -51,22 +53,30 @@ let diamond () =
     ~classes:[ "BOT"; "A"; "B"; "TOP" ]
     ~flows:[ ("BOT", "A"); ("BOT", "B"); ("A", "TOP"); ("B", "TOP") ]
 
+(* The forensic chain of [tag] over everything [tracer] recorded so far. *)
+let chain_of tracer tag =
+  let store = Iftgraph.Build.finish tracer.T.Tracer.graph in
+  T.Provenance.chain store (Iftgraph.Store.index store) tag
+
 let test_provenance () =
   let lat = diamond () in
   let t n = Dift.Lattice.tag_of_name lat n in
   let a = t "A" and b = t "B" and top = t "TOP" and bot = t "BOT" in
-  let p = T.Provenance.create lat in
-  let id1 = T.Provenance.source p ~origin:"sensor" ~time:10 a in
-  let id1' = T.Provenance.source p ~origin:"sensor" ~time:999 a in
-  check_int "re-registering the same (origin, addr) dedupes" id1 id1';
-  let _ = T.Provenance.source p ~origin:"can" ~time:20 b in
-  check_int "sources_of a" 1 (List.length (T.Provenance.sources_of p a));
-  T.Provenance.record_merge p ~a ~b ~result:top;
+  let p = T.Tracer.create lat in
+  T.Tracer.record_source p ~origin:"sensor" ~time:10 a;
+  T.Tracer.record_source p ~origin:"sensor" ~time:999 a;
+  T.Tracer.record_source p ~origin:"can" ~time:20 b;
+  (match (chain_of p a).T.Provenance.c_sources with
+  | [ s ] ->
+      check_int "re-registering the same (origin, addr) dedupes" 10
+        s.T.Provenance.s_time
+  | srcs -> Alcotest.failf "sources of a: %d, expected 1" (List.length srcs));
+  T.Tracer.record_merge p ~a ~b ~result:top;
   (* Trivial joins (result equals an input) are not edges. *)
-  T.Provenance.record_merge p ~a ~b:bot ~result:a;
-  T.Provenance.record_via p ~channel:"dma" a;
-  T.Provenance.record_declass p ~from:top ~result:bot;
-  let chain_top = T.Provenance.chain p top in
+  T.Tracer.record_merge p ~a ~b:bot ~result:a;
+  T.Tracer.record_via p ~channel:"dma" a;
+  T.Tracer.record_declass p ~time:30 ~from_tag:top ~to_tag:bot ~where:"test";
+  let chain_top = chain_of p top in
   check_bool "chain(top) has the merge step" true
     (List.exists
        (function
@@ -78,7 +88,7 @@ let test_provenance () =
   in
   check_bool "chain(top) reaches both introductions" true
     (List.mem "sensor" (origins chain_top) && List.mem "can" (origins chain_top));
-  let chain_bot = T.Provenance.chain p bot in
+  let chain_bot = chain_of p bot in
   check_bool "chain(bot) walks through the declassification" true
     (List.exists
        (function
@@ -92,15 +102,7 @@ let test_provenance () =
        (function
          | T.Provenance.Via v -> v.channel = "dma" && v.tag = a
          | _ -> false)
-       (T.Provenance.chain p a).T.Provenance.c_steps);
-  (* Budgets: the third distinct source for one tag is dropped, loudly. *)
-  let q = T.Provenance.create ~max_sources_per_tag:2 lat in
-  let s1 = T.Provenance.source q ~origin:"one" ~time:0 a in
-  let s2 = T.Provenance.source q ~origin:"two" ~time:0 a in
-  let s3 = T.Provenance.source q ~origin:"three" ~time:0 a in
-  check_bool "budgeted ids valid" true (s1 >= 0 && s2 >= 0);
-  check_int "over-budget source rejected" (-1) s3;
-  check_bool "drops counted" true (T.Provenance.dropped q > 0)
+       (chain_of p a).T.Provenance.c_steps)
 
 (* --- Sensor -> DMA -> AES end to end --------------------------------- *)
 
@@ -165,7 +167,7 @@ let test_sensor_dma_aes_provenance () =
   check_bool "sensor bus read traced" true !saw_sensor_read;
   (* The ciphertext's class walks back through the AES declassification
      to the sensor that introduced the plaintext's class. *)
-  let chain = T.Provenance.chain tracer.T.Tracer.prov lc in
+  let chain = chain_of tracer lc in
   check_bool "ciphertext chain has the declassification" true
     (List.exists
        (function
@@ -181,7 +183,7 @@ let test_sensor_dma_aes_provenance () =
        (function
          | T.Provenance.Via v -> v.channel = "dma" && v.tag = hc
          | _ -> false)
-       (T.Provenance.chain tracer.T.Tracer.prov hc).T.Provenance.c_steps)
+       (chain_of tracer hc).T.Provenance.c_steps)
 
 (* --- JSONL sink round-trip ------------------------------------------- *)
 
@@ -278,7 +280,7 @@ let test_seed_taint () =
   check_bool "seeded source registered" true
     (List.exists
        (fun s -> s.T.Provenance.s_origin = "manual")
-       (T.Provenance.sources_of tracer.T.Tracer.prov hc));
+       (chain_of tracer hc).T.Provenance.c_sources);
   check_bool "seeding outside RAM rejected" true
     (try
        Vp.Soc.seed_taint soc ~origin:"bad" ~addr:0x1000 ~len:4 hc;
@@ -304,7 +306,7 @@ let test_wilander_provenance () =
   match !viol with
   | None -> Alcotest.fail "no violation event in the ring"
   | Some e ->
-      let chain = T.Provenance.chain tracer.T.Tracer.prov e.T.Event.tag in
+      let chain = chain_of tracer e.T.Event.tag in
       check_bool "violating tag has non-empty provenance" true
         (chain.T.Provenance.c_sources <> []);
       check_bool "provenance names the attack input channel" true
@@ -329,6 +331,14 @@ let test_immobilizer_forensics () =
       ~aes_in_clearance ~tracer ()
   in
   Vp.Soc.load_image soc img;
+  (* A graph sink attached after the load still holds the load's seeds. *)
+  let sink = T.Graph.attach ~context:"attached late" tracer in
+  check_bool "late sink holds the PIN region's seed" true
+    (Array.exists
+       (fun n ->
+         n.Iftgraph.Store.n_kind = Iftgraph.Store.Seed
+         && n.Iftgraph.Store.n_origin = "policy-region:pin")
+       (T.Graph.finish sink).Iftgraph.Store.nodes);
   let _engine = Firmware.Immo_fw.Engine.attach soc ~challenge:"CHLLNG42" in
   Vp.Uart.push_rx soc.Vp.Soc.uart "D";
   (match Vp.Soc.run_for_instructions soc 2_000_000 with
