@@ -98,6 +98,7 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
       let soc =
         Vp.Soc.create ~policy ~monitor ~tracking ~quantum ?tracer ()
       in
+      let core = soc.Vp.Soc.core in
       (* Under the confidentiality policy the sensor is a classified
          source: every frame byte it serves is HC. *)
       (match policy_kind with
@@ -109,12 +110,12 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
       (match uart_input with
       | Some s -> Vp.Uart.push_rx soc.Vp.Soc.uart s
       | None -> ());
-      (* One hook serves both flags: a second [cpu_set_trace] would
+      (* One hook serves both flags: a second [Vp.Soc.set_trace] would
          replace the first. *)
       let covered = Hashtbl.create 1024 in
       let remaining = ref echo_insns in
       if coverage || echo_insns > 0 then
-        soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace
+        Vp.Soc.set_trace soc
           (Some
              (fun pc insn ->
                if coverage then Hashtbl.replace covered pc ();
@@ -139,19 +140,18 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
       | None -> ());
       let stopped_at_checkpoint = ref false in
       let execute () =
-        soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max max_insns;
+        Rv32.Core.set_max_instructions core max_insns;
         Vp.Soc.start soc;
         (* A restored snapshot starts out paused at its checkpoint. *)
-        soc.Vp.Soc.cpu.Vp.Soc.cpu_clear_paused ();
+        Rv32.Core.clear_paused core;
         match checkpoint_every with
         | None ->
             Vp.Soc.run soc;
-            soc.Vp.Soc.cpu.Vp.Soc.cpu_exit ()
+            Rv32.Core.exit_reason core
         | Some every ->
             let k = ref 0 in
             let rec go () =
-              Vp.Soc.pause_at soc
-                (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret () + every);
+              Vp.Soc.pause_at soc (Rv32.Core.instret core + every);
               Vp.Soc.run soc;
               if Vp.Soc.paused soc then begin
                 let path = Printf.sprintf "%s.%d" checkpoint_out !k in
@@ -160,18 +160,17 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
                 if not quiet then
                   Printf.printf
                     "[vp] checkpoint (%d instructions) written to %s\n"
-                    (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
-                    path;
+                    (Rv32.Core.instret core) path;
                 if checkpoint_stop then begin
                   stopped_at_checkpoint := true;
-                  soc.Vp.Soc.cpu.Vp.Soc.cpu_exit ()
+                  Rv32.Core.exit_reason core
                 end
                 else begin
-                  soc.Vp.Soc.cpu.Vp.Soc.cpu_clear_paused ();
+                  Rv32.Core.clear_paused core;
                   go ()
                 end
               end
-              else soc.Vp.Soc.cpu.Vp.Soc.cpu_exit ()
+              else Rv32.Core.exit_reason core
             in
             go ()
       in
@@ -243,12 +242,10 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
         | Ok (Rv32.Core.Exited ecode) ->
             if not quiet then
               Printf.printf "[vp] exited with code %d after %d instructions\n"
-                ecode
-                (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ());
+                ecode (Rv32.Core.instret core);
             ("exited", if ecode = 0 then 0 else ecode land 0xff)
         | Ok Rv32.Core.Breakpoint ->
-            Printf.printf "[vp] stopped at ebreak (pc=0x%08x)\n"
-              (soc.Vp.Soc.cpu.Vp.Soc.cpu_pc ());
+            Printf.printf "[vp] stopped at ebreak (pc=0x%08x)\n" (Rv32.Core.pc core);
             ("breakpoint", 0)
         | Ok Rv32.Core.Insn_limit ->
             Printf.printf "[vp] instruction limit (%d) reached\n" max_insns;
@@ -256,7 +253,7 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
         | Ok Rv32.Core.Running when !stopped_at_checkpoint ->
             if not quiet then
               Printf.printf "[vp] stopped at checkpoint after %d instructions\n"
-                (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ());
+                (Rv32.Core.instret core);
             ("checkpoint", 0)
         | Ok Rv32.Core.Running ->
             Printf.printf "[vp] simulation idle (deadlock?)\n";
@@ -322,10 +319,7 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
       (match state_out with
       | None -> ()
       | Some path ->
-          if
-            Vp.Soc.paused soc
-            || soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () <> Rv32.Core.Running
-          then begin
+          if Vp.Soc.paused soc || Rv32.Core.halted core then begin
             write_file path (Vp.Soc.save soc);
             if not quiet then
               Printf.printf "[vp] final state written to %s\n" path
@@ -344,19 +338,14 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
                ("tracking", J.Bool tracking);
                ("exit_code", J.num_of_int code);
                ("reason", J.Str reason);
-               ("instructions", J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ()));
-               ( "blocks_built",
-                 J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built ()) );
+               ("instructions", J.num_of_int (Rv32.Core.instret core));
+               ("blocks_built", J.num_of_int (Rv32.Core.blocks_built core));
                ( "superblocks_built",
-                 J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built ())
-               );
-               ( "chain_hits",
-                 J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_chain_hits ()) );
-               ("ic_hits", J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_hits ()));
-               ( "ic_misses",
-                 J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_misses ()) );
-               ( "fast_retired",
-                 J.num_of_int (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ()) );
+                 J.num_of_int (Rv32.Core.superblocks_built core) );
+               ("chain_hits", J.num_of_int (Rv32.Core.chain_hits core));
+               ("ic_hits", J.num_of_int (Rv32.Core.ic_hits core));
+               ("ic_misses", J.num_of_int (Rv32.Core.ic_misses core));
+               ("fast_retired", J.num_of_int (Rv32.Core.fast_retired core));
                ("sim_time_ps", J.num_of_int (Sysc.Kernel.now soc.Vp.Soc.kernel));
                ("checks", J.num_of_int (Dift.Monitor.check_count monitor));
                ("violations", J.num_of_int (Dift.Monitor.violation_count monitor));
@@ -517,7 +506,7 @@ let state_out_arg =
 
 (* --- analyze: query .iftg graph stores -------------------------------- *)
 
-let analyze store jobs sources_of reaches summary top json =
+let analyze store sources_of reaches summary top json =
   let pred_or_die what s =
     match Iftgraph.Query.parse_pred s with
     | Ok p -> p
@@ -539,7 +528,7 @@ let analyze store jobs sources_of reaches summary top json =
   in
   let queries = if queries = [] then [ `Summary ] else queries in
   match
-    (try Ok (Iftgraph.Analyze.load_dir ~jobs store)
+    (try Ok (Iftgraph.Analyze.load_dir store)
      with Invalid_argument msg -> Error msg)
   with
   | Error msg ->
@@ -585,12 +574,6 @@ let store_arg =
                  $(b,--graph-out), $(b,policy_fuzz --graph-out) or the \
                  difftest shrinker).")
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for store ingestion. Reports are identical \
-                 for every $(docv).")
-
 let sources_of_arg =
   Arg.(value & opt (some string) None
        & info [ "sources-of" ] ~docv:"PRED"
@@ -622,8 +605,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const analyze $ store_arg $ jobs_arg $ sources_of_arg $ reaches_arg
-      $ summary_arg $ top_arg $ json_arg)
+      const analyze $ store_arg $ sources_of_arg $ reaches_arg $ summary_arg
+      $ top_arg $ json_arg)
 
 let run_term =
   Term.(

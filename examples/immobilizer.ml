@@ -75,7 +75,7 @@ let () =
       Format.printf "DIFT stops the dump: %a@."
         (Dift.Violation.pp policy_vuln.Dift.Policy.lattice)
         v;
-      match soc.Vp.Soc.trace with
+      match soc.Vp.Soc.env.Vp.Env.tracer with
       | Some tr ->
           let report =
             Trace.Forensics.make ~violation:v

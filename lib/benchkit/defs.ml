@@ -127,22 +127,22 @@ let run ?block_cache ?dmi ?quantum ?policy ~tracking def img =
   in
   Vp.Soc.load_image soc img;
   def.setup soc;
-  let cpu = soc.Vp.Soc.cpu in
-  cpu.Vp.Soc.cpu_set_max 500_000_000;
+  let core = soc.Vp.Soc.core in
+  Rv32.Core.set_max_instructions core 500_000_000;
   Vp.Soc.start soc;
   let t0 = Clock.now_s () in
   Vp.Soc.run soc;
   let dt = Clock.now_s () -. t0 in
   {
-    s_instructions = cpu.Vp.Soc.cpu_instret ();
+    s_instructions = Rv32.Core.instret core;
     s_seconds = dt;
-    s_fast_retired = cpu.Vp.Soc.cpu_fast_retired ();
-    s_blocks_built = cpu.Vp.Soc.cpu_blocks_built ();
-    s_superblocks = cpu.Vp.Soc.cpu_superblocks_built ();
-    s_chain_hits = cpu.Vp.Soc.cpu_chain_hits ();
-    s_ic_hits = cpu.Vp.Soc.cpu_ic_hits ();
-    s_ic_misses = cpu.Vp.Soc.cpu_ic_misses ();
-    s_exit_ok = cpu.Vp.Soc.cpu_exit () = Rv32.Core.Exited 0;
+    s_fast_retired = Rv32.Core.fast_retired core;
+    s_blocks_built = Rv32.Core.blocks_built core;
+    s_superblocks = Rv32.Core.superblocks_built core;
+    s_chain_hits = Rv32.Core.chain_hits core;
+    s_ic_hits = Rv32.Core.ic_hits core;
+    s_ic_misses = Rv32.Core.ic_misses core;
+    s_exit_ok = Rv32.Core.exit_reason core = Rv32.Core.Exited 0;
   }
 
 let timed ~instructions f =

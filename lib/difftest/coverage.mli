@@ -13,7 +13,7 @@ val note : t -> pc:int -> Rv32.Insn.t -> unit
 (** Record one executed instruction (call in trace order). *)
 
 val hook : t -> int -> Rv32.Insn.t -> unit
-(** [note] shaped for {!Vp.Soc.cpu} [cpu_set_trace]. *)
+(** [note] shaped for {!Vp.Soc.set_trace}. *)
 
 val merge : into:t -> t -> unit
 (** Add another table's counts (per-program tables into the global one). *)

@@ -142,7 +142,7 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
   in
   (match warm with Some blob -> Vp.Soc.warm_start soc blob | None -> ());
   Vp.Soc.load_image soc img;
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace trace;
+  Vp.Soc.set_trace soc trace;
   let stop =
     match Vp.Soc.run_for_instructions soc max_insns with
     | Rv32.Core.Exited c -> Exited c
@@ -151,7 +151,8 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
     | exception _ -> Trapped
   in
   let regs =
-    Array.init 32 (fun i -> if i = 0 then 0 else soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg i)
+    Array.init 32 (fun i ->
+        if i = 0 then 0 else Rv32.Core.get_reg soc.Vp.Soc.core i)
   in
   let buf, len = buf_window img in
   let base = buf - Vp.Soc.ram_base in
@@ -162,12 +163,12 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
     if tracking then
       Some
         ( Array.init 32 (fun i ->
-              if i = 0 then 0 else soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag i),
+              if i = 0 then 0 else Rv32.Core.get_reg_tag soc.Vp.Soc.core i),
           Array.init len (fun i ->
               Vp.Memory.read_tag soc.Vp.Soc.memory (base + i)) )
     else None
   in
-  ( { stop; regs; mem; instret = soc.Vp.Soc.cpu.Vp.Soc.cpu_instret (); tags },
+  ( { stop; regs; mem; instret = Rv32.Core.instret soc.Vp.Soc.core; tags },
     ( Dift.Monitor.violation_count monitor,
       Dift.Monitor.check_count monitor,
       Dift.Monitor.declassification_count monitor ) )
@@ -204,16 +205,16 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
         d + Dift.Monitor.declassification_count m )
   in
   let rec cycle (soc, mon) =
-    Vp.Soc.pause_at soc (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret () + stride);
+    Vp.Soc.pause_at soc (Rv32.Core.instret soc.Vp.Soc.core + stride);
     Vp.Soc.run soc;
     if Vp.Soc.paused soc then begin
       let snap = Vp.Soc.save soc in
       add mon;
       let soc', mon' = fresh () in
       Vp.Soc.restore soc' snap;
-      soc'.Vp.Soc.cpu.Vp.Soc.cpu_set_max max_insns;
+      Rv32.Core.set_max_instructions soc'.Vp.Soc.core max_insns;
       Vp.Soc.start soc';
-      soc'.Vp.Soc.cpu.Vp.Soc.cpu_clear_paused ();
+      Rv32.Core.clear_paused soc'.Vp.Soc.core;
       cycle (soc', mon')
     end
     else begin
@@ -222,7 +223,7 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
     end
   in
   let first = fresh () in
-  (fst first).Vp.Soc.cpu.Vp.Soc.cpu_set_max max_insns;
+  Rv32.Core.set_max_instructions (fst first).Vp.Soc.core max_insns;
   Vp.Soc.start (fst first);
   match cycle first with
   | exception _ ->
@@ -231,14 +232,14 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
         !totals )
   | soc ->
       let stop =
-        match soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () with
+        match Rv32.Core.exit_reason soc.Vp.Soc.core with
         | Rv32.Core.Exited c -> Exited c
         | Rv32.Core.Insn_limit -> Out_of_budget
         | Rv32.Core.Breakpoint | Rv32.Core.Running -> Trapped
       in
       let regs =
         Array.init 32 (fun i ->
-            if i = 0 then 0 else soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg i)
+            if i = 0 then 0 else Rv32.Core.get_reg soc.Vp.Soc.core i)
       in
       let buf, len = buf_window img in
       let base = buf - Vp.Soc.ram_base in
@@ -251,12 +252,12 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
           Some
             ( Array.init 32 (fun i ->
                   if i = 0 then 0
-                  else soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag i),
+                  else Rv32.Core.get_reg_tag soc.Vp.Soc.core i),
               Array.init len (fun i ->
                   Vp.Memory.read_tag soc.Vp.Soc.memory (base + i)) )
         else None
       in
-      ( { stop; regs; mem; instret = soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ();
+      ( { stop; regs; mem; instret = Rv32.Core.instret soc.Vp.Soc.core;
           tags },
         !totals )
 

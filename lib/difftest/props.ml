@@ -17,7 +17,7 @@ let run_tagged img policy =
 
 let reg_tags soc =
   Array.init 32 (fun i ->
-      if i = 0 then 0 else soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag i)
+      if i = 0 then 0 else Rv32.Core.get_reg_tag soc.Vp.Soc.core i)
 
 let buf_tags soc img =
   let base = Rv32_asm.Image.symbol img "buf" - Vp.Soc.ram_base in
@@ -100,7 +100,7 @@ let trap_entry_pub img =
       ()
   in
   let soc, _ = run_tagged img policy in
-  let c = soc.Vp.Soc.cpu.Vp.Soc.cpu_csr in
+  let c = Rv32.Core.csr soc.Vp.Soc.core in
   let checks =
     [
       ("mepc", c.Rv32.Csr.t_mepc);

@@ -459,12 +459,12 @@ let run ?(tracking = true) ?tracer id =
       let soc = Vp.Soc.create ~policy:pol ~monitor ~tracking ?tracer () in
       Vp.Soc.load_image soc img;
       Vp.Uart.push_rx soc.Vp.Soc.uart (payload_for id img);
-      soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 1_000_000;
+      Rv32.Core.set_max_instructions soc.Vp.Soc.core 1_000_000;
       Vp.Soc.start soc;
       match Vp.Soc.run soc with
       | exception Dift.Violation.Violation _ -> Detected
       | () -> (
-          match soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () with
+          match Rv32.Core.exit_reason soc.Vp.Soc.core with
           | Rv32.Core.Exited code -> Missed code
           | Rv32.Core.Running | Rv32.Core.Breakpoint | Rv32.Core.Insn_limit ->
               Missed (-1)))

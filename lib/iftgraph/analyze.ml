@@ -1,12 +1,11 @@
 (* Cross-run analysis over a directory of graph stores.
 
-   Ingestion is lazy and parallel: creating an analyzer only lists the
-   files; the first query decodes every store (sharded over a
-   Parallelkit pool, results merged in file order, so any --jobs value
-   produces identical reports) and pins them in memory. Query results
-   are memoized per analyzer — a repeated query touches neither the
-   files nor the decoded graphs, which [store_reads] / [memo_hits]
-   expose for the tier-1 near-O(answer) check. *)
+   Ingestion is lazy: creating an analyzer only lists the files; the
+   first query decodes every store in file order and pins them in
+   memory. Query results are memoized per analyzer — a repeated query
+   touches neither the files nor the decoded graphs, which
+   [store_reads] / [memo_hits] expose for the tier-1 near-O(answer)
+   check. *)
 
 type entry = {
   e_name : string;
@@ -21,7 +20,6 @@ type cached =
 
 type t = {
   entries : entry array;  (** Sorted by file name. *)
-  jobs : int;
   mutable store_reads : int;  (** Store files read and decoded. *)
   mutable memo_hits : int;
   memo : (string, cached) Hashtbl.t;
@@ -29,7 +27,7 @@ type t = {
 
 let store_ext = ".iftg"
 
-let create ?(jobs = 1) paths =
+let create paths =
   let entries =
     paths
     |> List.map (fun p ->
@@ -38,10 +36,9 @@ let create ?(jobs = 1) paths =
     |> List.sort (fun a b -> compare a.e_name b.e_name)
     |> Array.of_list
   in
-  { entries; jobs = max 1 jobs; store_reads = 0; memo_hits = 0;
-    memo = Hashtbl.create 16 }
+  { entries; store_reads = 0; memo_hits = 0; memo = Hashtbl.create 16 }
 
-let load_dir ?jobs dir =
+let load_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Analyze.load_dir: %s is not a directory" dir);
   let files =
@@ -49,36 +46,26 @@ let load_dir ?jobs dir =
     |> List.filter (fun f -> Filename.check_suffix f store_ext)
     |> List.map (Filename.concat dir)
   in
-  create ?jobs files
+  create files
 
 let run_count t = Array.length t.entries
 let store_reads t = t.store_reads
 let memo_hits t = t.memo_hits
 
-(* Descriptor-safe read: a store that fails to decode must not leak the
-   channel of the file it came from (parallel ingestion opens many). *)
-let read_file = Snapshot.Io.read_file
-
-(* Decode every not-yet-loaded store, in parallel, in file order. *)
+(* Decode every not-yet-loaded store, in file order. The read is
+   descriptor-safe: a store that fails to decode does not leak the
+   channel of the file it came from. *)
 let force t =
-  let pending =
-    Array.to_list t.entries |> List.filter (fun e -> e.e_store = None)
-  in
-  if pending <> [] then begin
-    let loaded =
-      Parallelkit.Pool.map_list ~jobs:t.jobs
-        (fun e ->
-          let raw = read_file e.e_path in
-          (String.length raw, Store.of_string raw))
-        pending
-    in
-    List.iter2
-      (fun e (bytes, store) ->
+  Array.iter
+    (fun e ->
+      if e.e_store = None then begin
+        let raw = Snapshot.Io.read_file e.e_path in
+        let store = Store.of_string raw in
         t.store_reads <- t.store_reads + 1;
-        e.e_bytes <- bytes;
-        e.e_store <- Some (store, Store.index store))
-      pending loaded
-  end
+        e.e_bytes <- String.length raw;
+        e.e_store <- Some (store, Store.index store)
+      end)
+    t.entries
 
 let stores t =
   force t;

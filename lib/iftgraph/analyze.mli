@@ -1,22 +1,20 @@
 (** Cross-run analysis over a directory of {!Store} files.
 
     Creating an analyzer only lists the files. The first query decodes
-    every store — sharded over a Parallelkit pool, merged in file order,
-    so any [jobs] value yields identical reports — and pins them in
-    memory; results are memoized, so a repeated query touches neither
-    the files nor the graphs. [store_reads] and [memo_hits] expose that
-    behaviour for the tier-1 near-O(answer) check. *)
+    every store, in file order, and pins them in memory; results are
+    memoized, so a repeated query touches neither the files nor the
+    graphs. [store_reads] and [memo_hits] expose that behaviour for the
+    tier-1 near-O(answer) check. *)
 
 type t
 
 val store_ext : string
 (** [".iftg"] — the suffix [load_dir] selects on. *)
 
-val create : ?jobs:int -> string list -> t
-(** Analyzer over an explicit list of store files (sorted by basename).
-    [jobs] bounds ingestion parallelism (default 1). *)
+val create : string list -> t
+(** Analyzer over an explicit list of store files (sorted by basename). *)
 
-val load_dir : ?jobs:int -> string -> t
+val load_dir : string -> t
 (** All [*.iftg] files directly inside the directory.
     @raise Invalid_argument if the path is not a directory. *)
 

@@ -97,7 +97,7 @@ let index t =
 (* Sectioned container in the lib/snapshot style: magic, format version,
    named sections. Strings are interned into a table built in
    first-reference order, so identical stores are identical byte strings
-   (what the CI golden diff and the jobs-1-vs-N ingestion test compare). *)
+   (what the CI golden diff and the re-encode ingestion test compare). *)
 
 let encode t =
   let strings = Hashtbl.create 64 in

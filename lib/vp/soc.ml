@@ -16,36 +16,17 @@ let irq_dma = 4
 let irq_aes = 5
 let irq_gpio = 6
 
+(* The core's counters, as closures: the benchmark ledger reads them. *)
 type cpu = {
-  cpu_step : unit -> unit;
-  cpu_spawn : stop_on_halt:bool -> unit;
   cpu_set_max : int -> unit;
   cpu_instret : unit -> int;
   cpu_exit : unit -> Rv32.Core.exit_reason;
-  cpu_pc : unit -> int;
-  cpu_set_pc : int -> unit;
-  cpu_get_reg : int -> int;
-  cpu_get_reg_tag : int -> Dift.Lattice.tag;
-  cpu_set_reg : int -> int -> unit;
-  cpu_set_irq : bit:int -> on:bool -> unit;
-  cpu_set_trace : (int -> Rv32.Insn.t -> unit) option -> unit;
-  cpu_set_trap_hook : (Rv32.Core.trap_event -> unit) option -> unit;
-  cpu_set_merge_hook : (int -> int -> int -> unit) option -> unit;
-  cpu_csr : Rv32.Csr.t;
-  cpu_priv : unit -> int;
-  cpu_flush_code : addr:int -> len:int -> unit;
   cpu_blocks_built : unit -> int;
   cpu_superblocks_built : unit -> int;
   cpu_chain_hits : unit -> int;
   cpu_ic_hits : unit -> int;
   cpu_ic_misses : unit -> int;
   cpu_fast_retired : unit -> int;
-  cpu_set_pause_at : int -> unit;
-  cpu_paused : unit -> bool;
-  cpu_clear_paused : unit -> unit;
-  cpu_unhalt : unit -> unit;
-  cpu_save : Snapshot.Codec.writer -> unit;
-  cpu_load : Snapshot.Codec.reader -> unit;
 }
 
 type t = {
@@ -62,50 +43,86 @@ type t = {
   clint : Clint.t;
   plic : Plic.t;
   watchdog : Watchdog.t;
+  core : Rv32.Core.t;
   cpu : cpu;
-  tracking : bool;
-  trace : Trace.Tracer.t option;
 }
 
-(* The closure record over one core. *)
 let cpu_of core =
   let module C = Rv32.Core in
   {
-    cpu_step = (fun () -> C.step core);
-    cpu_spawn =
-      (fun ~stop_on_halt -> C.spawn_thread ~stop_kernel_on_halt:stop_on_halt core);
     cpu_set_max = (fun n -> C.set_max_instructions core n);
     cpu_instret = (fun () -> C.instret core);
     cpu_exit = (fun () -> C.exit_reason core);
-    cpu_pc = (fun () -> C.pc core);
-    cpu_set_pc = (fun v -> C.set_pc core v);
-    cpu_get_reg = (fun r -> C.get_reg core r);
-    cpu_get_reg_tag = (fun r -> C.get_reg_tag core r);
-    cpu_set_reg = (fun r v -> C.set_reg core r v);
-    cpu_set_irq = (fun ~bit ~on -> C.set_irq core ~bit on);
-    cpu_set_trace = (fun fn -> C.set_trace core fn);
-    cpu_set_trap_hook = (fun fn -> C.set_trap_hook core fn);
-    cpu_set_merge_hook = (fun fn -> C.set_merge_hook core fn);
-    cpu_csr = C.csr core;
-    cpu_priv = (fun () -> C.priv core);
-    cpu_flush_code = (fun ~addr ~len -> C.flush_code core ~addr ~len);
     cpu_blocks_built = (fun () -> C.blocks_built core);
     cpu_superblocks_built = (fun () -> C.superblocks_built core);
     cpu_chain_hits = (fun () -> C.chain_hits core);
     cpu_ic_hits = (fun () -> C.ic_hits core);
     cpu_ic_misses = (fun () -> C.ic_misses core);
     cpu_fast_retired = (fun () -> C.fast_retired core);
-    cpu_set_pause_at = (fun n -> C.set_pause_at core n);
-    cpu_paused = (fun () -> C.paused core);
-    cpu_clear_paused = (fun () -> C.clear_paused core);
-    cpu_unhalt = (fun () -> C.unhalt core);
-    cpu_save = (fun w -> C.save core w);
-    cpu_load = (fun r -> C.load core r);
   }
+
+(* The tracer's per-instruction recorder: one [Insn] event per retired
+   instruction, tagged with the LUB of its source registers' tags. *)
+let insn_recorder soc tr =
+  let lat = soc.env.Env.lat and pub = soc.env.Env.pub in
+  let core = soc.core and kernel = soc.kernel in
+  let data = Memory.data soc.memory in
+  let mem_size = Memory.size soc.memory in
+  fun pc insn ->
+    let off = pc - ram_base in
+    let word =
+      if off >= 0 && off + 3 < mem_size then
+        Int32.to_int (Bytes.get_int32_le data off) land 0xffffffff
+      else 0
+    in
+    let t1 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs1 insn) in
+    let t2 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs2 insn) in
+    let tag = Dift.Lattice.lub lat t1 t2 in
+    Trace.Tracer.record_insn tr ~time:(Sysc.Kernel.now kernel) ~pc ~word ~tag
+      ~tainted:(tag <> pub)
+
+(* Trap entries and mrets enter the event stream (the forensic window then
+   shows "trap" lines around a violation raised inside a handler). *)
+let trap_recorder soc tr ev =
+  let time = Sysc.Kernel.now soc.kernel in
+  match ev with
+  | Rv32.Core.Trap_enter { cause; epc; tval = _; handler } ->
+      Trace.Tracer.record_trap tr ~time ~addr:epc ~code:cause
+        ~text:
+          (Printf.sprintf "enter %s -> 0x%08x" (Rv32.Csr.cause_name cause)
+             handler)
+  | Rv32.Core.Trap_return { target; to_priv } ->
+      Trace.Tracer.record_trap tr ~time ~addr:target ~code:to_priv
+        ~text:
+          (Printf.sprintf "mret -> 0x%08x (priv %s)" target
+             (if to_priv = Rv32.Csr.priv_m then "M" else "U"))
+
+let set_trace soc fn =
+  Rv32.Core.set_trace soc.core
+    (match (soc.env.Env.tracer, fn) with
+    | None, fn -> fn
+    | Some tr, None -> Some (insn_recorder soc tr)
+    | Some tr, Some f ->
+        let record = insn_recorder soc tr in
+        Some
+          (fun pc insn ->
+            record pc insn;
+            f pc insn))
+
+let set_trap_hook soc fn =
+  Rv32.Core.set_trap_hook soc.core
+    (match (soc.env.Env.tracer, fn) with
+    | None, fn -> fn
+    | Some tr, None -> Some (trap_recorder soc tr)
+    | Some tr, Some f ->
+        Some
+          (fun ev ->
+            trap_recorder soc tr ev;
+            f ev))
 
 let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
     ?(block_cache = true) ?(strict_align = false) ?sensor_period ?aes_out_tag
-    ?aes_in_clearance ?wdt_clearance ?tracer () =
+    ?aes_in_clearance ?tracer () =
   let kernel = Sysc.Kernel.create () in
   let env = Env.create ?tracer kernel policy monitor in
   let router = Tlm.Router.create ~name:"bus" () in
@@ -122,7 +139,7 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
   let can = Can.create env ~name:"can" ~port:"can" in
   let clint = Clint.create env ~name:"clint" () in
   let plic = Plic.create env ~name:"plic" in
-  let watchdog = Watchdog.create env ~name:"wdt" ?clearance:wdt_clearance () in
+  let watchdog = Watchdog.create env ~name:"wdt" () in
   Tlm.Router.map router ~lo:clint_base ~hi:(clint_base + 0xffff) (Clint.socket clint);
   Tlm.Router.map router ~lo:plic_base ~hi:(plic_base + 0xfff) (Plic.socket plic);
   Tlm.Router.map router ~lo:uart_base ~hi:(uart_base + 0xff) (Uart.socket uart);
@@ -148,17 +165,16 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
     Rv32.Core.create ~kernel ~bus ~policy ~monitor ~quantum ~block_cache
       ~strict_align ~pc:ram_base ()
   in
-  let cpu = cpu_of core in
   (* Writes landing in RAM behind the CPU's back (DMA over TLM, the loader,
      direct test pokes, reclassification) invalidate decoded blocks. *)
   Memory.set_write_hook memory (fun off len ->
-      cpu.cpu_flush_code ~addr:(ram_base + off) ~len);
+      Rv32.Core.flush_code core ~addr:(ram_base + off) ~len);
   Clint.set_timer_irq_callback clint (fun on ->
-      cpu.cpu_set_irq ~bit:Rv32.Csr.bit_mti ~on);
+      Rv32.Core.set_irq core ~bit:Rv32.Csr.bit_mti on);
   Clint.set_soft_irq_callback clint (fun on ->
-      cpu.cpu_set_irq ~bit:Rv32.Csr.bit_msi ~on);
+      Rv32.Core.set_irq core ~bit:Rv32.Csr.bit_msi on);
   Plic.set_ext_irq_callback plic (fun on ->
-      cpu.cpu_set_irq ~bit:Rv32.Csr.bit_mei ~on);
+      Rv32.Core.set_irq core ~bit:Rv32.Csr.bit_mei on);
   (* The UART's rx interrupt is a level: it stays asserted while data sits
      unread in the fifo, so an ISR that claims but never drains (or never
      claims at all) keeps the source live through the PLIC's
@@ -174,141 +190,72 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
   Watchdog.start watchdog;
   Dma.start dma;
   Aes_periph.start aes;
-  let cpu =
-    match tracer with
-    | None -> cpu
-    | Some tr ->
-        Trace.Tracer.set_disasm tr Rv32.Disasm.word;
-        let pub = env.Env.pub in
-        let lat = env.Env.lat in
-        let now () = Sysc.Kernel.now kernel in
-        (* Taint propagation: every genuine LUB join the core or the bus
-           computes becomes a merge edge in the tracer's graph. *)
-        let on_merge a b r = Trace.Tracer.record_merge tr ~a ~b ~result:r in
-        cpu.cpu_set_merge_hook (Some on_merge);
-        Rv32.Bus_if.set_merge_hook bus (Some on_merge);
-        (* Bus traffic: one event per routed transaction (CPU MMIO and DMA
-           alike), tagged with the LUB of the payload's byte tags. *)
-        Tlm.Router.set_observer router
-          (Some
-             (fun p target ->
-               let len = Tlm.Payload.length p in
-               let tag = ref (Tlm.Payload.get_tag p 0) in
-               for i = 1 to len - 1 do
-                 tag := Dift.Lattice.lub lat !tag (Tlm.Payload.get_tag p i)
-               done;
-               Trace.Tracer.record_tlm tr ~time:(now ())
-                 ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
-                 ~addr:p.Tlm.Payload.addr ~len ~tag:!tag ~target));
-        (* Monitor events: violations and declassifications enter the event
-           stream in order, and the tracer's graph. *)
-        Dift.Monitor.set_on_event monitor
-          (Some
-             (fun ev ->
-               let time = now () in
-               match ev with
-               | Dift.Monitor.Violated v ->
-                   Trace.Tracer.record_violation tr ~time
-                     ~pc:(Option.value v.Dift.Violation.pc ~default:(-1))
-                     ~tag:v.Dift.Violation.data_tag
-                     ~what:
-                       (Dift.Violation.kind_name v.Dift.Violation.kind
-                       ^
-                       match v.Dift.Violation.detail with
-                       | "" -> ""
-                       | d -> ": " ^ d)
-               | Dift.Monitor.Declassified { where; from_tag; to_tag } ->
-                   Trace.Tracer.record_declass tr ~time ~from_tag ~to_tag ~where
-               | Dift.Monitor.Note s -> Trace.Tracer.record_note tr ~time s));
-        (* Retired instructions: the internal ring push composes with any
-           externally installed per-instruction hook (coverage, --echo-insns)
-           through the returned record's [cpu_set_trace]. *)
-        let data = Memory.data memory in
-        let mem_size = Memory.size memory in
-        let internal_hook pc insn =
-          let off = pc - ram_base in
-          let word =
-            if off >= 0 && off + 3 < mem_size then
-              Int32.to_int (Bytes.get_int32_le data off) land 0xffffffff
-            else 0
-          in
-          let t1 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs1 insn) in
-          let t2 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs2 insn) in
-          let tag = Dift.Lattice.lub lat t1 t2 in
-          Trace.Tracer.record_insn tr ~time:(now ()) ~pc ~word ~tag
-            ~tainted:(tag <> pub)
-        in
-        let external_hook = ref None in
-        let install = cpu.cpu_set_trace in
-        let compose () =
-          match !external_hook with
-          | None -> Some internal_hook
-          | Some f ->
-              Some
-                (fun pc insn ->
-                  internal_hook pc insn;
-                  f pc insn)
-        in
-        install (compose ());
-        (* Trap entries and mrets enter the event stream (the forensic
-           window then shows "trap" lines around a violation raised inside
-           a handler). Same composition contract as the trace hook. *)
-        let internal_trap ev =
-          match ev with
-          | Rv32.Core.Trap_enter { cause; epc; tval = _; handler } ->
-              Trace.Tracer.record_trap tr ~time:(now ()) ~addr:epc ~code:cause
-                ~text:
-                  (Printf.sprintf "enter %s -> 0x%08x"
-                     (Rv32.Csr.cause_name cause) handler)
-          | Rv32.Core.Trap_return { target; to_priv } ->
-              Trace.Tracer.record_trap tr ~time:(now ()) ~addr:target
-                ~code:to_priv
-                ~text:
-                  (Printf.sprintf "mret -> 0x%08x (priv %s)" target
-                     (if to_priv = Rv32.Csr.priv_m then "M" else "U"))
-        in
-        let external_trap = ref None in
-        let install_trap = cpu.cpu_set_trap_hook in
-        let compose_trap () =
-          match !external_trap with
-          | None -> Some internal_trap
-          | Some f ->
-              Some
-                (fun ev ->
-                  internal_trap ev;
-                  f ev)
-        in
-        install_trap (compose_trap ());
-        {
-          cpu with
-          cpu_set_trace =
-            (fun fn ->
-              external_hook := fn;
-              install (compose ()));
-          cpu_set_trap_hook =
-            (fun fn ->
-              external_trap := fn;
-              install_trap (compose_trap ()));
-        }
+  let soc =
+    {
+      env;
+      kernel;
+      router;
+      memory;
+      uart;
+      gpio;
+      sensor;
+      dma;
+      aes;
+      can;
+      clint;
+      plic;
+      watchdog;
+      core;
+      cpu = cpu_of core;
+    }
   in
-  {
-    env;
-    kernel;
-    router;
-    memory;
-    uart;
-    gpio;
-    sensor;
-    dma;
-    aes;
-    can;
-    clint;
-    plic;
-    watchdog;
-    cpu;
-    tracking;
-    trace = tracer;
-  }
+  (match tracer with
+  | None -> ()
+  | Some tr ->
+      Trace.Tracer.set_disasm tr Rv32.Disasm.word;
+      let lat = env.Env.lat in
+      let now () = Sysc.Kernel.now kernel in
+      (* Taint propagation: every genuine LUB join the core or the bus
+         computes becomes a merge edge in the tracer's graph. *)
+      let on_merge a b r = Trace.Tracer.record_merge tr ~a ~b ~result:r in
+      Rv32.Core.set_merge_hook core (Some on_merge);
+      Rv32.Bus_if.set_merge_hook bus (Some on_merge);
+      (* Bus traffic: one event per routed transaction (CPU MMIO and DMA
+         alike), tagged with the LUB of the payload's byte tags. *)
+      Tlm.Router.set_observer router
+        (Some
+           (fun p target ->
+             let len = Tlm.Payload.length p in
+             let tag = ref (Tlm.Payload.get_tag p 0) in
+             for i = 1 to len - 1 do
+               tag := Dift.Lattice.lub lat !tag (Tlm.Payload.get_tag p i)
+             done;
+             Trace.Tracer.record_tlm tr ~time:(now ())
+               ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
+               ~addr:p.Tlm.Payload.addr ~len ~tag:!tag ~target));
+      (* Monitor events: violations and declassifications enter the event
+         stream in order, and the tracer's graph. *)
+      Dift.Monitor.set_on_event monitor
+        (Some
+           (fun ev ->
+             let time = now () in
+             match ev with
+             | Dift.Monitor.Violated v ->
+                 Trace.Tracer.record_violation tr ~time
+                   ~pc:(Option.value v.Dift.Violation.pc ~default:(-1))
+                   ~tag:v.Dift.Violation.data_tag
+                   ~what:
+                     (Dift.Violation.kind_name v.Dift.Violation.kind
+                     ^
+                     match v.Dift.Violation.detail with
+                     | "" -> ""
+                     | d -> ": " ^ d)
+             | Dift.Monitor.Declassified { where; from_tag; to_tag } ->
+                 Trace.Tracer.record_declass tr ~time ~from_tag ~to_tag ~where
+             | Dift.Monitor.Note s -> Trace.Tracer.record_note tr ~time s));
+      set_trace soc None;
+      set_trap_hook soc None);
+  soc
 
 let load_image soc img =
   let org = img.Rv32_asm.Image.org in
@@ -344,7 +291,7 @@ let load_image soc img =
     | Some a -> a
     | None -> org
   in
-  soc.cpu.cpu_set_pc entry
+  Rv32.Core.set_pc soc.core entry
 
 let seed_taint soc ~origin ~addr ~len tag =
   if addr < ram_base || addr + len > ram_base + Memory.size soc.memory then
@@ -352,28 +299,30 @@ let seed_taint soc ~origin ~addr ~len tag =
   Memory.fill_tags soc.memory ~off:(addr - ram_base) ~len tag;
   Env.taint_source soc.env ~origin ~addr tag
 
-let start ?(stop_on_halt = true) soc = soc.cpu.cpu_spawn ~stop_on_halt
+let start ?(stop_on_halt = true) soc =
+  Rv32.Core.spawn_thread ~stop_kernel_on_halt:stop_on_halt soc.core
+
 let run ?until soc = Sysc.Kernel.run ?until soc.kernel
 
 let run_for_instructions soc n =
-  soc.cpu.cpu_set_max n;
+  Rv32.Core.set_max_instructions soc.core n;
   start soc;
   run soc;
-  soc.cpu.cpu_exit ()
+  Rv32.Core.exit_reason soc.core
 
 (* --- Checkpoint / restore ---------------------------------------------- *)
 
-let pause_at soc n = soc.cpu.cpu_set_pause_at n
-let paused soc = soc.cpu.cpu_paused ()
+let pause_at soc n = Rv32.Core.set_pause_at soc.core n
+let paused soc = Rv32.Core.paused soc.core
 
 let resume ?until soc =
-  soc.cpu.cpu_clear_paused ();
+  Rv32.Core.clear_paused soc.core;
   run ?until soc
 
 (* Section order is fixed: identical state must yield identical bytes. *)
 let save soc =
   let open Snapshot.Codec in
-  if not (paused soc || soc.cpu.cpu_exit () <> Rv32.Core.Running) then
+  if not (paused soc || Rv32.Core.halted soc.core) then
     invalid_arg "Soc.save: CPU is neither paused nor halted";
   (* Drain the current instant: the pause stopped the scheduler mid-phase,
      so processes runnable at this time (peripheral engines, delta
@@ -397,7 +346,7 @@ let save soc =
               put_string w name;
               put_i64 w at)
             (Sysc.Kernel.pending_timed soc.kernel));
-      section "cpu" soc.cpu.cpu_save;
+      section "cpu" (Rv32.Core.save soc.core);
       section "mem" (Memory.save soc.memory);
       section "uart" (Uart.save soc.uart);
       section "gpio" (Gpio.save soc.gpio);
@@ -423,9 +372,9 @@ let save soc =
    replacing the construction-time settlement with a codec decode. *)
 
 let boot_snapshot soc =
-  if soc.cpu.cpu_instret () <> 0 then
+  if Rv32.Core.instret soc.core <> 0 then
     invalid_arg "Soc.boot_snapshot: SoC has already executed instructions";
-  soc.cpu.cpu_set_max 0;
+  Rv32.Core.set_max_instructions soc.core 0;
   start soc;
   run soc;
   save soc
@@ -461,7 +410,7 @@ let restore soc data =
             (name, at))
       in
       Sysc.Kernel.restore soc.kernel ~now ~deltas ~notifications);
-  sec "cpu" soc.cpu.cpu_load;
+  sec "cpu" (Rv32.Core.load soc.core);
   sec "mem" (Memory.restore soc.memory);
   sec "uart" (Uart.load soc.uart);
   sec "gpio" (Gpio.load soc.gpio);
@@ -479,5 +428,5 @@ let warm_start soc data =
      run for real. [restore] also marked the core paused iff it was parked
      on a sync (it was not — no instruction retired, no sync pending), so
      only the halt needs clearing. *)
-  soc.cpu.cpu_unhalt ();
-  soc.cpu.cpu_clear_paused ()
+  Rv32.Core.unhalt soc.core;
+  Rv32.Core.clear_paused soc.core

@@ -2,6 +2,11 @@
     bus, RAM, and the peripheral set of the paper's experiments (UART,
     sensor, DMA, AES, CAN, CLINT, PLIC).
 
+    The core is one {!Rv32.Core.t}, [soc.core]; callers drive it with
+    {!Rv32.Core} directly. Per-instruction and trap hooks are the
+    exception: {!set_trace} and {!set_trap_hook} compose them with an
+    attached tracer's recorders.
+
     Memory map:
     {v
       0x0200_0000  CLINT (msip / mtimecmp / mtime)
@@ -40,42 +45,19 @@ val irq_dma : int
 val irq_aes : int
 val irq_gpio : int
 
-(** The CPU as a record of closures over one {!Rv32.Core.t}. *)
+(** The core's counters as closures over [core]. Every in-tree caller
+    uses {!Rv32.Core} on [core] directly; the record exists because the
+    benchmark ledger ([bench/ledger/]) is frozen against it. *)
 type cpu = {
-  cpu_step : unit -> unit;
-  cpu_spawn : stop_on_halt:bool -> unit;
   cpu_set_max : int -> unit;
   cpu_instret : unit -> int;
   cpu_exit : unit -> Rv32.Core.exit_reason;
-  cpu_pc : unit -> int;
-  cpu_set_pc : int -> unit;
-  cpu_get_reg : int -> int;
-  cpu_get_reg_tag : int -> Dift.Lattice.tag;
-  cpu_set_reg : int -> int -> unit;
-  cpu_set_irq : bit:int -> on:bool -> unit;
-  cpu_set_trace : (int -> Rv32.Insn.t -> unit) option -> unit;
-      (** On a SoC built with a tracer this composes: the tracer's internal
-          ring push always runs first, then the hook installed here. *)
-  cpu_set_trap_hook : (Rv32.Core.trap_event -> unit) option -> unit;
-      (** Same composition contract as [cpu_set_trace]: with a tracer
-          attached the internal trap-event recorder runs first. *)
-  cpu_set_merge_hook : (int -> int -> int -> unit) option -> unit;
-  cpu_csr : Rv32.Csr.t;
-  cpu_priv : unit -> int;
-      (** Current privilege level ({!Rv32.Csr.priv_m} / {!Rv32.Csr.priv_u}). *)
-  cpu_flush_code : addr:int -> len:int -> unit;
   cpu_blocks_built : unit -> int;
   cpu_superblocks_built : unit -> int;
   cpu_chain_hits : unit -> int;
   cpu_ic_hits : unit -> int;
   cpu_ic_misses : unit -> int;
   cpu_fast_retired : unit -> int;
-  cpu_set_pause_at : int -> unit;
-  cpu_paused : unit -> bool;
-  cpu_clear_paused : unit -> unit;
-  cpu_unhalt : unit -> unit;
-  cpu_save : Snapshot.Codec.writer -> unit;
-  cpu_load : Snapshot.Codec.reader -> unit;
 }
 
 type t = {
@@ -92,9 +74,8 @@ type t = {
   clint : Clint.t;
   plic : Plic.t;
   watchdog : Watchdog.t;
+  core : Rv32.Core.t;
   cpu : cpu;
-  tracking : bool;
-  trace : Trace.Tracer.t option;
 }
 
 val create :
@@ -108,7 +89,6 @@ val create :
   ?sensor_period:Sysc.Time.t ->
   ?aes_out_tag:Dift.Lattice.tag ->
   ?aes_in_clearance:Dift.Lattice.tag ->
-  ?wdt_clearance:Dift.Lattice.tag ->
   ?tracer:Trace.Tracer.t ->
   unit ->
   t
@@ -121,15 +101,25 @@ val create :
     (default false); [aes_out_tag] defaults to the lattice bottom (fully
     declassified ciphertext). RAM writes that bypass the CPU (DMA,
     the loader) are wired to block-cache invalidation. Peripheral processes
-    are spawned; the CPU thread is not — call {!start} or
-    [t.cpu.cpu_spawn] after loading firmware.
+    are spawned; the CPU thread is not — call {!start} after loading
+    firmware.
 
     [tracer] (built over the same lattice as [policy]) attaches the
-    tracing subsystem: retired instructions, routed bus transactions and
-    monitor events fill the tracer's ring; taint introductions, merges
-    and declassifications feed its IFT graph; the RV32
-    disassembler is installed for reports. Without it every hook stays
-    unset — the simulation is byte-identical to a trace-free build. *)
+    tracing subsystem: retired instructions, traps, routed bus
+    transactions and monitor events fill the tracer's ring; taint
+    introductions, merges and declassifications feed its IFT graph; the
+    RV32 disassembler is installed for reports. Without it every hook
+    stays unset — the simulation is byte-identical to a trace-free
+    build. *)
+
+val set_trace : t -> (int -> Rv32.Insn.t -> unit) option -> unit
+(** Install (or remove, with [None]) a caller's per-instruction hook
+    ({!Rv32.Core.set_trace} semantics). On a SoC built with a tracer the
+    tracer's recorder runs first, then the caller's hook; [None] leaves
+    the recorder alone. *)
+
+val set_trap_hook : t -> (Rv32.Core.trap_event -> unit) option -> unit
+(** Same composition as {!set_trace}, for {!Rv32.Core.set_trap_hook}. *)
 
 val load_image : t -> Rv32_asm.Image.t -> unit
 (** Copy the image into RAM, tag every byte according to the policy's

@@ -75,7 +75,7 @@ let test_hijack_gadget_observable () =
   (match TA.payload TA.Mtvec_hijack img with
   | Some bytes -> Vp.Uart.push_rx soc.Vp.Soc.uart bytes
   | None -> ());
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 1_000_000;
+  Rv32.Core.set_max_instructions soc.Vp.Soc.core 1_000_000;
   Vp.Soc.start soc;
   Vp.Soc.run soc;
   check_string "gadget printed" "P" (Vp.Uart.tx_string soc.Vp.Soc.uart)

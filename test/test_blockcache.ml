@@ -33,7 +33,7 @@ let check_all_configs ~name ~code build =
       (match reason with
       | Rv32.Core.Exited c -> check_int (ctx ^ ": exit code") code c
       | _ -> Alcotest.failf "%s: did not exit" ctx);
-      let instret = soc.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
+      let instret = Rv32.Core.instret soc.Vp.Soc.core in
       match !reference with
       | None -> reference := Some instret
       | Some r -> check_int (ctx ^ ": instret") r instret)
@@ -132,26 +132,26 @@ let test_counters () =
   let soc, reason = run_bc smc_cross_block in
   expect_exit reason 201;
   check_bool "blocks built > 0" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0);
+    (Rv32.Core.blocks_built soc.Vp.Soc.core > 0);
   check_bool "fast-path instructions retired > 0" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
+    (Rv32.Core.fast_retired soc.Vp.Soc.core > 0);
   let soc, reason = run_bc ~block_cache:false smc_cross_block in
   expect_exit reason 201;
   check_int "no blocks without cache" 0
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built ());
+    (Rv32.Core.blocks_built soc.Vp.Soc.core);
   check_int "no fast path without cache" 0
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ());
+    (Rv32.Core.fast_retired soc.Vp.Soc.core);
   (* The plain VP has no tags, so the compiler runs its value-only
      chains unconditionally: fast_retired counts them. On the single-step
      reference the counter stays at zero. *)
   let soc, reason = run_bc ~tracking:false smc_cross_block in
   expect_exit reason 201;
   check_bool "plain VP retires through specialized chains" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
+    (Rv32.Core.fast_retired soc.Vp.Soc.core > 0);
   let soc, reason = run_bc ~tracking:false ~block_cache:false smc_cross_block in
   expect_exit reason 201;
   check_int "no fast path on the plain VP reference" 0
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ())
+    (Rv32.Core.fast_retired soc.Vp.Soc.core)
 
 (* Pin the per-instruction hook contract documented on Core.set_trace:
    the hook sees every retired instruction exactly once, in retirement
@@ -168,7 +168,7 @@ let hook_pc_stream ~tracking ~block_cache build =
   let soc = Vp.Soc.create ~policy ~monitor ~tracking ~block_cache () in
   Vp.Soc.load_image soc img;
   let pcs = ref [] in
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trace (Some (fun pc _ -> pcs := pc :: !pcs));
+  Vp.Soc.set_trace soc (Some (fun pc _ -> pcs := pc :: !pcs));
   let reason = Vp.Soc.run_for_instructions soc 200_000 in
   (soc, reason, List.rev !pcs)
 
@@ -183,14 +183,14 @@ let test_hook_sees_cached_blocks () =
       expect_exit reason 201;
       check_int
         (ctx ^ ": one hook call per retired instruction")
-        (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+        (Rv32.Core.instret soc.Vp.Soc.core)
         (List.length pcs);
       (if block_cache then
          check_bool (ctx ^ ": hook does not disable block building") true
-           (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0));
+           (Rv32.Core.blocks_built soc.Vp.Soc.core > 0));
       (if tracking && block_cache then
          check_bool (ctx ^ ": hook does not disable the fast path") true
-           (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0));
+           (Rv32.Core.fast_retired soc.Vp.Soc.core > 0));
       match !reference with
       | None -> reference := Some pcs
       | Some r -> check_bool (ctx ^ ": pc stream identical") true (r = pcs))

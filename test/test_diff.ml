@@ -144,11 +144,11 @@ let run_flavour ~tracking img =
   Vp.Soc.load_image soc img;
   match Vp.Soc.run_for_instructions soc 10_000 with
   | Rv32.Core.Exited code ->
-      let regs = List.map (fun r -> soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r)
+      let regs = List.map (fun r -> Rv32.Core.get_reg soc.Vp.Soc.core r)
           [ 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ] in
       let buf_addr = Rv32_asm.Image.symbol img "buf" - Vp.Soc.ram_base in
       let mem = List.init 256 (fun i -> Vp.Memory.read_byte soc.Vp.Soc.memory (buf_addr + i)) in
-      Some (code, regs, mem, soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+      Some (code, regs, mem, Rv32.Core.instret soc.Vp.Soc.core)
   | _ -> None
 
 let prop_differential =

@@ -75,9 +75,10 @@ let test_alu_propagation () =
         secret_data p)
   in
   (match result with Ok _ -> () | Error _ -> Alcotest.fail "no violation expected");
-  check_int "s2 tainted" (t "HC,HI") (soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag R.s2);
+  check_int "s2 tainted" (t "HC,HI")
+    (Rv32.Core.get_reg_tag soc.Vp.Soc.core R.s2);
   check_int "s3 tainted despite zero value" (t "HC,HI")
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag R.s3)
+    (Rv32.Core.get_reg_tag soc.Vp.Soc.core R.s3)
 
 (* Storing a secret then loading it back keeps the taint (memory tags). *)
 let test_memory_propagation () =
@@ -96,7 +97,7 @@ let test_memory_propagation () =
   in
   (match result with Ok _ -> () | Error _ -> Alcotest.fail "no violation expected");
   check_int "taint survives store/load" (t "HC,HI")
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag R.s2)
+    (Rv32.Core.get_reg_tag soc.Vp.Soc.core R.s2)
 
 (* Partial overwrite: storing a public byte into a secret word makes the
    word's load tag the LUB (byte-granular tags). *)
@@ -119,7 +120,7 @@ let test_byte_granular_tags () =
         A.space p 4)
   in
   (match result with Ok _ -> () | Error _ -> Alcotest.fail "no violation expected");
-  let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+  let tag r = Rv32.Core.get_reg_tag soc.Vp.Soc.core r in
   check_int "overwritten byte is clean" (t "LC,HI") (tag R.s2);
   check_int "word LUBs remaining secret bytes" (t "HC,HI") (tag R.s3)
 
@@ -157,7 +158,7 @@ let test_plain_vp_never_tags () =
       (match result with
       | Ok (Rv32.Core.Exited _) -> ()
       | _ -> Alcotest.failf "%s: did not exit cleanly" what);
-      let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+      let tag r = Rv32.Core.get_reg_tag soc.Vp.Soc.core r in
       if tracking then
         check_int (what ^ ": loaded register has the region's class")
           (t "HC,HI") (tag R.s2)
@@ -244,7 +245,7 @@ let test_implicit_flow_needs_branch_check () =
   in
   (match result with Ok _ -> () | Error _ -> Alcotest.fail "check disabled");
   check_int "laundered: s2 looks public" (t "LC,HI")
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag R.s2)
+    (Rv32.Core.get_reg_tag soc.Vp.Soc.core R.s2)
 
 let test_record_mode_collects () =
   let _, result, monitor =

@@ -55,16 +55,16 @@ let run_scenario ?(block_cache = true) build =
   let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache () in
   Vp.Soc.load_image soc img;
   let reason = Vp.Soc.run_for_instructions soc 200_000 in
-  let cpu = soc.Vp.Soc.cpu in
+  let core = soc.Vp.Soc.core in
   {
     s_reason = reason;
-    s_instret = cpu.Vp.Soc.cpu_instret ();
-    s_reg_tags = List.init 32 (fun r -> cpu.Vp.Soc.cpu_get_reg_tag r);
+    s_instret = Rv32.Core.instret core;
+    s_reg_tags = List.init 32 (fun r -> Rv32.Core.get_reg_tag core r);
     s_taint =
       Vp.Memory.tainted_regions soc.Vp.Soc.memory ~baseline:(t "LC,HI");
     s_violations = Dift.Monitor.violations monitor;
     s_checks = Dift.Monitor.check_count monitor;
-    s_fast = cpu.Vp.Soc.cpu_fast_retired ();
+    s_fast = Rv32.Core.fast_retired core;
   }
 
 let check_equal ~name a b =
@@ -208,7 +208,7 @@ let test_immobilizer_protocol () =
     let reason = Vp.Soc.run_for_instructions soc 2_000_000 in
     expect_exit reason 0;
     check_bool "response valid" true (Immo.Engine.response_valid engine);
-    soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ()
+    Rv32.Core.instret soc.Vp.Soc.core
   in
   check_int "instret agrees" (run true) (run false)
 

@@ -1,10 +1,10 @@
 (* Tier-1 tests for lib/iftgraph: the varint codec primitive, the query
    predicate language, canonical store encoding, and the acceptance path
-   of the persistent graph store — the mtvec-hijack run's store ingests
-   byte-identically at jobs=1 and jobs=4, its backward source-finding
-   query returns exactly the live forensic chain walk-back's source set,
-   and a repeated query is answered from the memo table without touching
-   the store files again. *)
+   of the persistent graph store — the mtvec-hijack run's store
+   re-encodes to the bytes on disk after ingestion, its backward
+   source-finding query returns exactly the live forensic chain
+   walk-back's source set, and a repeated query is answered from the
+   memo table without touching the store files again. *)
 
 open Helpers
 module S = Iftgraph.Store
@@ -184,7 +184,7 @@ let test_store_queries () =
   check_bool "out-of-range violation index is empty" true
     (none.Q.bk_start = [] && none.Q.bk_sources = [])
 
-(* --- Acceptance: trap hijack store, parallel ingest, memoized query --- *)
+(* --- Acceptance: trap hijack store, ingest, memoized query ------------ *)
 
 let run_trap_store () =
   let scenario = Firmware.Trap_attacks.Mtvec_hijack in
@@ -217,20 +217,16 @@ let test_trap_hijack_analyze () =
   let tracer, store = run_trap_store () in
   check_bool "store is non-trivial" true (Array.length store.S.nodes >= 2);
   let blob = S.to_string store in
-  (* Three copies so a jobs=4 ingest actually shards the file list. *)
   with_store_dir
     [ ("a.iftg", store); ("b.iftg", store); ("c.iftg", store) ]
     (fun dir ->
-      let a1 = An.load_dir ~jobs:1 dir in
-      let a4 = An.load_dir ~jobs:4 dir in
+      let a1 = An.load_dir dir in
       check_int "three stores listed" 3 (An.run_count a1);
-      (* Ingestion is jobs-independent: every decoded store re-encodes to
-         the exact bytes on disk, identically at jobs=1 and jobs=4. *)
-      let enc a = List.map (fun (n, s, _) -> (n, S.to_string s)) (An.stores a) in
-      check_bool "jobs=1 vs jobs=4 ingestion byte-identical" true
-        (enc a1 = enc a4);
+      (* Every decoded store re-encodes to the exact bytes on disk. *)
       check_bool "re-encode matches the bytes on disk" true
-        (List.for_all (fun (_, e) -> String.equal e blob) (enc a1));
+        (List.for_all
+           (fun (_, s, _) -> String.equal (S.to_string s) blob)
+           (An.stores a1));
       (* The backward query's source set equals the live forensic chain
          walk-back's, exactly. *)
       let back = An.sources_of a1 (Q.P_violation 0) in
@@ -331,8 +327,8 @@ let () =
         ] );
       ( "acceptance",
         [
-          Alcotest.test_case "trap hijack: parallel ingest, exact sources, \
-                              memoized repeat" `Quick test_trap_hijack_analyze;
+          Alcotest.test_case "trap hijack: ingest, exact sources, memoized \
+                              repeat" `Quick test_trap_hijack_analyze;
           Alcotest.test_case "analyzer edge cases" `Quick test_analyze_edges;
         ] );
     ]

@@ -85,7 +85,7 @@ let run ~block_cache () =
   soc
 
 let check_tags soc =
-  let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+  let tag r = Rv32.Core.get_reg_tag soc.Vp.Soc.core r in
   (* Everything in the image (including the scratch words) sits in the
      "program" region, so the public expectation is LC,HI — the lattice
      bottom — not the off-image default LC,LI. *)
@@ -107,7 +107,7 @@ let test_with_fast_path () =
 let test_without_fast_path () =
   let soc = run ~block_cache:false () in
   check_int "fast path actually off" 0
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ());
+    (Rv32.Core.fast_retired soc.Vp.Soc.core);
   check_tags soc
 
 (* The two paths must agree on every register tag and every memory tag
@@ -118,8 +118,8 @@ let test_flavours_agree () =
   for r = 0 to 31 do
     check_int
       (Printf.sprintf "reg %d tag" r)
-      (b.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
-      (a.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
+      (Rv32.Core.get_reg_tag b.Vp.Soc.core r)
+      (Rv32.Core.get_reg_tag a.Vp.Soc.core r)
   done;
   check_bool "memory tag arrays identical" true
     (Bytes.equal

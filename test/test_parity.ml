@@ -58,17 +58,17 @@ let check_engines ?tracking ?policy ?seed ?code ~name build =
         (reason_str b));
   check_int
     (name ^ ": instret agrees")
-    (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
-    (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_instret ());
+    (Rv32.Core.instret soc_r.Vp.Soc.core)
+    (Rv32.Core.instret soc_c.Vp.Soc.core);
   for r = 0 to 31 do
     check_int
       (Printf.sprintf "%s: x%d value" name r)
-      (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r)
-      (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r);
+      (Rv32.Core.get_reg soc_r.Vp.Soc.core r)
+      (Rv32.Core.get_reg soc_c.Vp.Soc.core r);
     check_int
       (Printf.sprintf "%s: x%d tag" name r)
-      (soc_r.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
-      (soc_c.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r)
+      (Rv32.Core.get_reg_tag soc_r.Vp.Soc.core r)
+      (Rv32.Core.get_reg_tag soc_c.Vp.Soc.core r)
   done;
   check_bool
     (name ^ ": full platform snapshot byte-identical")
@@ -563,12 +563,12 @@ let check_taint ~name ~iterations =
   let soc =
     check_engines ~policy ~seed:(seed_secret hc) ~name (taint_prog ~iterations)
   in
-  let tag r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg_tag r in
+  let tag r = Rv32.Core.get_reg_tag soc.Vp.Soc.core r in
   check_int "a1 tainted HC" hc (tag 11);
   check_int "s0 stays public" lc (tag 8);
   (* The specialized chains really ran before each fallback. *)
   check_bool "fast variant retired instructions" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0);
+    (Rv32.Core.fast_retired soc.Vp.Soc.core > 0);
   soc
 
 let test_taint_mid_block () =
@@ -577,7 +577,7 @@ let test_taint_mid_block () =
 let test_taint_mid_chain () =
   let soc = check_taint ~name:"taint mid-chain" ~iterations:50 in
   check_bool "superblocks were linked" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built () > 0)
+    (Rv32.Core.superblocks_built soc.Vp.Soc.core > 0)
 
 (* --- invalidation of compiled and linked chains -------------------------- *)
 
@@ -691,7 +691,7 @@ let run_fatal ~tracking ~block_cache build =
   Vp.Soc.load_image soc img;
   match Vp.Soc.run_for_instructions soc 10_000 with
   | exception Rv32.Core.Fatal_trap { cause; pc; tval } ->
-      (cause, pc, tval, soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+      (cause, pc, tval, Rv32.Core.instret soc.Vp.Soc.core)
   | r -> Alcotest.failf "expected Fatal_trap, got %s" (reason_str r)
 
 let check_fatal ~name ~cause build =
@@ -792,16 +792,16 @@ let test_restore_under_superblocks () =
   let img = A.assemble p in
   (* Uninterrupted compiled run. *)
   let soc0 = make_soc ~block_cache:true img in
-  soc0.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Rv32.Core.set_max_instructions soc0.Vp.Soc.core 500_000;
   Vp.Soc.start soc0;
   Vp.Soc.run soc0;
   let final0 = Vp.Soc.save soc0 in
-  let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
+  let total = Rv32.Core.instret soc0.Vp.Soc.core in
   check_bool "run is long enough to split" true (total > 400);
   (* Save mid-run on the reference. *)
   let soc1 = make_soc ~block_cache:false img in
   Vp.Soc.pause_at soc1 (total / 2);
-  soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Rv32.Core.set_max_instructions soc1.Vp.Soc.core 500_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
   check_bool "paused mid-run on the reference" true (Vp.Soc.paused soc1);
@@ -809,13 +809,13 @@ let test_restore_under_superblocks () =
   (* Restore into a compiled SoC and finish. *)
   let soc2 = make_soc ~block_cache:true img in
   Vp.Soc.restore soc2 mid;
-  soc2.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000;
+  Rv32.Core.set_max_instructions soc2.Vp.Soc.core 500_000;
   Vp.Soc.start soc2;
   Vp.Soc.run soc2;
   check_bool "final snapshot matches the uninterrupted compiled run" true
     (String.equal final0 (Vp.Soc.save soc2));
   check_bool "superblocks linked after the restore" true
-    (soc2.Vp.Soc.cpu.Vp.Soc.cpu_superblocks_built () > 0)
+    (Rv32.Core.superblocks_built soc2.Vp.Soc.core > 0)
 
 (* --- counters: the machinery actually fired ------------------------------ *)
 
@@ -826,9 +826,9 @@ let test_compiled_actually_runs () =
   (match reason with
   | Rv32.Core.Exited _ -> ()
   | r -> Alcotest.failf "muldiv compiled: %s" (reason_str r));
-  check_bool "blocks built" true (soc.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0);
+  check_bool "blocks built" true (Rv32.Core.blocks_built soc.Vp.Soc.core > 0);
   check_bool "fast chains retired" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired () > 0)
+    (Rv32.Core.fast_retired soc.Vp.Soc.core > 0)
 
 (* Call/return with a secret parked in an otherwise unused register
    (t6): after the prelude's load every dispatch sees a non-bottom
@@ -848,11 +848,11 @@ let test_counters () =
   (match reason with
   | Rv32.Core.Exited _ -> ()
   | r -> Alcotest.failf "callret compiled: %s" (reason_str r));
-  let c = soc.Vp.Soc.cpu in
-  check_bool "blocks built" true (c.Vp.Soc.cpu_blocks_built () > 0);
-  check_bool "superblocks built" true (c.Vp.Soc.cpu_superblocks_built () > 0);
-  check_bool "chain transitions taken" true (c.Vp.Soc.cpu_chain_hits () > 0);
-  check_bool "inline-cache hits" true (c.Vp.Soc.cpu_ic_hits () > 0);
+  let c = soc.Vp.Soc.core in
+  check_bool "blocks built" true (Rv32.Core.blocks_built c > 0);
+  check_bool "superblocks built" true (Rv32.Core.superblocks_built c > 0);
+  check_bool "chain transitions taken" true (Rv32.Core.chain_hits c > 0);
+  check_bool "inline-cache hits" true (Rv32.Core.ic_hits c > 0);
   (* The same loop under taint: the full variant's ret hits its own
      inline cache, and only the prelude up to the tainted load (la = two
      instructions, then the lw) retires on the value-only variant. *)
@@ -862,24 +862,24 @@ let test_counters () =
     check_engines ~policy ~seed:(seed_secret hc) ~code:0
       ~name:"tainted call/ret" tainted_callret_prog
   in
-  let c = soc.Vp.Soc.cpu in
-  check_int "t6 tainted HC" hc (c.Vp.Soc.cpu_get_reg_tag R.t6);
+  let c = soc.Vp.Soc.core in
+  check_int "t6 tainted HC" hc (Rv32.Core.get_reg_tag c R.t6);
   check_bool "full-variant inline-cache hits" true
-    (c.Vp.Soc.cpu_ic_hits () > 0);
-  check_int "fast variant stops at the taint" 3 (c.Vp.Soc.cpu_fast_retired ());
+    (Rv32.Core.ic_hits c > 0);
+  check_int "fast variant stops at the taint" 3 (Rv32.Core.fast_retired c);
   (* Polymorphic dispatch: the rotating target site must keep missing
      (and stay demoted) without ever entering a stale chain. *)
   let soc, _ = run_e ~block_cache:true poly_prog in
   check_bool "inline-cache misses on the polymorphic site" true
-    (soc.Vp.Soc.cpu.Vp.Soc.cpu_ic_misses () > 0);
+    (Rv32.Core.ic_misses soc.Vp.Soc.core > 0);
   (* The reference builds, links and caches nothing. *)
   let soc, _ = run_e ~block_cache:false callret_prog in
-  let c = soc.Vp.Soc.cpu in
-  check_int "reference builds no blocks" 0 (c.Vp.Soc.cpu_blocks_built ());
+  let c = soc.Vp.Soc.core in
+  check_int "reference builds no blocks" 0 (Rv32.Core.blocks_built c);
   check_int "reference links no superblocks" 0
-    (c.Vp.Soc.cpu_superblocks_built ());
+    (Rv32.Core.superblocks_built c);
   check_int "reference installs no inline caches" 0
-    (c.Vp.Soc.cpu_ic_hits () + c.Vp.Soc.cpu_ic_misses ())
+    (Rv32.Core.ic_hits c + Rv32.Core.ic_misses c)
 
 let () =
   Alcotest.run "parity"

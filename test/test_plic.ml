@@ -156,7 +156,7 @@ let test_vectored_interrupt () =
   in
   expect_exit reason 42;
   check_int "mcause is interrupt 3" (C.cause_interrupt 3)
-    soc.Vp.Soc.cpu.Vp.Soc.cpu_csr.C.v_mcause
+    (Rv32.Core.csr soc.Vp.Soc.core).C.v_mcause
 
 let () =
   Alcotest.run "plic"

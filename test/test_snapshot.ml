@@ -239,9 +239,9 @@ let immo_soc ?block_cache () =
   (soc, monitor, buf)
 
 let finish soc =
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
+  Rv32.Core.set_max_instructions soc.Vp.Soc.core 2_000_000;
   (match Vp.Soc.run soc with () -> ());
-  expect_exit (soc.Vp.Soc.cpu.Vp.Soc.cpu_exit ()) 0
+  expect_exit (Rv32.Core.exit_reason soc.Vp.Soc.core) 0
 
 let test_save_resume_bit_identical () =
   (* Reference: uninterrupted run. *)
@@ -251,23 +251,23 @@ let test_save_resume_bit_identical () =
   Vp.Soc.start soc0;
   finish soc0;
   let final0 = Vp.Soc.save soc0 in
-  let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
+  let total = Rv32.Core.instret soc0.Vp.Soc.core in
   check_bool "run is long enough to split" true (total > 400);
   (* Same run, paused in the middle, snapshotted, resumed in-process. *)
   let soc1, mon1, buf1 = immo_soc () in
   let _e1 = Immo.Engine.attach soc1 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc1.Vp.Soc.uart "D";
   Vp.Soc.pause_at soc1 (total / 2);
-  soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
+  Rv32.Core.set_max_instructions soc1.Vp.Soc.core 2_000_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
   check_bool "paused mid-run" true (Vp.Soc.paused soc1);
   check_bool "paused before the end" true
-    (soc1.Vp.Soc.cpu.Vp.Soc.cpu_instret () < total);
+    (Rv32.Core.instret soc1.Vp.Soc.core < total);
   let mid = Vp.Soc.save soc1 in
   let mid_trace_len = Buffer.length buf1 in
   Vp.Soc.resume soc1;
-  expect_exit (soc1.Vp.Soc.cpu.Vp.Soc.cpu_exit ()) 0;
+  expect_exit (Rv32.Core.exit_reason soc1.Vp.Soc.core) 0;
   let final1 = Vp.Soc.save soc1 in
   check_bool "final snapshots bit-identical" true (String.equal final0 final1);
   check_string "uart tx identical"
@@ -320,13 +320,13 @@ let test_restore_across_engines () =
   Vp.Soc.start soc0;
   finish soc0;
   let final0 = Vp.Soc.save soc0 in
-  let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
+  let total = Rv32.Core.instret soc0.Vp.Soc.core in
   (* Save mid-run on the reference. *)
   let soc1, _, buf1 = immo_soc ~block_cache:false () in
   let _e1 = Immo.Engine.attach soc1 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc1.Vp.Soc.uart "D";
   Vp.Soc.pause_at soc1 (total / 2);
-  soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
+  Rv32.Core.set_max_instructions soc1.Vp.Soc.core 2_000_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
   check_bool "paused mid-run on the reference" true (Vp.Soc.paused soc1);
@@ -356,7 +356,7 @@ let test_restore_across_engines () =
     (String.equal suffix (Buffer.contents buf2));
   (* And compiled chains actually ran after the restore. *)
   check_bool "compiled blocks after restore" true
-    (soc2.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0)
+    (Rv32.Core.blocks_built soc2.Vp.Soc.core > 0)
 
 (* --- wilander attacks across a checkpoint ------------------------------ *)
 
@@ -371,10 +371,10 @@ let wilander_soc id =
   (soc, img)
 
 let run_to_violation soc =
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 1_000_000;
+  Rv32.Core.set_max_instructions soc.Vp.Soc.core 1_000_000;
   match Vp.Soc.run soc with
   | exception Dift.Violation.Violation _ ->
-      Some (soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+      Some (Rv32.Core.instret soc.Vp.Soc.core)
   | () -> None
 
 let test_wilander_across_checkpoint id () =
@@ -395,12 +395,12 @@ let test_wilander_across_checkpoint id () =
   let soc1, _ = wilander_soc id in
   Vp.Uart.push_rx soc1.Vp.Soc.uart (W.payload_for id img);
   Vp.Soc.pause_at soc1 n1;
-  soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 1_000_000;
+  Rv32.Core.set_max_instructions soc1.Vp.Soc.core 1_000_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
   check_bool "paused" true (Vp.Soc.paused soc1);
   check_bool "paused before the violation" true
-    (soc1.Vp.Soc.cpu.Vp.Soc.cpu_instret () < v);
+    (Rv32.Core.instret soc1.Vp.Soc.core < v);
   let mid = Vp.Soc.save soc1 in
   (* Restore into a fresh SoC; the attack must still be detected, at the
      same instruction count, with identical mid-flight state. *)
@@ -414,12 +414,12 @@ let test_wilander_across_checkpoint id () =
   | None -> Alcotest.failf "attack %d missed after restore" id);
   (* The in-process resume detects it too. *)
   match
-    soc1.Vp.Soc.cpu.Vp.Soc.cpu_clear_paused ();
+    Rv32.Core.clear_paused soc1.Vp.Soc.core;
     Vp.Soc.run soc1
   with
   | exception Dift.Violation.Violation _ ->
       check_int "resumed run's violation instruction" v
-        (soc1.Vp.Soc.cpu.Vp.Soc.cpu_instret ())
+        (Rv32.Core.instret soc1.Vp.Soc.core)
   | () -> Alcotest.failf "attack %d missed after resume" id
 
 (* --- checkpoint inside a trap handler ----------------------------------- *)
@@ -487,7 +487,7 @@ let irq_soc () =
 
 let pause_run soc n =
   Vp.Soc.pause_at soc n;
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
+  Rv32.Core.set_max_instructions soc.Vp.Soc.core 2_000_000;
   Vp.Soc.start soc;
   Vp.Soc.run soc;
   check_bool "paused" true (Vp.Soc.paused soc)
@@ -498,11 +498,11 @@ let pause_run soc n =
 let irq_reference () =
   let soc = irq_soc () in
   let enters = ref [] in
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_trap_hook
+  Vp.Soc.set_trap_hook soc
     (Some
        (function
        | Rv32.Core.Trap_enter _ ->
-           enters := soc.Vp.Soc.cpu.Vp.Soc.cpu_instret () :: !enters
+           enters := Rv32.Core.instret soc.Vp.Soc.core :: !enters
        | _ -> ()));
   Vp.Soc.start soc;
   finish soc;
@@ -519,9 +519,9 @@ let test_checkpoint_mid_handler () =
   check_int "source in service at the checkpoint"
     (1 lsl Vp.Soc.irq_sensor)
     (Vp.Plic.in_service soc1.Vp.Soc.plic);
-  check_int "handler runs in M" C.priv_m (soc1.Vp.Soc.cpu.Vp.Soc.cpu_priv ());
+  check_int "handler runs in M" C.priv_m (Rv32.Core.priv soc1.Vp.Soc.core);
   check_int "interrupted U-mode stacked in MPP" C.priv_u
-    (C.mstatus_mpp soc1.Vp.Soc.cpu.Vp.Soc.cpu_csr.C.v_mstatus);
+    (C.mstatus_mpp (Rv32.Core.csr soc1.Vp.Soc.core).C.v_mstatus);
   let mid = Vp.Soc.save soc1 in
   (* Restore into a fresh platform: byte-identical state, identical
      continuation. *)
@@ -535,7 +535,7 @@ let test_checkpoint_mid_handler () =
     (String.equal final0 (Vp.Soc.save soc2));
   (* The in-process resume agrees too. *)
   Vp.Soc.resume soc1;
-  expect_exit (soc1.Vp.Soc.cpu.Vp.Soc.cpu_exit ()) 0;
+  expect_exit (Rv32.Core.exit_reason soc1.Vp.Soc.core) 0;
   check_bool "resumed run reaches the reference final state" true
     (String.equal final0 (Vp.Soc.save soc1))
 
@@ -553,7 +553,7 @@ let test_v1_snapshot_migration () =
   let _, e2 = irq_reference () in
   let soc1 = irq_soc () in
   pause_run soc1 (e2 - 40);
-  check_int "paused in U-mode" C.priv_u (soc1.Vp.Soc.cpu.Vp.Soc.cpu_priv ());
+  check_int "paused in U-mode" C.priv_u (Rv32.Core.priv soc1.Vp.Soc.core);
   check_int "tuned threshold" 1 (Vp.Plic.threshold soc1.Vp.Soc.plic);
   check_int "tuned priority" 5
     (Vp.Plic.priority soc1.Vp.Soc.plic Vp.Soc.irq_sensor);
@@ -562,7 +562,7 @@ let test_v1_snapshot_migration () =
   let socv2 = irq_soc () in
   Vp.Soc.restore socv2 v2;
   check_int "v2 restore keeps U-mode" C.priv_u
-    (socv2.Vp.Soc.cpu.Vp.Soc.cpu_priv ());
+    (Rv32.Core.priv socv2.Vp.Soc.core);
   check_int "v2 restore keeps the threshold" 1
     (Vp.Plic.threshold socv2.Vp.Soc.plic);
   (* Strip the v2-only trailing fields and re-encode as version 1. *)
@@ -580,7 +580,7 @@ let test_v1_snapshot_migration () =
   Vp.Soc.restore socv1 v1;
   (* Missing fields come back as reset defaults... *)
   check_int "v1 restore defaults to M-mode" C.priv_m
-    (socv1.Vp.Soc.cpu.Vp.Soc.cpu_priv ());
+    (Rv32.Core.priv socv1.Vp.Soc.core);
   check_int "v1 restore resets the threshold" 0
     (Vp.Plic.threshold socv1.Vp.Soc.plic);
   check_int "v1 restore resets priorities" 1
@@ -591,11 +591,11 @@ let test_v1_snapshot_migration () =
   check_int "enable mask survives" (1 lsl Vp.Soc.irq_sensor)
     (Vp.Plic.enabled socv1.Vp.Soc.plic);
   check_int "pc survives"
-    (soc1.Vp.Soc.cpu.Vp.Soc.cpu_pc ())
-    (socv1.Vp.Soc.cpu.Vp.Soc.cpu_pc ());
+    (Rv32.Core.pc soc1.Vp.Soc.core)
+    (Rv32.Core.pc socv1.Vp.Soc.core);
   check_int "registers survive"
-    (soc1.Vp.Soc.cpu.Vp.Soc.cpu_get_reg R.s2)
-    (socv1.Vp.Soc.cpu.Vp.Soc.cpu_get_reg R.s2)
+    (Rv32.Core.get_reg soc1.Vp.Soc.core R.s2)
+    (Rv32.Core.get_reg socv1.Vp.Soc.core R.s2)
 
 let () =
   Alcotest.run "snapshot"

@@ -307,7 +307,7 @@ let test_interrupt_priority () =
   A.j p "spin";
   Vp.Soc.load_image soc (A.assemble p);
   (* Raise the external line directly. *)
-  soc.Vp.Soc.cpu.Vp.Soc.cpu_set_irq ~bit:Rv32.Csr.bit_mei ~on:true;
+  Rv32.Core.set_irq soc.Vp.Soc.core ~bit:Rv32.Csr.bit_mei true;
   let reason = Vp.Soc.run_for_instructions soc 10_000 in
   (* cause = interrupt bit | 11 (external). *)
   (match reason with

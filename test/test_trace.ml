@@ -157,7 +157,7 @@ let test_sensor_dma_aes_provenance () =
   sensor_dma_aes p;
   Vp.Soc.load_image soc (A.assemble p);
   expect_exit (Vp.Soc.run_for_instructions soc 2_000_000) 0;
-  check_bool "tracer attached" true (soc.Vp.Soc.trace <> None);
+  check_bool "tracer attached" true (soc.Vp.Soc.env.Vp.Env.tracer <> None);
   check_bool "events recorded" true (T.Tracer.events_recorded tracer > 0);
   (* The routed DMA read shows up as a bus event on the sensor target. *)
   let saw_sensor_read = ref false in
@@ -289,7 +289,7 @@ let test_seed_taint () =
   (* Without a tracer the SoC carries no trace state at all. *)
   let monitor2 = Dift.Monitor.create lat in
   let plain = Vp.Soc.create ~policy ~monitor:monitor2 ~tracking:true () in
-  check_bool "no tracer, no trace" true (plain.Vp.Soc.trace = None)
+  check_bool "no tracer, no trace" true (plain.Vp.Soc.env.Vp.Env.tracer = None)
 
 (* --- Wilander attacks carry provenance ------------------------------- *)
 
@@ -382,8 +382,8 @@ let test_tracer_transparent () =
     Vp.Soc.start soc;
     Vp.Soc.run soc;
     check_bool "exits cleanly" true
-      (soc.Vp.Soc.cpu.Vp.Soc.cpu_exit () = Rv32.Core.Exited 0);
-    soc.Vp.Soc.cpu.Vp.Soc.cpu_instret ()
+      (Rv32.Core.exit_reason soc.Vp.Soc.core = Rv32.Core.Exited 0);
+    Rv32.Core.instret soc.Vp.Soc.core
   in
   let tracer = T.Tracer.create policy.Dift.Policy.lattice in
   let untraced = run None in
@@ -391,6 +391,81 @@ let test_tracer_transparent () =
   check_int "same instret with a tracer attached" untraced traced;
   check_bool "the tracer saw every instruction" true
     (T.Ring.total tracer.T.Tracer.ring >= traced)
+
+(* --- Caller hooks compose with the tracer ---------------------------- *)
+
+(* A loop of ecalls into a handler that skips them and mrets. *)
+let ecall_loop p =
+  Firmware.Rt.entry p ();
+  A.la p R.t6 "tvec";
+  A.csrrw p R.zero Rv32.Csr.mtvec R.t6;
+  A.li p R.s0 300;
+  A.label p "loop";
+  A.li p R.a7 0;
+  A.ecall p;
+  A.addi p R.s0 R.s0 (-1);
+  A.bnez_l p R.s0 "loop";
+  Firmware.Rt.exit_ p ~code:0 ();
+  A.align p 4;
+  A.label p "tvec";
+  A.csrrs p R.t5 Rv32.Csr.mepc R.zero;
+  A.addi p R.t5 R.t5 4;
+  A.csrrw p R.zero Rv32.Csr.mepc R.t5;
+  A.mret p
+
+(* [Vp.Soc.set_trace] and [set_trap_hook] run the tracer's recorder
+   first and the caller's hook second: the caller sees every retired
+   instruction and trap, the tracer's stream is unchanged by it, and
+   removing the caller's hook leaves the tracer recording. *)
+let test_caller_hooks_compose () =
+  let p = A.create () in
+  ecall_loop p;
+  let img = A.assemble p in
+  let policy = Benchkit.Defs.integrity_policy img in
+  let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+  let tracer = T.Tracer.create policy.Dift.Policy.lattice in
+  let soc =
+    Vp.Soc.create ~policy ~monitor ~tracking:true ~quantum:64 ~tracer ()
+  in
+  Vp.Soc.load_image soc img;
+  let core = soc.Vp.Soc.core in
+  let recorded_insns = ref 0 and recorded_traps = ref [] in
+  T.Tracer.set_on_record tracer
+    (Some
+       (fun ev ->
+         match ev.T.Event.kind with
+         | T.Event.Insn -> incr recorded_insns
+         | T.Event.Trap ->
+             recorded_traps :=
+               (ev.T.Event.addr, ev.T.Event.data) :: !recorded_traps
+         | _ -> ()));
+  let hook_calls = ref 0 and hook_traps = ref [] in
+  Vp.Soc.set_trace soc (Some (fun _ _ -> incr hook_calls));
+  Vp.Soc.set_trap_hook soc
+    (Some
+       (fun ev ->
+         hook_traps :=
+           (match ev with
+           | Rv32.Core.Trap_enter { cause; epc; _ } -> (epc, cause)
+           | Rv32.Core.Trap_return { target; to_priv } -> (target, to_priv))
+           :: !hook_traps));
+  Vp.Soc.pause_at soc 1000;
+  Vp.Soc.start soc;
+  Vp.Soc.run soc;
+  check_bool "paused mid-run" true (Vp.Soc.paused soc);
+  let instret = Rv32.Core.instret core in
+  check_int "the caller's hook sees every instruction" instret !hook_calls;
+  check_int "the tracer records one Insn event per instruction" instret
+    !recorded_insns;
+  Vp.Soc.set_trace soc None;
+  Vp.Soc.resume soc;
+  expect_exit (Rv32.Core.exit_reason core) 0;
+  check_int "the removed hook sees nothing more" instret !hook_calls;
+  check_int "the tracer keeps recording without it" (Rv32.Core.instret core)
+    !recorded_insns;
+  check_bool "traps taken" true (List.length !hook_traps >= 600);
+  check_bool "the trap hook sees the traps the tracer records" true
+    (!hook_traps = !recorded_traps)
 
 let () =
   Alcotest.run "trace"
@@ -413,5 +488,7 @@ let () =
             test_immobilizer_forensics;
           Alcotest.test_case "tracer transparent on qsort" `Quick
             test_tracer_transparent;
+          Alcotest.test_case "caller hooks compose with the tracer" `Quick
+            test_caller_hooks_compose;
         ] );
     ]

@@ -155,7 +155,7 @@ let run_scaffold ~block_cache ~strict_align ?pre trigger =
   expect_exit (Vp.Soc.run_for_instructions soc 100_000) 0;
   (soc, img)
 
-let reg soc r = soc.Vp.Soc.cpu.Vp.Soc.cpu_get_reg r
+let reg soc r = Rv32.Core.get_reg soc.Vp.Soc.core r
 
 let test_case ~block_cache c () =
   let soc, img =
