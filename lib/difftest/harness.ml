@@ -96,23 +96,27 @@ let healthy r =
   && r.declass_violations = 0 && r.cache_mismatches = 0
   && r.snapshot_mismatches = 0 && r.errors = 0
 
-(* Mutable accumulator threaded through the run loop. *)
-type acc = {
-  mutable a_completed : int;
-  mutable a_golden : int;
-  mutable a_transparency : int;
-  mutable a_purity : int;
-  mutable a_monotonic : int;
-  mutable a_trap_taint : int;
-  mutable a_declass : int;
-  mutable a_cache : int;
-  mutable a_snapshot : int;
-  mutable a_injected : int;
-  mutable a_violations : int;
-  mutable a_checks : int;
-  mutable a_errors : int;
-  mutable a_failures : failure list;
-}
+(* Counter slots of a shard's tally, in checkpoint payload order. *)
+let completed = 0
+and golden = 1
+and transparency = 2
+and purity = 3
+and monotonic = 4
+and trap_taint = 5
+and declass = 6
+and cache = 7
+and snapshot = 8
+and injected = 9
+and violations = 10
+and checks = 11
+and errors = 12
+
+let slots = 13
+
+(* One shard's output, accumulated in place by [run_shard]. *)
+type tally = { counts : int array; mutable failures : failure list }
+
+let bump t slot n = t.counts.(slot) <- t.counts.(slot) + n
 
 (* --- Shard-output checkpoint codec ----------------------------------- *)
 
@@ -120,16 +124,10 @@ type acc = {
    (lib/parallelkit/checkpoint.ml). The encoding must round-trip the
    merged report byte-for-byte: every counter, the failure list in its
    in-shard order (newest first), and the coverage table. *)
-let encode_shard ((acc : acc), cov) =
+let encode_shard (t, cov) =
   let open Snapshot.Codec in
   let w = writer () in
-  List.iter (put_varint w)
-    [
-      acc.a_completed; acc.a_golden; acc.a_transparency; acc.a_purity;
-      acc.a_monotonic; acc.a_trap_taint; acc.a_declass; acc.a_cache;
-      acc.a_snapshot; acc.a_injected; acc.a_violations;
-      acc.a_checks; acc.a_errors;
-    ];
+  Array.iter (put_varint w) t.counts;
   let put_opt w o =
     put_bool w (Option.is_some o);
     Option.iter (put_string w) o
@@ -145,29 +143,16 @@ let encode_shard ((acc : acc), cov) =
       put_varint w f.f_evals;
       put_opt w f.f_forensics;
       put_opt w f.f_graph)
-    acc.a_failures;
+    t.failures;
   Coverage.save w cov;
   contents w
 
 let decode_shard payload =
   let open Snapshot.Codec in
   let r = reader payload in
-  let c () = get_varint r in
-  let a_completed = c () in
-  let a_golden = c () in
-  let a_transparency = c () in
-  let a_purity = c () in
-  let a_monotonic = c () in
-  let a_trap_taint = c () in
-  let a_declass = c () in
-  let a_cache = c () in
-  let a_snapshot = c () in
-  let a_injected = c () in
-  let a_violations = c () in
-  let a_checks = c () in
-  let a_errors = c () in
+  let counts = Array.init slots (fun _ -> get_varint r) in
   let get_opt r = if get_bool r then Some (get_string r) else None in
-  let a_failures =
+  let failures =
     get_list r (fun r ->
         let f_kind = get_string r in
         let f_detail = get_string r in
@@ -183,12 +168,7 @@ let decode_shard payload =
   in
   let cov = Coverage.load r in
   expect_end r;
-  ( {
-      a_completed; a_golden; a_transparency; a_purity; a_monotonic;
-      a_trap_taint; a_declass; a_cache; a_snapshot; a_injected;
-      a_violations; a_checks; a_errors; a_failures;
-    },
-    cov )
+  ({ counts; failures }, cov)
 
 (* Forensic replay of a shrunk reproducer: re-run it on the tracked VP
    with the tracing subsystem attached and render the resulting report
@@ -217,13 +197,7 @@ let forensic_replay ~graph prog =
         store )
   with _ -> (None, None)
 
-let executes_opcode op prog =
-  let cov = Coverage.create () in
-  (try ignore (Oracle.run ~trace:(Coverage.hook cov) (Prog.assemble prog))
-   with _ -> ());
-  Coverage.count cov op > 0
-
-let record_failure cfg acc ~index ~kind ~detail ~predicate prog =
+let record_failure cfg tally ~index ~kind ~detail ~predicate prog =
   let shrunk, stats =
     if cfg.shrink then Shrink.minimize predicate prog
     else (prog, Shrink.{ evals = 0; from_blocks = Prog.block_count prog;
@@ -273,7 +247,7 @@ let record_failure cfg acc ~index ~kind ~detail ~predicate prog =
         Some gpath
     | _ -> None
   in
-  acc.a_failures <-
+  tally.failures <-
     {
       f_kind = kind;
       f_detail = detail;
@@ -285,11 +259,99 @@ let record_failure cfg acc ~index ~kind ~detail ~predicate prog =
       f_forensics = forensics;
       f_graph = graph_file;
     }
-    :: acc.a_failures
+    :: tally.failures
+
+(* One row of the check table: a failure kind, the counter slot it bumps,
+   and a test returning the failure's detail. *)
+type check = {
+  kind : string;
+  slot : int;
+  test :
+    (Oracle.result3 * Coverage.t) Lazy.t -> Rv32_asm.Image.t -> string option;
+}
+
+(* The oracle run the checks read, plus the VP+ leg's coverage. *)
+let oracle_run ?warm ~policy img =
+  let cov = Coverage.create () in
+  (Oracle.run ~policy ~trace:(Coverage.hook cov) ?warm img, cov)
+
+(* The checks due on program [index], in reporting order. Each [test]
+   both detects a failure — given the program's own oracle run — and
+   replays it for the shrinker, given a lazy re-run on a candidate image;
+   a test that needs no oracle state never forces it. [policy] is the
+   failing program's: classification regions address RAM absolutely, so
+   they stay valid as the program shrinks. Monotonicity draws its two
+   ranges at most once per program, so the replay re-checks the pair that
+   failed. *)
+let check_table cfg prng ~index ~policy =
+  let res r = fst (Lazy.force r) in
+  let labelled label = Option.map (Printf.sprintf "%s: %s" label) in
+  (* Compiled vs the single-step reference, taint tags included on VP+. *)
+  let vs_reference ~tracking ?policy leg label =
+    let test r img =
+      let reference, _ =
+        Oracle.run_vp ~tracking ~block_cache:false ?policy img
+      in
+      labelled (label ^ " cached vs single-step")
+        (Oracle.explain (leg (res r)) reference)
+    in
+    { kind = "cache-vs-nocache"; slot = cache; test }
+  in
+  (* Checkpointed segments — pause, save, restore into a fresh SoC,
+     continue — vs an uninterrupted run on the same time-sync grid. *)
+  let vs_straight _ img =
+    let straight, _ =
+      Oracle.run_vp ~tracking:true ~quantum:Oracle.snap_quantum ~policy img
+    in
+    let snap, _ = Oracle.run_vp_snapshot ~policy img in
+    labelled "checkpointed vs uninterrupted" (Oracle.explain straight snap)
+  in
+  (* Fault injection: validates the detect-shrink-report pipeline. *)
+  let executes op r _ =
+    if Coverage.count (snd (Lazy.force r)) op = 0 then None
+    else Some (Printf.sprintf "program executed '%s' (injected fault)" op)
+  in
+  let ranges = lazy (Props.draw_ranges prng) in
+  let props = cfg.props_every > 0 && index mod cfg.props_every = 0 in
+  List.concat
+    [
+      [
+        (* ISS correctness, then DIFT transparency under the policy. *)
+        { kind = "golden-vs-vp"; slot = golden;
+          test = (fun r _ -> Oracle.explain (res r).golden (res r).vp) };
+        { kind = "transparency"; slot = transparency;
+          test = (fun r _ -> Oracle.explain (res r).vp (res r).vpp) };
+        { kind = "declassification"; slot = declass;
+          test = (fun r _ -> Props.declass_free (res r)) };
+      ];
+      (* Taint-metamorphic properties, on a subsample. *)
+      (if not props then []
+       else
+         [
+           { kind = "purity"; slot = purity; test = (fun _ -> Props.purity) };
+           { kind = "trap-entry-taint"; slot = trap_taint;
+             test = (fun _ -> Props.trap_entry_pub) };
+           { kind = "monotonicity"; slot = monotonic;
+             test = (fun _ -> Props.monotonic (Lazy.force ranges)) };
+         ]);
+      (if not cfg.cache_diff then []
+       else
+         [
+           vs_reference ~tracking:true ~policy (fun r -> r.vpp) "VP+";
+           vs_reference ~tracking:false (fun r -> r.vp) "VP";
+         ]);
+      (if not cfg.snap_diff then []
+       else
+         [ { kind = "snapshot-vs-straight"; slot = snapshot; test = vs_straight } ]);
+      (match cfg.inject with
+      | None -> []
+      | Some op ->
+          [ { kind = "injected:" ^ op; slot = injected; test = executes op } ]);
+    ]
 
 (* One shard of the campaign: a contiguous slice of the program indices,
    generated from the shard's own derived RNG and guided by the shard's
-   own coverage table, accumulating into a private [acc].  Shards are the
+   own coverage table, accumulating into a private tally.  Shards are the
    unit of parallelism — the shard structure depends only on
    (programs, shard_size), never on the worker count, so any [jobs]
    produces the same shard outputs and therefore the same merged report.
@@ -307,210 +369,45 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
     Rng.create ~seed:(sh.Parallelkit.Campaign.seed lxor 0x9e3779b9)
   in
   let cov = Coverage.create () in
-  let acc =
-    {
-      a_completed = 0;
-      a_golden = 0;
-      a_transparency = 0;
-      a_purity = 0;
-      a_monotonic = 0;
-      a_trap_taint = 0;
-      a_declass = 0;
-      a_cache = 0;
-      a_snapshot = 0;
-      a_injected = 0;
-      a_violations = 0;
-      a_checks = 0;
-      a_errors = 0;
-      a_failures = [];
-    }
-  in
+  let tally = { counts = Array.make slots 0; failures = [] } in
   for local = 1 to sh.Parallelkit.Campaign.length do
-    let i = sh.Parallelkit.Campaign.start + local in
+    let index = sh.Parallelkit.Campaign.start + local in
     match
       let prog = Gen.program rng cov ~size:cfg.size in
       let img = Prog.assemble prog in
       let policy = Gen.policy rng img in
-      let percov = Coverage.create () in
-      let res =
-        Oracle.run ~policy ~trace:(Coverage.hook percov) ~warm img
-      in
+      let res, percov = oracle_run ~warm ~policy img in
       Coverage.merge ~into:cov percov;
-      acc.a_violations <- acc.a_violations + res.Oracle.violations;
-      acc.a_checks <- acc.a_checks + res.Oracle.checks;
+      bump tally violations res.Oracle.violations;
+      bump tally checks res.Oracle.checks;
       let all_exited =
         List.for_all
           (fun (o : Oracle.outcome) ->
             match o.Oracle.stop with Oracle.Exited _ -> true | _ -> false)
           [ res.Oracle.golden; res.Oracle.vp; res.Oracle.vpp ]
       in
-      if all_exited then acc.a_completed <- acc.a_completed + 1;
-      (* 1. ISS correctness: golden model vs plain VP. *)
-      (match Oracle.explain res.Oracle.golden res.Oracle.vp with
-      | Some detail ->
-          acc.a_golden <- acc.a_golden + 1;
-          record_failure cfg acc ~index:i ~kind:"golden-vs-vp" ~detail
-            ~predicate:(fun p ->
-              try
-                let r = Oracle.run (Prog.assemble p) in
-                not (Oracle.agree r.Oracle.golden r.Oracle.vp)
-              with _ -> false)
-            prog
-      | None -> ());
-      (* 2. DIFT transparency: plain VP vs VP+ under the random policy. *)
-      (match Oracle.explain res.Oracle.vp res.Oracle.vpp with
-      | Some detail ->
-          acc.a_transparency <- acc.a_transparency + 1;
-          record_failure cfg acc ~index:i ~kind:"transparency" ~detail
-            ~predicate:(fun p ->
-              try
-                (* Same policy as the failing run: classification regions
-                   address RAM absolutely, so they stay valid as the
-                   program shrinks. *)
-                let r = Oracle.run ~policy (Prog.assemble p) in
-                not (Oracle.agree r.Oracle.vp r.Oracle.vpp)
-              with _ -> false)
-            prog
-      | None -> ());
-      (* 3. Declassification soundness. *)
-      (match Props.declass_free res with
-      | Props.Failed detail ->
-          acc.a_declass <- acc.a_declass + 1;
-          record_failure cfg acc ~index:i ~kind:"declassification" ~detail
-            ~predicate:(fun p ->
-              try (Oracle.run (Prog.assemble p)).Oracle.declassifications > 0
-              with _ -> false)
-            prog
-      | Props.Ok -> ());
-      (* 4. Taint-metamorphic properties, on a subsample. *)
-      if cfg.props_every > 0 && i mod cfg.props_every = 0 then begin
-        (match Props.purity img with
-        | Props.Failed detail ->
-            acc.a_purity <- acc.a_purity + 1;
-            record_failure cfg acc ~index:i ~kind:"purity" ~detail
-              ~predicate:(fun p ->
-                try
-                  match Props.purity (Prog.assemble p) with
-                  | Props.Failed _ -> true
-                  | Props.Ok -> false
-                with _ -> false)
-              prog
-        | Props.Ok -> ());
-        (match Props.trap_entry_pub img with
-        | Props.Failed detail ->
-            acc.a_trap_taint <- acc.a_trap_taint + 1;
-            record_failure cfg acc ~index:i ~kind:"trap-entry-taint" ~detail
-              ~predicate:(fun p ->
-                try
-                  match Props.trap_entry_pub (Prog.assemble p) with
-                  | Props.Failed _ -> true
-                  | Props.Ok -> false
-                with _ -> false)
-              prog
-        | Props.Ok -> ());
-        match Props.monotonic prng img with
-        | Props.Failed detail ->
-            acc.a_monotonic <- acc.a_monotonic + 1;
-            record_failure cfg acc ~index:i ~kind:"monotonicity" ~detail
-              ~predicate:(fun p ->
-                try
-                  match
-                    Props.monotonic (Rng.create ~seed:(cfg.seed + i)) (Prog.assemble p)
-                  with
-                  | Props.Failed _ -> true
-                  | Props.Ok -> false
-                with _ -> false)
-              prog
-        | Props.Ok -> ()
-      end;
-      (* 5. Compiled-vs-reference: the same program on the single-step
-         reference (block cache off) must agree with the compiled runs
-         already taken by the oracle above, on both flavours — including
-         taint tags on VP+. *)
-      if cfg.cache_diff then begin
-        let nocache_vpp, _ =
-          Oracle.run_vp ~tracking:true ~block_cache:false ~policy img
-        in
-        (match Oracle.explain res.Oracle.vpp nocache_vpp with
-        | Some detail ->
-            acc.a_cache <- acc.a_cache + 1;
-            record_failure cfg acc ~index:i ~kind:"cache-vs-nocache"
-              ~detail:(Printf.sprintf "VP+ cached vs single-step: %s" detail)
-              ~predicate:(fun p ->
+      if all_exited then bump tally completed 1;
+      let detected = Lazy.from_val (res, percov) in
+      List.iter
+        (fun c ->
+          match c.test detected img with
+          | None -> ()
+          | Some detail ->
+              bump tally c.slot 1;
+              let predicate p =
                 try
                   let img = Prog.assemble p in
-                  let cached, _ = Oracle.run_vp ~tracking:true ~policy img in
-                  let plain, _ =
-                    Oracle.run_vp ~tracking:true ~block_cache:false ~policy img
-                  in
-                  not (Oracle.agree cached plain)
-                with _ -> false)
-              prog
-        | None -> ());
-        let nocache_vp, _ =
-          Oracle.run_vp ~tracking:false ~block_cache:false img
-        in
-        match Oracle.explain res.Oracle.vp nocache_vp with
-        | Some detail ->
-            acc.a_cache <- acc.a_cache + 1;
-            record_failure cfg acc ~index:i ~kind:"cache-vs-nocache"
-              ~detail:(Printf.sprintf "VP cached vs single-step: %s" detail)
-              ~predicate:(fun p ->
-                try
-                  let img = Prog.assemble p in
-                  let cached, _ = Oracle.run_vp ~tracking:false img in
-                  let plain, _ =
-                    Oracle.run_vp ~tracking:false ~block_cache:false img
-                  in
-                  not (Oracle.agree cached plain)
-                with _ -> false)
-              prog
-        | None -> ()
-      end;
-      (* 6. Snapshot transparency: the same program run in checkpointed
-         segments — pause, save, restore into a fresh SoC, continue —
-         must agree with an uninterrupted run on the same time-sync
-         grid. The shrink predicate replays the whole snapshot cycle. *)
-      if cfg.snap_diff then begin
-        let straight, _ =
-          Oracle.run_vp ~tracking:true ~quantum:Oracle.snap_quantum ~policy img
-        in
-        let snap, _ = Oracle.run_vp_snapshot ~tracking:true ~policy img in
-        match Oracle.explain straight snap with
-        | Some detail ->
-            acc.a_snapshot <- acc.a_snapshot + 1;
-            record_failure cfg acc ~index:i ~kind:"snapshot-vs-straight"
-              ~detail:
-                (Printf.sprintf "checkpointed vs uninterrupted: %s" detail)
-              ~predicate:(fun p ->
-                try
-                  let img = Prog.assemble p in
-                  let straight, _ =
-                    Oracle.run_vp ~tracking:true ~quantum:Oracle.snap_quantum
-                      ~policy img
-                  in
-                  let snap, _ =
-                    Oracle.run_vp_snapshot ~tracking:true ~policy img
-                  in
-                  not (Oracle.agree straight snap)
-                with _ -> false)
-              prog
-        | None -> ()
-      end;
-      (* 7. Fault injection: validate the detect-shrink-report pipeline. *)
-      match cfg.inject with
-      | Some op when Coverage.count percov op > 0 ->
-          acc.a_injected <- acc.a_injected + 1;
-          record_failure cfg acc ~index:i
-            ~kind:(Printf.sprintf "injected:%s" op)
-            ~detail:(Printf.sprintf "program executed '%s' (injected fault)" op)
-            ~predicate:(executes_opcode op) prog
-      | _ -> ()
+                  c.test (lazy (oracle_run ~policy img)) img <> None
+                with _ -> false
+              in
+              record_failure cfg tally ~index ~kind:c.kind ~detail ~predicate
+                prog)
+        (check_table cfg prng ~index ~policy)
     with
     | () -> ()
-    | exception _ -> acc.a_errors <- acc.a_errors + 1
+    | exception _ -> bump tally errors 1
   done;
-  (acc, cov)
+  (tally, cov)
 
 let run ?(config = default) () =
   let cfg = config in
@@ -579,25 +476,25 @@ let run ?(config = default) () =
      the sequential accumulation exactly. *)
   let cov = Coverage.create () in
   Array.iter (fun (_, c) -> Coverage.merge ~into:cov c) outs;
-  let sum f = Array.fold_left (fun t (a, _) -> t + f a) 0 outs in
+  let sum slot = Array.fold_left (fun n (t, _) -> n + t.counts.(slot)) 0 outs in
   let failures =
-    Array.fold_left (fun tail (a, _) -> a.a_failures @ tail) [] outs
+    Array.fold_left (fun tail (t, _) -> t.failures @ tail) [] outs
   in
   {
     programs = cfg.programs;
-    completed = sum (fun a -> a.a_completed);
-    golden_mismatches = sum (fun a -> a.a_golden);
-    transparency_mismatches = sum (fun a -> a.a_transparency);
-    purity_failures = sum (fun a -> a.a_purity);
-    monotonicity_failures = sum (fun a -> a.a_monotonic);
-    trap_taint_failures = sum (fun a -> a.a_trap_taint);
-    declass_violations = sum (fun a -> a.a_declass);
-    cache_mismatches = sum (fun a -> a.a_cache);
-    snapshot_mismatches = sum (fun a -> a.a_snapshot);
-    injected_hits = sum (fun a -> a.a_injected);
-    violations = sum (fun a -> a.a_violations);
-    checks = sum (fun a -> a.a_checks);
-    errors = sum (fun a -> a.a_errors);
+    completed = sum completed;
+    golden_mismatches = sum golden;
+    transparency_mismatches = sum transparency;
+    purity_failures = sum purity;
+    monotonicity_failures = sum monotonic;
+    trap_taint_failures = sum trap_taint;
+    declass_violations = sum declass;
+    cache_mismatches = sum cache;
+    snapshot_mismatches = sum snapshot;
+    injected_hits = sum injected;
+    violations = sum violations;
+    checks = sum checks;
+    errors = sum errors;
     coverage = cov;
     failures;
   }

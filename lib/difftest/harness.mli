@@ -1,10 +1,14 @@
 (** The coverage-guided differential-testing loop.
 
     Each iteration generates a structured random program (weights fed by
-    the global coverage table), runs the three-way {!Oracle}, checks the
-    {!Props} metamorphic properties on a subsample, and — when anything
-    fails — shrinks the program to a minimal reproducer and renders it as
-    a standalone [.s] file. *)
+    the global coverage table), runs the three-way {!Oracle} once, and
+    walks one table of checks over it: golden and transparency agreement,
+    declassification soundness, the {!Props} metamorphic properties on a
+    subsample, and the optional compiled-vs-reference, snapshot and
+    injected-fault checks. Each check is a single test that both detects
+    a failure and, re-run on candidate programs, is the shrinker's
+    predicate — so a failing program shrinks to a minimal reproducer of
+    the same failure, rendered as a standalone [.s] file. *)
 
 type config = {
   seed : int;

@@ -129,6 +129,37 @@ let warm_boot () =
   let soc = Vp.Soc.create ~policy ~monitor ~tracking:false () in
   Vp.Soc.boot_snapshot soc
 
+let stop_of = function
+  | Rv32.Core.Exited c -> Exited c
+  | Rv32.Core.Insn_limit -> Out_of_budget
+  | Rv32.Core.Breakpoint | Rv32.Core.Running -> Trapped
+
+(* The final state of a VP run, read off the SoC. *)
+let observe ~tracking img soc stop =
+  let core = soc.Vp.Soc.core and memory = soc.Vp.Soc.memory in
+  let buf, len = buf_window img in
+  let base = buf - Vp.Soc.ram_base in
+  let per_reg f = Array.init 32 (fun i -> if i = 0 then 0 else f core i) in
+  {
+    stop;
+    regs = per_reg Rv32.Core.get_reg;
+    mem =
+      String.init len (fun i ->
+          Char.chr (Vp.Memory.read_byte memory (base + i)));
+    instret = Rv32.Core.instret core;
+    tags =
+      (if tracking then
+         Some
+           ( per_reg Rv32.Core.get_reg_tag,
+             Array.init len (fun i -> Vp.Memory.read_tag memory (base + i)) )
+       else None);
+  }
+
+let monitor_counts m =
+  ( Dift.Monitor.violation_count m,
+    Dift.Monitor.check_count m,
+    Dift.Monitor.declassification_count m )
+
 let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
     ?warm img =
   let policy =
@@ -144,37 +175,13 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
   Vp.Soc.load_image soc img;
   Vp.Soc.set_trace soc trace;
   let stop =
-    match Vp.Soc.run_for_instructions soc max_insns with
-    | Rv32.Core.Exited c -> Exited c
-    | Rv32.Core.Insn_limit -> Out_of_budget
-    | Rv32.Core.Breakpoint | Rv32.Core.Running -> Trapped
-    | exception _ -> Trapped
+    try stop_of (Vp.Soc.run_for_instructions soc max_insns)
+    with _ -> Trapped
   in
-  let regs =
-    Array.init 32 (fun i ->
-        if i = 0 then 0 else Rv32.Core.get_reg soc.Vp.Soc.core i)
-  in
-  let buf, len = buf_window img in
-  let base = buf - Vp.Soc.ram_base in
-  let mem =
-    String.init len (fun i -> Char.chr (Vp.Memory.read_byte soc.Vp.Soc.memory (base + i)))
-  in
-  let tags =
-    if tracking then
-      Some
-        ( Array.init 32 (fun i ->
-              if i = 0 then 0 else Rv32.Core.get_reg_tag soc.Vp.Soc.core i),
-          Array.init len (fun i ->
-              Vp.Memory.read_tag soc.Vp.Soc.memory (base + i)) )
-    else None
-  in
-  ( { stop; regs; mem; instret = Rv32.Core.instret soc.Vp.Soc.core; tags },
-    ( Dift.Monitor.violation_count monitor,
-      Dift.Monitor.check_count monitor,
-      Dift.Monitor.declassification_count monitor ) )
+  (observe ~tracking img soc stop, monitor_counts monitor)
 
 (* Snapshot-vs-straight differential: the checkpointed run pauses every
-   [stride] instructions, serialises the whole platform, restores the
+   200 instructions, serialises the whole platform, restores the
    snapshot into a brand-new SoC and continues there — so every segment
    boundary exercises the full save/restore cycle. Both this and the
    straight run it is compared against must use the same (small) quantum:
@@ -182,7 +189,8 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
    are. *)
 let snap_quantum = 64
 
-let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
+let run_vp_snapshot ?policy img =
+  let stride = 200 in
   let policy =
     match policy with Some p -> p | None -> unrestricted_policy ()
   in
@@ -191,18 +199,15 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
       Dift.Monitor.create ~mode:Dift.Monitor.Record policy.Dift.Policy.lattice
     in
     let soc =
-      Vp.Soc.create ~policy ~monitor ~tracking ~quantum:snap_quantum ()
+      Vp.Soc.create ~policy ~monitor ~tracking:true ~quantum:snap_quantum ()
     in
     Vp.Soc.load_image soc img;
     (soc, monitor)
   in
   let totals = ref (0, 0, 0) in
   let add m =
-    let v, c, d = !totals in
-    totals :=
-      ( v + Dift.Monitor.violation_count m,
-        c + Dift.Monitor.check_count m,
-        d + Dift.Monitor.declassification_count m )
+    let v, c, d = !totals and v', c', d' = monitor_counts m in
+    totals := (v + v', c + c', d + d')
   in
   let rec cycle (soc, mon) =
     Vp.Soc.pause_at soc (Rv32.Core.instret soc.Vp.Soc.core + stride);
@@ -231,35 +236,8 @@ let run_vp_snapshot ~tracking ?policy ?(stride = 200) img =
           tags = None },
         !totals )
   | soc ->
-      let stop =
-        match Rv32.Core.exit_reason soc.Vp.Soc.core with
-        | Rv32.Core.Exited c -> Exited c
-        | Rv32.Core.Insn_limit -> Out_of_budget
-        | Rv32.Core.Breakpoint | Rv32.Core.Running -> Trapped
-      in
-      let regs =
-        Array.init 32 (fun i ->
-            if i = 0 then 0 else Rv32.Core.get_reg soc.Vp.Soc.core i)
-      in
-      let buf, len = buf_window img in
-      let base = buf - Vp.Soc.ram_base in
-      let mem =
-        String.init len (fun i ->
-            Char.chr (Vp.Memory.read_byte soc.Vp.Soc.memory (base + i)))
-      in
-      let tags =
-        if tracking then
-          Some
-            ( Array.init 32 (fun i ->
-                  if i = 0 then 0
-                  else Rv32.Core.get_reg_tag soc.Vp.Soc.core i),
-              Array.init len (fun i ->
-                  Vp.Memory.read_tag soc.Vp.Soc.memory (base + i)) )
-        else None
-      in
-      ( { stop; regs; mem; instret = Rv32.Core.instret soc.Vp.Soc.core;
-          tags },
-        !totals )
+      let stop = stop_of (Rv32.Core.exit_reason soc.Vp.Soc.core) in
+      (observe ~tracking:true img soc stop, !totals)
 
 let run ?policy ?trace ?warm img =
   let golden = run_golden img in

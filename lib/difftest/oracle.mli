@@ -91,17 +91,13 @@ val snap_quantum : int
     compared against it must pass the same value to {!run_vp}. *)
 
 val run_vp_snapshot :
-  tracking:bool ->
-  ?policy:Dift.Policy.t ->
-  ?stride:int ->
-  Rv32_asm.Image.t ->
-  outcome * (int * int * int)
-(** The tracked VP run chopped into [stride]-instruction segments: at each
+  ?policy:Dift.Policy.t -> Rv32_asm.Image.t -> outcome * (int * int * int)
+(** The tracked VP run chopped into 200-instruction segments: at each
     boundary the platform is paused, serialised with {!Vp.Soc.save},
     restored into a brand-new SoC with {!Vp.Soc.restore}, and continued
-    there. The final outcome must agree with an uninterrupted {!run_vp}
-    at {!snap_quantum} — any disagreement is a snapshot machinery bug.
-    Monitor counters are summed across segments. *)
+    there. The final outcome must agree with an uninterrupted tracked
+    {!run_vp} at {!snap_quantum} — any disagreement is a snapshot
+    machinery bug. Monitor counters are summed across segments. *)
 
 val run :
   ?policy:Dift.Policy.t ->

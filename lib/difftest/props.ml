@@ -1,5 +1,3 @@
-type verdict = Ok | Failed of string
-
 let lc_hc () =
   let lat = Dift.Lattice.confidentiality () in
   ( lat,
@@ -32,17 +30,17 @@ let purity img =
     (fun i t -> if i > 0 && t <> lc && !bad_reg = None then bad_reg := Some i)
     (reg_tags soc);
   match !bad_reg with
-  | Some i -> Failed (Printf.sprintf "register %s became tainted" (Rv32.Reg.name i))
+  | Some i -> Some (Printf.sprintf "register %s became tainted" (Rv32.Reg.name i))
   | None -> (
       match Vp.Memory.tainted_regions soc.Vp.Soc.memory ~baseline:lc with
       | (lo, hi, _) :: _ ->
-          Failed (Printf.sprintf "RAM bytes [0x%x..0x%x] became tainted" lo hi)
+          Some (Printf.sprintf "RAM bytes [0x%x..0x%x] became tainted" lo hi)
       | [] ->
           if Dift.Monitor.violation_count monitor <> 0 then
-            Failed "check-free policy recorded violations"
+            Some "check-free policy recorded violations"
           else if Dift.Monitor.declassification_count monitor <> 0 then
-            Failed "check-free policy recorded declassifications"
-          else Ok)
+            Some "check-free policy recorded declassifications"
+          else None)
 
 (* Tainted-output footprint: which registers / scratch bytes carry HC. *)
 let footprint soc img hc =
@@ -53,17 +51,22 @@ let footprint soc img hc =
   Array.iteri (fun i t -> if t = hc then tainted_bytes := i :: !tainted_bytes) bufs;
   (!tainted_regs, !tainted_bytes)
 
-let monotonic rng img =
+type ranges = (int * int) * (int * int)
+
+let draw_ranges rng =
+  let range () =
+    let lo = Rng.int rng Prog.buf_size in
+    (lo, min (Prog.buf_size - 1) (lo + Rng.int rng 64))
+  in
+  let a = range () in
+  (a, range ())
+
+let monotonic ((lo_a, hi_a), (lo_b, hi_b)) img =
   let lat, lc, hc = lc_hc () in
   let buf = Rv32_asm.Image.symbol img "buf" in
-  let random_range () =
-    let lo = buf + Rng.int rng Prog.buf_size in
-    let hi = min (buf + Prog.buf_size - 1) (lo + Rng.int rng 64) in
-    (lo, hi)
+  let region name lo hi =
+    Dift.Policy.region ~name ~lo:(buf + lo) ~hi:(buf + hi) ~tag:hc
   in
-  let lo_a, hi_a = random_range () in
-  let lo_b, hi_b = random_range () in
-  let region name lo hi = Dift.Policy.region ~name ~lo ~hi ~tag:hc in
   let mk classification =
     Dift.Policy.make ~lattice:lat ~default_tag:lc ~classification ()
   in
@@ -73,10 +76,10 @@ let monotonic rng img =
   let regs_b, bytes_b = footprint soc_b img hc in
   let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
   if not (subset regs_a regs_b) then
-    Failed "a register tainted under A is clean under A∪B"
+    Some "a register tainted under A is clean under A∪B"
   else if not (subset bytes_a bytes_b) then
-    Failed "a scratch byte tainted under A is clean under A∪B"
-  else Ok
+    Some "a scratch byte tainted under A is clean under A∪B"
+  else None
 
 (* Trap delivery must not be a taint channel: mepc/mcause/mtval are
    written by the trap-entry microarchitecture with control-plane (pub)
@@ -113,14 +116,14 @@ let trap_entry_pub img =
     List.find_opt (fun (_, t) -> not (Dift.Lattice.allowed_flow lat t lc)) checks
   with
   | Some (name, t) ->
-      Failed
+      Some
         (Printf.sprintf "trap CSR %s carries tag %s after trap entry" name
            (Dift.Lattice.name lat t))
-  | None -> Ok
+  | None -> None
 
 let declass_free (r : Oracle.result3) =
-  if r.Oracle.declassifications = 0 then Ok
+  if r.Oracle.declassifications = 0 then None
   else
-    Failed
+    Some
       (Printf.sprintf "%d declassification(s) with no declassifying peripheral in play"
          r.Oracle.declassifications)
