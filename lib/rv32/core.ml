@@ -177,6 +177,25 @@ type ic = {
   mutable ic_entry : unit -> unit;
 }
 
+(* One 4 KiB page of the code cache over the DMI region, indexed by word
+   offset within the page: the last word decoded there and its decoding
+   ([p_words]/[p_insns], validated by comparing the word, so
+   self-modifying code re-decodes), and the compiled chain starting at
+   that word ([p_blocks]). *)
+type page = {
+  p_words : int array;
+  p_insns : Insn.t array;
+  p_blocks : cblock option array;
+}
+
+let page_bits = 10  (* words per page, log2 *)
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+(* Every directory slot starts as this shared sentinel; lookups test it
+   by physical equality, so a miss boxes nothing. *)
+let no_page = { p_words = [||]; p_insns = [||]; p_blocks = [||] }
+
 type t = {
   kernel : Sysc.Kernel.t;
   bus : Bus_if.t;
@@ -198,21 +217,18 @@ type t = {
   mem_addr_req : int option;
   has_store_clearance : bool;
   strict_align : bool;  (* misaligned data accesses fault (cause 4 / 6) *)
-  decode_cache : (int, Insn.t) Hashtbl.t;
-  (* pc-indexed direct cache over the DMI (RAM) region: validated by
-     comparing the cached word, so self-modifying code re-decodes. Used
-     by the single-step path and during block building. *)
-  pc_cache_base : int;
-  pc_cache_words : int array;  (* empty if no DMI region *)
-  pc_cache_insns : Insn.t array;
-  (* Decoded basic-block cache over the same region, keyed by start pc.
-     Unlike the per-word cache it is NOT self-validating: stores into
-     cached code must call {!flush_code} (wired from Bus_if and the
-     SoC memory model). *)
+  decode_cache : (int, Insn.t) Hashtbl.t;  (* fetches outside DMI *)
+  (* Page directory over the DMI (RAM) region, one slot per 4 KiB page,
+     each [no_page] until code on it is first decoded: a program pays for
+     the pages it runs, not for the RAM. Decode entries serve the
+     single-step path and block building. Block entries, unlike decode
+     entries, are NOT self-validating: stores into cached code must call
+     {!flush_code} (wired from Bus_if and the SoC memory model). *)
+  pages : page array;  (* [||] if no DMI region *)
+  dmi_base : int;
+  dmi_limit : int;
+  dmi_words : int;  (* word slots covered by [pages]; 0 without DMI *)
   use_blocks : bool;
-  cblocks : cblock option array;  (* [||] when the cache is disabled *)
-  blk_base : int;
-  blk_limit : int;
   mutable code_lo : int;  (* byte range ever covered by built blocks *)
   mutable code_hi : int;
   mutable flush_epoch : int;
@@ -262,9 +278,37 @@ type t = {
   mutable on_trap : (trap_event -> unit) option;
 }
 
+(* The page holding DMI word [idx], allocated on first use. *)
+let page_at t idx =
+  let n = idx lsr page_bits in
+  let p = Array.unsafe_get t.pages n in
+  if p != no_page then p
+  else begin
+    let p =
+      {
+        p_words = Array.make page_words (-1);
+        p_insns = Array.make page_words (Insn.ILLEGAL 0);
+        p_blocks = Array.make page_words None;
+      }
+    in
+    Array.unsafe_set t.pages n p;
+    p
+  end
+
+(* Block slot of DMI word [idx] (a global word index, [< dmi_words]). *)
+let[@inline] slot_get t idx =
+  let p = Array.unsafe_get t.pages (idx lsr page_bits) in
+  if p == no_page then None else Array.unsafe_get p.p_blocks (idx land page_mask)
+
+let slot_set t idx cb =
+  Array.unsafe_set (page_at t idx).p_blocks (idx land page_mask) cb
+
 (* Invalidate every cached block overlapping [addr .. addr+len-1] (the
    caller already wrote the bytes). Cheap when the write is outside any
-   code executed so far: one range compare. *)
+   code executed so far: one range compare. Otherwise the positional
+   window is walked page by page, jumping over pages that were never
+   allocated, so a full-RAM flush (snapshot restore, warm start) costs
+   the pages the program used. *)
 let flush_code t ~addr ~len =
   if
     len > 0 && t.use_blocks
@@ -275,15 +319,21 @@ let flush_code t ~addr ~len =
     let last = addr + len - 1 in
     (* A block starting up to max_block_insns-1 words earlier can still
        cover [addr]. *)
-    let lo = max t.blk_base (addr - ((max_block_insns - 1) * 4)) in
-    let hi = min last t.blk_limit in
+    let lo = max t.dmi_base (addr - ((max_block_insns - 1) * 4)) in
+    let hi = min last t.dmi_limit in
     if lo <= hi then begin
-      let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
-      for i = i0 to i1 do
-        match Array.unsafe_get t.cblocks i with
-        | Some cb ->
-            if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
-        | None -> ()
+      let i0 = (lo - t.dmi_base) lsr 2 and i1 = (hi - t.dmi_base) lsr 2 in
+      for n = i0 lsr page_bits to i1 lsr page_bits do
+        let p = Array.unsafe_get t.pages n in
+        if p != no_page then
+          for i = max i0 (n lsl page_bits)
+              to min i1 ((n lsl page_bits) lor page_mask) do
+            let j = i land page_mask in
+            match Array.unsafe_get p.p_blocks j with
+            | Some cb ->
+                if cb.cb_hi >= addr then Array.unsafe_set p.p_blocks j None
+            | None -> ()
+          done
       done
     end;
     (* Superblocks span two blocks, so the slot may sit outside the
@@ -294,10 +344,10 @@ let flush_code t ~addr ~len =
       t.sblocks <-
         List.filter
           (fun (i, cb) ->
-            match Array.unsafe_get t.cblocks i with
+            match slot_get t i with
             | Some cur when cur == cb ->
                 if cb.cb_hi >= addr && cb.cb_lo <= last then begin
-                  Array.unsafe_set t.cblocks i None;
+                  slot_set t i None;
                   false
                 end
                 else true
@@ -307,12 +357,10 @@ let flush_code t ~addr ~len =
 
 let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
     ?(strict_align = false) ~pc () =
-  let pc_cache_base, pc_cache_words, pc_cache_insns =
+  let dmi_base, dmi_limit, dmi_words =
     match Bus_if.dmi_range bus with
-    | Some (base, limit) ->
-        let entries = ((limit - base) / 4) + 1 in
-        (base, Array.make entries (-1), Array.make entries (Insn.ILLEGAL 0))
-    | None -> (0, [||], [||])
+    | Some (base, limit) -> (base, limit, ((limit - base) / 4) + 1)
+    | None -> (0, -1, 0)
   in
   let lat = policy.Dift.Policy.lattice in
   let pub =
@@ -320,12 +368,7 @@ let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
     | Some b -> b
     | None -> policy.Dift.Policy.default_tag
   in
-  let cache_entries, blk_base, blk_limit =
-    match Bus_if.dmi_range bus with
-    | Some (base, limit) when block_cache ->
-        (((limit - base) / 4) + 1, base, limit)
-    | Some _ | None -> (0, 0, -1)
-  in
+  let use_blocks = block_cache && dmi_words > 0 in
   (* The fast path is sound only if the bottom tag passes every check the
      value-only variant leaves out: the execution clearances and all
      store-integrity regions. Policies where bottom itself is not cleared
@@ -336,7 +379,7 @@ let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
   in
   let tracking = Bus_if.tracking bus in
   let fast_spec =
-    cache_entries > 0
+    use_blocks
     && ((not tracking)
        || pub_flows_to policy.Dift.Policy.exec_fetch
           && pub_flows_to policy.Dift.Policy.exec_branch
@@ -368,13 +411,11 @@ let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
       has_store_clearance = policy.Dift.Policy.store_clearance <> [];
       strict_align;
       decode_cache = Hashtbl.create 1024;
-      pc_cache_base;
-      pc_cache_words;
-      pc_cache_insns;
-      use_blocks = cache_entries > 0;
-      cblocks = Array.make cache_entries None;
-      blk_base;
-      blk_limit;
+      pages = Array.make ((dmi_words + page_mask) lsr page_bits) no_page;
+      dmi_base;
+      dmi_limit;
+      dmi_words;
+      use_blocks;
       code_lo = max_int;
       code_hi = min_int;
       flush_epoch = 0;
@@ -437,9 +478,11 @@ let halt t reason =
    reference reads [t.trace] dynamically and needs neither. *)
 let set_trace t fn =
   t.trace <- fn;
-  if Array.length t.cblocks > 0 then begin
+  if t.use_blocks then begin
     t.flush_epoch <- t.flush_epoch + 1;
-    Array.fill t.cblocks 0 (Array.length t.cblocks) None;
+    Array.iter
+      (fun p -> if p != no_page then Array.fill p.p_blocks 0 page_words None)
+      t.pages;
     t.sblocks <- [];
     t.prev_cb <- None
   end
@@ -811,16 +854,17 @@ let decode_slow t word =
     insn
 
 let decode_cached t pc word =
-  let idx = (pc - t.pc_cache_base) lsr 2 in
-  if idx >= 0 && idx < Array.length t.pc_cache_words then
-    if Array.unsafe_get t.pc_cache_words idx = word then
-      Array.unsafe_get t.pc_cache_insns idx
+  let idx = (pc - t.dmi_base) lsr 2 in
+  if idx < t.dmi_words then begin
+    let p = page_at t idx and j = idx land page_mask in
+    if Array.unsafe_get p.p_words j = word then Array.unsafe_get p.p_insns j
     else begin
       let insn = Decode.decode word in
-      Array.unsafe_set t.pc_cache_words idx word;
-      Array.unsafe_set t.pc_cache_insns idx insn;
+      Array.unsafe_set p.p_words j word;
+      Array.unsafe_set p.p_insns j insn;
       insn
     end
+  end
   else decode_slow t word
 
 let step t =
@@ -881,7 +925,7 @@ let build_block t pc =
   let addr = ref pc in
   let all_pub = ref true in
   let stop = ref false in
-  while (not !stop) && !n < max_block_insns && !addr + 3 <= t.blk_limit do
+  while (not !stop) && !n < max_block_insns && !addr + 3 <= t.dmi_limit do
     let w = Bus_if.load t.bus ~width:4 ~addr:!addr in
     let tag = if t.tracking then Bus_if.last_tag t.bus else t.pub in
     let insn = decode_cached t !addr w in
@@ -992,9 +1036,9 @@ let ic_miss t ic ~tgt ~entry_of =
   t.n_ic_miss <- t.n_ic_miss + 1;
   if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
     if tgt land 3 = 0 then
-      let idx = (tgt - t.blk_base) lsr 2 in
-      if idx >= 0 && idx < Array.length t.cblocks then
-        match Array.unsafe_get t.cblocks idx with
+      let idx = (tgt - t.dmi_base) lsr 2 in
+      if idx < t.dmi_words then
+        match slot_get t idx with
         | Some cb when cb.cb_n > 0 ->
             ic.ic_pc <- tgt;
             ic.ic_epoch <- t.flush_epoch;
@@ -1352,7 +1396,7 @@ let ends_in_jalr b =
    re-fetched, so [blocks_built] is unchanged. *)
 let link_superblock t pred pidx succ =
   let sb = compile_block ~link:succ t pred.cb_blk in
-  Array.unsafe_set t.cblocks pidx (Some sb);
+  slot_set t pidx (Some sb);
   t.sblocks <- (pidx, sb) :: t.sblocks;
   t.n_superblocks <- t.n_superblocks + 1;
   sb
@@ -1368,18 +1412,18 @@ let dispatch t =
   end
   else begin
     let pc0 = t.pc in
-    let idx = (pc0 - t.blk_base) lsr 2 in
-    if pc0 land 3 <> 0 || idx >= Array.length t.cblocks then begin
+    let idx = (pc0 - t.dmi_base) lsr 2 in
+    if pc0 land 3 <> 0 || idx >= t.dmi_words then begin
       t.prev_cb <- None;
       step t
     end
     else
       let cb =
-        match Array.unsafe_get t.cblocks idx with
+        match slot_get t idx with
         | Some cb -> cb
         | None ->
             let cb = compile_block t (build_block t pc0) in
-            Array.unsafe_set t.cblocks idx (Some cb);
+            slot_set t idx (Some cb);
             cb
       in
       if cb.cb_n = 0 then begin
@@ -1404,8 +1448,8 @@ let dispatch t =
                   p.cb_edge_n >= superblock_threshold
                   && not (ends_in_jalr p.cb_blk)
                 then begin
-                  let pidx = (p.cb_pc - t.blk_base) lsr 2 in
-                  match Array.unsafe_get t.cblocks pidx with
+                  let pidx = (p.cb_pc - t.dmi_base) lsr 2 in
+                  match slot_get t pidx with
                   | Some cur when cur == p ->
                       let sb = link_superblock t p pidx cb in
                       if p.cb_pc = pc0 then sb else cb

@@ -1,6 +1,7 @@
 (* Correctness tests for the decoded basic-block cache: self-modifying
    code through the CPU's DMI store path (cross-block and within the
-   running block), DMA writes into cached code over TLM, and agreement of
+   running block), DMA writes into cached code over TLM, code placed at
+   page boundaries and far up in RAM, and agreement of
    exit code / retired-instruction count between cached and single-step
    execution in both VP flavours. *)
 
@@ -128,6 +129,102 @@ let dma_into_code p =
 let test_dma_into_code () =
   check_all_configs ~name:"dma into code" ~code:100 dma_into_code
 
+(* The code cache is a directory of 4 KiB pages allocated on first
+   decode; the next three programs place code at page boundaries, far up
+   in RAM and on a page only DMA has written. *)
+let page = 4096
+
+(* A block starting 8 words before a page boundary runs into the next
+   page, and a second block starts on that boundary; a store patches
+   their shared word on the second page. Invalidation must reach back
+   (max_block_insns - 1 words) across the boundary to the first block's
+   start and still clear the second page. *)
+let block_across_pages p =
+  A.li p R.a0 0;
+  A.li p R.s2 3;
+  A.la p R.t0 "site";
+  A.la p R.t1 "newinsn";
+  A.lw p R.t1 R.t1 0;
+  A.label p "loop";
+  A.call p "blk";
+  A.call p "blk2";
+  A.sw p R.t1 R.t0 0;
+  A.addi p R.s2 R.s2 (-1);
+  A.bnez_l p R.s2 "loop";
+  A.li p R.a7 93;
+  A.ecall p;
+  A.align p 4;
+  A.label p "newinsn";
+  (* addi a0, a0, 100 *)
+  A.word p (Rv32.Encode.encode (Rv32.Insn.ADDI (R.a0, R.a0, 100)));
+  A.align p page;
+  A.space p (page - 32);
+  A.label p "blk";
+  for _ = 1 to 8 do
+    A.addi p R.a0 R.a0 1
+  done;
+  A.label p "blk2";
+  A.addi p R.a0 R.a0 1;
+  A.label p "site";
+  A.addi p R.a0 R.a0 1;
+  A.ret p
+
+(* First round (8 + 1 + 1) + (1 + 1), two patched rounds
+   (8 + 1 + 100) + (1 + 100) each. *)
+let test_block_across_pages () =
+  check_all_configs ~name:"block across pages" ~code:432 block_across_pages
+
+(* Sum 1..100 in a loop on the last page of RAM. *)
+let loop_on_last_page p =
+  A.la p R.t0 "far";
+  A.jalr p R.zero R.t0 0;
+  A.align p page;
+  A.space p (Vp.Soc.ram_base + Vp.Soc.ram_size - page - A.here p ());
+  A.label p "far";
+  A.li p R.a0 0;
+  A.li p R.t0 1;
+  A.li p R.t1 100;
+  A.label p "loop";
+  A.add p R.a0 R.a0 R.t0;
+  A.addi p R.t0 R.t0 1;
+  A.bge_l p R.t1 R.t0 "loop";
+  A.li p R.a7 93;
+  A.ecall p
+
+let test_loop_on_last_page () =
+  check_all_configs ~name:"loop on last page" ~code:5050 loop_on_last_page;
+  let soc, reason = run_bc loop_on_last_page in
+  expect_exit reason 5050;
+  let core = soc.Vp.Soc.core in
+  check_bool "blocks built on the last page" true
+    (Rv32.Core.blocks_built core > 0);
+  check_bool "the loop chains into itself" true (Rv32.Core.chain_hits core > 0)
+
+(* DMA copies three instructions to a page nothing has decoded yet, and
+   the program jumps there. *)
+let dma_into_fresh_page p =
+  A.la p R.t0 "payload";
+  A.li p R.t1 (Vp.Soc.ram_base + 0x40000);
+  A.li p R.t2 Vp.Soc.dma_base;
+  A.sw p R.t0 R.t2 0x0;
+  A.sw p R.t1 R.t2 0x4;
+  A.li p R.t3 12;
+  A.sw p R.t3 R.t2 0x8;
+  A.li p R.t3 1;
+  A.sw p R.t3 R.t2 0xc;
+  A.label p "poll";
+  A.lw p R.t3 R.t2 0xc;
+  A.bnez_l p R.t3 "poll";
+  A.jalr p R.zero R.t1 0;
+  A.align p 4;
+  A.label p "payload";
+  List.iter
+    (fun i -> A.word p (Rv32.Encode.encode i))
+    Rv32.Insn.[ ADDI (R.a0, R.zero, 77); ADDI (R.a7, R.zero, 93); ECALL ]
+
+let test_dma_into_fresh_page () =
+  check_all_configs ~name:"dma into fresh page" ~code:77 dma_into_fresh_page
+
 let test_counters () =
   let soc, reason = run_bc smc_cross_block in
   expect_exit reason 201;
@@ -207,6 +304,15 @@ let () =
             test_smc_in_block;
           Alcotest.test_case "dma write into cached code" `Quick
             test_dma_into_code;
+        ] );
+      ( "pages",
+        [
+          Alcotest.test_case "block across a page boundary" `Quick
+            test_block_across_pages;
+          Alcotest.test_case "loop on the last page of RAM" `Quick
+            test_loop_on_last_page;
+          Alcotest.test_case "dma into a never-decoded page" `Quick
+            test_dma_into_fresh_page;
         ] );
       ( "counters",
         [ Alcotest.test_case "block/fast-path counters" `Quick test_counters ]

@@ -465,6 +465,20 @@ let test_gpio_tamper_public () =
   expect_exit (Vp.Soc.run_for_instructions soc 10_000) 0;
   check_string "tamper reported" "T" (Vp.Uart.tx_string soc.Vp.Soc.uart)
 
+(* Creating a SoC costs the RAM's value and tag bytes (2 MiB, 262,144
+   words) plus a bounded rest; the core's code caches grow with the pages
+   the program runs, so no RAM-sized table may come back (with three of
+   them, creation allocated about 1,051,000 words). *)
+let test_create_allocation () =
+  let policy = trivial_policy () in
+  let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+  let before = Gc.allocated_bytes () in
+  let soc = Vp.Soc.create ~policy ~monitor () in
+  let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity soc);
+  if words >= 400_000. then
+    Alcotest.failf "Vp.Soc.create allocated %.0f words (bound 400,000)" words
+
 let () =
   Alcotest.run "soc"
 
@@ -489,5 +503,7 @@ let () =
             test_gpio_tamper_classified;
           Alcotest.test_case "gpio tamper pin (public)" `Quick
             test_gpio_tamper_public;
+          Alcotest.test_case "create allocates no RAM-sized cache" `Quick
+            test_create_allocation;
         ] );
     ]
