@@ -286,14 +286,26 @@ let oracle_run ?warm ~policy img =
 let check_table cfg prng ~index ~policy =
   let res r = fst (Lazy.force r) in
   let labelled label = Option.map (Printf.sprintf "%s: %s" label) in
-  (* Compiled vs the single-step reference, taint tags included on VP+. *)
-  let vs_reference ~tracking ?policy leg label =
+  (* Compiled vs the single-step reference, taint tags included on VP+.
+     [counts] reads the compiled leg's violation and declassification
+     counts, which must match the reference's too; check counts are not
+     compared, since the fast path skips checks that cannot fail. *)
+  let vs_reference ~tracking ?policy ?counts leg label =
     let test r img =
-      let reference, _ =
+      let reference, (violations, _, declassifications) =
         Oracle.run_vp ~tracking ~block_cache:false ?policy img
       in
       labelled (label ^ " cached vs single-step")
-        (Oracle.explain (leg (res r)) reference)
+        (match (Oracle.explain (leg (res r)) reference, counts) with
+        | None, Some counts ->
+            let v, d = counts (res r) in
+            if v = violations && d = declassifications then None
+            else
+              Some
+                (Printf.sprintf
+                   "violations/declassifications: %d/%d vs %d/%d" v d
+                   violations declassifications)
+        | diff, _ -> diff)
     in
     { kind = "cache-vs-nocache"; slot = cache; test }
   in
@@ -337,7 +349,9 @@ let check_table cfg prng ~index ~policy =
       (if not cfg.cache_diff then []
        else
          [
-           vs_reference ~tracking:true ~policy (fun r -> r.vpp) "VP+";
+           vs_reference ~tracking:true ~policy
+             ~counts:(fun r -> (r.violations, r.declassifications))
+             (fun r -> r.vpp) "VP+";
            vs_reference ~tracking:false (fun r -> r.vp) "VP";
          ]);
       (if not cfg.snap_diff then []
