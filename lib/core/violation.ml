@@ -17,9 +17,6 @@ type t = {
 
 exception Violation of t
 
-let raise_violation ~kind ~data_tag ~required_tag ?pc ?(detail = "") () =
-  raise (Violation { kind; data_tag; required_tag; pc; detail })
-
 let kind_name = function
   | Output_clearance port -> "output-clearance(" ^ port ^ ")"
   | Exec_fetch -> "exec-fetch"

@@ -32,15 +32,6 @@ type t = {
 
 exception Violation of t
 
-val raise_violation :
-  kind:kind ->
-  data_tag:Lattice.tag ->
-  required_tag:Lattice.tag ->
-  ?pc:int ->
-  ?detail:string ->
-  unit ->
-  'a
-
 val kind_name : kind -> string
 
 val pp : Lattice.t -> Format.formatter -> t -> unit

@@ -34,6 +34,3 @@ val strings_image : ?count:int -> unit -> Rv32_asm.Image.t
 
 val dispatch : ?rounds:int -> Rv32_asm.Asm.t -> unit
 val dispatch_image : ?rounds:int -> unit -> Rv32_asm.Image.t
-
-val dispatch_reference : int -> int
-(** Host model of {!dispatch}'s accumulator after [rounds] iterations. *)

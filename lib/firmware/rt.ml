@@ -56,18 +56,6 @@ let emit_memcpy p =
   A.label p "memcpy.done";
   A.ret p
 
-let emit_memset p =
-  A.label p "memset";
-  A.mv p R.t0 R.a0;
-  A.label p "memset.loop";
-  A.beqz_l p R.a2 "memset.done";
-  A.sb p R.a1 R.t0 0;
-  A.addi p R.t0 R.t0 1;
-  A.addi p R.a2 R.a2 (-1);
-  A.j p "memset.loop";
-  A.label p "memset.done";
-  A.ret p
-
 let emit_strcmp p =
   A.label p "strcmp";
   A.label p "strcmp.loop";

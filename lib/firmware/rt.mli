@@ -37,9 +37,6 @@ val emit_uart_puts : Rv32_asm.Asm.t -> unit
 val emit_memcpy : Rv32_asm.Asm.t -> unit
 (** ["memcpy"]: copy [a2] bytes from [a1] to [a0]; returns [a0]. *)
 
-val emit_memset : Rv32_asm.Asm.t -> unit
-(** ["memset"]: fill [a2] bytes at [a0] with byte [a1]; returns [a0]. *)
-
 val emit_strcmp : Rv32_asm.Asm.t -> unit
 (** ["strcmp"]: compare NUL-terminated strings [a0]/[a1]; result in [a0]. *)
 

@@ -15,7 +15,7 @@ let describe = function
        classified sensor frame to the UART"
 
 let exit_code = 99
-let leak_bytes = 16
+let leak_bytes = 16 (* sensor bytes the Irq_leak ISR drains before exiting *)
 
 (* --- mtvec hijack -------------------------------------------------------
 

@@ -32,9 +32,6 @@ val describe : scenario -> string
 val exit_code : int
 (** Exit code of a successful (undetected) attack: 99. *)
 
-val leak_bytes : int
-(** Sensor bytes the {!Irq_leak} ISR drains before exiting (16). *)
-
 val image : scenario -> Rv32_asm.Image.t
 
 val policy : scenario -> Rv32_asm.Image.t -> Dift.Policy.t

@@ -46,6 +46,8 @@ let parse_pred s =
           if v = "" then Error "empty origin name" else Ok (P_origin v)
       | k -> Error (Printf.sprintf "unknown predicate kind %S in %S" k s))
 
+(* Matched node ids, ascending; empty when nothing matches (e.g. a
+   violation index past the store's count). *)
 let start_nodes store idx = function
   | P_violation k ->
       if k >= 0 && k < Array.length idx.Store.violations then

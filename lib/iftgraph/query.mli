@@ -16,10 +16,6 @@ type pred =
 val parse_pred : string -> (pred, string) result
 val pred_to_string : pred -> string
 
-val start_nodes : Store.t -> Store.index -> pred -> int list
-(** Matched node ids, ascending. Empty when nothing matches (e.g. a
-    violation index past the store's count). *)
-
 type source = {
   src_origin : string;
   src_addr : int option;

@@ -2,12 +2,9 @@
     aligned text for the terminal.
 
     Every JSON report is an object with ["schema"] (fixed to
-    {!schema_id}) and ["kind"] (["sources-of"] / ["reaches"] /
+    ["iftgraph-report-v1"]) and ["kind"] (["sources-of"] / ["reaches"] /
     ["summary"]) so consumers dispatch without guessing; {!validate}
     checks any of the three shapes. *)
-
-val schema_id : string
-(** ["iftgraph-report-v1"]. *)
 
 val sources_json : Analyze.t -> Query.pred -> Jsonkit.Json.t
 val sources_text : Analyze.t -> Query.pred -> string

@@ -48,8 +48,6 @@ let set_dmi b ~base ~data ~tags =
     invalid_arg "Bus_if.set_dmi: data/tags length mismatch";
   b.dmi <- Some { base; limit = base + Bytes.length data - 1; data; tags }
 
-let clear_dmi b = b.dmi <- None
-
 let dmi_range b =
   match b.dmi with Some d -> Some (d.base, d.limit) | None -> None
 let last_tag b = b.last_tag
@@ -158,9 +156,3 @@ let store b ~width ~addr ~value ~tag =
       end;
       b.on_code_write addr width
   | Some _ | None -> mmio_store b ~width ~addr ~value ~tag
-
-let mem_tag b ~addr =
-  match b.dmi with
-  | Some d when addr >= d.base && addr <= d.limit ->
-      Some (Char.code (Bytes.get d.tags (addr - d.base)))
-  | Some _ | None -> None

@@ -33,8 +33,6 @@ val set_dmi : t -> base:int -> data:Bytes.t -> tags:Bytes.t -> unit
 (** Register a DMI region: accesses to [base .. base + |data| - 1] touch the
     byte buffers directly, bypassing the router. *)
 
-val clear_dmi : t -> unit
-
 val dmi_range : t -> (int * int) option
 (** [(base, limit)] of the registered DMI region, if any (the core sizes
     its pc-indexed decode cache from this). *)
@@ -63,7 +61,3 @@ val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
 
 val take_delay : t -> Sysc.Time.t
 (** Return and reset the accumulated TLM timing annotation. *)
-
-val mem_tag : t -> addr:int -> Dift.Lattice.tag option
-(** Tag of a byte via DMI, if the address is in the DMI region (test and
-    diagnostic aid). *)

@@ -96,7 +96,6 @@ val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
 val set_reg : t -> Reg.t -> int -> unit
 (** Sets the register with the lattice-bottom (public/trusted) tag. *)
 
-val set_reg_tagged : t -> Reg.t -> int -> Dift.Lattice.tag -> unit
 val csr : t -> Csr.t
 val instret : t -> int
 

@@ -61,8 +61,6 @@ let is_branch = function
   | BEQ _ | BNE _ | BLT _ | BGE _ | BLTU _ | BGEU _ -> true
   | _ -> false
 
-let is_jump = function JAL _ | JALR _ -> true | _ -> false
-
 let is_memory = function
   | LB _ | LH _ | LW _ | LBU _ | LHU _ | SB _ | SH _ | SW _ -> true
   | _ -> false
@@ -136,30 +134,6 @@ let rv32im_opcodes =
     "mul"; "mulh"; "mulhsu"; "mulhu"; "div"; "divu"; "rem"; "remu";
     "fence"; "ecall";
   ]
-
-let writes_rd = function
-  | LUI (rd, _) | AUIPC (rd, _) | JAL (rd, _) -> Some rd
-  | JALR (rd, _, _) -> Some rd
-  | LB (rd, _, _) | LH (rd, _, _) | LW (rd, _, _) | LBU (rd, _, _)
-  | LHU (rd, _, _) ->
-      Some rd
-  | ADDI (rd, _, _) | SLTI (rd, _, _) | SLTIU (rd, _, _) | XORI (rd, _, _)
-  | ORI (rd, _, _) | ANDI (rd, _, _) | SLLI (rd, _, _) | SRLI (rd, _, _)
-  | SRAI (rd, _, _) ->
-      Some rd
-  | ADD (rd, _, _) | SUB (rd, _, _) | SLL (rd, _, _) | SLT (rd, _, _)
-  | SLTU (rd, _, _) | XOR (rd, _, _) | SRL (rd, _, _) | SRA (rd, _, _)
-  | OR (rd, _, _) | AND (rd, _, _) ->
-      Some rd
-  | MUL (rd, _, _) | MULH (rd, _, _) | MULHSU (rd, _, _) | MULHU (rd, _, _)
-  | DIV (rd, _, _) | DIVU (rd, _, _) | REM (rd, _, _) | REMU (rd, _, _) ->
-      Some rd
-  | CSRRW (rd, _, _) | CSRRS (rd, _, _) | CSRRC (rd, _, _)
-  | CSRRWI (rd, _, _) | CSRRSI (rd, _, _) | CSRRCI (rd, _, _) ->
-      Some rd
-  | BEQ _ | BNE _ | BLT _ | BGE _ | BLTU _ | BGEU _ | SB _ | SH _ | SW _
-  | FENCE | ECALL | EBREAK | MRET | WFI | ILLEGAL _ ->
-      None
 
 let rs1 = function
   | JALR (_, rs1, _) -> rs1

@@ -87,14 +87,8 @@ val rv32im_opcodes : string list
 val is_branch : t -> bool
 (** Conditional branches only. *)
 
-val is_jump : t -> bool
-(** JAL / JALR. *)
-
 val is_memory : t -> bool
 (** Loads and stores. *)
-
-val writes_rd : t -> int option
-(** Destination register, if the instruction writes one. *)
 
 val rs1 : t -> int
 (** First source-register index; [0] (x0, always untainted) when the

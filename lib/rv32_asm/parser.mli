@@ -16,9 +16,6 @@
 
 exception Parse_error of { line : int; msg : string }
 
-val parse_into : Asm.t -> string -> unit
-(** Append the source text to an existing program. Raises {!Parse_error}. *)
-
 val parse_string : ?org:int -> string -> Image.t
 (** Assemble a complete source text. Raises {!Parse_error} on syntax errors
     and the {!Asm} exceptions on label errors. *)

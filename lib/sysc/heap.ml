@@ -6,8 +6,6 @@ type 'a t = {
 }
 
 let create () = { arr = Array.make 16 None; len = 0 }
-let is_empty h = h.len = 0
-let size h = h.len
 
 let grow h =
   let arr = Array.make (2 * Array.length h.arr) None in

@@ -6,8 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
 val push : 'a t -> key:int -> 'a -> unit
 
 val min_key : 'a t -> int option

@@ -20,24 +20,17 @@ and t = {
   mutable now : Time.t;
   runnable : (unit -> unit) Queue.t;
   mutable delta_events : event list;  (* newest first *)
-  updates : (unit -> unit) Queue.t;
   timed : timed_entry Heap.t;
   events : (string, event) Hashtbl.t;  (* name -> latest event so named *)
   mutable next_seq : int;
   mutable deltas : int;
   mutable stop_requested : bool;
   mutable error : exn option;
-  mutable live : int;
-  mutable expect_progress : bool;
-  mutable hit_until : bool;
 }
-
-exception Deadlock of string
 
 type _ Effect.t +=
   | Wait_time : Time.t -> unit Effect.t
   | Wait_event : event -> unit Effect.t
-  | Wait_any : event list -> unit Effect.t
   | Halt : unit Effect.t
 
 let create () =
@@ -45,16 +38,12 @@ let create () =
     now = Time.zero;
     runnable = Queue.create ();
     delta_events = [];
-    updates = Queue.create ();
     timed = Heap.create ();
     events = Hashtbl.create 16;
     next_seq = 0;
     deltas = 0;
     stop_requested = false;
     error = None;
-    live = 0;
-    expect_progress = false;
-    hit_until = false;
   }
 
 let now k = k.now
@@ -73,9 +62,6 @@ let create_event k name =
   in
   Hashtbl.replace k.events name e;
   e
-
-let event_name e = e.ev_name
-let find_event k name = Hashtbl.find_opt k.events name
 
 let push_entry k at entry = Heap.push k.timed ~key:at entry
 
@@ -136,26 +122,14 @@ let notify_at_abs e at =
         push_entry k at entry
 
 let notify_after e t = notify_at_abs e (Time.add e.ev_kernel.now t)
-let pending_notification e = if e.pending_delta then Some e.ev_kernel.now
-  else match e.pending_timed with Some _ -> Some e.pending_at | None -> None
-
-let request_update k thunk = Queue.push thunk k.updates
 
 let wait_for t = Effect.perform (Wait_time t)
 let wait_event e = Effect.perform (Wait_event e)
-
-let wait_any evs =
-  match evs with
-  | [] -> invalid_arg "Kernel.wait_any: empty event list"
-  | [ e ] -> wait_event e
-  | _ -> Effect.perform (Wait_any evs)
 
 let halt () = Effect.perform Halt
 
 let stop k = k.stop_requested <- true
 let stopped k = k.stop_requested
-let set_expect_progress k v = k.expect_progress <- v
-let live_processes k = k.live
 
 (* --- Snapshot support ------------------------------------------------- *)
 
@@ -178,7 +152,6 @@ let pending_timed k =
 
 let quiescent k =
   Queue.is_empty k.runnable
-  && Queue.is_empty k.updates
   && k.delta_events = []
   && List.for_all
        (fun (_, e) ->
@@ -198,7 +171,7 @@ let restore k ~now ~deltas ~notifications =
   k.deltas <- deltas;
   List.iter
     (fun (name, at) ->
-      match find_event k name with
+      match Hashtbl.find_opt k.events name with
       | Some e -> notify_at_abs e at
       | None ->
           invalid_arg
@@ -210,7 +183,6 @@ let restore k ~now ~deltas ~notifications =
 let spawn k ~name fn =
   let open Effect.Deep in
   let record_error e =
-    k.live <- k.live - 1;
     if k.error = None then begin
       k.error <- Some e;
       k.stop_requested <- true
@@ -220,7 +192,7 @@ let spawn k ~name fn =
   let run_proc () =
     match_with fn ()
       {
-        retc = (fun () -> k.live <- k.live - 1);
+        retc = Fun.id;
         exnc = record_error;
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -238,26 +210,10 @@ let spawn k ~name fn =
                 Some
                   (fun (cont : (a, unit) continuation) ->
                     e.waiters <- (fun () -> continue cont ()) :: e.waiters)
-            | Wait_any evs ->
-                Some
-                  (fun (cont : (a, unit) continuation) ->
-                    let fired = ref false in
-                    let once () =
-                      if not !fired then begin
-                        fired := true;
-                        continue cont ()
-                      end
-                    in
-                    List.iter (fun e -> e.waiters <- once :: e.waiters) evs)
-            | Halt ->
-                Some
-                  (fun (cont : (a, unit) continuation) ->
-                    ignore cont;
-                    k.live <- k.live - 1)
+            | Halt -> Some (fun (_ : (a, unit) continuation) -> ())
             | _ -> None);
       }
   in
-  k.live <- k.live + 1;
   Queue.push run_proc k.runnable
 
 let run ?until k =
@@ -275,18 +231,6 @@ let run ?until k =
       (* Evaluation phase. *)
       while (not (Queue.is_empty k.runnable)) && not k.stop_requested do
         (Queue.pop k.runnable) ()
-      done;
-      (* Update phase. *)
-      while not (Queue.is_empty k.updates) do
-        (Queue.pop k.updates) ()
-      done;
-      loop ()
-    end
-    else if not (Queue.is_empty k.updates) then begin
-      (* Updates requested outside an evaluation phase: still honour the
-         update phase before delta notification. *)
-      while not (Queue.is_empty k.updates) do
-        (Queue.pop k.updates) ()
       done;
       loop ()
     end
@@ -318,9 +262,7 @@ let run ?until k =
       | None -> ()
       | Some t -> (
           match until with
-          | Some u when t > u ->
-              k.hit_until <- true;
-              k.now <- u
+          | Some u when t > u -> k.now <- u
           | _ ->
               k.now <- t;
               (* Pop everything scheduled for this instant and fire it in
@@ -354,14 +296,5 @@ let run ?until k =
               loop ())
     end
   in
-  k.hit_until <- false;
   loop ();
-  reraise_error ();
-  if
-    k.expect_progress && (not k.stop_requested) && (not k.hit_until)
-    && k.live > 0
-  then
-    raise
-      (Deadlock
-         (Printf.sprintf "%d process(es) still waiting with no pending events"
-            k.live))
+  reraise_error ()

@@ -2,12 +2,11 @@
 
     Processes are cooperative coroutines implemented with OCaml 5 effect
     handlers (the analogue of [SC_THREAD]). The scheduler follows the
-    SystemC evaluate / update / delta-notification / timed-notification
-    phase order:
+    SystemC evaluate / delta-notification / timed-notification phase
+    order (the VP has no primitive channels, so there is no update
+    phase):
 
     - all runnable processes run to their next [wait] (evaluation phase);
-    - pending primitive-channel updates run (update phase, used by
-      {!Signal});
     - delta notifications wake their waiting processes (a new delta cycle);
     - when nothing is runnable, time advances to the earliest timed
       notification.
@@ -30,11 +29,6 @@ type t
 type event
 (** A notifiable event (cf. [sc_event]). *)
 
-exception Deadlock of string
-(** Raised by {!run} if {!set_expect_progress} is on and the simulation
-    runs out of events while processes are still alive and waiting
-    (useful to catch lost interrupts / missing notifications). *)
-
 val create : unit -> t
 
 val now : t -> Time.t
@@ -44,14 +38,9 @@ val delta_count : t -> int
 (** Number of delta cycles executed so far (for tests/statistics). *)
 
 val create_event : t -> string -> event
-(** Events are registered by name for {!find_event}/{!restore}; creating a
-    second event with the same name shadows the first in the registry (all
+(** Events are registered by name for {!restore}; creating a second event
+    with the same name shadows the first in the registry (all
     snapshot-relevant event names in this repository are unique). *)
-
-val event_name : event -> string
-
-val find_event : t -> string -> event option
-(** The most recently created event of that name, if any. *)
 
 (** {1 Processes} *)
 
@@ -71,9 +60,6 @@ val wait_for : Time.t -> unit
 val wait_event : event -> unit
 (** Suspend until the event is notified. *)
 
-val wait_any : event list -> unit
-(** Suspend until any of the events is notified. *)
-
 val halt : unit -> unit
 (** Terminate the calling process. *)
 
@@ -83,22 +69,13 @@ val notify : event -> unit
 (** Delta notification: waiters wake in the next delta cycle. *)
 
 val notify_immediate : event -> unit
-(** Immediate notification: waiters wake in the current evaluation phase. *)
+(** Immediate notification: waiters wake in the current evaluation phase,
+    and any pending (delta or timed) notification of the event is
+    cancelled. *)
 
 val notify_after : event -> Time.t -> unit
 (** Timed notification (relative delay), subject to the override rule:
     kept only if no earlier notification is pending on the event. *)
-
-val cancel : event -> unit
-(** Cancel any pending (delta or timed) notification (cf.
-    [sc_event::cancel]). Immediate notifications cannot be cancelled. *)
-
-val pending_notification : event -> Time.t option
-(** Absolute instant of the event's pending notification, if any (a
-    pending delta notification reports the current time). *)
-
-val request_update : t -> (unit -> unit) -> unit
-(** Run a thunk in the next update phase (primitive-channel support). *)
 
 (** {1 Running} *)
 
@@ -113,19 +90,11 @@ val stop : t -> unit
 
 val stopped : t -> bool
 
-val set_expect_progress : t -> bool -> unit
-(** When on, {!run} raises {!Deadlock} if it returns for lack of events
-    while spawned processes are still waiting (default off; [stop] and
-    [~until] returns are never deadlocks). *)
-
-val live_processes : t -> int
-(** Number of spawned processes that have neither returned nor halted. *)
-
 (** {1 Snapshot support}
 
     Process continuations cannot be serialised, so a kernel can only be
     checkpointed at a {e quiescent} instant: nothing runnable, no pending
-    updates or delta notifications, and every pending timed notification
+    delta notifications, and every pending timed notification
     addressed to a {e named event} (no [wait_for] thunks in flight). The
     VP arranges this by restructuring every long-lived process to wait on
     events armed with {!notify_after} and pausing the CPU at a time-sync

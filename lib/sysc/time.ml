@@ -7,10 +7,7 @@ let us x = x * 1_000_000
 let ms x = x * 1_000_000_000
 let sec x = x * 1_000_000_000_000
 let add = ( + )
-let compare = Int.compare
 let to_ns t = float_of_int t /. 1e3
-let to_us t = float_of_int t /. 1e6
-let to_ms t = float_of_int t /. 1e9
 
 let pp fmt t =
   let f = float_of_int t in

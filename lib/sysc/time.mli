@@ -14,11 +14,8 @@ val ms : int -> t
 val sec : int -> t
 
 val add : t -> t -> t
-val compare : t -> t -> int
 
 val to_ns : t -> float
-val to_us : t -> float
-val to_ms : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Prints with an auto-selected unit, e.g. ["25 ms"], ["1.5 us"]. *)

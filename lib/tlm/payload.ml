@@ -35,7 +35,6 @@ let word_tag lat p =
   !t
 
 let is_read p = p.cmd = Read
-let is_write p = p.cmd = Write
 let ok p = p.resp = Ok_resp
 
 let pp fmt p =

@@ -43,7 +43,6 @@ val word_tag : Dift.Lattice.t -> t -> Dift.Lattice.tag
 (** LUB of the tags of bytes 0..3. *)
 
 val is_read : t -> bool
-val is_write : t -> bool
 val ok : t -> bool
 
 val pp : Format.formatter -> t -> unit

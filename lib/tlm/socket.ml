@@ -7,7 +7,6 @@ type initiator = { i_name : string; mutable bound : target option }
 let target ~name fn = { t_name = name; fn }
 let target_name t = t.t_name
 let initiator ~name = { i_name = name; bound = None }
-let initiator_name i = i.i_name
 let bind i t = i.bound <- Some t
 let is_bound i = i.bound <> None
 

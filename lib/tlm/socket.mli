@@ -17,7 +17,6 @@ val target : name:string -> transport_fn -> target
 val target_name : target -> string
 
 val initiator : name:string -> initiator
-val initiator_name : initiator -> string
 
 val bind : initiator -> target -> unit
 (** Rebinding replaces the previous binding. *)

@@ -36,7 +36,5 @@ val chain : Iftgraph.Store.t -> Iftgraph.Store.index -> Dift.Lattice.tag -> chai
     inputs, each in first-observation order. A source's [s_id] is its
     rank among the store's distinct introductions. *)
 
-val pp_source : Dift.Lattice.t -> Format.formatter -> source -> unit
 val pp_chain : Dift.Lattice.t -> Format.formatter -> chain -> unit
-val source_to_json : Dift.Lattice.t -> source -> Jsonkit.Json.t
 val chain_to_json : Dift.Lattice.t -> chain -> Jsonkit.Json.t

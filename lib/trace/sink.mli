@@ -6,12 +6,9 @@ val event_json : Tracer.t -> Event.t -> Jsonkit.Json.t
 (** One event as a JSON object ([t] = time in ps, [k] = kind, then
     kind-specific fields; see {!Event.kind}). *)
 
-val write_jsonl : Tracer.t -> out_channel -> unit
-(** One {!event_json} object per line. *)
-
 val stream_jsonl : Tracer.t -> out_channel -> unit
 (** Install the tracer's {!Tracer.set_on_record} observer to append one
-    JSONL line per event as it happens. Unlike {!write_jsonl} this sees
+    JSONL line per event as it happens. Unlike {!write_file} this sees
     the complete stream, not just the ring's retained tail — it is what
     [vp_run --trace-out] and the CI determinism job rely on (trace files
     from a checkpointed run concatenate to the uninterrupted run's file).
@@ -20,10 +17,6 @@ val stream_jsonl : Tracer.t -> out_channel -> unit
 val stop_stream : Tracer.t -> unit
 (** Remove the observer installed by {!stream_jsonl}. *)
 
-val write_chrome : Tracer.t -> out_channel -> unit
-(** A Chrome [trace_event] document (load via [about://tracing] or
-    [ui.perfetto.dev]): instruction events on a synthetic "cpu" thread,
-    TLM transactions on a "bus" thread, violations as global instants.
-    Simulation ps are mapped onto the format's microsecond timestamps. *)
-
 val write_file : Tracer.t -> format:[ `Jsonl | `Chrome ] -> string -> unit
+(** The retained events as JSONL (one {!event_json} object per line) or
+    as a Chrome [trace_event] document (load via [ui.perfetto.dev]). *)

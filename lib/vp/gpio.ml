@@ -44,7 +44,6 @@ let drive_input g ~pin ?tag level =
   end
 
 let output_levels g = g.out
-let output_tag g = g.out_tag
 
 let transport g (p : Tlm.Payload.t) delay =
   let len = Tlm.Payload.length p in

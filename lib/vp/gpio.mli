@@ -32,8 +32,5 @@ val drive_input : t -> pin:int -> ?tag:Dift.Lattice.tag -> bool -> unit
 val output_levels : t -> int
 (** Current output latch (host-side observation of the pins). *)
 
-val output_tag : t -> Dift.Lattice.tag
-(** Class of the data last written to the output latch. *)
-
 val save : t -> Snapshot.Codec.writer -> unit
 val load : t -> Snapshot.Codec.reader -> unit

@@ -33,17 +33,12 @@ val sensor_base : int
 val can_base : int
 val aes_base : int
 val dma_base : int
-val wdt_base : int
 
 val ram_size : int
 (** 1 MiB. *)
 
 val irq_uart : int
 val irq_sensor : int
-val irq_can : int
-val irq_dma : int
-val irq_aes : int
-val irq_gpio : int
 
 (** The core's counters as closures over [core]. Every in-tree caller
     uses {!Rv32.Core} on [core] directly; the record exists because the

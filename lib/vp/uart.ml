@@ -39,8 +39,6 @@ let tx_string u =
   let b = Buffer.create (List.length u.tx) in
   List.iter (fun (c, _) -> Buffer.add_char b c) (List.rev u.tx);
   Buffer.contents b
-let tx_tagged u = List.rev u.tx
-let clear_tx u = u.tx <- []
 
 let transport u (p : Tlm.Payload.t) delay =
   let ok () = p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp in

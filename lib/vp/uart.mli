@@ -33,8 +33,5 @@ val rx_pending : t -> int
 val tx_string : t -> string
 (** Everything transmitted so far, as characters. *)
 
-val tx_tagged : t -> (char * Dift.Lattice.tag) list
-val clear_tx : t -> unit
-
 val save : t -> Snapshot.Codec.writer -> unit
 val load : t -> Snapshot.Codec.reader -> unit

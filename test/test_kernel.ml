@@ -66,19 +66,6 @@ let test_event_timed_notify () =
   K.run k;
   check_int "woken at 3us" (T.us 3) !at
 
-let test_wait_any () =
-  let k = K.create () in
-  let e1 = K.create_event k "e1" and e2 = K.create_event k "e2" in
-  let woken = ref 0 in
-  K.spawn k ~name:"waiter" (fun () ->
-      K.wait_any [ e1; e2 ];
-      incr woken);
-  K.spawn k ~name:"n" (fun () ->
-      K.wait_for (T.ns 5);
-      K.notify e2);
-  K.run k;
-  check_int "woken exactly once" 1 !woken
-
 let test_until_limit () =
   let k = K.create () in
   let count = ref 0 in
@@ -138,36 +125,6 @@ let test_immediate_vs_delta_order () =
   K.run k;
   Alcotest.(check (list string)) "immediate first" [ "imm"; "del" ] (List.rev !order)
 
-let test_signal_update_semantics () =
-  let k = K.create () in
-  let s = Sysc.Signal.create k "sig" 0 in
-  let observed = ref (-1) in
-  K.spawn k ~name:"writer" (fun () ->
-      Sysc.Signal.write s 1;
-      (* Value not visible until the update phase. *)
-      observed := Sysc.Signal.read s);
-  K.run k;
-  check_int "read before update sees old value" 0 !observed;
-  check_int "settled value" 1 (Sysc.Signal.read s)
-
-let test_signal_changed_event () =
-  let k = K.create () in
-  let s = Sysc.Signal.create k "sig" 0 in
-  let changes = ref 0 in
-  K.spawn k ~name:"watcher" (fun () ->
-      while !changes < 2 do
-        K.wait_event (Sysc.Signal.changed_event s);
-        incr changes
-      done);
-  K.spawn k ~name:"writer" (fun () ->
-      Sysc.Signal.write s 1;
-      K.wait_for (T.ns 1);
-      Sysc.Signal.write s 1 (* same value: no change event *);
-      K.wait_for (T.ns 1);
-      Sysc.Signal.write s 2);
-  K.run k;
-  check_int "two changes observed" 2 !changes
-
 let test_same_time_fifo () =
   (* Two timed wakeups at the same instant run in scheduling order. *)
   let k = K.create () in
@@ -191,63 +148,6 @@ let test_wait_zero () =
       incr steps);
   K.run k;
   check_int "zero-delay waits complete" 2 !steps
-
-let test_deadlock_detection () =
-  let k = K.create () in
-  K.set_expect_progress k true;
-  let ev = K.create_event k "never" in
-  K.spawn k ~name:"stuck" (fun () -> K.wait_event ev);
-  check_bool "deadlock raised" true
-    (try K.run k; false with K.Deadlock _ -> true);
-  (* A clean completion must not raise. *)
-  let k = K.create () in
-  K.set_expect_progress k true;
-  K.spawn k ~name:"fine" (fun () -> K.wait_for (T.ns 5));
-  K.run k;
-  check_int "no live processes left" 0 (K.live_processes k);
-  (* Stopping is not a deadlock even with waiters. *)
-  let k = K.create () in
-  K.set_expect_progress k true;
-  let ev = K.create_event k "never" in
-  K.spawn k ~name:"stuck" (fun () -> K.wait_event ev);
-  K.spawn k ~name:"stopper" (fun () ->
-      K.wait_for (T.ns 1);
-      K.stop k);
-  K.run k (* must not raise *)
-
-let test_live_process_accounting () =
-  let k = K.create () in
-  K.spawn k ~name:"a" (fun () -> ());
-  K.spawn k ~name:"b" (fun () -> K.halt ());
-  K.spawn k ~name:"c" (fun () -> K.wait_for (T.ns 1));
-  check_int "three spawned" 3 (K.live_processes k);
-  K.run k;
-  check_int "all retired" 0 (K.live_processes k)
-
-let test_vcd_trace () =
-  let k = K.create () in
-  let vcd = Sysc.Vcd.create k ~name:"top" in
-  let s = Sysc.Signal.create k "counter" 0 in
-  let ev = K.create_event k "tick" in
-  Sysc.Vcd.trace_signal vcd s;
-  Sysc.Vcd.trace_event vcd ev;
-  K.spawn k ~name:"driver" (fun () ->
-      for i = 1 to 3 do
-        K.wait_for (T.ns 10);
-        Sysc.Signal.write s i;
-        K.notify ev
-      done;
-      K.wait_for (T.ns 5);
-      K.stop k);
-  K.run k;
-  Sysc.Vcd.mark vcd "done" 1;
-  let out = Sysc.Vcd.dump vcd in
-  check_bool "header" true (Astring_contains.contains ~sub:"$timescale 1ps $end" out);
-  check_bool "declares counter" true (Astring_contains.contains ~sub:"counter" out);
-  check_bool "declares tick" true (Astring_contains.contains ~sub:"tick" out);
-  check_bool "time 10ns stamp" true (Astring_contains.contains ~sub:"#10000" out);
-  check_bool "binary value 3" true (Astring_contains.contains ~sub:"b11 " out);
-  check_bool "custom mark" true (Astring_contains.contains ~sub:"done" out)
 
 let test_heap_ordering () =
   let h = Sysc.Heap.create () in
@@ -277,13 +177,6 @@ let prop_heap_sorts =
       in
       drain [] = List.sort Int.compare keys)
 
-let test_sc_module_naming () =
-  let k = K.create () in
-  let m = Sysc.Sc_module.create k "dut" in
-  check_string "name" "dut" (Sysc.Sc_module.name m);
-  let ev = Sysc.Sc_module.event m "done" in
-  check_string "event name" "dut.done" (K.event_name ev)
-
 let () =
   Alcotest.run "kernel"
     [
@@ -295,7 +188,6 @@ let () =
             test_two_processes_interleave;
           Alcotest.test_case "delta notify" `Quick test_event_notify_delta;
           Alcotest.test_case "timed notify" `Quick test_event_timed_notify;
-          Alcotest.test_case "wait_any wakes once" `Quick test_wait_any;
           Alcotest.test_case "run ~until" `Quick test_until_limit;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "process exception propagates" `Quick
@@ -304,23 +196,11 @@ let () =
           Alcotest.test_case "immediate vs delta order" `Quick
             test_immediate_vs_delta_order;
         ] );
-      ( "channels",
-        [
-          Alcotest.test_case "signal update phase" `Quick
-            test_signal_update_semantics;
-          Alcotest.test_case "signal changed event" `Quick
-            test_signal_changed_event;
-          Alcotest.test_case "sc_module naming" `Quick test_sc_module_naming;
-        ] );
       ( "liveness",
         [
           Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
           Alcotest.test_case "zero-delay wait" `Quick test_wait_zero;
-          Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
-          Alcotest.test_case "live process accounting" `Quick
-            test_live_process_accounting;
         ] );
-      ("vcd", [ Alcotest.test_case "trace dump" `Quick test_vcd_trace ]);
       ("heap", [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
                  qtest prop_heap_sorts ]);
     ]

@@ -79,11 +79,11 @@ let test_override_rule () =
   Sysc.Kernel.notify_after e (Sysc.Time.ns 10);
   Sysc.Kernel.notify_after e (Sysc.Time.ns 50);
   check_bool "earlier wins" true
-    (Sysc.Kernel.pending_notification e = Some (Sysc.Time.ns 10));
+    (Sysc.Kernel.pending_timed k = [ ("e", Sysc.Time.ns 10) ]);
   (* Earlier notification overrides a pending later one. *)
   Sysc.Kernel.notify_after e (Sysc.Time.ns 5);
   check_bool "override by earlier" true
-    (Sysc.Kernel.pending_notification e = Some (Sysc.Time.ns 5));
+    (Sysc.Kernel.pending_timed k = [ ("e", Sysc.Time.ns 5) ]);
   Sysc.Kernel.run ~until:(Sysc.Time.ns 100) k;
   check_bool "fired exactly once, at the overriding instant" true
     (!fired = [ Sysc.Time.ns 5 ]);
@@ -93,13 +93,15 @@ let test_override_rule () =
   Sysc.Kernel.notify e;
   Sysc.Kernel.run ~until:(Sysc.Time.add (Sysc.Kernel.now k) (Sysc.Time.ns 100)) k;
   check_int "delta override fires once" 1 (List.length !fired);
-  (* Cancel kills a pending notification. *)
+  (* An immediate notification cancels a pending timed one: the waiter
+     fires once, now, and not again 10 ns later. *)
   fired := [];
+  let t0 = Sysc.Kernel.now k in
   Sysc.Kernel.notify_after e (Sysc.Time.ns 10);
-  Sysc.Kernel.cancel e;
-  check_bool "cancelled" true (Sysc.Kernel.pending_notification e = None);
-  Sysc.Kernel.run ~until:(Sysc.Time.add (Sysc.Kernel.now k) (Sysc.Time.ns 100)) k;
-  check_bool "no fire after cancel" true (!fired = [])
+  Sysc.Kernel.notify_immediate e;
+  check_bool "cancelled" true (Sysc.Kernel.pending_timed k = []);
+  Sysc.Kernel.run ~until:(Sysc.Time.add t0 (Sysc.Time.ns 100)) k;
+  check_bool "fired once, at the immediate instant" true (!fired = [ t0 ])
 
 let test_kernel_snapshot_roundtrip () =
   (* pending_timed/restore reproduce the pending set on a fresh kernel. *)
