@@ -1,9 +1,10 @@
 (** Tainted values: a datum paired with its security-class tag.
 
     This is the OCaml analogue of the paper's [Taint<T>] C++ template
-    (Fig. 3). Peripherals and the public API use this type; the inner ISS
-    hot path stores values and tags in parallel unboxed arrays for speed but
-    observes the same semantics. *)
+    (Fig. 3), kept as the executable statement of its semantics: only
+    [test_taint] uses it. The VP itself stores values and tags in parallel
+    byte buffers and arrays (RAM, TLM payloads, the ISS register file) for
+    speed, and observes the same semantics. *)
 
 type 'a t = private { v : 'a; tag : Lattice.tag }
 

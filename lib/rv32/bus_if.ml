@@ -67,41 +67,28 @@ let payload_for b = function
 
 let mmio_load b ~width ~addr =
   let p = payload_for b width in
-  p.Tlm.Payload.cmd <- Tlm.Payload.Read;
-  p.Tlm.Payload.addr <- addr;
-  p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
+  Tlm.Payload.rearm p Tlm.Payload.Read addr;
   Tlm.Payload.set_all_tags p b.default_tag;
   let delay = Tlm.Socket.transport b.socket p Sysc.Time.zero in
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = false });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay;
-  let v = ref 0 and t = ref (Tlm.Payload.get_tag p 0) in
-  for i = width - 1 downto 0 do
-    v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-  done;
   (match b.on_merge with
-  | None ->
-      for i = 1 to width - 1 do
-        t := Dift.Lattice.lub b.lat !t (Tlm.Payload.get_tag p i)
-      done
+  | None -> b.last_tag <- Tlm.Payload.lub_tag b.lat p
   | Some f ->
+      let t = ref (Tlm.Payload.get_tag p 0) in
       for i = 1 to width - 1 do
         let x = Tlm.Payload.get_tag p i in
         let r = Dift.Lattice.lub b.lat !t x in
         f !t x r;
         t := r
-      done);
-  b.last_tag <- !t;
-  !v
+      done;
+      b.last_tag <- !t);
+  Tlm.Payload.value p
 
 let mmio_store b ~width ~addr ~value ~tag =
   let p = payload_for b width in
-  p.Tlm.Payload.cmd <- Tlm.Payload.Write;
-  p.Tlm.Payload.addr <- addr;
-  p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
-  for i = 0 to width - 1 do
-    Tlm.Payload.set_byte p i ((value lsr (8 * i)) land 0xff);
-    Tlm.Payload.set_tag p i tag
-  done;
+  Tlm.Payload.rearm p Tlm.Payload.Write addr;
+  Tlm.Payload.set_value p value ~tag;
   let delay = Tlm.Socket.transport b.socket p Sysc.Time.zero in
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = true });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay

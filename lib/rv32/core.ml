@@ -220,7 +220,6 @@ type t = {
   mem_addr_req : int option;
   has_store_clearance : bool;
   strict_align : bool;  (* misaligned data accesses fault (cause 4 / 6) *)
-  decode_cache : (int, Insn.t) Hashtbl.t;  (* fetches outside DMI *)
   (* Page directory over the DMI (RAM) region, one slot per 4 KiB page,
      each [no_page] until code on it is first decoded: a program pays for
      the pages it runs, not for the RAM. Decode entries serve the
@@ -413,7 +412,6 @@ let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
       mem_addr_req = policy.Dift.Policy.exec_mem_addr;
       has_store_clearance = policy.Dift.Policy.store_clearance <> [];
       strict_align;
-      decode_cache = Hashtbl.create 1024;
       pages = Array.make ((dmi_words + page_mask) lsr page_bits) no_page;
       dmi_base;
       dmi_limit;
@@ -837,13 +835,6 @@ let execute t insn =
       do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_c ~do_write:(z <> 0)
   | ILLEGAL w -> trap t ~cause:Csr.cause_illegal ~tval:w
 
-let decode_slow t word =
-  try Hashtbl.find t.decode_cache word
-  with Not_found ->
-    let insn = Decode.decode word in
-    Hashtbl.add t.decode_cache word insn;
-    insn
-
 let decode_cached t pc word =
   let idx = (pc - t.dmi_base) lsr 2 in
   if idx < t.dmi_words then begin
@@ -856,7 +847,7 @@ let decode_cached t pc word =
       insn
     end
   end
-  else decode_slow t word
+  else Decode.decode word
 
 let step t =
   let c = t.csrf in

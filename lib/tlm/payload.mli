@@ -3,7 +3,12 @@
     As in the paper, the data array of a transaction is an array of tainted
     bytes: each data byte travels with its security-class tag, so
     information flow is tracked through the interconnect and into the
-    peripherals. Values and tags are stored in two parallel byte buffers. *)
+    peripherals. Values and tags are stored in two parallel byte buffers.
+
+    This module owns the byte/tag encoding of a register access: the CPU's
+    bus interface, the peripheral models and the tracer read and write
+    register values through the codec below. Only byte-array windows (CAN
+    mailboxes, AES key and data, the sensor frame) go byte by byte. *)
 
 type command = Read | Write
 
@@ -34,15 +39,23 @@ val set_tag : t -> int -> Dift.Lattice.tag -> unit
 
 val set_all_tags : t -> Dift.Lattice.tag -> unit
 
-val get_word : t -> int32
-(** Little-endian 32-bit value of bytes 0..3. Requires [length >= 4]. *)
+(** {2 Register codec}
 
-val set_word : t -> int32 -> unit
+    A transaction of [length p] bytes carries one little-endian register
+    value, the way a bus master reads or writes a memory-mapped register
+    of that width. *)
 
-val word_tag : Dift.Lattice.t -> t -> Dift.Lattice.tag
-(** LUB of the tags of bytes 0..3. *)
+val value : t -> int
+(** Zero-extended value of all [length p] bytes. *)
 
-val is_read : t -> bool
+val set_value : t -> int -> tag:Dift.Lattice.tag -> unit
+(** Store the [length p] low bytes of a value; every byte gets [tag]. *)
+
+val lub_tag : Dift.Lattice.t -> t -> Dift.Lattice.tag
+(** LUB of all byte tags: the class of the value as a whole. *)
+
+val rearm : t -> command -> int -> unit
+(** [rearm p cmd addr] readies a reused payload for its next transaction:
+    sets command and address and resets the response to [Ok_resp]. *)
+
 val ok : t -> bool
-
-val pp : Format.formatter -> t -> unit

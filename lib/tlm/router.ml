@@ -2,13 +2,12 @@ type entry = { lo : int; hi : int; target : Socket.target }
 
 type t = {
   name : string;
-  mutable entries : entry list; (* mapping order *)
   mutable sorted : entry array; (* address order, rebuilt by [map] *)
   mutable observer : (Payload.t -> string -> unit) option;
 }
 
 let create ~name () =
-  { name; entries = []; sorted = [||]; observer = None }
+  { name; sorted = [||]; observer = None }
 
 let set_observer r f = r.observer <- f
 
@@ -17,7 +16,7 @@ let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
 let map r ~lo ~hi target =
   if hi < lo then invalid_arg "Router.map: empty range";
   let e = { lo; hi; target } in
-  (match List.find_opt (overlaps e) r.entries with
+  (match Array.find_opt (overlaps e) r.sorted with
   | Some clash ->
       invalid_arg
         (Printf.sprintf "Router.map: [0x%x..0x%x] overlaps %s [0x%x..0x%x]" lo
@@ -25,11 +24,10 @@ let map r ~lo ~hi target =
            (Socket.target_name clash.target)
            clash.lo clash.hi)
   | None -> ());
-  r.entries <- r.entries @ [ e ];
   (* Mapping is rare and construction-time; dispatch is per transaction.
      Pay for the sort here so [find] can binary-search. Ranges are
      disjoint (checked above), so ordering by [lo] orders by [hi] too. *)
-  let a = Array.of_list r.entries in
+  let a = Array.append r.sorted [| e |] in
   Array.sort (fun a b -> compare a.lo b.lo) a;
   r.sorted <- a
 
@@ -47,11 +45,6 @@ let find r addr =
   | Some e when addr <= e.hi -> Some e
   | _ -> None
 
-let resolve r addr =
-  match find r addr with
-  | Some e -> Some (e.target, addr - e.lo)
-  | None -> None
-
 let route r payload delay =
   match find r payload.Payload.addr with
   | None ->
@@ -68,6 +61,3 @@ let route r payload delay =
       delay
 
 let target_socket r = Socket.target ~name:r.name (route r)
-
-let mappings r =
-  List.map (fun e -> (e.lo, e.hi, Socket.target_name e.target)) r.entries

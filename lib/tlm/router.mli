@@ -9,7 +9,9 @@
     Dispatch binary-searches a sorted-by-address array rebuilt on every
     {!map} (mapping is construction-time, dispatch is per transaction), so
     routing costs O(log n) in the number of mapped targets rather than a
-    list scan in mapping order. *)
+    list scan. The sorted array is the only copy of the address map:
+    initiators reach a target only by sending a payload through
+    {!target_socket}. *)
 
 type t
 
@@ -21,13 +23,6 @@ val map : t -> lo:int -> hi:int -> Socket.target -> unit
 
 val target_socket : t -> Socket.target
 (** The socket initiators bind to. *)
-
-val resolve : t -> int -> (Socket.target * int) option
-(** [resolve r addr] is the mapped target and local offset, if any — useful
-    for direct-memory-interface shortcuts. *)
-
-val mappings : t -> (int * int * string) list
-(** [(lo, hi, target-name)] triples in mapping order, for diagnostics. *)
 
 val set_observer : t -> (Payload.t -> string -> unit) option -> unit
 (** Install (or clear) a transaction observer, called after each

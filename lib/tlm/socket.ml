@@ -8,7 +8,6 @@ let target ~name fn = { t_name = name; fn }
 let target_name t = t.t_name
 let initiator ~name = { i_name = name; bound = None }
 let bind i t = i.bound <- Some t
-let is_bound i = i.bound <> None
 
 let transport i payload delay =
   match i.bound with

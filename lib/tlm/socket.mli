@@ -21,8 +21,6 @@ val initiator : name:string -> initiator
 val bind : initiator -> target -> unit
 (** Rebinding replaces the previous binding. *)
 
-val is_bound : initiator -> bool
-
 val transport : initiator -> transport_fn
 (** Forward a transaction through the binding. Raises {!Unbound} if the
     socket has no target. *)

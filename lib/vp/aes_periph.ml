@@ -45,21 +45,6 @@ let set_irq_callback a fn = a.irq <- fn
 let busy a = a.busy
 let encryptions a = a.count
 
-let check_in a ~tag ~detail =
-  match a.in_clearance with
-  | None -> ()
-  | Some required ->
-      Dift.Monitor.count_check a.env.Env.monitor;
-      if not (Dift.Lattice.allowed_flow a.env.Env.lat tag required) then
-        Dift.Monitor.violation a.env.Env.monitor
-          {
-            Dift.Violation.kind = Dift.Violation.Custom (a.name ^ "-input");
-            data_tag = tag;
-            required_tag = required;
-            pc = None;
-            detail;
-          }
-
 let encrypt a =
   let key = Bytes.to_string a.key in
   let pt = Bytes.to_string a.din in
@@ -104,7 +89,13 @@ let transport a (p : Tlm.Payload.t) delay =
   | Tlm.Payload.Write when addr + len <= 0x10 ->
       for i = 0 to len - 1 do
         let tag = Tlm.Payload.get_tag p i in
-        check_in a ~tag ~detail:(Printf.sprintf "key byte %d" (addr + i));
+        (match a.in_clearance with
+        | Some required when Env.refused a.env tag required ->
+            Env.violation a.env
+              ~kind:(Dift.Violation.Custom (a.name ^ "-input"))
+              ~data_tag:tag ~required
+              (Printf.sprintf "key byte %d" (addr + i))
+        | _ -> ());
         Bytes.set a.key (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set a.key_tags (addr + i) (Char.chr tag)
       done
@@ -128,11 +119,7 @@ let transport a (p : Tlm.Payload.t) delay =
         Sysc.Kernel.notify a.start_ev
       end
   | Tlm.Payload.Read when addr = 0x30 ->
-      Tlm.Payload.set_byte p 0 (if a.busy then 1 else 0);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p a.env.Env.pub
+      Tlm.Payload.set_value p (if a.busy then 1 else 0) ~tag:a.env.Env.pub
   | Tlm.Payload.Read | Tlm.Payload.Write ->
       p.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay (Sysc.Time.ns 50)

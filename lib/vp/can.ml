@@ -71,19 +71,15 @@ let transport c (p : Tlm.Payload.t) delay =
       for i = 0 to len - 1 do
         let tag = Tlm.Payload.get_tag p i in
         (* The CAN bus is an output interface: check clearance per byte. *)
-        Env.check_output c.env ~port:c.port ~data_tag:tag
-          ~detail:(Printf.sprintf "%s tx byte %d" c.name (addr + i));
+        Env.check_output c.env ~port:c.port ~data_tag:tag (fun () ->
+            Printf.sprintf "%s tx byte %d" c.name (addr + i));
         Bytes.set c.txd (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set c.txd_tags (addr + i) (Char.chr tag)
       done
   | Tlm.Payload.Write when addr = 0x08 ->
       if Tlm.Payload.get_byte p 0 land 1 <> 0 then send c
   | Tlm.Payload.Read when addr = 0x08 ->
-      Tlm.Payload.set_byte p 0 1 (* tx always ready *);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p c.env.Env.pub
+      Tlm.Payload.set_value p 1 ~tag:c.env.Env.pub (* tx always ready *)
   | Tlm.Payload.Read when addr >= 0x10 && addr + len <= 0x18 ->
       for i = 0 to len - 1 do
         let o = addr + i - 0x10 in
@@ -91,11 +87,7 @@ let transport c (p : Tlm.Payload.t) delay =
         Tlm.Payload.set_tag p i (Char.code (Bytes.get c.rxd_tags o))
       done
   | Tlm.Payload.Read when addr = 0x18 ->
-      Tlm.Payload.set_byte p 0 (rx_pending c land 0xff);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p c.env.Env.pub
+      Tlm.Payload.set_value p (rx_pending c land 0xff) ~tag:c.env.Env.pub
   | Tlm.Payload.Write when addr = 0x18 ->
       if Tlm.Payload.get_byte p 0 land 1 <> 0 then load_rx c
   | Tlm.Payload.Read | Tlm.Payload.Write ->

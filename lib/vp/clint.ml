@@ -107,22 +107,12 @@ let reg_write c addr v =
   | _ -> raise Not_found
 
 let transport c (p : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length p in
   let addr = p.Tlm.Payload.addr in
   (try
      (match p.Tlm.Payload.cmd with
      | Tlm.Payload.Read ->
-         let v = reg_read c addr in
-         for i = 0 to len - 1 do
-           Tlm.Payload.set_byte p i ((v lsr (8 * i)) land 0xff)
-         done;
-         Tlm.Payload.set_all_tags p c.env.Env.pub
-     | Tlm.Payload.Write ->
-         let v = ref 0 in
-         for i = len - 1 downto 0 do
-           v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-         done;
-         reg_write c addr !v);
+         Tlm.Payload.set_value p (reg_read c addr) ~tag:c.env.Env.pub
+     | Tlm.Payload.Write -> reg_write c addr (Tlm.Payload.value p));
      p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
    with Not_found -> p.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay c.latency

@@ -46,17 +46,18 @@ let transfers_completed d = d.done_count
 
 let copy_byte d ~from ~into =
   let p = d.shuttle in
-  p.Tlm.Payload.cmd <- Tlm.Payload.Read;
-  p.Tlm.Payload.addr <- from;
-  p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
+  Tlm.Payload.rearm p Tlm.Payload.Read from;
   ignore (Tlm.Socket.transport d.init p Sysc.Time.zero);
   if Tlm.Payload.ok p then begin
-    Env.taint_via d.env ~channel:d.name (Tlm.Payload.get_tag p 0);
-    Env.check_store d.env ~addr:into
-      ~data_tag:(Tlm.Payload.get_tag p 0)
-      ~who:d.name;
-    p.Tlm.Payload.cmd <- Tlm.Payload.Write;
-    p.Tlm.Payload.addr <- into;
+    let tag = Tlm.Payload.get_tag p 0 in
+    Env.taint_via d.env ~channel:d.name tag;
+    (match Dift.Policy.store_required_at d.env.Env.policy into with
+    | Some (region, required) when Env.refused d.env tag required ->
+        Env.violation d.env ~kind:(Dift.Violation.Store_integrity region)
+          ~data_tag:tag ~required
+          (Printf.sprintf "%s store to 0x%08x" d.name into)
+    | _ -> ());
+    Tlm.Payload.rearm p Tlm.Payload.Write into;
     ignore (Tlm.Socket.transport d.init p Sysc.Time.zero)
   end
 
@@ -95,31 +96,19 @@ let start d =
       done)
 
 let transport d (p : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length p in
-  let get () =
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-    done;
-    !v
-  in
-  let put v =
-    for i = 0 to len - 1 do
-      Tlm.Payload.set_byte p i ((v lsr (8 * i)) land 0xff)
-    done;
-    Tlm.Payload.set_all_tags p d.env.Env.pub
-  in
+  let pub = d.env.Env.pub in
   p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
   (match (p.Tlm.Payload.addr, p.Tlm.Payload.cmd) with
-  | 0x00, Tlm.Payload.Read -> put d.src
-  | 0x00, Tlm.Payload.Write -> d.src <- get ()
-  | 0x04, Tlm.Payload.Read -> put d.dst
-  | 0x04, Tlm.Payload.Write -> d.dst <- get ()
-  | 0x08, Tlm.Payload.Read -> put d.len
-  | 0x08, Tlm.Payload.Write -> d.len <- get ()
-  | 0x0c, Tlm.Payload.Read -> put (if d.busy then 1 else 0)
+  | 0x00, Tlm.Payload.Read -> Tlm.Payload.set_value p d.src ~tag:pub
+  | 0x00, Tlm.Payload.Write -> d.src <- Tlm.Payload.value p
+  | 0x04, Tlm.Payload.Read -> Tlm.Payload.set_value p d.dst ~tag:pub
+  | 0x04, Tlm.Payload.Write -> d.dst <- Tlm.Payload.value p
+  | 0x08, Tlm.Payload.Read -> Tlm.Payload.set_value p d.len ~tag:pub
+  | 0x08, Tlm.Payload.Write -> d.len <- Tlm.Payload.value p
+  | 0x0c, Tlm.Payload.Read ->
+      Tlm.Payload.set_value p (if d.busy then 1 else 0) ~tag:pub
   | 0x0c, Tlm.Payload.Write ->
-      if get () land 1 <> 0 && not d.busy then begin
+      if Tlm.Payload.value p land 1 <> 0 && not d.busy then begin
         d.busy <- true;
         Sysc.Kernel.notify d.start_ev
       end

@@ -29,37 +29,24 @@ let taint_via env ~channel tag =
   | Some tr when tag <> env.pub -> Trace.Tracer.record_via tr ~channel tag
   | Some _ | None -> ()
 
-let check_output env ~port ~data_tag ~detail =
+(* Every check counts itself and tests the flow first; only a refused flow
+   builds its violation record and detail text. *)
+let refused env tag required =
+  Dift.Monitor.count_check env.monitor;
+  not (Dift.Lattice.allowed_flow env.lat tag required)
+
+let violation env ~kind ~data_tag ~required detail =
+  Dift.Monitor.violation env.monitor
+    { Dift.Violation.kind; data_tag; required_tag = required; pc = None; detail }
+
+let check_output env ~port ~data_tag detail =
   match Dift.Policy.output_required env.policy port with
-  | None -> ()
-  | Some required ->
-      Dift.Monitor.count_check env.monitor;
-      if not (Dift.Lattice.allowed_flow env.lat data_tag required) then
-        Dift.Monitor.violation env.monitor
-          {
-            Dift.Violation.kind = Dift.Violation.Output_clearance port;
-            data_tag;
-            required_tag = required;
-            pc = None;
-            detail;
-          }
+  | Some required when refused env data_tag required ->
+      violation env ~kind:(Dift.Violation.Output_clearance port) ~data_tag
+        ~required (detail ())
+  | _ -> ()
 
 let declassify env ~where ~from_tag to_tag =
   Dift.Monitor.report env.monitor
     (Dift.Monitor.Declassified { where; from_tag; to_tag });
   to_tag
-
-let check_store env ~addr ~data_tag ~who =
-  match Dift.Policy.store_required_at env.policy addr with
-  | None -> ()
-  | Some (region, required) ->
-      Dift.Monitor.count_check env.monitor;
-      if not (Dift.Lattice.allowed_flow env.lat data_tag required) then
-        Dift.Monitor.violation env.monitor
-          {
-            Dift.Violation.kind = Dift.Violation.Store_integrity region;
-            data_tag;
-            required_tag = required;
-            pc = None;
-            detail = Printf.sprintf "%s store to 0x%08x" who addr;
-          }

@@ -25,16 +25,28 @@ val taint_via : t -> channel:string -> Dift.Lattice.tag -> unit
 (** Note that tagged data travelled through a named transfer channel
     (e.g. the DMA engine). Same no-op conventions as {!taint_source}. *)
 
-val check_output : t -> port:string -> data_tag:Dift.Lattice.tag -> detail:string -> unit
+val refused : t -> Dift.Lattice.tag -> Dift.Lattice.tag -> bool
+(** [refused env tag required] counts one clearance check with the
+    monitor and tells whether the policy refuses [tag] flowing to
+    [required]. *)
+
+val violation :
+  t ->
+  kind:Dift.Violation.kind ->
+  data_tag:Dift.Lattice.tag ->
+  required:Dift.Lattice.tag ->
+  string ->
+  unit
+(** Report a refused flow (no pc: peripherals are not the core). Call it
+    only after {!refused} said yes, so the record and its detail text are
+    built only for a refused flow. *)
+
+val check_output : t -> port:string -> data_tag:Dift.Lattice.tag -> (unit -> string) -> unit
 (** Clearance check at a named output interface: looks up the port's
     required class in the policy (no check if undeclared) and reports a
-    violation to the monitor on failure. *)
+    violation, with the detail text the thunk builds, on failure. *)
 
 val declassify : t -> where:string -> from_tag:Dift.Lattice.tag -> Dift.Lattice.tag -> Dift.Lattice.tag
 (** [declassify env ~where ~from_tag to_tag] records the declassification
     event and returns [to_tag]. Only trusted peripherals may call this
     (threat model, Section IV-B). *)
-
-val check_store : t -> addr:int -> data_tag:Dift.Lattice.tag -> who:string -> unit
-(** Integrity check for a store at a global address into a policy-protected
-    region (used by bus masters other than the CPU, e.g. the DMA engine). *)

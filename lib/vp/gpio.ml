@@ -46,41 +46,20 @@ let drive_input g ~pin ?tag level =
 let output_levels g = g.out
 
 let transport g (p : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length p in
-  let get () =
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-    done;
-    !v
-  in
-  let word_tag () =
-    let t = ref (Tlm.Payload.get_tag p 0) in
-    for i = 1 to len - 1 do
-      t := Dift.Lattice.lub g.env.Env.lat !t (Tlm.Payload.get_tag p i)
-    done;
-    !t
-  in
-  let put v tag =
-    for i = 0 to len - 1 do
-      Tlm.Payload.set_byte p i ((v lsr (8 * i)) land 0xff)
-    done;
-    Tlm.Payload.set_all_tags p tag
-  in
   p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
   (match (p.Tlm.Payload.addr, p.Tlm.Payload.cmd) with
-  | 0x00, Tlm.Payload.Read -> put g.dir g.env.Env.pub
-  | 0x00, Tlm.Payload.Write -> g.dir <- get ()
-  | 0x04, Tlm.Payload.Read -> put g.out g.out_tag
+  | 0x00, Tlm.Payload.Read -> Tlm.Payload.set_value p g.dir ~tag:g.env.Env.pub
+  | 0x00, Tlm.Payload.Write -> g.dir <- Tlm.Payload.value p
+  | 0x04, Tlm.Payload.Read -> Tlm.Payload.set_value p g.out ~tag:g.out_tag
   | 0x04, Tlm.Payload.Write ->
-      let tag = word_tag () in
-      Env.check_output g.env ~port:g.port ~data_tag:tag
-        ~detail:(Printf.sprintf "%s output latch" g.name);
-      g.out <- get () land g.dir;
+      let tag = Tlm.Payload.lub_tag g.env.Env.lat p in
+      Env.check_output g.env ~port:g.port ~data_tag:tag (fun () ->
+          Printf.sprintf "%s output latch" g.name);
+      g.out <- Tlm.Payload.value p land g.dir;
       g.out_tag <- tag
-  | 0x08, Tlm.Payload.Read -> put g.inp g.inp_tag
+  | 0x08, Tlm.Payload.Read -> Tlm.Payload.set_value p g.inp ~tag:g.inp_tag
   | 0x0c, Tlm.Payload.Read ->
-      put g.rise g.inp_tag;
+      Tlm.Payload.set_value p g.rise ~tag:g.inp_tag;
       g.rise <- 0
   | (0x08 | 0x0c), Tlm.Payload.Write -> () (* read-only, writes ignored *)
   | _, _ -> p.Tlm.Payload.resp <- Tlm.Payload.Command_error);

@@ -96,58 +96,32 @@ let complete p src =
   update p
 
 let transport p (pay : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length pay in
   (* Every value the controller hands out is public/trusted: interrupt
      delivery is control plane, not data plane — a tainted payload in the
      triggering peripheral must not taint the claim/dispatch path. *)
-  let put v =
-    for i = 0 to len - 1 do
-      Tlm.Payload.set_byte pay i ((v lsr (8 * i)) land 0xff)
-    done;
-    Tlm.Payload.set_all_tags pay p.env.Env.pub
-  in
-  let get () =
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Tlm.Payload.get_byte pay i
-    done;
-    !v
-  in
-  let ok () = pay.Tlm.Payload.resp <- Tlm.Payload.Ok_resp in
+  let pub = p.env.Env.pub in
+  pay.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
   (match (pay.Tlm.Payload.addr, pay.Tlm.Payload.cmd) with
-  | 0x00, Tlm.Payload.Read ->
-      put p.pend;
-      ok ()
-  | 0x04, Tlm.Payload.Read ->
-      put p.en;
-      ok ()
+  | 0x00, Tlm.Payload.Read -> Tlm.Payload.set_value pay p.pend ~tag:pub
+  | 0x04, Tlm.Payload.Read -> Tlm.Payload.set_value pay p.en ~tag:pub
   | 0x04, Tlm.Payload.Write ->
-      p.en <- get ();
-      update p;
-      ok ()
-  | 0x08, Tlm.Payload.Read ->
-      put (claim p);
-      ok ()
-  | 0x08, Tlm.Payload.Write ->
-      complete p (get ());
-      ok ()
-  | 0x10, Tlm.Payload.Read ->
-      put p.threshold;
-      ok ()
+      p.en <- Tlm.Payload.value pay;
+      update p
+  | 0x08, Tlm.Payload.Read -> Tlm.Payload.set_value pay (claim p) ~tag:pub
+  | 0x08, Tlm.Payload.Write -> complete p (Tlm.Payload.value pay)
+  | 0x10, Tlm.Payload.Read -> Tlm.Payload.set_value pay p.threshold ~tag:pub
   | 0x10, Tlm.Payload.Write ->
-      p.threshold <- get () land prio_max;
-      update p;
-      ok ()
+      p.threshold <- Tlm.Payload.value pay land prio_max;
+      update p
   | addr, cmd when addr >= 0x80 && addr < 0x80 + (32 * 4) && addr land 3 = 0 ->
       let src = (addr - 0x80) / 4 in
       if src = 0 then pay.Tlm.Payload.resp <- Tlm.Payload.Address_error
       else begin
-        (match cmd with
-        | Tlm.Payload.Read -> put p.prio.(src)
+        match cmd with
+        | Tlm.Payload.Read -> Tlm.Payload.set_value pay p.prio.(src) ~tag:pub
         | Tlm.Payload.Write ->
-            p.prio.(src) <- get () land prio_max;
-            update p);
-        ok ()
+            p.prio.(src) <- Tlm.Payload.value pay land prio_max;
+            update p
       end
   | _, _ -> pay.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay p.latency

@@ -225,14 +225,10 @@ let create ~policy ~monitor ?(tracking = true) ?(dmi = true) ?(quantum = 1000)
       Tlm.Router.set_observer router
         (Some
            (fun p target ->
-             let len = Tlm.Payload.length p in
-             let tag = ref (Tlm.Payload.get_tag p 0) in
-             for i = 1 to len - 1 do
-               tag := Dift.Lattice.lub lat !tag (Tlm.Payload.get_tag p i)
-             done;
              Trace.Tracer.record_tlm tr ~time:(now ())
                ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
-               ~addr:p.Tlm.Payload.addr ~len ~tag:!tag ~target));
+               ~addr:p.Tlm.Payload.addr ~len:(Tlm.Payload.length p)
+               ~tag:(Tlm.Payload.lub_tag lat p) ~target));
       (* Monitor events: violations and declassifications enter the event
          stream in order, and the tracer's graph. *)
       Dift.Monitor.set_on_event monitor

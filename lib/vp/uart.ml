@@ -47,36 +47,24 @@ let transport u (p : Tlm.Payload.t) delay =
   | 0x00, Tlm.Payload.Write ->
       let byte = Tlm.Payload.get_byte p 0 in
       let tag = Tlm.Payload.get_tag p 0 in
-      Env.check_output u.env ~port:u.port ~data_tag:tag
-        ~detail:(Printf.sprintf "%s tx byte 0x%02x" u.name byte);
+      Env.check_output u.env ~port:u.port ~data_tag:tag (fun () ->
+          Printf.sprintf "%s tx byte 0x%02x" u.name byte);
       u.tx <- (Char.chr byte, tag) :: u.tx;
       ok ()
   | 0x04, Tlm.Payload.Read ->
       let byte, tag =
         match Queue.take_opt u.rx with Some bt -> bt | None -> (0, u.env.Env.pub)
       in
-      Tlm.Payload.set_byte p 0 byte;
+      Tlm.Payload.set_value p byte ~tag:u.env.Env.pub;
       Tlm.Payload.set_tag p 0 tag;
-      for i = 1 to Tlm.Payload.length p - 1 do
-        Tlm.Payload.set_byte p i 0;
-        Tlm.Payload.set_tag p i u.env.Env.pub
-      done;
       update_irq u;
       ok ()
   | 0x08, Tlm.Payload.Read ->
       let status = (if Queue.is_empty u.rx then 0 else 1) lor 2 in
-      Tlm.Payload.set_byte p 0 status;
-      for i = 1 to Tlm.Payload.length p - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p u.env.Env.pub;
+      Tlm.Payload.set_value p status ~tag:u.env.Env.pub;
       ok ()
   | 0x0c, Tlm.Payload.Read ->
-      Tlm.Payload.set_byte p 0 (if u.irq_en then 1 else 0);
-      for i = 1 to Tlm.Payload.length p - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p u.env.Env.pub;
+      Tlm.Payload.set_value p (if u.irq_en then 1 else 0) ~tag:u.env.Env.pub;
       ok ()
   | 0x0c, Tlm.Payload.Write ->
       u.irq_en <- Tlm.Payload.get_byte p 0 land 1 <> 0;

@@ -35,10 +35,10 @@ let test_memory_rw_with_tags () =
   let m = Vp.Memory.create env ~name:"ram" ~size:256 in
   let sock = Vp.Memory.socket m in
   let w = P.create ~cmd:P.Write ~addr:16 ~len:4 ~default_tag:(t "HC,HI") () in
-  P.set_word w 0xfeedf00dl;
+  P.set_value w 0xfeedf00d ~tag:(t "HC,HI");
   ignore (S.call sock w Sysc.Time.zero);
   let r = read_reg sock ~addr:16 ~len:4 ~tag:(t "LC,LI") in
-  check_bool "value" true (Int32.equal (P.get_word r) 0xfeedf00dl);
+  check_int "value" 0xfeedf00d (P.value r);
   check_int "tag travelled" (t "HC,HI") (P.get_tag r 0)
 
 let test_memory_oob () =
@@ -378,6 +378,79 @@ let test_watchdog_reload_clearance () =
        | Dift.Violation.Custom _ -> true
        | _ -> false))
 
+(* --- refused flows ------------------------------------------------------- *)
+
+(* Every peripheral check that refuses a flow reports one exact record:
+   kind, the data and required tags, no pc, and the detail text. Forensic
+   reports and traces print these, so none of them may drift. *)
+let test_refused_flow_records () =
+  let policy =
+    Dift.Policy.make ~lattice:lat ~default_tag:(t "LC,LI")
+      ~output_clearance:
+        [ ("uart", t "LC,LI"); ("can", t "LC,LI"); ("gpio", t "LC,LI") ]
+      ~store_clearance:
+        [ Dift.Policy.region ~name:"boot" ~lo:0x80 ~hi:0x8f ~tag:(t "LC,HI") ]
+      ()
+  in
+  let monitor = Dift.Monitor.create ~mode:Dift.Monitor.Record lat in
+  let env = Vp.Env.create (Sysc.Kernel.create ()) policy monitor in
+  let uart = Vp.Uart.socket (Vp.Uart.create env ~name:"uart" ~port:"uart") in
+  ignore (write_reg uart ~addr:0 ~bytes:[ 0x55 ] ~tag:(t "HC,HI"));
+  let can = Vp.Can.socket (Vp.Can.create env ~name:"can" ~port:"can") in
+  ignore (write_reg can ~addr:2 ~bytes:[ 9 ] ~tag:(t "HC,LI"));
+  let gpio = Vp.Gpio.socket (Vp.Gpio.create env ~name:"gpio" ~port:"gpio") in
+  ignore (write_reg gpio ~addr:4 ~bytes:[ 1; 0; 0; 0 ] ~tag:(t "HC,HI"));
+  let aes =
+    Vp.Aes_periph.create env ~name:"aes" ~out_tag:(t "LC,LI")
+      ~in_clearance:(t "HC,HI") ()
+  in
+  ignore
+    (write_reg (Vp.Aes_periph.socket aes) ~addr:3 ~bytes:[ 0xff ]
+       ~tag:(t "LC,LI"));
+  let wdt = Vp.Watchdog.create env ~name:"wdt" ~clearance:(t "LC,HI") () in
+  ignore
+    (write_reg (Vp.Watchdog.socket wdt) ~addr:0 ~bytes:[ 1; 0; 0; 0 ]
+       ~tag:(t "LC,LI"));
+  let router = Tlm.Router.create ~name:"bus" () in
+  let mem = Vp.Memory.create env ~name:"ram" ~size:256 in
+  Tlm.Router.map router ~lo:0 ~hi:255 (Vp.Memory.socket mem);
+  let dma = Vp.Dma.create env ~name:"dma" in
+  Tlm.Socket.bind (Vp.Dma.initiator dma) (Tlm.Router.target_socket router);
+  Vp.Memory.write_tag mem 0x10 (t "LC,LI");
+  Vp.Dma.start dma;
+  let dsock = Vp.Dma.socket dma in
+  ignore (write_reg dsock ~addr:0 ~bytes:[ 0x10; 0; 0; 0 ] ~tag:(t "LC,HI"));
+  ignore (write_reg dsock ~addr:4 ~bytes:[ 0x84; 0; 0; 0 ] ~tag:(t "LC,HI"));
+  ignore (write_reg dsock ~addr:8 ~bytes:[ 1; 0; 0; 0 ] ~tag:(t "LC,HI"));
+  ignore (write_reg dsock ~addr:0xc ~bytes:[ 1 ] ~tag:(t "LC,HI"));
+  Sysc.Kernel.run env.Vp.Env.kernel;
+  let v kind data required detail =
+    {
+      Dift.Violation.kind;
+      data_tag = t data;
+      required_tag = t required;
+      pc = None;
+      detail;
+    }
+  in
+  let violation = Alcotest.testable (Dift.Violation.pp lat) ( = ) in
+  Alcotest.(check (list violation))
+    "records"
+    [
+      v (Dift.Violation.Output_clearance "uart") "HC,HI" "LC,LI"
+        "uart tx byte 0x55";
+      v (Dift.Violation.Output_clearance "can") "HC,LI" "LC,LI" "can tx byte 2";
+      v (Dift.Violation.Output_clearance "gpio") "HC,HI" "LC,LI"
+        "gpio output latch";
+      v (Dift.Violation.Custom "aes-input") "LC,LI" "HC,HI" "key byte 3";
+      v (Dift.Violation.Custom "wdt-reload") "LC,LI" "LC,HI"
+        "watchdog reload register";
+      v (Dift.Violation.Store_integrity "boot") "LC,LI" "LC,HI"
+        "dma store to 0x00000084";
+    ]
+    (Dift.Monitor.violations monitor);
+  check_int "each refused flow counted once" 6 (Dift.Monitor.check_count monitor)
+
 let () =
   Alcotest.run "periph"
     [
@@ -408,4 +481,6 @@ let () =
                        test_watchdog_expires_and_kicks;
                      Alcotest.test_case "reload clearance" `Quick
                        test_watchdog_reload_clearance ]);
+      ("checks", [ Alcotest.test_case "refused-flow records" `Quick
+                     test_refused_flow_records ]);
     ]
