@@ -3,10 +3,11 @@
 
      dune exec bin/vp_run.exe -- prog.s --policy integrity --uart-input hi
 
-   Exit status: 0 clean exit, 2 instruction limit / idle, 3 security
-   violation (also when the firmware exited 0 but violations were
-   recorded), 4 fatal trap; a nonzero firmware exit code is passed
-   through. *)
+   Exit status: 0 clean exit, 1 refused input (a source that does not
+   assemble, a corrupt or truncated --resume checkpoint), 2 instruction
+   limit / idle, 3 security violation (also when the firmware exited 0
+   but violations were recorded), 4 fatal trap; a nonzero firmware exit
+   code is passed through. *)
 
 open Cmdliner
 module J = Jsonkit.Json
@@ -136,7 +137,11 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
         | _ -> None
       in
       (match resume with
-      | Some path -> Vp.Soc.restore soc (read_file path)
+      | Some path -> (
+          try Vp.Soc.restore soc (read_file path)
+          with Snapshot.Codec.Corrupt msg ->
+            Printf.eprintf "vp_run: corrupt checkpoint %s: %s\n" path msg;
+            exit 1)
       | None -> ());
       let stopped_at_checkpoint = ref false in
       let execute () =
@@ -620,13 +625,31 @@ let run_term =
     $ graph_out_arg $ json_arg $ checkpoint_every_arg $ checkpoint_out_arg
     $ checkpoint_stop_arg $ resume_arg $ state_out_arg $ quantum_arg)
 
+let run_exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on a clean exit (the firmware exited 0, or stopped at an \
+                   $(b,ebreak) or a $(b,--checkpoint-stop) checkpoint).";
+      info 1 ~doc:"when the input is refused before the simulation starts: \
+                   the source does not assemble, or the $(b,--resume) \
+                   checkpoint is corrupt or truncated.";
+      info 2 ~doc:"when the instruction limit is reached or the simulation \
+                   goes idle.";
+      info 3 ~doc:"on a security violation, also when the firmware exited 0 \
+                   but violations were recorded.";
+      info 4 ~doc:"on a fatal trap.";
+      info 1 ~max:255
+        ~doc:"otherwise, the firmware's nonzero exit code (low 8 bits).";
+    ]
+  @ List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok) Cmd.Exit.defaults
+
 let cmd =
   let doc = "execute a RISC-V binary on the DIFT-enabled virtual prototype" in
   Cmd.group ~default:run_term
-    (Cmd.info "vp_run" ~doc)
+    (Cmd.info "vp_run" ~doc ~exits:run_exits)
     [
       Cmd.v
-        (Cmd.info "run"
+        (Cmd.info "run" ~exits:run_exits
            ~doc:"assemble and execute a program (the default command)")
         run_term;
       analyze_cmd;

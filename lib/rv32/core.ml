@@ -273,7 +273,7 @@ type t = {
   mutable max_insns : int;
   mutable in_wfi : bool;
   mutable exit_reason : exit_reason;
-  mutable trace : (int -> Insn.t -> unit) option;
+  mutable trace : (int -> int -> Insn.t -> int -> unit) option;
   mutable on_merge : (int -> int -> int -> unit) option;
   (* Read dynamically by enter_trap / mret (never from compiled chains:
      trap instructions are breakers), so installing it needs no flush. *)
@@ -473,10 +473,11 @@ let halted t = t.exit_reason <> Running
 let halt t reason =
   if t.exit_reason = Running then t.exit_reason <- reason
 
-(* Compiled chains capture the hook value at compile time (the common
-   no-hook case pays nothing per instruction), so changing it must drop
-   every compiled block and stop any running chain; the single-step
-   reference reads [t.trace] dynamically and needs neither. *)
+(* Compiled chains capture the recorders the factory made for them at
+   compile time (the common no-hook case pays nothing per instruction),
+   so changing it must drop every compiled block and stop any running
+   chain; the single-step reference reads [t.trace] dynamically and
+   needs neither. *)
 let set_trace t fn =
   t.trace <- fn;
   if t.use_blocks then begin
@@ -881,7 +882,12 @@ let step t =
           check_fetch t t.insn_tag
         end;
         let insn = decode_cached t pc0 t.insn_word in
-        (match t.trace with Some f -> f pc0 insn | None -> ());
+        (match t.trace with
+        | Some f ->
+            let a = t.rtags.(Insn.rs1 insn) and b = t.rtags.(Insn.rs2 insn) in
+            f pc0 t.insn_word insn
+              (if a = b then a else Dift.Lattice.lub t.lat a b)
+        | None -> ());
         t.instret <- t.instret + 1;
         t.local_cycles <- t.local_cycles + 1;
         t.pc <- mask32 (pc0 + 4);
@@ -992,7 +998,7 @@ let fetch_check_of t itag =
    {!step}'s bookkeeping with pc, word and fetch tag as constants. The
    word and tag land in [insn_word]/[insn_tag] as the reference leaves
    them, since snapshots save both. *)
-let retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc =
+let retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc =
   t.cur_pc <- pc0;
   t.insn_word <- word;
   t.insn_tag <- itag;
@@ -1000,7 +1006,7 @@ let retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc =
   | No_fetch_check -> ()
   | Fetch_passes -> Dift.Monitor.count_check t.monitor
   | Fetch_fails -> check_fetch t itag);
-  (match traced with Some f -> f pc0 insn | None -> ());
+  (match traced with Some f -> f () | None -> ());
   t.instret <- t.instret + 1;
   t.local_cycles <- t.local_cycles + 1;
   t.pc <- next_pc
@@ -1037,8 +1043,22 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
   let open Insn in
   let regs = t.regs and rtags = t.rtags in
   let next_pc = mask32 (pc0 + 4) in
-  (* Captured at compile time; set_trace drops compiled blocks. *)
-  let traced = t.trace in
+  (* The instruction's recorder, made at compile time (set_trace drops
+     compiled blocks): it gets the join of the source-register tags,
+     read through indices resolved here. An untraced core resolves
+     nothing. *)
+  let traced =
+    match t.trace with
+    | None -> None
+    | Some f ->
+        let record = f pc0 word insn in
+        let lat = t.lat and r1 = Insn.rs1 insn and r2 = Insn.rs2 insn in
+        Some
+          (fun () ->
+            let a = Array.unsafe_get rtags r1
+            and b = Array.unsafe_get rtags r2 in
+            record (if a = b then a else Dift.Lattice.lub lat a b))
+  in
   let fetch = fetch_check_of t itag in
   (* Register indices come from 5-bit decode fields, so unsafe accesses
      on the 32-entry files are in bounds by construction. ALU shapes
@@ -1050,7 +1070,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
       let v = alu_value insn regs pc0 in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           if rd <> 0 then begin
             Array.unsafe_set regs rd v;
             Array.unsafe_set rtags rd itag
@@ -1062,7 +1082,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
   | SLLI (rd, rs1, _) | SRLI (rd, rs1, _) | SRAI (rd, rs1, _) ->
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           let tag = lub t (Array.unsafe_get rtags rs1) itag in
           if rd <> 0 then begin
             Array.unsafe_set regs rd (alu_value insn regs pc0);
@@ -1077,7 +1097,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
   | DIV (rd, a, b) | DIVU (rd, a, b) | REM (rd, a, b) | REMU (rd, a, b) ->
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           let tag =
             lub t
               (lub t (Array.unsafe_get rtags a) (Array.unsafe_get rtags b))
@@ -1095,7 +1115,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
       let taken_k = if tgt = next_pc then next else exit_k in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           let taken = branch_taken insn regs in
           check_branch t
             (lub t (Array.unsafe_get rtags a) (Array.unsafe_get rtags b))
@@ -1111,7 +1131,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
       let width = mem_width insn in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           let addr = mask32 (Array.unsafe_get regs rs1 + off) in
           check_mem_addr t (Array.unsafe_get rtags rs1) addr;
           (* A faulting load has trapped and redirected [t.pc]. *)
@@ -1129,7 +1149,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
       let width = mem_width insn in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           let addr = mask32 (Array.unsafe_get regs rs1 + off) in
           check_mem_addr t (Array.unsafe_get rtags rs1) addr;
           let tag = Array.unsafe_get rtags rs2 in
@@ -1144,7 +1164,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
       let taken_k = if tgt = next_pc then next else exit_k in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           if rd <> 0 then begin
             Array.unsafe_set regs rd next_pc;
             Array.unsafe_set rtags rd itag
@@ -1155,7 +1175,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~next ~exit_k =
   | JALR (rd, rs1, off) ->
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
-          retire_full t ~pc0 ~word ~itag ~fetch ~traced insn next_pc;
+          retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
           check_branch t (Array.unsafe_get rtags rs1) "indirect jump target";
           (* Target before link write: rd may alias rs1. *)
           let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
@@ -1224,15 +1244,19 @@ let ic_exit t ~entry_of =
    ({!alu_value}, {!branch_taken}, {!mem_width}, {!load_extend}); only
    the retirement shells around them are written here, with branch and
    jump targets folded in at compile time. *)
-let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
+let compile_fast t ~guarded ~pc0 ~word ~insn ~next ~fallback ~exit_k =
   let open Insn in
   let regs = t.regs and rtags = t.rtags in
   let next_pc = mask32 (pc0 + 4) in
-  (* The per-instruction hook is specialized at compile time — the
-     common no-hook case pays nothing per retired instruction.
-     {!set_trace} drops every compiled block, so a chain can never
-     outlive the hook value it captured. *)
-  let traced = t.trace in
+  (* The per-instruction recorder is made at compile time — the common
+     no-hook case pays nothing per retired instruction, and [word]
+     stays out of the closures. {!set_trace} drops every compiled block,
+     so a chain can never outlive the recorder it captured. Every
+     register tag is bottom here, so the recorder gets bottom as the
+     operand tag without reading a register. *)
+  let traced =
+    match t.trace with None -> None | Some f -> Some (f pc0 word insn)
+  in
   (* Retirement bookkeeping is written out inline in every shape below
      rather than shared through a [retire] closure: without flambda a
      shared closure costs an extra indirect call on every retired
@@ -1247,7 +1271,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     if (not guarded) || not (chain_stalled t) then begin
       t.cur_pc <- pc0;
       t.n_fast <- t.n_fast + 1;
-      (match traced with Some f -> f pc0 insn | None -> ());
+      (match traced with Some f -> f t.pub | None -> ());
       t.instret <- t.instret + 1;
       t.local_cycles <- t.local_cycles + 1;
       t.pc <- next_pc;
@@ -1265,7 +1289,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     if (not guarded) || not (chain_stalled t) then begin
       t.cur_pc <- pc0;
       t.n_fast <- t.n_fast + 1;
-      (match traced with Some f -> f pc0 insn | None -> ());
+      (match traced with Some f -> f t.pub | None -> ());
       t.instret <- t.instret + 1;
       t.local_cycles <- t.local_cycles + 1;
       t.pc <- next_pc;
@@ -1289,7 +1313,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     if (not guarded) || not (chain_stalled t) then begin
       t.cur_pc <- pc0;
       t.n_fast <- t.n_fast + 1;
-      (match traced with Some f -> f pc0 insn | None -> ());
+      (match traced with Some f -> f t.pub | None -> ());
       t.instret <- t.instret + 1;
       t.local_cycles <- t.local_cycles + 1;
       t.pc <- next_pc;
@@ -1334,7 +1358,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
     if (not guarded) || not (chain_stalled t) then begin
       t.cur_pc <- pc0;
       t.n_fast <- t.n_fast + 1;
-      (match traced with Some f -> f pc0 insn | None -> ());
+      (match traced with Some f -> f t.pub | None -> ());
       t.instret <- t.instret + 1;
       t.local_cycles <- t.local_cycles + 1;
       t.pc <- next_pc;
@@ -1369,7 +1393,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
         if (not guarded) || not (chain_stalled t) then begin
           t.cur_pc <- pc0;
           t.n_fast <- t.n_fast + 1;
-          (match traced with Some f -> f pc0 insn | None -> ());
+          (match traced with Some f -> f t.pub | None -> ());
           t.instret <- t.instret + 1;
           t.local_cycles <- t.local_cycles + 1;
           if rd <> 0 then regs.(rd) <- next_pc;
@@ -1391,7 +1415,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~next ~fallback ~exit_k =
         if (not guarded) || not (chain_stalled t) then begin
           t.cur_pc <- pc0;
           t.n_fast <- t.n_fast + 1;
-          (match traced with Some f -> f pc0 insn | None -> ());
+          (match traced with Some f -> f t.pub | None -> ());
           t.instret <- t.instret + 1;
           t.local_cycles <- t.local_cycles + 1;
           (* Target before link write: rd may alias rs1. *)
@@ -1505,7 +1529,7 @@ let compile_block ?link t (b : block) =
           fast.(i) <-
             compile_fast t ~guarded:(i > 0)
               ~pc0:(b.b_pc + (4 * i))
-              ~insn:b.b_insns.(i)
+              ~word:b.b_words.(i) ~insn:b.b_insns.(i)
               ~next:fast.(i + 1)
               ~fallback:(full_at (i + 1))
               ~exit_k:fast_seam

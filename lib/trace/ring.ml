@@ -14,7 +14,8 @@ let length t = min t.total (Array.length t.slots)
 
 let emit t =
   let slot = t.slots.(t.next) in
-  t.next <- (t.next + 1) mod Array.length t.slots;
+  let next = t.next + 1 in
+  t.next <- (if next = Array.length t.slots then 0 else next);
   t.total <- t.total + 1;
   slot
 

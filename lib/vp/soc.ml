@@ -61,25 +61,19 @@ let cpu_of core =
     cpu_fast_retired = (fun () -> C.fast_retired core);
   }
 
-(* The tracer's per-instruction recorder: one [Insn] event per retired
-   instruction, tagged with the LUB of its source registers' tags. *)
+(* The tracer's per-instruction recorder factory (see
+   {!Rv32.Core.set_trace}): one [Insn] event per retired instruction,
+   tagged with the join of its source registers' tags. The word is fixed
+   once per recorder, as fetched; outside RAM it reads 0. *)
 let insn_recorder soc tr =
-  let lat = soc.env.Env.lat and pub = soc.env.Env.pub in
-  let core = soc.core and kernel = soc.kernel in
-  let data = Memory.data soc.memory in
+  let pub = soc.env.Env.pub and kernel = soc.kernel in
   let mem_size = Memory.size soc.memory in
-  fun pc insn ->
+  fun pc word _insn ->
     let off = pc - ram_base in
-    let word =
-      if off >= 0 && off + 3 < mem_size then
-        Int32.to_int (Bytes.get_int32_le data off) land 0xffffffff
-      else 0
-    in
-    let t1 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs1 insn) in
-    let t2 = Rv32.Core.get_reg_tag core (Rv32.Insn.rs2 insn) in
-    let tag = Dift.Lattice.lub lat t1 t2 in
-    Trace.Tracer.record_insn tr ~time:(Sysc.Kernel.now kernel) ~pc ~word ~tag
-      ~tainted:(tag <> pub)
+    let word = if off >= 0 && off + 3 < mem_size then word else 0 in
+    fun tag ->
+      Trace.Tracer.record_insn tr ~time:(Sysc.Kernel.now kernel) ~pc ~word
+        ~tag ~tainted:(tag <> pub)
 
 (* Trap entries and mrets enter the event stream (the forensic window then
    shows "trap" lines around a violation raised inside a handler). *)
@@ -97,17 +91,25 @@ let trap_recorder soc tr ev =
           (Printf.sprintf "mret -> 0x%08x (priv %s)" target
              (if to_priv = Rv32.Csr.priv_m then "M" else "U"))
 
+(* A caller's hook as a recorder factory: it ignores the word and the
+   operand tag. *)
+let hook_recorder f pc _word insn =
+  let record _tag = f pc insn in
+  record
+
 let set_trace soc fn =
   Rv32.Core.set_trace soc.core
     (match (soc.env.Env.tracer, fn) with
-    | None, fn -> fn
+    | None, fn -> Option.map hook_recorder fn
     | Some tr, None -> Some (insn_recorder soc tr)
     | Some tr, Some f ->
-        let record = insn_recorder soc tr in
+        let recorder = insn_recorder soc tr in
         Some
-          (fun pc insn ->
-            record pc insn;
-            f pc insn))
+          (fun pc word insn ->
+            let record = recorder pc word insn in
+            fun tag ->
+              record tag;
+              f pc insn))
 
 let set_trap_hook soc fn =
   Rv32.Core.set_trap_hook soc.core

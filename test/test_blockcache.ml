@@ -40,31 +40,6 @@ let check_all_configs ~name ~code build =
       | Some r -> check_int (ctx ^ ": instret") r instret)
     [ (false, true); (false, false); (true, true); (true, false) ]
 
-(* A function is called, then its first instruction is overwritten through
-   a plain store; later calls must execute the patched instruction. *)
-let smc_cross_block p =
-  A.li p R.s1 0;
-  A.li p R.s2 3;
-  A.la p R.t0 "site";
-  A.la p R.t1 "newinsn";
-  A.lw p R.t1 R.t1 0;
-  A.label p "loop";
-  A.call p "site_fn";
-  A.sw p R.t1 R.t0 0;
-  A.addi p R.s2 R.s2 (-1);
-  A.bnez_l p R.s2 "loop";
-  A.mv p R.a0 R.s1;
-  A.li p R.a7 93;
-  A.ecall p;
-  A.label p "site_fn";
-  A.label p "site";
-  A.addi p R.s1 R.s1 1;
-  A.ret p;
-  A.align p 4;
-  A.label p "newinsn";
-  (* addi s1, s1, 100 *)
-  A.word p (Rv32.Encode.encode (Rv32.Insn.ADDI (R.s1, R.s1, 100)))
-
 (* First call original (+1), two calls patched (+100 each). *)
 let test_smc_cross_block () =
   check_all_configs ~name:"smc cross-block" ~code:201 smc_cross_block

@@ -467,6 +467,120 @@ let test_caller_hooks_compose () =
   check_bool "the trap hook sees the traps the tracer records" true
     (!hook_traps = !recorded_traps)
 
+(* --- Recorder parity across execution paths --------------------------- *)
+
+(* A secret word is loaded in the middle of a block: on the compiled path
+   the value-only chain hands over to the full chain there, and the
+   tainted register then feeds joins with untainted ones. Clearing the
+   registers at the end of each round makes the next round start on the
+   value-only chain again. *)
+let tainted_mid_block p =
+  A.li p R.s1 4;
+  A.la p R.t0 "secret";
+  A.label p "loop";
+  A.addi p R.s2 R.s2 1;
+  A.lw p R.t1 R.t0 0;
+  A.add p R.t2 R.t1 R.s2;
+  A.add p R.t3 R.t2 R.t2;
+  A.sw p R.t3 R.t0 4;
+  A.li p R.t1 0;
+  A.li p R.t2 0;
+  A.li p R.t3 0;
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.li p R.a0 0;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.align p 4;
+  A.label p "secret";
+  A.word p 0x1234;
+  A.word p 0
+
+let event_line e =
+  Printf.sprintf "t=%d %s addr=0x%x data=0x%x tag=%d tainted=%b %S"
+    e.T.Event.time (T.Event.kind_name e.T.Event.kind) e.T.Event.addr
+    e.T.Event.data e.T.Event.tag e.T.Event.tainted e.T.Event.text
+
+(* The complete recorded stream and the core after the run. *)
+let record_stream ~block_cache build =
+  let p = A.create () in
+  build p;
+  let img = A.assemble p in
+  let lat = Dift.Lattice.confidentiality () in
+  let classification =
+    match Rv32_asm.Image.symbol_opt img "secret" with
+    | Some lo ->
+        [ Dift.Policy.region ~name:"secret" ~lo ~hi:(lo + 3)
+            ~tag:(Dift.Lattice.tag_of_name lat "HC") ]
+    | None -> []
+  in
+  let policy =
+    Dift.Policy.make ~lattice:lat
+      ~default_tag:(Dift.Lattice.tag_of_name lat "LC")
+      ~classification ()
+  in
+  let monitor = Dift.Monitor.create lat in
+  let tracer = T.Tracer.create lat in
+  let soc =
+    Vp.Soc.create ~policy ~monitor ~tracking:true ~block_cache ~tracer ()
+  in
+  Vp.Soc.load_image soc img;
+  let events = ref [] in
+  T.Tracer.set_on_record tracer
+    (Some (fun e -> events := T.Event.copy e :: !events));
+  let reason = Vp.Soc.run_for_instructions soc 100_000 in
+  (List.rev !events, soc.Vp.Soc.core, reason)
+
+(* The compiled path's recorders are made once per compiled instruction,
+   the single-step reference's per step: both must record the same
+   stream, with one [Insn] event per retired instruction. The
+   self-modifying program catches a recorder that keeps a stale word,
+   the tainted load one whose operand tags miss the fast-to-full
+   hand-over. *)
+let test_recorder_parity () =
+  List.iter
+    (fun (name, build, code) ->
+      let compiled, core, reason = record_stream ~block_cache:true build in
+      expect_exit reason code;
+      let reference, ref_core, ref_reason =
+        record_stream ~block_cache:false build
+      in
+      expect_exit ref_reason code;
+      let insns evs =
+        List.length (List.filter (fun e -> e.T.Event.kind = T.Event.Insn) evs)
+      in
+      check_int (name ^ ": one Insn event per instruction (compiled)")
+        (Rv32.Core.instret core) (insns compiled);
+      check_int (name ^ ": one Insn event per instruction (reference)")
+        (Rv32.Core.instret ref_core) (insns reference);
+      check_bool (name ^ ": the compiled path ran value-only chains") true
+        (Rv32.Core.fast_retired core > 0);
+      Alcotest.(check (list string))
+        (name ^ ": same stream on both paths")
+        (List.map event_line reference)
+        (List.map event_line compiled))
+    [ ("smc cross-block", smc_cross_block, 201);
+      ("tainted load mid-block", tainted_mid_block, 0) ];
+  (* The streams above are worth comparing only if they hold what the
+     programs are built to exercise. *)
+  let words_at_site, _, _ = record_stream ~block_cache:true smc_cross_block in
+  let site_words =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun e ->
+           if e.T.Event.kind = T.Event.Insn
+              && Rv32.Decode.decode e.T.Event.data
+                 = Rv32.Insn.ADDI (R.s1, R.s1, 100)
+           then Some e.T.Event.addr
+           else None)
+         words_at_site)
+  in
+  check_int "the patched word is recorded at one site" 1
+    (List.length site_words);
+  let tainted, _, _ = record_stream ~block_cache:true tainted_mid_block in
+  check_bool "tainted operands are recorded" true
+    (List.exists (fun e -> e.T.Event.tainted) tainted)
+
 let () =
   Alcotest.run "trace"
     [
@@ -490,5 +604,7 @@ let () =
             test_tracer_transparent;
           Alcotest.test_case "caller hooks compose with the tracer" `Quick
             test_caller_hooks_compose;
+          Alcotest.test_case "recorder parity across execution paths" `Quick
+            test_recorder_parity;
         ] );
     ]
