@@ -1,9 +1,20 @@
+(* Bytes logged per transmit-log chunk. With their tags a chunk is
+   512 bytes, 65 words: the runtime keeps blocks of up to 128 words in
+   its own pools and hands larger ones to malloc. *)
+let chunk_bytes = 256
+
 type t = {
   env : Env.t;
   name : string;
   port : string;
   rx : (int * int) Queue.t;  (* byte, tag *)
-  mutable tx : (char * int) list;  (* newest first *)
+  (* Transmit log: filled chunks newest first, then the chunk being
+     filled; two bytes per logged byte, in small heap blocks. A sensor
+     run transmits about 100 KB, which a list of pairs would hold as
+     5 MB of heap and one growing buffer as ever larger C-heap blocks. *)
+  mutable tx_full : Bytes.t list;
+  mutable tx_cur : Bytes.t;
+  mutable tx_len : int;  (* bytes logged in [tx_cur] *)
   mutable irq_en : bool;
   mutable irq : bool -> unit;
   latency : Sysc.Time.t;
@@ -15,7 +26,9 @@ let create env ~name ~port =
     name;
     port;
     rx = Queue.create ();
-    tx = [];
+    tx_full = [];
+    tx_cur = Bytes.create (2 * chunk_bytes);
+    tx_len = 0;
     irq_en = false;
     irq = (fun _ -> ());
     latency = Sysc.Time.ns 100;
@@ -35,10 +48,33 @@ let push_rx u ?tag s =
 
 let rx_pending u = Queue.length u.rx
 
+let log_tx u byte tag =
+  if u.tx_len = chunk_bytes then begin
+    u.tx_full <- u.tx_cur :: u.tx_full;
+    u.tx_cur <- Bytes.create (2 * chunk_bytes);
+    u.tx_len <- 0
+  end;
+  Bytes.set_uint8 u.tx_cur (2 * u.tx_len) byte;
+  Bytes.set_uint8 u.tx_cur ((2 * u.tx_len) + 1) (tag land 0xff);
+  u.tx_len <- u.tx_len + 1
+
+(* [f byte tag] over the log, in transmission order. *)
+let tx_iter u f =
+  let chunk c n =
+    for i = 0 to n - 1 do
+      f (Bytes.get_uint8 c (2 * i)) (Bytes.get_uint8 c ((2 * i) + 1))
+    done
+  in
+  List.iter (fun c -> chunk c chunk_bytes) (List.rev u.tx_full);
+  chunk u.tx_cur u.tx_len
+
 let tx_string u =
-  let b = Buffer.create (List.length u.tx) in
-  List.iter (fun (c, _) -> Buffer.add_char b c) (List.rev u.tx);
-  Buffer.contents b
+  let s = Bytes.create ((List.length u.tx_full * chunk_bytes) + u.tx_len) in
+  let i = ref 0 in
+  tx_iter u (fun byte _ ->
+      Bytes.set_uint8 s !i byte;
+      incr i);
+  Bytes.unsafe_to_string s
 
 let transport u (p : Tlm.Payload.t) delay =
   let ok () = p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp in
@@ -49,7 +85,7 @@ let transport u (p : Tlm.Payload.t) delay =
       let tag = Tlm.Payload.get_tag p 0 in
       Env.check_output u.env ~port:u.port ~data_tag:tag (fun () ->
           Printf.sprintf "%s tx byte 0x%02x" u.name byte);
-      u.tx <- (Char.chr byte, tag) :: u.tx;
+      log_tx u byte tag;
       ok ()
   | 0x04, Tlm.Payload.Read ->
       let byte, tag =
@@ -75,33 +111,29 @@ let transport u (p : Tlm.Payload.t) delay =
 
 let socket u = Tlm.Socket.target ~name:u.name (transport u)
 
+(* Both queues are saved as lists of (byte, tag) pairs. *)
+let put_pair w (byte, tag) =
+  Snapshot.Codec.put_u8 w byte;
+  Snapshot.Codec.put_u8 w tag
+
+let get_pair r =
+  let byte = Snapshot.Codec.get_u8 r in
+  let tag = Snapshot.Codec.get_u8 r in
+  (byte, tag)
+
 let save u w =
   let open Snapshot.Codec in
-  put_list w
-    (fun w (byte, tag) ->
-      put_u8 w byte;
-      put_u8 w tag)
-    (List.of_seq (Queue.to_seq u.rx));
-  put_list w
-    (fun w (c, tag) ->
-      put_u8 w (Char.code c);
-      put_u8 w tag)
-    (List.rev u.tx);
+  put_list w put_pair (List.of_seq (Queue.to_seq u.rx));
+  let tx = ref [] in
+  tx_iter u (fun byte tag -> tx := (byte, tag) :: !tx);
+  put_list w put_pair (List.rev !tx);
   put_bool w u.irq_en
 
 let load u r =
   let open Snapshot.Codec in
   Queue.clear u.rx;
-  List.iter
-    (fun bt -> Queue.push bt u.rx)
-    (get_list r (fun r ->
-         let byte = get_u8 r in
-         let tag = get_u8 r in
-         (byte, tag)));
-  u.tx <-
-    List.rev
-      (get_list r (fun r ->
-           let c = Char.chr (get_u8 r) in
-           let tag = get_u8 r in
-           (c, tag)));
+  List.iter (fun bt -> Queue.push bt u.rx) (get_list r get_pair);
+  u.tx_full <- [];
+  u.tx_len <- 0;
+  List.iter (fun (byte, tag) -> log_tx u byte tag) (get_list r get_pair);
   u.irq_en <- get_bool r

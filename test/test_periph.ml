@@ -77,6 +77,42 @@ let test_uart_tx_clearance () =
      with Dift.Violation.Violation v ->
        v.Dift.Violation.kind = Dift.Violation.Output_clearance "uart")
 
+(* The transmit log keeps every byte and its tag in order across its
+   chunks, and a save/load round trip writes the same record: the
+   received fifo (empty), each (byte, tag) pair in transmission order,
+   and the irq enable. *)
+let test_uart_tx_log () =
+  let env, _ = env_and_monitor () in
+  let u = Vp.Uart.create env ~name:"uart" ~port:"uart" in
+  let sock = Vp.Uart.socket u in
+  let n = 1300 in
+  let byte i = (i * 7) land 0xff and tag i = if i mod 3 = 0 then t "LC,HI" else t "LC,LI" in
+  for i = 0 to n - 1 do
+    ignore (write_reg sock ~addr:0 ~bytes:[ byte i ] ~tag:(tag i))
+  done;
+  check_string "bytes in order" (String.init n (fun i -> Char.chr (byte i)))
+    (Vp.Uart.tx_string u);
+  let saved uart =
+    let w = Snapshot.Codec.writer () in
+    Vp.Uart.save uart w;
+    Snapshot.Codec.contents w
+  in
+  let expect = Snapshot.Codec.writer () in
+  Snapshot.Codec.put_list expect Snapshot.Codec.put_u8 [];
+  Snapshot.Codec.put_list expect
+    (fun w i ->
+      Snapshot.Codec.put_u8 w (byte i);
+      Snapshot.Codec.put_u8 w (tag i))
+    (List.init n Fun.id);
+  Snapshot.Codec.put_bool expect false;
+  check_string "saved record" (Snapshot.Codec.contents expect) (saved u);
+  let env2, _ = env_and_monitor () in
+  let u2 = Vp.Uart.create env2 ~name:"uart" ~port:"uart" in
+  ignore (write_reg (Vp.Uart.socket u2) ~addr:0 ~bytes:[ 0x21 ] ~tag:(t "LC,LI"));
+  Vp.Uart.load u2 (Snapshot.Codec.reader (saved u));
+  check_string "restored bytes" (Vp.Uart.tx_string u) (Vp.Uart.tx_string u2);
+  check_string "restored record" (saved u) (saved u2)
+
 let test_uart_rx_fifo_and_status () =
   let env, _ = env_and_monitor () in
   let u = Vp.Uart.create env ~name:"uart" ~port:"uart" in
@@ -458,6 +494,7 @@ let () =
                    Alcotest.test_case "out of bounds" `Quick test_memory_oob;
                    Alcotest.test_case "taint map" `Quick test_memory_taint_map ]);
       ("uart", [ Alcotest.test_case "tx clearance" `Quick test_uart_tx_clearance;
+                 Alcotest.test_case "tx log" `Quick test_uart_tx_log;
                  Alcotest.test_case "rx fifo/status" `Quick test_uart_rx_fifo_and_status;
                  Alcotest.test_case "rx interrupt" `Quick test_uart_irq ]);
       ("gpio", [ Alcotest.test_case "directions and latch" `Quick
