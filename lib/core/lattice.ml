@@ -1,13 +1,17 @@
 type tag = int
 
+(* Both relations are flat [n * n] arrays indexed [x * n + y], so an
+   engine that caches them (see {!lub_flat}) reads an entry without a
+   call. *)
 type t = {
   names : string array;
   index : (string, tag) Hashtbl.t;
-  leq : bool array array;
-  lub_table : tag array array;
+  n : int;
+  flow : bool array;
+  lub_table : tag array;
 }
 
-let size l = Array.length l.names
+let size l = l.n
 
 let name l x =
   if x < 0 || x >= size l then
@@ -21,17 +25,27 @@ let tag_of_name l s =
 
 let mem_name l s = Hashtbl.mem l.index s
 
-let allowed_flow l x y = l.leq.(x).(y)
-let lub l x y = l.lub_table.(x).(y)
+let lub_flat l = l.lub_table
+let flow_flat l = l.flow
+
+(* With [y] in range, the arrays' own bounds check refuses any [x] out
+   of range. An out-of-range [y] would alias a neighbouring row, so it is
+   refused here, as the nested tables refused it. *)
+let flat_index l x y =
+  if y < 0 || y >= l.n then invalid_arg "index out of bounds";
+  (x * l.n) + y
+
+let allowed_flow l x y = l.flow.(flat_index l x y)
+let lub l x y = l.lub_table.(flat_index l x y)
 
 (* Recompute the LUB by scanning the flow relation (the ablation
    baseline): find the least common upper bound. *)
 let lub_uncached l a b =
-  let n = size l in
+  let n = size l and f = l.flow in
   let best = ref (-1) in
   for c = 0 to n - 1 do
-    if l.leq.(a).(c) && l.leq.(b).(c)
-       && (!best < 0 || l.leq.(c).(!best)) then best := c
+    if f.((a * n) + c) && f.((b * n) + c)
+       && (!best < 0 || f.((c * n) + !best)) then best := c
   done;
   !best
 
@@ -55,7 +69,7 @@ let closure leq =
 
 let compute_lub names leq =
   let n = Array.length names in
-  let table = Array.make_matrix n n (-1) in
+  let table = Array.make (n * n) (-1) in
   let exception Bad of string in
   try
     for a = 0 to n - 1 do
@@ -71,7 +85,7 @@ let compute_lub names leq =
           List.filter (fun c -> List.for_all (fun d -> leq.(c).(d)) !ubs) !ubs
         in
         match least with
-        | [ c ] -> table.(a).(b) <- c
+        | [ c ] -> table.((a * n) + b) <- c
         | [] ->
             raise
               (Bad
@@ -137,7 +151,9 @@ let make ~classes ~flows =
             | None -> (
                 match compute_lub names leq with
                 | Error e -> Error e
-                | Ok lub_table -> Ok { names; index; leq; lub_table })))
+                | Ok lub_table ->
+                    let flow = Array.concat (Array.to_list leq) in
+                    Ok { names; index; n; flow; lub_table })))
   end
 
 let make_exn ~classes ~flows =
@@ -150,7 +166,7 @@ let extremum l ~dir =
   let is_ext c =
     let ok = ref true in
     for d = 0 to n - 1 do
-      let rel = if dir then l.leq.(c).(d) else l.leq.(d).(c) in
+      let rel = if dir then allowed_flow l c d else allowed_flow l d c in
       if not rel then ok := false
     done;
     !ok
@@ -167,10 +183,11 @@ let covers l =
   let edges = ref [] in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
-      if a <> b && l.leq.(a).(b) then begin
+      if a <> b && allowed_flow l a b then begin
         let direct = ref true in
         for c = 0 to n - 1 do
-          if c <> a && c <> b && l.leq.(a).(c) && l.leq.(c).(b) then
+          if c <> a && c <> b && allowed_flow l a c && allowed_flow l c b
+          then
             direct := false
         done;
         if !direct then edges := (a, b) :: !edges
@@ -216,7 +233,10 @@ let product ?(sep = ",") l1 l2 =
     for b = 0 to size l2 - 1 do
       for a' = 0 to size l1 - 1 do
         for b' = 0 to size l2 - 1 do
-          if l1.leq.(a).(a') && l2.leq.(b).(b') && (a <> a' || b <> b') then
+          if
+            allowed_flow l1 a a' && allowed_flow l2 b b'
+            && (a <> a' || b <> b')
+          then
             flows := (combined a b, combined a' b') :: !flows
         done
       done

@@ -44,6 +44,17 @@ val lub : t -> tag -> tag -> tag
 (** Least upper bound of two classes (the paper's [LUB]). O(1): looked up
     in a table precomputed at lattice construction. *)
 
+val lub_flat : t -> tag array
+(** The LUB table behind {!lub}, flat: [lub l x y] is
+    [(lub_flat l).((x * size l) + y)]. An engine caches it (and {!size})
+    so that a join on its per-instruction path is one array read, not a
+    call. Shared, not copied: callers must not write to it. *)
+
+val flow_flat : t -> bool array
+(** The flow relation behind {!allowed_flow}, flat like {!lub_flat}:
+    [allowed_flow l x y] is [(flow_flat l).((x * size l) + y)]. Shared:
+    callers must not write to it. *)
+
 val lub_uncached : t -> tag -> tag -> tag
 (** Same result as {!lub} but recomputed from the flow relation on every
     call; exists only to quantify what the precomputed table buys (the

@@ -11,12 +11,14 @@ type t = {
   mutable evs : event list;  (* newest first *)
   mutable n_violations : int;
   mutable n_declass : int;
-  mutable n_checks : int;
+  (* One cell for the monitor's lifetime: the core caches it and counts
+     its checks in place, so [clear] zeroes it rather than replacing it. *)
+  n_checks : int ref;
   mutable on_event : (event -> unit) option;
 }
 
 let create ?(mode = Halt) lat =
-  { lat; m = mode; evs = []; n_violations = 0; n_declass = 0; n_checks = 0;
+  { lat; m = mode; evs = []; n_violations = 0; n_declass = 0; n_checks = ref 0;
     on_event = None }
 
 let mode t = t.m
@@ -50,10 +52,11 @@ let clear t =
   t.evs <- [];
   t.n_violations <- 0;
   t.n_declass <- 0;
-  t.n_checks <- 0
+  t.n_checks := 0
 
-let check_count t = t.n_checks
-let count_check t = t.n_checks <- t.n_checks + 1
+let check_cell t = t.n_checks
+let check_count t = !(t.n_checks)
+let count_check t = incr t.n_checks
 
 let pp_event lat fmt = function
   | Violated v -> Violation.pp lat fmt v
@@ -64,4 +67,4 @@ let pp_event lat fmt = function
 
 let pp_summary fmt t =
   Format.fprintf fmt "monitor: %d checks, %d violations, %d declassifications"
-    t.n_checks t.n_violations t.n_declass
+    !(t.n_checks) t.n_violations t.n_declass

@@ -37,14 +37,24 @@ val declassification_count : t -> int
 val clear : t -> unit
 
 val check_count : t -> int
-(** Total number of clearance checks performed (both passed and failed);
-    incremented by the engine via {!count_check}. The core's untainted
-    fast path only ever skips checks that are guaranteed to pass, so
-    violations and taint state are unaffected, but the count then
-    undercounts; a core created with [~block_cache:false] (the single-step
-    reference) counts every check exactly. *)
+(** Total number of clearance checks performed (both passed and failed).
+    The core counts its own checks in place, through the cell
+    {!check_cell} hands it: the fetch, branch, address, store-region,
+    trap-CSR and ecall-gate checks. Peripherals and other engines count
+    theirs with {!count_check}. Every path reads and clears the same
+    total. The core's untainted fast path only ever skips checks that
+    are guaranteed to pass, so violations and taint state are unaffected,
+    but the count then undercounts; a core created with
+    [~block_cache:false] (the single-step reference) counts every check
+    exactly. *)
 
 val count_check : t -> unit
+(** Count one check: [incr (check_cell t)]. *)
+
+val check_cell : t -> int ref
+(** The cell behind {!check_count}, the same one for the monitor's
+    lifetime ({!clear} zeroes it in place), so an engine can cache it and
+    count a check with one increment instead of a call. *)
 
 val set_on_event : t -> (event -> unit) option -> unit
 (** Install (or clear) an observer invoked synchronously from {!report}

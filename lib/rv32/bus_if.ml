@@ -5,6 +5,10 @@ type dmi = { base : int; limit : int; data : Bytes.t; tags : Bytes.t }
 type t = {
   socket : Tlm.Socket.initiator;
   lat : Dift.Lattice.t;
+  (* The lattice's flat LUB table ([x * ntags + y]), which the DMI tag
+     fold reads without a call. *)
+  lub_tab : int array;
+  ntags : int;
   default_tag : int;
   tracking : bool;
   mutable dmi : dmi option;
@@ -28,6 +32,8 @@ let create ~lattice ~default_tag ~tracking ~name =
   {
     socket = Tlm.Socket.initiator ~name;
     lat = lattice;
+    lub_tab = Dift.Lattice.lub_flat lattice;
+    ntags = Dift.Lattice.size lattice;
     default_tag;
     tracking;
     dmi = None;
@@ -100,14 +106,20 @@ let load b ~width ~addr =
       if b.tracking then begin
         let t = ref (Char.code (Bytes.unsafe_get d.tags off)) in
         (* The merge hook is matched outside the byte loop so the common
-           (no-tracer) configuration keeps its original inner loop. *)
+           (no-tracer) configuration reads the shadow a word at a time. *)
         (match b.on_merge with
         | None ->
-            for i = 1 to width - 1 do
-              t :=
-                Dift.Lattice.lub b.lat !t
-                  (Char.code (Bytes.unsafe_get d.tags (off + i)))
-            done
+            (* Four equal tag bytes are their own join: one compare. Any
+               other fold reads the table, skipping the equal bytes. *)
+            if
+              width <> 4
+              || Int32.to_int (Bytes.get_int32_le d.tags off) land 0xffffffff
+                 <> !t * 0x01010101
+            then
+              for i = 1 to width - 1 do
+                let x = Char.code (Bytes.unsafe_get d.tags (off + i)) in
+                if x <> !t then t := b.lub_tab.((!t * b.ntags) + x)
+              done
         | Some f ->
             for i = 1 to width - 1 do
               let x = Char.code (Bytes.unsafe_get d.tags (off + i)) in
@@ -136,10 +148,16 @@ let store b ~width ~addr ~value ~tag =
       | 4 -> Bytes.set_int32_le d.data off (Int32.of_int value)
       | w -> invalid_arg (Printf.sprintf "Bus_if: unsupported access width %d" w));
       if b.tracking then begin
+        (* [Char.chr] refuses a tag above 255 as the byte shadow must. *)
         let c = Char.chr tag in
-        for i = 0 to width - 1 do
-          Bytes.unsafe_set d.tags (off + i) c
-        done
+        match width with
+        | 4 ->
+            Bytes.set_int32_le d.tags off
+              (Int32.of_int (Char.code c * 0x01010101))
+        | _ ->
+            for i = 0 to width - 1 do
+              Bytes.unsafe_set d.tags (off + i) c
+            done
       end;
       b.on_code_write addr width
   | Some _ | None -> mmio_store b ~width ~addr ~value ~tag

@@ -40,6 +40,14 @@
       first non-bottom loaded tag. Violation behaviour and final tag
       state are unchanged; only {!Dift.Monitor.check_count} undercounts.
 
+    The core counts its clearance checks (fetch, branch, address,
+    store region, trap CSR, ecall gate) itself, by incrementing the
+    monitor's {!Dift.Monitor.check_cell}, which it caches at {!create}
+    with the lattice's flat LUB and flow tables ({!Dift.Lattice.lub_flat},
+    {!Dift.Lattice.flow_flat}). A join, a clearance test or a check count
+    on the per-instruction path is then an array read or an increment,
+    not a call into [Dift].
+
     Both paths retire identical architectural state, tags, counters,
     hook streams and snapshots (pinned by [test_parity] and the difftest
     [--cache-diff] leg). *)
@@ -146,15 +154,15 @@ val set_trace : t -> (int -> int -> Insn.t -> int -> unit) option -> unit
     absent operand) each time the instruction retires.
 
     The block compiler calls the factory once per compiled instruction,
-    when it builds the chain, and keeps the recorder in the chain: a
-    value-only (fast-path) recorder passes the bottom tag without
-    reading a register, since every register tag is bottom there, and a
-    full-variant recorder joins the two register tags through indices
-    resolved at compile time. {!step} calls the factory and its recorder
-    together at every single-stepped instruction, so there (the
-    reference path without a block cache, and the breakers a compiled
-    chain hands to {!step}) whatever the factory allocates is paid per
-    retired instruction. The factory may also run for instructions that
+    when it compiles the block, and both of the block's variants keep
+    that one recorder: the value-only (fast-path) variant passes it the
+    bottom tag without reading a register, since every register tag is
+    bottom there, and the full variant joins the two register tags
+    through indices resolved at compile time. {!step} calls the factory
+    and its recorder together at every single-stepped instruction, so
+    there (the reference path without a block cache, and the breakers a
+    compiled chain hands to {!step}) whatever the factory allocates is
+    paid per retired instruction. The factory may also run for instructions that
     never retire and more than once for one instruction (superblock
     recompilation, rebuilt chains); a factory should only precompute.
 

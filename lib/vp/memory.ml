@@ -10,6 +10,14 @@ type t = {
   mutable on_write : int -> int -> unit;
 }
 
+(* Set glibc's mmap and trim thresholds so that the RAM buffers of
+   platforms that died are reused in place instead of faulting back in
+   (see the stub). Once, as this module initialises. *)
+external keep_heap_resident : unit -> unit = "vp_keep_heap_resident"
+[@@noalloc]
+
+let () = keep_heap_resident ()
+
 let create env ~name ~size =
   {
     name;

@@ -407,7 +407,10 @@ let restore soc data =
             let at = get_i64 r in
             (name, at))
       in
-      Sysc.Kernel.restore soc.kernel ~now ~deltas ~notifications);
+      (* A name this platform has no event for (a flipped byte) is a
+         corrupt snapshot like any other. *)
+      try Sysc.Kernel.restore soc.kernel ~now ~deltas ~notifications
+      with Invalid_argument msg -> raise (Corrupt msg));
   sec "cpu" (Rv32.Core.load soc.core);
   sec "mem" (Memory.restore soc.memory);
   sec "uart" (Uart.load soc.uart);

@@ -92,6 +92,44 @@ let test_to_dot () =
   check_bool "mentions classes" true (Astring_contains.contains ~sub:"HC,LI" dot);
   check_bool "digraph" true (Astring_contains.contains ~sub:"digraph" dot)
 
+(* The flat tables an engine caches agree with [lub] / [allowed_flow] on
+   every pair, and the LUB entries with the join recomputed from the flow
+   relation. *)
+let test_flat_tables () =
+  List.iter
+    (fun (what, l) ->
+      let n = L.size l in
+      let lubs = L.lub_flat l and flows = L.flow_flat l in
+      check_int (what ^ ": lub table size") (n * n) (Array.length lubs);
+      check_int (what ^ ": flow table size") (n * n) (Array.length flows);
+      for x = 0 to n - 1 do
+        for y = 0 to n - 1 do
+          let pair = Printf.sprintf "%s: (%d, %d)" what x y in
+          check_int (pair ^ " lub") (L.lub l x y) lubs.((x * n) + y);
+          check_int (pair ^ " recomputed lub") (L.lub_uncached l x y)
+            lubs.((x * n) + y);
+          check_bool (pair ^ " flow") (L.allowed_flow l x y)
+            flows.((x * n) + y)
+        done
+      done;
+      (* A tag past the last class is refused, not read from the next
+         row. *)
+      check_bool (what ^ ": lub refuses y = n") true
+        (match L.lub l 0 n with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      check_bool (what ^ ": allowed_flow refuses y = n") true
+        (match L.allowed_flow l 0 n with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      ("confidentiality", L.confidentiality ());
+      ("integrity", L.integrity ());
+      ("ifp3", L.ifp3 ());
+      ("per_byte_key 8", L.per_byte_key ~n:8);
+      ("ifp3 x ifp3", L.product ~sep:"/" (L.ifp3 ()) (L.ifp3 ()));
+    ]
+
 (* --- property tests ------------------------------------------------- *)
 
 let sample_lattices =
@@ -184,6 +222,7 @@ let () =
           Alcotest.test_case "construction errors" `Quick test_errors;
           Alcotest.test_case "transitive closure" `Quick test_transitivity_closure;
           Alcotest.test_case "dot output" `Quick test_to_dot;
+          Alcotest.test_case "flat tables" `Quick test_flat_tables;
         ] );
       ( "laws",
         List.map qtest

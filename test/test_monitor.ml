@@ -93,6 +93,51 @@ let test_clear () =
   Dift.Monitor.violation m (violation lat);
   check_int "usable after clear" 1 (Dift.Monitor.violation_count m)
 
+(* The core counts its checks in place, in the cell the monitor reads:
+   after [clear] the total restarts at 0 and then counts every fetch
+   check of a tainted program, on the compiled core as on the
+   reference. *)
+let test_core_counts_into_cell () =
+  let lat = Dift.Lattice.integrity () in
+  let li = Dift.Lattice.tag_of_name lat "LI" in
+  (* LI code with an LI fetch clearance: every fetch is checked and
+     passes, and no instruction runs on the untainted fast path. *)
+  let policy =
+    Dift.Policy.make ~lattice:lat ~default_tag:li
+      ~classification:
+        [
+          Dift.Policy.region ~name:"code" ~lo:0x8000_0000 ~hi:0x8000_ffff
+            ~tag:li;
+        ]
+      ~exec_fetch:li ()
+  in
+  let p = Rv32_asm.Asm.create () in
+  Rv32_asm.Asm.label p "_start";
+  Rv32_asm.Asm.li p Rv32.Reg.t0 20;
+  Rv32_asm.Asm.label p "loop";
+  Rv32_asm.Asm.addi p Rv32.Reg.t0 Rv32.Reg.t0 (-1);
+  Rv32_asm.Asm.bne_l p Rv32.Reg.t0 Rv32.Reg.zero "loop";
+  Rv32_asm.Asm.exit_ecall p ();
+  let img = Rv32_asm.Asm.assemble p in
+  List.iter
+    (fun block_cache ->
+      let m = Dift.Monitor.create ~mode:Dift.Monitor.Record lat in
+      Dift.Monitor.count_check m;
+      Dift.Monitor.clear m;
+      check_int "0 after clear" 0 (Dift.Monitor.check_count m);
+      let soc = Vp.Soc.create ~policy ~monitor:m ~block_cache () in
+      Vp.Soc.load_image soc img;
+      expect_exit (Vp.Soc.run_for_instructions soc 10_000) 0;
+      let what = if block_cache then "compiled" else "reference" in
+      check_int (what ^ ": one fetch check per instruction")
+        (Rv32.Core.instret soc.Vp.Soc.core)
+        (Dift.Monitor.check_count m);
+      check_int (what ^ ": no violation") 0 (Dift.Monitor.violation_count m);
+      Dift.Monitor.clear m;
+      check_int (what ^ ": 0 after a second clear") 0
+        (Dift.Monitor.check_count m))
+    [ true; false ]
+
 (* End-to-end: a VP+ run in Record mode collects violations the same
    program raises fatally in Halt mode. *)
 let test_modes_against_engine () =
@@ -143,5 +188,7 @@ let () =
           Alcotest.test_case "check_count passed+failed" `Quick
             test_check_count_passed_and_failed;
           Alcotest.test_case "clear semantics" `Quick test_clear;
+          Alcotest.test_case "core counts into the monitor's cell" `Quick
+            test_core_counts_into_cell;
         ] );
     ]

@@ -483,6 +483,93 @@ let prop_decode_encode_word =
       let w = Rv32.Encode.encode i in
       Rv32.Encode.encode (Rv32.Decode.decode w) = w)
 
+(* --- DMI tag shadow ---------------------------------------------------- *)
+
+(* A tracking bus over a 16-byte DMI region at 0 (the DMI path never
+   touches the socket). *)
+let shadow_bus lat =
+  let bus =
+    Rv32.Bus_if.create ~lattice:lat ~default_tag:0 ~tracking:true ~name:"cpu"
+  in
+  let data = Bytes.make 16 '\000' and tags = Bytes.make 16 '\000' in
+  Rv32.Bus_if.set_dmi bus ~base:0 ~data ~tags;
+  (bus, data, tags)
+
+(* The tag a load must take: the byte tags folded left by [lub], with the
+   (a, b, r) stream a merge hook must see. *)
+let byte_fold lat bytes =
+  match bytes with
+  | [] -> assert false
+  | t0 :: rest ->
+      List.fold_left
+        (fun (acc, stream) x ->
+          let r = Dift.Lattice.lub lat acc x in
+          (r, (acc, x, r) :: stream))
+        (t0, []) rest
+      |> fun (t, stream) -> (t, List.rev stream)
+
+(* Every byte-tag tuple of each width, over lattices small and large:
+   equal and mixed bytes, with and without a merge hook. *)
+let test_shadow_loads () =
+  List.iter
+    (fun lat ->
+      let n = Dift.Lattice.size lat in
+      let bus, _, tags = shadow_bus lat in
+      let stream = ref [] in
+      let rec tuples w =
+        if w = 0 then [ [] ]
+        else
+          List.concat_map
+            (fun rest -> List.init n (fun x -> x :: rest))
+            (tuples (w - 1))
+      in
+      List.iter
+        (fun width ->
+          List.iter
+            (fun bytes ->
+              (* Misaligned by one so the word read is not at offset 0. *)
+              List.iteri (fun i x -> Bytes.set tags (1 + i) (Char.chr x)) bytes;
+              let want, want_stream = byte_fold lat bytes in
+              let what =
+                Printf.sprintf "width %d, tags [%s]" width
+                  (String.concat ";" (List.map string_of_int bytes))
+              in
+              Rv32.Bus_if.set_merge_hook bus None;
+              ignore (Rv32.Bus_if.load bus ~width ~addr:1);
+              check_int (what ^ ", no hook") want (Rv32.Bus_if.last_tag bus);
+              stream := [];
+              Rv32.Bus_if.set_merge_hook bus
+                (Some (fun a b r -> stream := (a, b, r) :: !stream));
+              ignore (Rv32.Bus_if.load bus ~width ~addr:1);
+              check_int (what ^ ", hooked") want (Rv32.Bus_if.last_tag bus);
+              check_bool (what ^ ", hook stream") true
+                (List.rev !stream = want_stream))
+            (tuples width))
+        [ 1; 2; 4 ])
+    [ Dift.Lattice.ifp3 (); Dift.Lattice.per_byte_key ~n:8 ]
+
+let test_shadow_stores () =
+  let lat = Dift.Lattice.per_byte_key ~n:8 in
+  let bus, data, tags = shadow_bus lat in
+  List.iter
+    (fun (width, tag) ->
+      Bytes.fill tags 0 16 '\000';
+      Rv32.Bus_if.store bus ~width ~addr:5 ~value:0x11223344 ~tag;
+      for i = 0 to 15 do
+        check_int
+          (Printf.sprintf "width %d tag %d: byte %d" width tag i)
+          (if i >= 5 && i < 5 + width then tag else 0)
+          (Char.code (Bytes.get tags i))
+      done)
+    [ (1, 3); (2, 7); (4, 10); (4, 1) ];
+  check_int "the word landed" 0x11223344
+    (Int32.to_int (Bytes.get_int32_le data 5));
+  (* A tag the byte shadow cannot hold is refused. *)
+  check_bool "tag 256 refused" true
+    (match Rv32.Bus_if.store bus ~width:4 ~addr:0 ~value:0 ~tag:256 with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let () =
   Alcotest.run "rv32"
     [
@@ -523,6 +610,13 @@ let () =
             test_mtval_holds_fault_address;
           Alcotest.test_case "mepc points at faulting insn" `Quick
             test_mepc_points_at_faulting_insn;
+        ] );
+      ( "tag shadow",
+        [
+          Alcotest.test_case "DMI loads fold like the bytes" `Quick
+            test_shadow_loads;
+          Alcotest.test_case "DMI stores tag every byte" `Quick
+            test_shadow_stores;
         ] );
       ( "decode/encode",
         [ Alcotest.test_case "known words" `Quick test_decode_known_words ]

@@ -599,6 +599,54 @@ let test_v1_snapshot_migration () =
     (Rv32.Core.get_reg soc1.Vp.Soc.core R.s2)
     (Rv32.Core.get_reg socv1.Vp.Soc.core R.s2)
 
+(* --- hostile snapshots ---------------------------------------------------- *)
+
+(* A kernel section that names an event the platform does not have (one
+   flipped byte in a name) is refused as corrupt, like any other
+   malformed section. *)
+let test_unknown_event_is_corrupt () =
+  let soc1 = irq_soc () in
+  pause_run soc1 200;
+  let flip name =
+    String.mapi
+      (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c)
+      name
+  in
+  let kernel s =
+    let r = Codec.reader s in
+    let now = Codec.get_i64 r in
+    let deltas = Codec.get_i64 r in
+    let ns =
+      Codec.get_list r (fun r ->
+          let name = Codec.get_string r in
+          (name, Codec.get_i64 r))
+    in
+    Codec.expect_end r;
+    check_bool "a notification is pending" true (ns <> []);
+    let w = Codec.writer () in
+    Codec.put_i64 w now;
+    Codec.put_i64 w deltas;
+    Codec.put_list w
+      (fun w (name, at) ->
+        Codec.put_string w name;
+        Codec.put_i64 w at)
+      (List.mapi
+         (fun i (name, at) -> ((if i = 0 then flip name else name), at))
+         ns);
+    Codec.contents w
+  in
+  let bad =
+    Codec.Container.encode
+      (List.map
+         (fun (name, s) -> (name, if name = "kernel" then kernel s else s))
+         (Codec.Container.decode (Vp.Soc.save soc1)))
+  in
+  match Vp.Soc.restore (irq_soc ()) bad with
+  | exception Codec.Corrupt msg ->
+      check_bool "the error names the event" true
+        (Astring_contains.contains ~sub:"no event named" msg)
+  | () -> Alcotest.fail "snapshot with an unknown event accepted"
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -638,6 +686,11 @@ let () =
             test_checkpoint_mid_handler;
           Alcotest.test_case "v1 -> v2 migration" `Quick
             test_v1_snapshot_migration;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "unknown event name refused as corrupt" `Quick
+            test_unknown_event_is_corrupt;
         ] );
       ( "wilander",
         List.map
