@@ -127,7 +127,9 @@ let warm_boot () =
     Dift.Monitor.create ~mode:Dift.Monitor.Record policy.Dift.Policy.lattice
   in
   let soc = Vp.Soc.create ~policy ~monitor ~tracking:false () in
-  Vp.Soc.boot_snapshot soc
+  let blob = Vp.Soc.boot_snapshot soc in
+  Vp.Soc.release soc;
+  blob
 
 let stop_of = function
   | Rv32.Core.Exited c -> Exited c
@@ -178,7 +180,9 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
     try stop_of (Vp.Soc.run_for_instructions soc max_insns)
     with _ -> Trapped
   in
-  (observe ~tracking img soc stop, monitor_counts monitor)
+  let outcome = observe ~tracking img soc stop in
+  Vp.Soc.release soc;
+  (outcome, monitor_counts monitor)
 
 (* Snapshot-vs-straight differential: the checkpointed run pauses every
    200 instructions, serialises the whole platform, restores the
@@ -214,6 +218,7 @@ let run_vp_snapshot ?policy img =
     Vp.Soc.run soc;
     if Vp.Soc.paused soc then begin
       let snap = Vp.Soc.save soc in
+      Vp.Soc.release soc;
       add mon;
       let soc', mon' = fresh () in
       Vp.Soc.restore soc' snap;
@@ -237,7 +242,9 @@ let run_vp_snapshot ?policy img =
         !totals )
   | soc ->
       let stop = stop_of (Rv32.Core.exit_reason soc.Vp.Soc.core) in
-      (observe ~tracking:true img soc stop, !totals)
+      let outcome = observe ~tracking:true img soc stop in
+      Vp.Soc.release soc;
+      (outcome, !totals)
 
 let run ?policy ?trace ?warm img =
   let golden = run_golden img in

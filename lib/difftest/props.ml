@@ -11,6 +11,7 @@ let run_tagged img policy =
   let soc = Vp.Soc.create ~policy ~monitor ~tracking:true () in
   Vp.Soc.load_image soc img;
   ignore (Vp.Soc.run_for_instructions soc Oracle.max_insns);
+  Vp.Soc.release soc;
   (soc, monitor)
 
 let reg_tags soc =

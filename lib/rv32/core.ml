@@ -1790,16 +1790,27 @@ let save t w =
 
 let load t r =
   let open Snapshot.Codec in
+  (* A tag indexes the lattice's flat tables: one at or above its size
+     would read a neighbouring row, so it is refused here. *)
+  let get_tag r =
+    let v = get_u32 r in
+    if v >= t.ntags then
+      raise
+        (Corrupt
+           (Printf.sprintf "tag %d not below the lattice's %d classes" v
+              t.ntags));
+    v
+  in
   for i = 0 to 31 do
     t.regs.(i) <- get_u32 r
   done;
   for i = 0 to 31 do
-    t.rtags.(i) <- get_u32 r
+    t.rtags.(i) <- get_tag r
   done;
   t.pc <- get_u32 r;
   t.cur_pc <- get_u32 r;
   t.insn_word <- get_u32 r;
-  t.insn_tag <- get_u32 r;
+  t.insn_tag <- get_tag r;
   t.instret <- get_i64 r;
   t.local_cycles <- get_i64 r;
   t.in_wfi <- get_bool r;
@@ -1816,14 +1827,14 @@ let load t r =
   c.Csr.v_mepc <- get_u32 r;
   c.Csr.v_mcause <- get_u32 r;
   c.Csr.v_mtval <- get_u32 r;
-  c.Csr.t_mstatus <- get_u32 r;
-  c.Csr.t_mie <- get_u32 r;
-  c.Csr.t_mip <- get_u32 r;
-  c.Csr.t_mtvec <- get_u32 r;
-  c.Csr.t_mscratch <- get_u32 r;
-  c.Csr.t_mepc <- get_u32 r;
-  c.Csr.t_mcause <- get_u32 r;
-  c.Csr.t_mtval <- get_u32 r;
+  c.Csr.t_mstatus <- get_tag r;
+  c.Csr.t_mie <- get_tag r;
+  c.Csr.t_mip <- get_tag r;
+  c.Csr.t_mtvec <- get_tag r;
+  c.Csr.t_mscratch <- get_tag r;
+  c.Csr.t_mepc <- get_tag r;
+  c.Csr.t_mcause <- get_tag r;
+  c.Csr.t_mtval <- get_tag r;
   (* v1 snapshots predate the privilege architecture; everything ran in
      machine mode then. [set_priv] so a privilege change invalidates any
      compiled chains. *)

@@ -267,4 +267,6 @@ val load : t -> Snapshot.Codec.reader -> unit
     setting than the one that saved: the snapshot holds only
     architectural state, and both paths produce identical snapshots at
     identical instruction counts (pinned by the reference-save,
-    compiled-restore case in [test_snapshot]). *)
+    compiled-restore case in [test_snapshot]). Raises
+    {!Snapshot.Codec.Corrupt} on a register, [insn_tag] or CSR tag not
+    below the lattice's size. *)

@@ -1,6 +1,14 @@
+(* Memory is a table of 4 KiB pages, each allocated on its first
+   write; a page never written reads as zeros, as a flat image would. A
+   generated program touches its image and a scratch buffer, so a run
+   costs a few pages, not the whole RAM. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+
 type t = {
   mem_base : int;
-  mem : Bytes.t;
+  mem_size : int;
+  pages : Bytes.t option array;
   regs : int array;
   mutable pc : int;
   mutable retired : int;
@@ -22,7 +30,8 @@ type stop = Exited of int | Trap of int | Limit
 let create ~mem_base ~mem_size =
   {
     mem_base;
-    mem = Bytes.make mem_size '\000';
+    mem_size;
+    pages = Array.make ((mem_size + page_size - 1) lsr page_bits) None;
     regs = Array.make 32 0;
     pc = mem_base;
     retired = 0;
@@ -36,17 +45,53 @@ let create ~mem_base ~mem_size =
     mtval = 0;
   }
 
+(* Byte access by offset from [mem_base]; callers check the range. *)
+let get_byte t off =
+  match t.pages.(off lsr page_bits) with
+  | None -> 0
+  | Some p -> Bytes.get_uint8 p (off land (page_size - 1))
+
+let set_byte t off v =
+  let i = off lsr page_bits in
+  let p =
+    match t.pages.(i) with
+    | Some p -> p
+    | None ->
+        let p = Bytes.make page_size '\000' in
+        t.pages.(i) <- Some p;
+        p
+  in
+  Bytes.set_uint8 p (off land (page_size - 1)) v
+
+(* Little-endian, a byte at a time, so an access may straddle pages. *)
+let get_le t off width =
+  let v = ref 0 in
+  for k = width - 1 downto 0 do
+    v := (!v lsl 8) lor get_byte t (off + k)
+  done;
+  !v
+
+let set_le t off width v =
+  for k = 0 to width - 1 do
+    set_byte t (off + k) ((v lsr (8 * k)) land 0xff)
+  done
+
+let in_range t addr width =
+  addr >= t.mem_base && addr + width <= t.mem_base + t.mem_size
+
 let load t ~addr s =
-  if addr < t.mem_base || addr + String.length s > t.mem_base + Bytes.length t.mem
-  then invalid_arg "Golden.load: out of range";
-  Bytes.blit_string s 0 t.mem (addr - t.mem_base) (String.length s)
+  if not (in_range t addr (String.length s)) then
+    invalid_arg "Golden.load: out of range";
+  String.iteri (fun k c -> set_byte t (addr - t.mem_base + k) (Char.code c)) s
 
 let set_pc t v = t.pc <- v land 0xffffffff
 let set_reg t r v = if r <> 0 then t.regs.(r) <- v land 0xffffffff
 let reg t r = t.regs.(r)
 let pc t = t.pc
 let priv t = t.priv
-let mem_byte t addr = Bytes.get_uint8 t.mem (addr - t.mem_base)
+let mem_byte t addr =
+  if not (in_range t addr 1) then invalid_arg "Golden.mem_byte: out of range";
+  get_byte t (addr - t.mem_base)
 
 let u32 v = v land 0xffffffff
 let s32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
@@ -54,24 +99,13 @@ let s32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 exception Stop of stop
 exception Mem_fault of { cause : int; addr : int }
 
-let in_range t addr width =
-  addr >= t.mem_base && addr + width <= t.mem_base + Bytes.length t.mem
-
 let load_v t width addr =
   if not (in_range t addr width) then raise_notrace (Mem_fault { cause = 5; addr });
-  let off = addr - t.mem_base in
-  match width with
-  | 1 -> Bytes.get_uint8 t.mem off
-  | 2 -> Bytes.get_uint16_le t.mem off
-  | _ -> Int32.to_int (Bytes.get_int32_le t.mem off) land 0xffffffff
+  get_le t (addr - t.mem_base) width
 
 let store_v t width addr v =
   if not (in_range t addr width) then raise_notrace (Mem_fault { cause = 7; addr });
-  let off = addr - t.mem_base in
-  match width with
-  | 1 -> Bytes.set_uint8 t.mem off (v land 0xff)
-  | 2 -> Bytes.set_uint16_le t.mem off (v land 0xffff)
-  | _ -> Bytes.set_int32_le t.mem off (Int32.of_int v)
+  set_le t (addr - t.mem_base) width v
 
 (* A synchronous trap: with no handler installed the run stops (the
    pre-privilege convention, kept for programs that never touch mtvec);
@@ -164,7 +198,7 @@ let step t =
   if pc0 land 3 <> 0 then enter_trap t ~cause:0 ~tval:pc0 ~epc:pc0
   else if not (in_range t pc0 4) then enter_trap t ~cause:1 ~tval:pc0 ~epc:pc0
   else begin
-    let word = Int32.to_int (Bytes.get_int32_le t.mem (pc0 - t.mem_base)) land 0xffffffff in
+    let word = get_le t (pc0 - t.mem_base) 4 in
     let r = t.regs in
     let wr rd v = if rd <> 0 then r.(rd) <- u32 v in
     t.pc <- u32 (pc0 + 4);

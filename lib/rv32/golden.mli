@@ -1,6 +1,15 @@
 (** A golden-model RV32IM interpreter: an independent, deliberately naive
-    re-implementation of the ISA semantics over a flat memory image, with
-    no taint, no kernel, no peripherals and no decode caching.
+    re-implementation of the ISA semantics, with no taint, no kernel, no
+    peripherals and no decode caching.
+
+    Memory reads and writes as a flat image of [mem_size] bytes, but is
+    kept as 4 KiB pages, each allocated on its first write: a page never
+    written reads as zeros. A generated difftest program touches one or
+    two pages, so a run allocates kilobytes, not the whole RAM (a flat
+    1 MiB image cost a major-heap block, and with it the end of a major
+    GC cycle, on every program). Accesses go a byte at a time, so one may
+    straddle two pages; only an access that leaves
+    [mem_base, mem_base + mem_size) faults.
 
     Used purely for differential verification of the production {!Core}
     (cf. the coverage-guided ISS-fuzzing work the paper cites): the same
@@ -34,6 +43,7 @@ val priv : t -> int
 (** Current privilege level (3 = machine, 0 = user). *)
 
 val mem_byte : t -> int -> int
+(** The byte at an address. Raises [Invalid_argument] out of range. *)
 
 type stop =
   | Exited of int  (** The machine-mode exit ecall (a7 = 93). *)

@@ -57,6 +57,12 @@ let put_bytes_rle w b =
   while !i < n do
     let c = Bytes.unsafe_get b !i in
     let j = ref (!i + 1) in
+    (* Extend the run a word at a time, then finish the tail bytewise:
+       a megabyte of zeros costs 128 Ki compares, not 1 Mi. *)
+    let rep = Int64.mul (Int64.of_int (Char.code c)) 0x0101010101010101L in
+    while !j + 8 <= n && (Bytes.get_int64_ne b !j : int64) = rep do
+      j := !j + 8
+    done;
     while !j < n && Bytes.unsafe_get b !j = c do
       incr j
     done;
@@ -135,23 +141,31 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
-let get_bytes_rle_into r dst =
+let get_bytes_rle_into ?(below = 256) r dst =
   let n = get_u32 r in
   if n <> Bytes.length dst then
     corrupt "RLE block is %d bytes, destination holds %d" n (Bytes.length dst);
+  let check c =
+    if c >= below then corrupt "RLE byte 0x%02x not below %d" c below
+  in
   let off = ref 0 in
   while !off < n do
     match get_u8 r with
     | 0 ->
         let count = get_u32 r in
-        let c = Char.chr (get_u8 r) in
+        let c = get_u8 r in
         if !off + count > n then corrupt "RLE run overflows block";
-        Bytes.fill dst !off count c;
+        check c;
+        Bytes.fill dst !off count (Char.chr c);
         off := !off + count
     | 1 ->
         let len = get_u32 r in
         if !off + len > n then corrupt "RLE literal overflows block";
         need r len;
+        if below < 256 then
+          for k = r.pos to r.pos + len - 1 do
+            check (Char.code (String.unsafe_get r.src k))
+          done;
         Bytes.blit_string r.src r.pos dst !off len;
         r.pos <- r.pos + len;
         off := !off + len

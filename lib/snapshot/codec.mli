@@ -66,9 +66,12 @@ val get_varint : reader -> int
 
 val get_string : reader -> string
 
-val get_bytes_rle_into : reader -> Bytes.t -> unit
+val get_bytes_rle_into : ?below:int -> reader -> Bytes.t -> unit
 (** Decodes into [dst]; raises {!Corrupt} if the encoded length differs
-    from [Bytes.length dst] (snapshots never resize live buffers). *)
+    from [Bytes.length dst] (snapshots never resize live buffers), or if
+    a decoded byte is not below [below] (default 256: any byte). The bound
+    is checked once per run and once per literal byte, so a tag array of
+    a few long runs costs a few checks. *)
 
 val get_list : reader -> (reader -> 'a) -> 'a list
 

@@ -1,3 +1,8 @@
+(* A spawned process's continuation while it is suspended, for
+   [release]: OCaml 5 never frees the fiber stack of a continuation that
+   is collected without being resumed. *)
+type proc = { mutable parked : (unit, unit) Effect.Deep.continuation option }
+
 type event = {
   ev_name : string;
   ev_kernel : t;
@@ -26,6 +31,8 @@ and t = {
   mutable deltas : int;
   mutable stop_requested : bool;
   mutable error : exn option;
+  mutable procs : proc list;
+  mutable released : bool;
 }
 
 type _ Effect.t +=
@@ -44,6 +51,8 @@ let create () =
     deltas = 0;
     stop_requested = false;
     error = None;
+    procs = [];
+    released = false;
   }
 
 let now k = k.now
@@ -180,19 +189,27 @@ let restore k ~now ~deltas ~notifications =
 
 (* --- Processes and the scheduler -------------------------------------- *)
 
+exception Released
+
 let spawn k ~name fn =
   let open Effect.Deep in
+  let p = { parked = None } in
+  k.procs <- p :: k.procs;
   let record_error e =
-    if k.error = None then begin
-      k.error <- Some e;
-      k.stop_requested <- true
-    end;
-    ignore name
+    p.parked <- None;
+    match e with
+    | Released -> ()
+    | e ->
+        if k.error = None then begin
+          k.error <- Some e;
+          k.stop_requested <- true
+        end;
+        ignore name
   in
   let run_proc () =
     match_with fn ()
       {
-        retc = Fun.id;
+        retc = (fun () -> p.parked <- None);
         exnc = record_error;
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -200,6 +217,7 @@ let spawn k ~name fn =
             | Wait_time t ->
                 Some
                   (fun (cont : (a, unit) continuation) ->
+                    p.parked <- Some cont;
                     (* Resumption goes through the runnable queue (not an
                        inline call) so that same-instant wakeups — timed
                        thunks and event waiters alike — run in one
@@ -209,14 +227,34 @@ let spawn k ~name fn =
             | Wait_event e ->
                 Some
                   (fun (cont : (a, unit) continuation) ->
+                    p.parked <- Some cont;
                     e.waiters <- (fun () -> continue cont ()) :: e.waiters)
-            | Halt -> Some (fun (_ : (a, unit) continuation) -> ())
+            | Halt ->
+                Some
+                  (fun (cont : (a, unit) continuation) ->
+                    p.parked <- Some cont)
             | _ -> None);
       }
   in
   Queue.push run_proc k.runnable
 
+(* Unwind every suspended process with [Released], so that its fiber
+   stack is freed; the handler above swallows the exception. *)
+let release k =
+  k.released <- true;
+  let procs = k.procs in
+  k.procs <- [];
+  List.iter
+    (fun p ->
+      match p.parked with
+      | Some cont ->
+          p.parked <- None;
+          Effect.Deep.discontinue cont Released
+      | None -> ())
+    procs
+
 let run ?until k =
+  if k.released then invalid_arg "Kernel.run: the kernel was released";
   k.stop_requested <- false;
   let reraise_error () =
     match k.error with

@@ -90,6 +90,15 @@ val stop : t -> unit
 
 val stopped : t -> bool
 
+val release : t -> unit
+(** Unwind every suspended process, so that its fiber stack is freed.
+    OCaml 5 frees a fiber's stack only when its continuation is resumed
+    or discontinued, never when the continuation is collected: a kernel
+    dropped with parked processes keeps their stacks for the life of the
+    program. Call it from outside {!run}, once the kernel's state has
+    been read; the kernel cannot run again ({!run} raises
+    [Invalid_argument]). *)
+
 (** {1 Snapshot support}
 
     Process continuations cannot be serialised, so a kernel can only be

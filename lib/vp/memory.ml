@@ -58,20 +58,37 @@ let load m ~off src =
   Bytes.blit src 0 m.data off len;
   if len > 0 then m.on_write off len
 
+(* [c] copied into all eight bytes of a word. *)
+let rep8 c = Int64.mul (Int64.of_int c) 0x0101010101010101L
+
+(* The end of the run of tag [t] that starts at [i] (exclusive): a word
+   at a time while whole words match, then bytewise. A [t] that fits no
+   byte matches nothing. *)
+let run_end tags n i t =
+  let j = ref i in
+  if t land 0xff = t then begin
+    let rep = rep8 t in
+    while !j + 8 <= n && (Bytes.get_int64_ne tags !j : int64) = rep do
+      j := !j + 8
+    done
+  end;
+  while !j < n && Char.code (Bytes.unsafe_get tags !j) = t do
+    incr j
+  done;
+  !j
+
 let tainted_regions m ~baseline =
   let n = size m in
   let out = ref [] in
   let i = ref 0 in
   while !i < n do
-    let t = read_tag m !i in
-    if t <> baseline then begin
+    i := run_end m.tags n !i baseline;
+    if !i < n then begin
       let start = !i in
-      while !i < n && read_tag m !i = t do
-        incr i
-      done;
+      let t = read_tag m start in
+      i := run_end m.tags n start t;
       out := (start, !i - 1, t) :: !out
     end
-    else incr i
   done;
   List.rev !out
 
@@ -102,9 +119,9 @@ let save m w =
   Snapshot.Codec.put_bytes_rle w m.tags
 
 (* [load] is taken by the image loader above. *)
-let restore m r =
+let restore m ~ntags r =
   Snapshot.Codec.get_bytes_rle_into r m.data;
-  Snapshot.Codec.get_bytes_rle_into r m.tags;
+  Snapshot.Codec.get_bytes_rle_into ~below:ntags r m.tags;
   (* Everything may have changed: let the write hook (basic-block cache
      invalidation) see the full range. *)
   if size m > 0 then m.on_write 0 (size m)

@@ -46,6 +46,8 @@ val tainted_regions : t -> baseline:Dift.Lattice.tag -> (int * int * Dift.Lattic
 val save : t -> Snapshot.Codec.writer -> unit
 (** Serialise contents and tag array (run-length encoded). *)
 
-val restore : t -> Snapshot.Codec.reader -> unit
+val restore : t -> ntags:int -> Snapshot.Codec.reader -> unit
 (** Counterpart of {!save} ([load] is the image loader); fires the write
-    hook over the whole range so cached decoded blocks are invalidated. *)
+    hook over the whole range so cached decoded blocks are invalidated.
+    Raises {!Snapshot.Codec.Corrupt} on a tag not below [ntags], the
+    lattice's size. *)

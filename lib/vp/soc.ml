@@ -308,6 +308,8 @@ let run_for_instructions soc n =
   run soc;
   Rv32.Core.exit_reason soc.core
 
+let release soc = Sysc.Kernel.release soc.kernel
+
 (* --- Checkpoint / restore ---------------------------------------------- *)
 
 let pause_at soc n = Rv32.Core.set_pause_at soc.core n
@@ -412,7 +414,8 @@ let restore soc data =
       try Sysc.Kernel.restore soc.kernel ~now ~deltas ~notifications
       with Invalid_argument msg -> raise (Corrupt msg));
   sec "cpu" (Rv32.Core.load soc.core);
-  sec "mem" (Memory.restore soc.memory);
+  sec "mem"
+    (Memory.restore soc.memory ~ntags:(Dift.Lattice.size soc.env.Env.lat));
   sec "uart" (Uart.load soc.uart);
   sec "gpio" (Gpio.load soc.gpio);
   sec "sensor" (Sensor.load soc.sensor);

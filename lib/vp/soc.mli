@@ -138,6 +138,14 @@ val run_for_instructions : t -> int -> Rv32.Core.exit_reason
 (** Convenience: cap the instruction count, spawn the CPU, run to
     completion, and return why the core stopped. *)
 
+val release : t -> unit
+(** Free the fiber stacks of the platform's suspended processes (the
+    peripherals' engines, and the CPU thread if it is parked) once its
+    state has been read ({!Sysc.Kernel.release}). A platform dropped
+    without it keeps about 3.5 KB of stacks for the life of the program.
+    Registers, RAM and tags stay readable; the platform cannot run
+    again. *)
+
 (** {1 Checkpoint / restore}
 
     Deterministic full-state snapshots (see [docs/snapshot.md]). The

@@ -209,6 +209,158 @@ let prop_golden_model =
       | None, None -> true
       | _ -> false)
 
+(* --- golden memory ------------------------------------------------------ *)
+
+(* The golden model keeps RAM as 4 KiB pages allocated on first write.
+   Every expectation below is what a flat RAM image gives: bytes never
+   written read as zero, an access may straddle a page, and only an
+   access that leaves RAM faults. *)
+
+module R = Rv32.Reg
+
+let ram_base = Vp.Soc.ram_base
+let ram_end = Vp.Soc.ram_base + Vp.Soc.ram_size
+
+(* Assemble [build] followed by an exit, and run it on a fresh golden
+   model. *)
+let golden_of build =
+  let p = A.create () in
+  build p;
+  Firmware.Rt.exit_ p ~code:0 ();
+  let img = A.assemble p in
+  let g = Rv32.Golden.create ~mem_base:ram_base ~mem_size:Vp.Soc.ram_size in
+  Rv32.Golden.load g ~addr:img.Rv32_asm.Image.org
+    (Bytes.to_string img.Rv32_asm.Image.code);
+  Rv32.Golden.set_pc g img.Rv32_asm.Image.org;
+  let stop, _ = Rv32.Golden.run g ~max_insns:1_000 in
+  (g, img, stop)
+
+let expect_exited = function
+  | Rv32.Golden.Exited 0 -> ()
+  | _ -> Alcotest.fail "golden run did not exit 0"
+
+let test_golden_page_straddle () =
+  let p1 = ram_base + 0x2000 and p2 = ram_base + 0x5000 in
+  let g, _, stop =
+    golden_of (fun p ->
+        A.li p R.t0 p1;
+        A.li p R.t1 0x11223344;
+        A.sw p R.t1 R.t0 (-2);
+        A.lw p R.s2 R.t0 (-2);
+        A.lh p R.s3 R.t0 (-1);
+        (* A halfword store that allocates both of its pages. *)
+        A.li p R.t0 p2;
+        A.li p R.t1 0x80ff;
+        A.sh p R.t1 R.t0 (-1);
+        A.lh p R.s4 R.t0 (-1);
+        A.lw p R.s5 R.t0 (-3);
+        A.lhu p R.s6 R.t0 (-1))
+  in
+  expect_exited stop;
+  check_int "misaligned lw across the boundary" 0x11223344
+    (Rv32.Golden.reg g R.s2);
+  check_int "misaligned lh across the boundary" 0x2233 (Rv32.Golden.reg g R.s3);
+  check_int "lh sign-extends across the boundary" 0xffff80ff
+    (Rv32.Golden.reg g R.s4);
+  check_int "lw over zeros and the stored half" 0x80ff0000
+    (Rv32.Golden.reg g R.s5);
+  check_int "lhu across the boundary" 0x80ff (Rv32.Golden.reg g R.s6);
+  List.iter
+    (fun (addr, v) ->
+      check_int (Printf.sprintf "byte at %#x" addr) v
+        (Rv32.Golden.mem_byte g addr))
+    [ (p1 - 3, 0); (p1 - 2, 0x44); (p1 - 1, 0x33); (p1, 0x22);
+      (p1 + 1, 0x11); (p1 + 2, 0); (p2 - 1, 0xff); (p2, 0x80); (p2 + 1, 0) ]
+
+let test_golden_unwritten_page () =
+  let far = ram_base + 0x40000 in
+  let g, _, stop =
+    golden_of (fun p ->
+        A.li p R.t0 far;
+        A.li p R.s2 (-1);
+        A.li p R.s3 (-1);
+        A.li p R.s4 (-1);
+        A.lw p R.s2 R.t0 0;
+        A.lb p R.s3 R.t0 0x7ff;
+        (* Straddles two pages, neither ever written. *)
+        A.lw p R.s4 R.t0 (-2))
+  in
+  expect_exited stop;
+  check_int "lw from a never-written page" 0 (Rv32.Golden.reg g R.s2);
+  check_int "lb from a never-written page" 0 (Rv32.Golden.reg g R.s3);
+  check_int "lw across two never-written pages" 0 (Rv32.Golden.reg g R.s4);
+  check_int "mem_byte of a never-written page" 0
+    (Rv32.Golden.mem_byte g (far + 123))
+
+let test_golden_ram_ends () =
+  let g, img, stop =
+    golden_of (fun p ->
+        A.li p R.t0 ram_base;
+        A.lw p R.s2 R.t0 0;
+        A.li p R.t0 (ram_end - 4);
+        A.li p R.t1 0xa5c3e1f0;
+        A.sw p R.t1 R.t0 0;
+        A.lw p R.s3 R.t0 0;
+        A.lbu p R.s4 R.t0 3)
+  in
+  expect_exited stop;
+  check_int "first RAM word is the image's first word"
+    (Int32.to_int (Bytes.get_int32_le img.Rv32_asm.Image.code 0)
+    land 0xffffffff)
+    (Rv32.Golden.reg g R.s2);
+  check_int "last RAM word" 0xa5c3e1f0 (Rv32.Golden.reg g R.s3);
+  check_int "last RAM byte" 0xa5 (Rv32.Golden.reg g R.s4);
+  check_int "mem_byte of the last RAM byte" 0xa5
+    (Rv32.Golden.mem_byte g (ram_end - 1));
+  match Rv32.Golden.mem_byte g ram_end with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "mem_byte past RAM accepted"
+
+(* An access that leaves RAM by even one byte faults (load access fault
+   5, store access fault 7) and writes nothing. *)
+let test_golden_ram_faults () =
+  List.iter
+    (fun (name, addr, access, cause) ->
+      let g, _, stop =
+        golden_of (fun p ->
+            A.li p R.t0 addr;
+            A.li p R.t1 (-1);
+            access p)
+      in
+      (match stop with
+      | Rv32.Golden.Trap c -> check_int name cause c
+      | _ -> Alcotest.failf "%s: no trap" name);
+      check_int (name ^ ": last RAM byte untouched") 0
+        (Rv32.Golden.mem_byte g (ram_end - 1)))
+    [
+      ("lw below RAM", ram_base - 4, (fun p -> A.lw p R.s2 R.t0 0), 5);
+      ("lb below RAM", ram_base - 1, (fun p -> A.lb p R.s2 R.t0 0), 5);
+      ("lw across the end", ram_end - 2, (fun p -> A.lw p R.s2 R.t0 0), 5);
+      ("lw past the end", ram_end, (fun p -> A.lw p R.s2 R.t0 0), 5);
+      ("sw below RAM", ram_base - 4, (fun p -> A.sw p R.t1 R.t0 0), 7);
+      ("sh across the end", ram_end - 1, (fun p -> A.sh p R.t1 R.t0 0), 7);
+      ("sw across the end", ram_end - 3, (fun p -> A.sw p R.t1 R.t0 0), 7);
+      ("sb past the end", ram_end, (fun p -> A.sb p R.t1 R.t0 0), 7);
+    ]
+
+(* The golden model's memory costs the pages a program touches, not the
+   RAM's size: a generated program's golden run allocates under 64 KiB
+   (a flat image was 1 MiB). *)
+let test_golden_allocation () =
+  let rng = Difftest.Rng.create ~seed:5 in
+  let prog = Difftest.Gen.program rng (Difftest.Coverage.create ()) ~size:30 in
+  let img = Difftest.Prog.assemble prog in
+  let words () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  let before = words () in
+  let outcome = Difftest.Oracle.run_golden img in
+  let bytes = (words () -. before) *. float (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity outcome);
+  if bytes >= 65536. then
+    Alcotest.failf "Oracle.run_golden allocated %.0f bytes (bound 64 KiB)" bytes
+
 let test_fuzz_harness () =
   let config =
     { Difftest.Harness.default with seed = 7; programs = 60; props_every = 10 }
@@ -224,5 +376,18 @@ let () =
       ( "differential",
         List.map qtest
           [ prop_differential; prop_image_disasm_stable; prop_golden_model ] );
+      ( "golden memory",
+        [
+          Alcotest.test_case "accesses straddling a page" `Quick
+            test_golden_page_straddle;
+          Alcotest.test_case "never-written pages read zero" `Quick
+            test_golden_unwritten_page;
+          Alcotest.test_case "first and last RAM word" `Quick
+            test_golden_ram_ends;
+          Alcotest.test_case "faults just outside RAM" `Quick
+            test_golden_ram_faults;
+          Alcotest.test_case "run_golden allocates no RAM-sized image" `Quick
+            test_golden_allocation;
+        ] );
       ("policy fuzz", [ Alcotest.test_case "fuzz harness healthy" `Quick test_fuzz_harness ]);
     ]

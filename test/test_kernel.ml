@@ -149,6 +149,39 @@ let test_wait_zero () =
   K.run k;
   check_int "zero-delay waits complete" 2 !steps
 
+(* [release] unwinds every suspended process (so OCaml frees its fiber
+   stack): one parked on an event, one in a timed wait and one halted. A
+   process that already returned is left alone, and the kernel refuses
+   to run again. *)
+let test_release_unwinds_parked () =
+  let k = K.create () in
+  let e = K.create_event k "e" in
+  let unwound = ref [] and finished = ref [] in
+  let proc name body =
+    K.spawn k ~name (fun () ->
+        Fun.protect
+          ~finally:(fun () -> unwound := name :: !unwound)
+          (fun () ->
+            body ();
+            finished := name :: !finished))
+  in
+  proc "event" (fun () -> K.wait_event e);
+  proc "timed" (fun () -> K.wait_for (T.ms 5));
+  proc "halted" K.halt;
+  proc "done" ignore;
+  K.run ~until:(T.ms 1) k;
+  Alcotest.(check (list string)) "only one process returned" [ "done" ]
+    !finished;
+  Alcotest.(check (list string)) "nothing unwound yet" [ "done" ] !unwound;
+  K.release k;
+  Alcotest.(check (list string))
+    "every suspended process unwound" [ "done"; "event"; "halted"; "timed" ]
+    (List.sort compare !unwound);
+  Alcotest.(check (list string)) "none ran on" [ "done" ] !finished;
+  match K.run k with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a released kernel ran"
+
 let test_heap_ordering () =
   let h = Sysc.Heap.create () in
   List.iter (fun x -> Sysc.Heap.push h ~key:x x) [ 5; 1; 4; 1; 3; 9; 0 ];
@@ -193,6 +226,8 @@ let () =
           Alcotest.test_case "process exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "halt" `Quick test_halt;
+          Alcotest.test_case "release unwinds parked processes" `Quick
+            test_release_unwinds_parked;
           Alcotest.test_case "immediate vs delta order" `Quick
             test_immediate_vs_delta_order;
         ] );

@@ -62,6 +62,53 @@ let test_memory_taint_map () =
     [ (8, 11, t "HC,HI"); (12, 13, t "LC,LI"); (40, 40, t "HC,HI") ]
     (Vp.Memory.tainted_regions m ~baseline:base)
 
+(* The reference: one tag at a time, every byte read. *)
+let naive_regions m ~baseline =
+  let n = Vp.Memory.size m in
+  let out = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    let tg = Vp.Memory.read_tag m !i in
+    if tg = baseline then incr i
+    else begin
+      let start = !i in
+      while !i < n && Vp.Memory.read_tag m !i = tg do
+        incr i
+      done;
+      out := (start, !i - 1, tg) :: !out
+    end
+  done;
+  List.rev !out
+
+(* The word-at-a-time scan gives the naive scan's list for every memory
+   size from 0 to 40 bytes and a few larger ones, with runs of every
+   length placed at every offset, against every baseline. *)
+let test_memory_taint_map_naive () =
+  let env, _ = env_and_monitor () in
+  let rng = Random.State.make [| 32 |] in
+  let tags = Dift.Lattice.tags lat in
+  let sizes = List.init 41 Fun.id @ [ 64; 100; 257; 4096 ] in
+  List.iter
+    (fun size ->
+      for _ = 1 to 30 do
+        let m = Vp.Memory.create env ~name:"ram" ~size in
+        let off = ref 0 in
+        while !off < size do
+          let len = min (size - !off) (1 + Random.State.int rng 20) in
+          let tg = List.nth tags (Random.State.int rng (List.length tags)) in
+          Vp.Memory.fill_tags m ~off:!off ~len tg;
+          off := !off + len
+        done;
+        List.iter
+          (fun baseline ->
+            Alcotest.(check (list (triple int int int)))
+              (Printf.sprintf "size %d, baseline %d" size baseline)
+              (naive_regions m ~baseline)
+              (Vp.Memory.tainted_regions m ~baseline))
+          tags
+      done)
+    sizes
+
 (* --- uart ------------------------------------------------------------ *)
 
 let test_uart_tx_clearance () =
@@ -492,7 +539,9 @@ let () =
     [
       ("memory", [ Alcotest.test_case "rw with tags" `Quick test_memory_rw_with_tags;
                    Alcotest.test_case "out of bounds" `Quick test_memory_oob;
-                   Alcotest.test_case "taint map" `Quick test_memory_taint_map ]);
+                   Alcotest.test_case "taint map" `Quick test_memory_taint_map;
+                   Alcotest.test_case "taint map matches a naive scan" `Quick
+                     test_memory_taint_map_naive ]);
       ("uart", [ Alcotest.test_case "tx clearance" `Quick test_uart_tx_clearance;
                  Alcotest.test_case "tx log" `Quick test_uart_tx_log;
                  Alcotest.test_case "rx fifo/status" `Quick test_uart_rx_fifo_and_status;

@@ -52,6 +52,97 @@ let test_codec_rle () =
   Codec.put_bytes_rle w (Bytes.make 65536 '\000');
   check_bool "rle compresses" true (String.length (Codec.contents w) < 64)
 
+(* The reference encoder: the same format, one byte compared at a time.
+   Runs shorter than [min_run] (the codec's threshold, 8) stay in the
+   surrounding literal. *)
+let min_run = 8
+
+let rle_reference b =
+  let w = Codec.writer () in
+  let n = Bytes.length b in
+  Codec.put_u32 w n;
+  let lit = ref 0 in
+  let flush upto =
+    if upto > !lit then begin
+      Codec.put_u8 w 1;
+      Codec.put_u32 w (upto - !lit);
+      for k = !lit to upto - 1 do
+        Codec.put_u8 w (Bytes.get_uint8 b k)
+      done
+    end
+  in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && Bytes.get b !j = Bytes.get b !i do
+      incr j
+    done;
+    if !j - !i >= min_run then begin
+      flush !i;
+      Codec.put_u8 w 0;
+      Codec.put_u32 w (!j - !i);
+      Codec.put_u8 w (Bytes.get_uint8 b !i);
+      lit := !j
+    end;
+    i := !j
+  done;
+  flush n;
+  Codec.contents w
+
+let check_rle_against_reference name b =
+  let w = Codec.writer () in
+  Codec.put_bytes_rle w b;
+  let enc = Codec.contents w in
+  check_string name (rle_reference b) enc;
+  let dst = Bytes.make (Bytes.length b) 'Z' in
+  let r = Codec.reader enc in
+  Codec.get_bytes_rle_into r dst;
+  Codec.expect_end r;
+  check_bool (name ^ " roundtrip") true (Bytes.equal b dst)
+
+(* The word-at-a-time encoder writes the reference's bytes: on random
+   run-structured buffers of every length from 0 to 40, and on runs one
+   short of, at and one past the threshold, starting and ending at every
+   offset mod 8. *)
+let test_codec_rle_reference () =
+  let rng = Random.State.make [| 57 |] in
+  let alphabet = [| '\000'; '\001'; '\128'; '\255' |] in
+  for n = 0 to 40 do
+    for k = 1 to 50 do
+      let b = Bytes.create n in
+      let off = ref 0 in
+      while !off < n do
+        let len = min (n - !off) (1 + Random.State.int rng 12) in
+        Bytes.fill b !off len alphabet.(Random.State.int rng 4);
+        off := !off + len
+      done;
+      check_rle_against_reference (Printf.sprintf "random %d/%d" n k) b
+    done
+  done;
+  (* Prefix and suffix alternate two bytes, so only the run itself
+     repeats. *)
+  let filler k = if k land 1 = 0 then '\001' else '\002' in
+  List.iter
+    (fun c ->
+      for start = 0 to 15 do
+        List.iter
+          (fun len ->
+            for tail = 0 to 8 do
+              let b =
+                Bytes.init (start + len + tail) (fun k ->
+                    if k < start then filler k
+                    else if k < start + len then c
+                    else filler (k - start - len))
+              in
+              check_rle_against_reference
+                (Printf.sprintf "run %C start %d len %d tail %d" c start len
+                   tail)
+                b
+            done)
+          [ min_run - 1; min_run; min_run + 1 ]
+      done)
+    [ '\000'; '\255' ]
+
 let test_codec_container () =
   let sections = [ ("alpha", "payload-a"); ("beta", String.make 300 'b') ] in
   let enc = Codec.Container.encode sections in
@@ -647,6 +738,67 @@ let test_unknown_event_is_corrupt () =
         (Astring_contains.contains ~sub:"no event named" msg)
   | () -> Alcotest.fail "snapshot with an unknown event accepted"
 
+(* A tag at or above the lattice's size would index past its flat
+   tables. Restore refuses one as corrupt wherever it sits: a register
+   tag, [insn_tag], a CSR tag, or a RAM tag inside an RLE run or a
+   literal. *)
+let test_out_of_lattice_tag_is_corrupt () =
+  let soc1 = irq_soc () in
+  pause_run soc1 200;
+  let snap = Vp.Soc.save soc1 in
+  let ntags = Dift.Lattice.size soc1.Vp.Soc.env.Vp.Env.lat in
+  let patch section f =
+    Codec.Container.encode
+      (List.map
+         (fun (name, s) -> (name, if name = section then f s else s))
+         (Codec.Container.decode snap))
+  in
+  (* The cpu section: 32 registers, 32 register tags, pc, cur_pc,
+     insn_word, insn_tag (u32 each), instret and local_cycles (i64),
+     in_wfi, syncing and the exit tag (u8), the exit code (i64), then
+     eight CSR values and eight CSR tags (u32 each). *)
+  let cpu_at off s =
+    let b = Bytes.of_string s in
+    Bytes.set_int32_le b off (Int32.of_int ntags);
+    Bytes.to_string b
+  in
+  let csr_tags = 128 + 128 + 16 + 16 + 3 + 8 + 32 in
+  (* The mem section: the value bytes, then the tag bytes, each RLE. *)
+  let mem_tags f s =
+    let r = Codec.reader s in
+    let data = Bytes.create Vp.Soc.ram_size in
+    let tags = Bytes.create Vp.Soc.ram_size in
+    Codec.get_bytes_rle_into r data;
+    Codec.get_bytes_rle_into r tags;
+    Codec.expect_end r;
+    f tags;
+    let w = Codec.writer () in
+    Codec.put_bytes_rle w data;
+    Codec.put_bytes_rle w tags;
+    Codec.contents w
+  in
+  let bad = Char.chr ntags in
+  (* Unpatched, the round trip through the decoder keeps the bytes. *)
+  check_bool "mem section re-encodes byte-identically" true
+    (patch "mem" (mem_tags ignore) = snap);
+  List.iter
+    (fun (what, blob) ->
+      match Vp.Soc.restore (irq_soc ()) blob with
+      | exception Codec.Corrupt msg ->
+          check_bool (what ^ ": the error names the bound") true
+            (Astring_contains.contains ~sub:"not below" msg)
+      | () -> Alcotest.failf "%s at the lattice size accepted" what)
+    [
+      ("register tag", patch "cpu" (cpu_at (128 + (4 * R.s2))));
+      ("insn_tag", patch "cpu" (cpu_at (128 + 128 + 12)));
+      ("mstatus tag", patch "cpu" (cpu_at csr_tags));
+      ("mtval tag", patch "cpu" (cpu_at (csr_tags + 28)));
+      ( "RAM tag run",
+        patch "mem" (mem_tags (fun t -> Bytes.fill t 0x1000 64 bad)) );
+      ( "RAM tag literal",
+        patch "mem" (mem_tags (fun t -> Bytes.set t 0x2001 bad)) );
+    ]
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -654,6 +806,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "rle" `Quick test_codec_rle;
+          Alcotest.test_case "rle matches a byte-loop reference" `Quick
+            test_codec_rle_reference;
           Alcotest.test_case "container" `Quick test_codec_container;
         ] );
       ( "kernel",
@@ -691,6 +845,8 @@ let () =
         [
           Alcotest.test_case "unknown event name refused as corrupt" `Quick
             test_unknown_event_is_corrupt;
+          Alcotest.test_case "tag at the lattice size refused as corrupt"
+            `Quick test_out_of_lattice_tag_is_corrupt;
         ] );
       ( "wilander",
         List.map
