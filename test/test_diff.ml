@@ -376,7 +376,7 @@ let () =
       ( "differential",
         List.map qtest
           [ prop_differential; prop_image_disasm_stable; prop_golden_model ] );
-      ( "golden memory",
+      ( "golden pages",
         [
           Alcotest.test_case "accesses straddling a page" `Quick
             test_golden_page_straddle;
