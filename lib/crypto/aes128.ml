@@ -33,38 +33,36 @@ let sbox_arr, inv_sbox =
 
 let rcon_arr = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 
-type key = int array array
-(* 11 round keys of 16 bytes each. *)
+type key = int array
+(* 11 round keys of 16 bytes each, flat: round [r]'s byte [b] at
+   [16 * r + b]. *)
 
 let expand k =
   if String.length k <> 16 then invalid_arg "Aes128.expand: key must be 16 bytes";
-  (* 44 words of 4 bytes. *)
-  let w = Array.make_matrix 44 4 0 in
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      w.(i).(j) <- Char.code k.[(4 * i) + j]
-    done
+  (* 44 words of 4 bytes; word [i] at [4 * i]. *)
+  let w = Array.make 176 0 in
+  for i = 0 to 15 do
+    w.(i) <- Char.code k.[i]
   done;
   for i = 4 to 43 do
-    let t = Array.copy w.(i - 1) in
-    if i mod 4 = 0 then begin
-      (* RotWord + SubWord + Rcon. *)
-      let t0 = t.(0) in
-      t.(0) <- sbox_arr.(t.(1)) lxor rcon_arr.((i / 4) - 1);
-      t.(1) <- sbox_arr.(t.(2));
-      t.(2) <- sbox_arr.(t.(3));
-      t.(3) <- sbox_arr.(t0)
-    end;
-    for j = 0 to 3 do
-      w.(i).(j) <- w.(i - 4).(j) lxor t.(j)
-    done
+    let q = 4 * i in
+    if i land 3 = 0 then begin
+      (* RotWord + SubWord + Rcon of the previous word. *)
+      w.(q) <- w.(q - 16) lxor sbox_arr.(w.(q - 3)) lxor rcon_arr.((i / 4) - 1);
+      w.(q + 1) <- w.(q - 15) lxor sbox_arr.(w.(q - 2));
+      w.(q + 2) <- w.(q - 14) lxor sbox_arr.(w.(q - 1));
+      w.(q + 3) <- w.(q - 13) lxor sbox_arr.(w.(q - 4))
+    end
+    else
+      for j = 0 to 3 do
+        w.(q + j) <- w.(q - 16 + j) lxor w.(q - 4 + j)
+      done
   done;
-  Array.init 11 (fun r ->
-      Array.init 16 (fun b -> w.((4 * r) + (b / 4)).(b mod 4)))
+  w
 
-let add_round_key st rk =
+let add_round_key st rk round =
   for i = 0 to 15 do
-    st.(i) <- st.(i) lxor rk.(i)
+    st.(i) <- st.(i) lxor rk.((16 * round) + i)
   done
 
 let sub_bytes st box =
@@ -73,17 +71,6 @@ let sub_bytes st box =
   done
 
 (* State is column-major: byte (r, c) at index 4*c + r. *)
-let shift_rows st =
-  let g r c = st.((4 * c) + r) in
-  let tmp = Array.copy st in
-  let s r c v = tmp.((4 * c) + r) <- v in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      s r c (g r ((c + r) mod 4))
-    done
-  done;
-  Array.blit tmp 0 st 0 16
-
 let inv_shift_rows st =
   let g r c = st.((4 * c) + r) in
   let tmp = Array.copy st in
@@ -94,16 +81,6 @@ let inv_shift_rows st =
     done
   done;
   Array.blit tmp 0 st 0 16
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) in
-    let a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    st.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    st.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    st.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
 
 let inv_mix_columns st =
   for c = 0 to 3 do
@@ -119,34 +96,55 @@ let check_block what s =
   if String.length s <> 16 then
     invalid_arg (Printf.sprintf "Aes128.%s: block must be 16 bytes" what)
 
+(* [xtime] of every byte: MixColumns below reads it instead of calling
+   [gmul]. *)
+let xtime_tab = Array.init 256 xtime
+
 let encrypt_block rk pt =
   check_block "encrypt_block" pt;
-  let st = Array.init 16 (fun i -> Char.code pt.[i]) in
-  add_round_key st rk.(0);
-  for round = 1 to 9 do
-    sub_bytes st sbox_arr;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st rk.(round)
+  let st = Array.init 16 (fun i -> Char.code pt.[i] lxor rk.(i)) in
+  let tmp = Array.make 16 0 in
+  for round = 1 to 10 do
+    (* SubBytes and ShiftRows in one pass: row [r] of column [c] comes
+       from column [c + r]. *)
+    for c = 0 to 3 do
+      for r = 0 to 3 do
+        tmp.((4 * c) + r) <- sbox_arr.(st.((4 * ((c + r) land 3)) + r))
+      done
+    done;
+    let k = 16 * round in
+    if round < 10 then
+      (* MixColumns and AddRoundKey: 2a xor 3b = xtime (a xor b) xor b. *)
+      for c = 0 to 3 do
+        let i = 4 * c in
+        let a0 = tmp.(i) and a1 = tmp.(i + 1) in
+        let a2 = tmp.(i + 2) and a3 = tmp.(i + 3) in
+        let all = a0 lxor a1 lxor a2 lxor a3 in
+        st.(i) <- a0 lxor all lxor xtime_tab.(a0 lxor a1) lxor rk.(k + i);
+        st.(i + 1) <- a1 lxor all lxor xtime_tab.(a1 lxor a2) lxor rk.(k + i + 1);
+        st.(i + 2) <- a2 lxor all lxor xtime_tab.(a2 lxor a3) lxor rk.(k + i + 2);
+        st.(i + 3) <- a3 lxor all lxor xtime_tab.(a3 lxor a0) lxor rk.(k + i + 3)
+      done
+    else
+      for i = 0 to 15 do
+        st.(i) <- tmp.(i) lxor rk.(k + i)
+      done
   done;
-  sub_bytes st sbox_arr;
-  shift_rows st;
-  add_round_key st rk.(10);
   String.init 16 (fun i -> Char.chr st.(i))
 
 let decrypt_block rk ct =
   check_block "decrypt_block" ct;
   let st = Array.init 16 (fun i -> Char.code ct.[i]) in
-  add_round_key st rk.(10);
+  add_round_key st rk 10;
   for round = 9 downto 1 do
     inv_shift_rows st;
     sub_bytes st inv_sbox;
-    add_round_key st rk.(round);
+    add_round_key st rk round;
     inv_mix_columns st
   done;
   inv_shift_rows st;
   sub_bytes st inv_sbox;
-  add_round_key st rk.(0);
+  add_round_key st rk 0;
   String.init 16 (fun i -> Char.chr st.(i))
 
 let encrypt_ecb rk msg =

@@ -79,7 +79,16 @@ let mmio_load b ~width ~addr =
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = false });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay;
   (match b.on_merge with
-  | None -> b.last_tag <- Tlm.Payload.lub_tag b.lat p
+  | None ->
+      (* Equal bytes are their own join: a register's bytes usually share
+         one tag, and then the fold makes no call. *)
+      let tags = p.Tlm.Payload.tags in
+      let t = ref (Char.code (Bytes.unsafe_get tags 0)) in
+      for i = 1 to width - 1 do
+        let x = Char.code (Bytes.unsafe_get tags i) in
+        if x <> !t then t := Dift.Lattice.lub b.lat !t x
+      done;
+      b.last_tag <- !t
   | Some f ->
       let t = ref (Tlm.Payload.get_tag p 0) in
       for i = 1 to width - 1 do

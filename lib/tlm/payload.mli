@@ -38,12 +38,16 @@ val get_tag : t -> int -> Dift.Lattice.tag
 val set_tag : t -> int -> Dift.Lattice.tag -> unit
 
 val set_all_tags : t -> Dift.Lattice.tag -> unit
+(** Raises [Invalid_argument] for a tag that is not a byte (above 255 or
+    negative), like {!set_tag}: a tag is never truncated. *)
 
 (** {2 Register codec}
 
     A transaction of [length p] bytes carries one little-endian register
     value, the way a bus master reads or writes a memory-mapped register
-    of that width. *)
+    of that width. Lengths 1, 2 and 4 read or write their bytes and tags
+    in one access each, and allocate nothing; other lengths go byte by
+    byte. *)
 
 val value : t -> int
 (** Zero-extended value of all [length p] bytes. *)

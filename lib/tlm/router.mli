@@ -9,9 +9,11 @@
     Dispatch binary-searches a sorted-by-address array rebuilt on every
     {!map} (mapping is construction-time, dispatch is per transaction), so
     routing costs O(log n) in the number of mapped targets rather than a
-    list scan. The sorted array is the only copy of the address map:
-    initiators reach a target only by sending a payload through
-    {!target_socket}. *)
+    list scan. The search is a loop that yields an index (or none), so a
+    routed transaction allocates nothing in the router: it costs the
+    lookup and one call of the target's transport. The sorted array is
+    the only copy of the address map: initiators reach a target only by
+    sending a payload through {!target_socket}. *)
 
 type t
 

@@ -39,13 +39,6 @@ let violation env ~kind ~data_tag ~required detail =
   Dift.Monitor.violation env.monitor
     { Dift.Violation.kind; data_tag; required_tag = required; pc = None; detail }
 
-let check_output env ~port ~data_tag detail =
-  match Dift.Policy.output_required env.policy port with
-  | Some required when refused env data_tag required ->
-      violation env ~kind:(Dift.Violation.Output_clearance port) ~data_tag
-        ~required (detail ())
-  | _ -> ()
-
 let declassify env ~where ~from_tag to_tag =
   Dift.Monitor.report env.monitor
     (Dift.Monitor.Declassified { where; from_tag; to_tag });

@@ -41,11 +41,6 @@ val violation :
     only after {!refused} said yes, so the record and its detail text are
     built only for a refused flow. *)
 
-val check_output : t -> port:string -> data_tag:Dift.Lattice.tag -> (unit -> string) -> unit
-(** Clearance check at a named output interface: looks up the port's
-    required class in the policy (no check if undeclared) and reports a
-    violation, with the detail text the thunk builds, on failure. *)
-
 val declassify : t -> where:string -> from_tag:Dift.Lattice.tag -> Dift.Lattice.tag -> Dift.Lattice.tag
 (** [declassify env ~where ~from_tag to_tag] records the declassification
     event and returns [to_tag]. Only trusted peripherals may call this

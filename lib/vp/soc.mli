@@ -33,6 +33,7 @@ val sensor_base : int
 val can_base : int
 val aes_base : int
 val dma_base : int
+val wdt_base : int
 
 val ram_size : int
 (** 1 MiB. *)

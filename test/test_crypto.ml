@@ -49,6 +49,93 @@ let prop_aes_roundtrip =
       let key = Crypto.Aes128.expand k in
       Crypto.Aes128.decrypt_block key (Crypto.Aes128.encrypt_block key pt) = pt)
 
+(* The straightforward AES-128 the table-driven one must agree with:
+   nested round keys, ShiftRows through a copy and MixColumns by [gmul],
+   GF(2^8) multiplication by shift-and-add. It shares only the S-box and
+   the round constants, which the known-answer tests above pin. *)
+module Naive = struct
+  let xtime b = if b land 0x80 <> 0 then ((b lsl 1) lxor 0x1b) land 0xff else b lsl 1
+
+  let gmul a b =
+    let rec go a b acc =
+      if b = 0 then acc
+      else
+        let acc = if b land 1 <> 0 then acc lxor a else acc in
+        go (xtime a) (b lsr 1) acc
+    in
+    go a b 0
+
+  let sbox = Crypto.Aes128.sbox
+
+  let expand k =
+    let w = Array.make_matrix 44 4 0 in
+    for i = 0 to 3 do
+      for j = 0 to 3 do
+        w.(i).(j) <- Char.code k.[(4 * i) + j]
+      done
+    done;
+    for i = 4 to 43 do
+      let t = Array.copy w.(i - 1) in
+      if i mod 4 = 0 then begin
+        let t0 = t.(0) in
+        t.(0) <- sbox.(t.(1)) lxor Crypto.Aes128.rcon.((i / 4) - 1);
+        t.(1) <- sbox.(t.(2));
+        t.(2) <- sbox.(t.(3));
+        t.(3) <- sbox.(t0)
+      end;
+      for j = 0 to 3 do
+        w.(i).(j) <- w.(i - 4).(j) lxor t.(j)
+      done
+    done;
+    Array.init 11 (fun r -> Array.init 16 (fun b -> w.((4 * r) + (b / 4)).(b mod 4)))
+
+  let add_round_key st rk = Array.iteri (fun i k -> st.(i) <- st.(i) lxor k) rk
+
+  (* State is column-major: byte (r, c) at index 4*c + r. *)
+  let shift_rows st =
+    let tmp = Array.copy st in
+    for r = 1 to 3 do
+      for c = 0 to 3 do
+        tmp.((4 * c) + r) <- st.((4 * ((c + r) mod 4)) + r)
+      done
+    done;
+    Array.blit tmp 0 st 0 16
+
+  let mix_columns st =
+    for c = 0 to 3 do
+      let a0 = st.(4 * c) and a1 = st.((4 * c) + 1) in
+      let a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
+      st.(4 * c) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
+      st.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
+      st.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
+      st.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
+    done
+
+  let encrypt_block rk pt =
+    let st = Array.init 16 (fun i -> Char.code pt.[i]) in
+    add_round_key st rk.(0);
+    for round = 1 to 10 do
+      Array.iteri (fun i x -> st.(i) <- sbox.(x)) st;
+      shift_rows st;
+      if round < 10 then mix_columns st;
+      add_round_key st rk.(round)
+    done;
+    String.init 16 (fun i -> Char.chr st.(i))
+end
+
+let test_naive_reference_fips () =
+  let key = Naive.expand (hex "000102030405060708090a0b0c0d0e0f") in
+  check_string "naive FIPS-197 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a"
+    (to_hex (Naive.encrypt_block key (hex "00112233445566778899aabbccddeeff")))
+
+let prop_aes_matches_naive =
+  let open QCheck in
+  Test.make ~name:"AES matches the naive reference" ~count:2000
+    (pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
+    (fun (k, pt) ->
+      Crypto.Aes128.encrypt_block (Crypto.Aes128.expand k) pt
+      = Naive.encrypt_block (Naive.expand k) pt)
+
 let test_aes_ecb_multiblock () =
   let key = Crypto.Aes128.expand (String.make 16 'k') in
   let msg = String.init 48 (fun i -> Char.chr (i land 0xff)) in
@@ -102,7 +189,10 @@ let () =
           Alcotest.test_case "decrypt inverse" `Quick test_aes_decrypt_inverse;
           Alcotest.test_case "multi-block ECB" `Quick test_aes_ecb_multiblock;
           Alcotest.test_case "size validation" `Quick test_aes_bad_sizes;
+          Alcotest.test_case "naive reference FIPS-197" `Quick
+            test_naive_reference_fips;
           qtest prop_aes_roundtrip;
+          qtest prop_aes_matches_naive;
         ] );
       ( "sha256",
         [

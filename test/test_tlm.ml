@@ -157,6 +157,110 @@ let test_router_many_targets () =
   unmapped "below all" (-1);
   unmapped "above all" (((n - 1) * 0x200) + 0x100)
 
+(* The byte-at-a-time codec the word-wide one must agree with. *)
+let ref_value p =
+  let v = ref 0 in
+  for i = P.length p - 1 downto 0 do
+    v := (!v lsl 8) lor P.get_byte p i
+  done;
+  !v
+
+let ref_set_value p v ~tag =
+  for i = 0 to P.length p - 1 do
+    P.set_byte p i (v lsr (8 * i));
+    P.set_tag p i tag
+  done
+
+let prop_codec_matches_byte_loop =
+  let open QCheck in
+  Test.make ~name:"codec matches byte loop" ~count:1000
+    (quad (oneofl widths) int (int_bound 255) (string_of_size (Gen.return 4)))
+    (fun (len, v, tag, bytes) ->
+      let p = P.create ~len ~default_tag:hi () and q = P.create ~len ~default_tag:hi () in
+      for i = 0 to len - 1 do
+        P.set_byte p i (Char.code bytes.[i])
+      done;
+      let read_ok = P.value p = ref_value p in
+      P.set_value p v ~tag;
+      ref_set_value q v ~tag;
+      let write_ok = p.P.data = q.P.data && p.P.tags = q.P.tags in
+      P.set_tag p 0 hi;
+      P.set_all_tags p tag;
+      read_ok && write_ok && p.P.tags = q.P.tags)
+
+(* Tags are bytes: 255 is the largest that travels, 256 (or a negative
+   tag) is refused rather than truncated. *)
+let test_codec_tag_range () =
+  List.iter
+    (fun len ->
+      let p = P.create ~len ~default_tag:hi () in
+      P.set_value p 0 ~tag:255;
+      for i = 0 to len - 1 do
+        check_int (Printf.sprintf "width %d tag 255" len) 255 (P.get_tag p i)
+      done;
+      P.set_all_tags p 255;
+      check_int "set_all_tags 255" 255 (P.get_tag p (len - 1));
+      List.iter
+        (fun bad ->
+          let refused f = try f (); false with Invalid_argument _ -> true in
+          check_bool (Printf.sprintf "width %d set_value tag %d" len bad) true
+            (refused (fun () -> P.set_value p 0 ~tag:bad));
+          check_bool (Printf.sprintf "width %d set_all_tags %d" len bad) true
+            (refused (fun () -> P.set_all_tags p bad));
+          check_int "tags untouched" 255 (P.get_tag p 0))
+        [ 256; -1 ])
+    widths
+
+(* The SoC's shape: ranges of different sizes, two of them adjacent.
+   Each range's first and last byte reaches it at local offsets 0 and
+   size - 1, and the observer sees the global address; every address
+   around them that no range claims completes with [Address_error], runs
+   no target and is not observed. *)
+let test_router_range_edges () =
+  let r = R.create ~name:"bus" () in
+  let ranges =
+    [ ("clint", 0x0200_0000, 0x0200_ffff); ("uart", 0x1000_0000, 0x1000_00ff);
+      ("gpio", 0x1000_0100, 0x1000_01ff); ("ram", 0x8000_0000, 0x800f_ffff) ]
+  in
+  let hit = ref None and observed = ref None in
+  List.iter
+    (fun (name, lo, hi) ->
+      R.map r ~lo ~hi
+        (S.target ~name (fun p d ->
+             hit := Some (name, p.P.addr);
+             p.P.resp <- P.Ok_resp;
+             d)))
+    (List.rev ranges);
+  R.set_observer r (Some (fun p name -> observed := Some (name, p.P.addr)));
+  let sock = R.target_socket r in
+  let send addr =
+    hit := None;
+    observed := None;
+    let p = P.create ~cmd:P.Read ~addr ~len:1 ~default_tag:hi () in
+    ignore (S.call sock p Sysc.Time.zero);
+    check_int "global address restored" addr p.P.addr;
+    p.P.resp
+  in
+  List.iter
+    (fun (name, lo, hi) ->
+      List.iter
+        (fun addr ->
+          let what = Printf.sprintf "%s at 0x%x" name addr in
+          check_bool what true (send addr = P.Ok_resp);
+          check_bool (what ^ ": local offset") true (!hit = Some (name, addr - lo));
+          check_bool (what ^ ": observed globally") true
+            (!observed = Some (name, addr)))
+        [ lo; hi ])
+    ranges;
+  List.iter
+    (fun addr ->
+      let what = Printf.sprintf "unclaimed 0x%x" addr in
+      check_bool what true (send addr = P.Address_error);
+      check_bool (what ^ ": no target ran") true (!hit = None);
+      check_bool (what ^ ": not observed") true (!observed = None))
+    [ 0; 0x01ff_ffff; 0x0201_0000; 0x0fff_ffff; 0x1000_0200; 0x7fff_ffff;
+      0x8010_0000; max_int ]
+
 let prop_payload_byte_roundtrip =
   let open QCheck in
   Test.make ~name:"payload byte set/get" ~count:300
@@ -174,6 +278,7 @@ let () =
           Alcotest.test_case "word accessors" `Quick test_payload_codec;
           Alcotest.test_case "word tag LUB" `Quick test_payload_lub_tag;
           Alcotest.test_case "tags travel" `Quick test_payload_tags_travel;
+          Alcotest.test_case "codec tag range" `Quick test_codec_tag_range;
         ] );
       ( "socket/router",
         [
@@ -184,6 +289,10 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick test_router_overlap_rejected;
           Alcotest.test_case "many targets, binary search" `Quick
             test_router_many_targets;
+          Alcotest.test_case "range edges and gaps" `Quick
+            test_router_range_edges;
         ] );
-      ("props", [ qtest prop_payload_byte_roundtrip ]);
+      ( "props",
+        [ qtest prop_payload_byte_roundtrip; qtest prop_codec_matches_byte_loop ]
+      );
     ]
