@@ -18,7 +18,7 @@
    seconds-long smoke run) multiplies every timed workload's iteration
    count. Every timed row is the median of Benchkit.Defs.reps runs, the
    configurations of one table alternating. Flags: --no-block-cache
-   measures the core's single-step reference instead of the superblock
+   measures the core's single-step reference instead of the block
    compiler; --only=W1[,W2,...] restricts table2 to the named workloads,
    from the default set plus crc32, matmul, strings and aes-sw. A bad
    command, scale, flag or workload name is refused before anything
@@ -376,7 +376,7 @@ let cmd =
   let no_block_cache =
     Arg.(value & flag & info [ "no-block-cache" ]
            ~doc:"Measure the core's single-step reference instead of the \
-                 superblock compiler.")
+                 block compiler.")
   in
   let only =
     let names =

@@ -28,8 +28,8 @@ val table2 : scale:float -> def list
 (** The default Table II workload set: the paper's seven (qsort,
     dhrystone, primes, sha512, simple-sensor, freertos-tasks,
     immo-fixed) after [hello] and the branch-heavy [dispatch] stressor
-    ({!Firmware.Extra_fw.dispatch}, for the superblock/inline-cache
-    counters). [scale] multiplies each workload's iteration count;
+    ({!Firmware.Extra_fw.dispatch}, for the linked-exit and jalr
+    exit-cache counters). [scale] multiplies each workload's iteration count;
     fractions give fast smoke runs. *)
 
 val extended : scale:float -> def list
@@ -40,9 +40,9 @@ type sample = {
   s_seconds : float;  (** Monotonic wall time of the simulation. *)
   s_fast_retired : int;
   s_blocks_built : int;
-  s_superblocks : int;  (** Superblock chains linked. *)
-  s_chain_hits : int;  (** In-chain block-to-block transitions. *)
-  s_ic_hits : int;  (** [jalr] inline-cache direct entries. *)
+  s_superblocks : int;  (** Direct block exits linked. *)
+  s_chain_hits : int;  (** Transitions through a linked direct exit. *)
+  s_ic_hits : int;  (** [jalr] exit-cache direct entries. *)
   s_ic_misses : int;  (** [jalr] inline-cache misses/demotions. *)
   s_exit_ok : bool;  (** Firmware reached the exit ecall with code 0. *)
 }

@@ -33,7 +33,7 @@ type config = {
       (** Additionally re-run every program on the single-step reference
           ([~block_cache:false], both VP flavours) and require
           architectural agreement, taint tags included, with the compiled
-          runs — a differential check of the superblock compiler itself
+          runs — a differential check of the block compiler itself
           (see [docs/perf.md]). Off by default: it doubles the oracle
           cost. *)
   snap_diff : bool;

@@ -25,7 +25,10 @@ let rec set_nth l i x =
   | [] -> []
   | hd :: tl -> if i = 0 then x :: tl else hd :: set_nth tl (i - 1) x
 
-let minimize ?(max_evals = 2000) pred prog =
+(* Predicate evaluations one minimisation may spend. *)
+let max_evals = 2000
+
+let minimize pred prog =
   let evals = ref 0 in
   let check p =
     if !evals >= max_evals then raise Budget;

@@ -16,8 +16,7 @@ type stats = {
   to_insns : int;
 }
 
-val minimize :
-  ?max_evals:int -> (Prog.t -> bool) -> Prog.t -> Prog.t * stats
+val minimize : (Prog.t -> bool) -> Prog.t -> Prog.t * stats
 (** [minimize pred prog] with [pred prog = true] ("still fails"). The
-    predicate must be deterministic. [max_evals] (default 2000) bounds the
+    predicate must be deterministic. At most 2000 evaluations bound the
     work; the best program found so far is returned when exhausted. *)

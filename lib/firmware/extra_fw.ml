@@ -288,8 +288,8 @@ let dispatch ?(rounds = 4096) p =
      [jalr] — the inline caches' best case) plus a table-driven indirect
      dispatch whose target rotates every iteration (polymorphic [jalr] —
      the sticky-demotion path). Every handler return site is monomorphic,
-     so the workload exercises IC hits, IC misses and superblock chaining
-     in one loop. The accumulator self-checks against a host-computed
+     so the workload exercises jalr exit-cache hits and misses and linked
+     direct exits in one loop. The accumulator self-checks against a host-computed
      value. *)
   let expected = dispatch_reference rounds in
   Rt.entry p ();

@@ -12,8 +12,8 @@
       strings (pointer-chasing heavy);
     - {!dispatch}: a branch-heavy control-flow stressor — a tight
       call/return pair plus a table-driven indirect dispatch whose
-      [jalr] target rotates every iteration (the superblock engine's
-      inline-cache hit, miss and demotion paths all fire).
+      [jalr] target rotates every iteration (the block compiler's jalr
+      exit-cache hit, miss and demotion paths all fire).
 
     All exit 0 on success, 1 on a self-check mismatch. *)
 

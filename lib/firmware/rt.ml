@@ -3,9 +3,9 @@ module R = Rv32.Reg
 
 let stack_top = 0x800f_fff0
 
-let entry p ?(stack = stack_top) () =
+let entry p () =
   A.label p "_start";
-  A.li p R.sp stack
+  A.li p R.sp stack_top
 
 let exit_ p ?(code = 0) () = A.exit_ecall p ~code ()
 

@@ -8,8 +8,8 @@
 val stack_top : int
 (** Default initial stack pointer (near the top of the 1 MiB RAM). *)
 
-val entry : Rv32_asm.Asm.t -> ?stack:int -> unit -> unit
-(** Emit the ["_start"] label and stack setup. *)
+val entry : Rv32_asm.Asm.t -> unit -> unit
+(** Emit the ["_start"] label and set [sp] to {!stack_top}. *)
 
 val exit_ : Rv32_asm.Asm.t -> ?code:int -> unit -> unit
 (** Exit via the ecall convention with a constant code. *)

@@ -10,14 +10,15 @@ type trap_event =
   | Trap_return of { target : int; to_priv : int }
 
 (* Two execution paths: the single-step reference ({!step}, selected by
-   [~block_cache:false]) and the superblock compiler, which compiles each
+   [~block_cache:false]) and the block compiler, which compiles each
    cached block into closure chains (threaded code) with pre-resolved
    operands: a full variant with one closure per tag shape, built only
-   when the block first needs it, and a value-only variant. It chains hot
-   block pairs across their terminating branch into superblocks and
-   inline-caches jalr targets. Both paths retire identical architectural
-   state, tags, violations, counters and hook streams — pinned by
-   test_parity and the difftest --cache-diff leg. *)
+   when the block first needs it, and a value-only variant. Every exit of
+   a chain goes through an exit cache that jumps straight into the
+   target's chain while no flush epoch has passed since it was filled.
+   Both paths retire identical architectural state, tags, violations,
+   counters and hook streams — pinned by test_parity and the difftest
+   --cache-diff leg. *)
 
 let mask32 v = v land 0xffffffff
 let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
@@ -144,40 +145,28 @@ let block_ender insn = Decode.block_class insn = Decode.Ender
    all tag code compiled out, present only for blocks whose every word
    carries the bottom tag on cores where the fast path is enabled. A
    breaker-led block is stored with [cb_n = 0] so the dispatcher falls
-   back to {!step} without re-probing.
-
-   Each chain also keeps the decoded source
-   ([cb_blk], for recompiling the block chained into a hot successor),
-   an exit-edge profile ([cb_edge_pc]/[cb_edge_n]: the last observed
-   dispatcher-entry pc after this chain ran, and how many consecutive
-   times it repeated), and the byte span the compiled code depends on
-   ([cb_lo..cb_hi] — the block itself, widened to the convex hull of
-   predecessor and successor once chained, so invalidation stays a
-   range compare). *)
+   back to {!step} without re-probing. [cb_hi] is the block's last byte:
+   a write above it cannot change the chain. *)
 type cblock = {
-  cb_pc : int;
   cb_n : int;
   cb_full : unit -> unit;
   cb_fast : (unit -> unit) option;
-  cb_blk : block;
-  cb_lo : int;
   cb_hi : int;
-  mutable cb_edge_pc : int;
-  mutable cb_edge_n : int;
-  mutable cb_linked : bool;
 }
 
-(* Inline cache for a compiled jalr site: predicted target pc plus the
-   direct chain entry for it. [ic_pc] is -1 while empty and -2 once
-   demoted (two distinct targets were observed — the site is
-   polymorphic and keeps paying the dispatcher). A cached entry is
-   trusted only while no flush epoch has passed since it was installed;
-   epoch bumps (SMC/DMA writes, set_trace, privilege changes, snapshot
-   restore) invalidate every cache at once. *)
-type ic = {
-  mutable ic_pc : int;
-  mutable ic_epoch : int;
-  mutable ic_entry : unit -> unit;
+(* Where a compiled chain leaves its block (a taken branch or jal,
+   falling off its last instruction, a jalr) it goes through an exit
+   cache: a target pc and the direct entry of that target's chain.
+   [ec_pc] is -1 while a jalr's cache is empty and -2 once the site is
+   demoted (two distinct targets were observed — it is polymorphic and
+   keeps paying the dispatcher). An entry is trusted only while no flush
+   epoch has passed since it was filled; epoch bumps (SMC/DMA writes,
+   set_trace, privilege changes, snapshot restore) invalidate every
+   cache at once, so a flushed chain is never entered through one. *)
+type exit_cache = {
+  mutable ec_pc : int;
+  mutable ec_epoch : int;
+  mutable ec_entry : unit -> unit;
 }
 
 (* One 4 KiB page of the code cache over the DMI region, indexed by word
@@ -252,15 +241,8 @@ type t = {
      semantics, not an optimistic gamble: it needs no per-entry tag
      precondition and never falls back. *)
   fast_spec : bool;
-  (* Superblock chaining: [prev_cb] is the chain that ran in the
-     previous scheduling round (exit-edge profiling), [sblocks] the
-     registry of slots currently holding a recompiled superblock — their
-     spans cover two blocks, so invalidation scans the registry in
-     addition to the positional window. *)
-  mutable prev_cb : cblock option;
-  mutable sblocks : (int * cblock) list;
   mutable n_blocks : int;
-  mutable n_superblocks : int;
+  mutable n_linked : int;
   mutable n_chain : int;
   mutable n_ic_hits : int;
   mutable n_ic_miss : int;
@@ -344,24 +326,7 @@ let flush_code t ~addr ~len =
             | None -> ()
           done
       done
-    end;
-    (* Superblocks span two blocks, so the slot may sit outside the
-       positional window above; their registry is scanned by span.
-       Entries whose slot no longer holds them (already flushed, or
-       replaced) are dropped along the way. *)
-    if t.sblocks <> [] then
-      t.sblocks <-
-        List.filter
-          (fun (i, cb) ->
-            match slot_get t i with
-            | Some cur when cur == cb ->
-                if cb.cb_hi >= addr && cb.cb_lo <= last then begin
-                  slot_set t i None;
-                  false
-                end
-                else true
-            | _ -> false)
-          t.sblocks
+    end
   end
 
 let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
@@ -433,10 +398,8 @@ let create ~kernel ~bus ~policy ~monitor ?(quantum = 1000) ?(block_cache = true)
       flush_epoch = 0;
       chain_epoch = 0;
       fast_spec;
-      prev_cb = None;
-      sblocks = [];
       n_blocks = 0;
-      n_superblocks = 0;
+      n_linked = 0;
       n_chain = 0;
       n_ic_hits = 0;
       n_ic_miss = 0;
@@ -495,13 +458,11 @@ let set_trace t fn =
     t.flush_epoch <- t.flush_epoch + 1;
     Array.iter
       (fun p -> if p != no_page then Array.fill p.p_blocks 0 page_words None)
-      t.pages;
-    t.sblocks <- [];
-    t.prev_cb <- None
+      t.pages
   end
 let set_merge_hook t fn = t.on_merge <- fn
 let blocks_built t = t.n_blocks
-let superblocks_built t = t.n_superblocks
+let superblocks_built t = t.n_linked
 let chain_hits t = t.n_chain
 let ic_hits t = t.n_ic_hits
 let ic_misses t = t.n_ic_miss
@@ -1046,10 +1007,9 @@ let retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc =
    all have an exact value-only variant (see [fast_spec]), and a full
    chain is built only when first entered (see {!compile_block}).
 
-   [exit_k] runs when control leaves the fall-through path (a taken branch
-   or trap): the chain terminator for a standalone block, a superblock
-   seam that continues into the chained successor when the divergence
-   lands exactly on it, or a jalr's inline cache ({!ic_exit}). *)
+   [exit_k] is the exit cache a branch or jump leaves the block through
+   (see [compile_block]); a load or store that traps returns to the
+   dispatcher. *)
 let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
   let open Insn in
   let regs = t.regs and rtags = t.rtags in
@@ -1122,7 +1082,6 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
   | BEQ (a, b, off) | BNE (a, b, off) | BLT (a, b, off) | BGE (a, b, off)
   | BLTU (a, b, off) | BGEU (a, b, off) ->
       let tgt = mask32 (pc0 + off) in
-      let taken_k = if tgt = next_pc then next else exit_k in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
           retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
@@ -1132,7 +1091,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
             "branch condition";
           if taken then begin
             t.pc <- tgt;
-            taken_k ()
+            exit_k ()
           end
           else next ()
         end
@@ -1153,7 +1112,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
                Array.unsafe_set rtags rd tag
              end
            with Exit -> ());
-          if t.pc = next_pc then next () else exit_k ()
+          if t.pc = next_pc then next ()
         end
   | SB (rs1, rs2, off) | SH (rs1, rs2, off) | SW (rs1, rs2, off) ->
       let width = mem_width insn in
@@ -1167,11 +1126,10 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
           (try
              do_store t ~width ~addr ~value:(Array.unsafe_get regs rs2) ~tag
            with Exit -> ());
-          if t.pc = next_pc then next () else exit_k ()
+          if t.pc = next_pc then next ()
         end
   | JAL (rd, off) ->
       let tgt = mask32 (pc0 + off) in
-      let taken_k = if tgt = next_pc then next else exit_k in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
           retire_full t ~pc0 ~word ~itag ~fetch ~traced next_pc;
@@ -1180,7 +1138,7 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
             Array.unsafe_set rtags rd itag
           end;
           t.pc <- tgt;
-          taken_k ()
+          exit_k ()
         end
   | JALR (rd, rs1, off) ->
       fun () ->
@@ -1201,46 +1159,64 @@ let compile_full t ~guarded ~pc0 ~word ~itag ~insn ~record ~next ~exit_k =
   | ILLEGAL _ ->
       invalid_arg "compile_full: breaker instruction in block"
 
-(* --- jalr inline caches --------------------------------------------- *)
+(* --- Exit caches ----------------------------------------------------- *)
+
+(* Fill [ec] with [tgt]'s compiled chain if one exists, through the
+   entry [entry_of] picks; true if it did. Never *enters* the chain — the
+   caller returns to the dispatcher, which re-checks everything. *)
+let ec_fill t ec ~tgt ~entry_of =
+  tgt land 3 = 0
+  &&
+  let idx = (tgt - t.dmi_base) lsr 2 in
+  idx < t.dmi_words
+  &&
+  match slot_get t idx with
+  | Some cb when cb.cb_n > 0 ->
+      ec.ec_pc <- tgt;
+      ec.ec_epoch <- t.flush_epoch;
+      ec.ec_entry <- entry_of cb;
+      true
+  | _ -> false
+
+(* The exit of a direct transfer — a taken branch, a jal, falling off the
+   block's last instruction — whose target [tgt] is fixed at compile
+   time, so [t.pc] is [tgt] whenever the exit runs. A filled cache of the
+   current epoch jumps straight into the target's chain unless a stop
+   condition is pending; an empty or stale one returns to the dispatcher
+   and fills itself if the target's chain exists. *)
+let direct_exit t ~tgt ~entry_of =
+  let ec = { ec_pc = tgt; ec_epoch = -1; ec_entry = chain_terminator } in
+  fun () ->
+    if ec.ec_epoch = t.flush_epoch then begin
+      if not (chain_stalled t) then begin
+        t.n_chain <- t.n_chain + 1;
+        ec.ec_entry ()
+      end
+    end
+    else if ec_fill t ec ~tgt ~entry_of then
+      t.n_linked <- t.n_linked + 1
 
 let ic_demoted = -2
 
-(* Monomorphic-install / demote state machine. On a miss with an empty
-   (or epoch-invalidated) cache the current target's compiled chain is
-   installed if it exists; a second distinct target demotes the site for
-   good. Never *enters* a chain — control falls back to the dispatcher,
-   which re-checks everything. *)
-let ic_miss t ic ~tgt ~entry_of =
-  t.n_ic_miss <- t.n_ic_miss + 1;
-  if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
-    if tgt land 3 = 0 then
-      let idx = (tgt - t.dmi_base) lsr 2 in
-      if idx < t.dmi_words then
-        match slot_get t idx with
-        | Some cb when cb.cb_n > 0 ->
-            ic.ic_pc <- tgt;
-            ic.ic_epoch <- t.flush_epoch;
-            ic.ic_entry <- entry_of cb
-        | _ -> ()
-  end
-  else ic.ic_pc <- ic_demoted
-
-(* The exit continuation of a compiled jalr, shared by both variants
-   (each gets its own cache): the jalr has already retired and set
-   [t.pc]; jump directly to the predicted target's chain when the
-   prediction holds and no stop condition is pending, otherwise record
-   the miss and return to the dispatcher. [entry_of] picks which entry
-   of the target chain the cache installs. *)
+(* The exit of a compiled jalr, which has already retired and set
+   [t.pc]: as {!direct_exit}, but the target is predicted. A miss with an
+   empty cache, or one that predicted this target, fills it; a second
+   distinct target demotes the site for good. *)
 let ic_exit t ~entry_of =
-  let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
+  let ec = { ec_pc = -1; ec_epoch = -1; ec_entry = chain_terminator } in
   fun () ->
     let tgt = t.pc in
-    if ic.ic_pc = tgt && ic.ic_epoch = t.flush_epoch && not (chain_stalled t)
+    if ec.ec_pc = tgt && ec.ec_epoch = t.flush_epoch && not (chain_stalled t)
     then begin
       t.n_ic_hits <- t.n_ic_hits + 1;
-      ic.ic_entry ()
+      ec.ec_entry ()
     end
-    else ic_miss t ic ~tgt ~entry_of
+    else begin
+      t.n_ic_miss <- t.n_ic_miss + 1;
+      if ec.ec_pc = tgt || ec.ec_pc = -1 then
+        ignore (ec_fill t ec ~tgt ~entry_of : bool)
+      else ec.ec_pc <- ic_demoted
+    end
 
 (* Untainted specialization (tracking mode): entered only when every
    cached word and every register carries the bottom tag, so all tag
@@ -1248,12 +1224,13 @@ let ic_exit t ~entry_of =
    out, not just skipped. Only a load can break the invariant
    mid-block: after a non-bottom loaded tag the chain falls through to
    the full variant's next closure. Fast closures are reached only from
-   fast closures, the dispatcher's all-bottom check or seams between
-   them, so running one is itself the proof that every register tag is
-   bottom. Values come from the same definitions {!execute} uses
-   ({!alu_value}, {!branch_taken}, {!mem_width}, {!load_extend}); only
-   the retirement shells around them are written here, with branch and
-   jump targets folded in at compile time. *)
+   fast closures (directly or through the exit caches between them) or
+   the dispatcher's all-bottom check, so running one is itself the proof
+   that every register tag is bottom. Values come from the same
+   definitions {!execute} uses ({!alu_value}, {!branch_taken},
+   {!mem_width}, {!load_extend}); only the retirement shells around them
+   are written here, with branch and jump targets folded in at compile
+   time. *)
 let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
     ~exit_k =
   let open Insn in
@@ -1285,12 +1262,9 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
       next ()
     end
   in
-  (* Taken branches / jumps landing exactly on [next_pc] continue the
-     chain, exactly like the single-step loop; any other landing site
-     exits through [exit_k] (terminator, or superblock seam). The
-     taken-path continuation is resolved at compile time. *)
+  (* A taken branch or jump leaves through its exit cache [exit_k], which
+     [compile_block] makes [next] when the target is [next_pc]. *)
   let cond_branch tgt =
-   let taken_k = if tgt = next_pc then next else exit_k in
    fun () ->
     if (not guarded) || not (chain_stalled t) then begin
       t.cur_pc <- pc0;
@@ -1301,7 +1275,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
       t.pc <- next_pc;
       if branch_taken insn regs then begin
         t.pc <- tgt;
-        taken_k ()
+        exit_k ()
       end
       else next ()
     end
@@ -1352,7 +1326,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
             t.insn_tag <- t.pub;
             next
       in
-      if t.pc = next_pc then k () else exit_k ()
+      if t.pc = next_pc then k ()
     end
   in
   (* Stores cannot taint registers; the written tag is bottom by the
@@ -1378,7 +1352,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
              ~tag:t.pub
          with Bus_if.Bus_error _ ->
            trap t ~cause:Csr.cause_store_fault ~tval:addr);
-      if t.pc = next_pc then next () else exit_k ()
+      if t.pc = next_pc then next ()
     end
   in
   match insn with
@@ -1394,7 +1368,6 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
       alu rd
   | JAL (rd, off) ->
       let tgt = mask32 (pc0 + off) in
-      let taken_k = if tgt = next_pc then next else exit_k in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
           t.cur_pc <- pc0;
@@ -1404,19 +1377,9 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
           t.local_cycles <- t.local_cycles + 1;
           if rd <> 0 then regs.(rd) <- next_pc;
           t.pc <- tgt;
-          taken_k ()
+          exit_k ()
         end
   | JALR (rd, rs1, off) ->
-      (* A cache hit jumps directly into the predicted chain's fast
-         entry, or its full entry when the target has no fast variant,
-         so the prediction still skips the dispatcher. The tag invariant
-         carries over the jump: every register tag is bottom here, which
-         is exactly the fast-entry precondition the dispatcher would
-         re-derive. *)
-      let ic_k =
-        ic_exit t ~entry_of:(fun cb ->
-            match cb.cb_fast with Some f -> f | None -> cb.cb_full)
-      in
       fun () ->
         if (not guarded) || not (chain_stalled t) then begin
           t.cur_pc <- pc0;
@@ -1428,7 +1391,7 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
           let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
           if rd <> 0 then Array.unsafe_set regs rd next_pc;
           t.pc <- tgt;
-          if tgt = next_pc then next () else ic_k ()
+          if tgt = next_pc then next () else exit_k ()
         end
   | BEQ (_, _, off) | BNE (_, _, off) | BLT (_, _, off) | BGE (_, _, off)
   | BLTU (_, _, off) | BGEU (_, _, off) ->
@@ -1449,54 +1412,19 @@ let compile_fast t ~guarded ~pc0 ~insn ~record:traced ~next ~fallback
 let record_at records i =
   if Array.length records = 0 then None else Array.get records i
 
-let compile_block ?link t (b : block) =
+(* The entry an exit cache of each variant takes into its target chain.
+   A full-variant exit enters the full chain. A fast-variant exit enters
+   the target's fast chain when it has one: reaching a fast closure
+   proves every register tag is bottom, the precondition the dispatcher
+   would re-derive. *)
+let full_entry cb = cb.cb_full
+let fast_entry cb = match cb.cb_fast with Some f -> f | None -> cb.cb_full
+
+let compile_block t (b : block) =
   let n = Array.length b.b_insns in
-  let lo0 = b.b_pc and hi0 = b.b_pc + (4 * max 1 n) - 1 in
   if n = 0 then
-    {
-      cb_pc = b.b_pc;
-      cb_n = 0;
-      cb_full = chain_terminator;
-      cb_fast = None;
-      cb_blk = b;
-      cb_lo = lo0;
-      cb_hi = hi0;
-      cb_edge_pc = -1;
-      cb_edge_n = 0;
-      cb_linked = false;
-    }
+    { cb_n = 0; cb_full = chain_terminator; cb_fast = None; cb_hi = b.b_pc + 3 }
   else begin
-    (* Superblock seams: with a hot successor [link], every exit path of
-       this block (slot [n] fall-off, taken branches, even a mid-block
-       trap) funnels through a seam instead of the chain terminator. The
-       seam continues directly into the successor's chain — eliding the
-       dispatcher round, the pc/index lookup and, on the fast side, the
-       31-register tag rescan — exactly when execution really landed on
-       the successor and no stop condition is pending; anything else
-       returns to the dispatcher as before. The fast seam needs no tag
-       check: being reached from a fast closure is itself the proof that
-       every register tag is still bottom (a tainted load would have
-       left for the full chain before the seam). Entries are threaded
-       through refs so a block chained to itself loops inside its own new
-       chain. *)
-    let full_tgt = ref chain_terminator in
-    let fast_tgt = ref chain_terminator in
-    let succ_pc = match link with Some s -> s.cb_pc | None -> -1 in
-    let full_seam, fast_seam =
-      match link with
-      | None -> (chain_terminator, chain_terminator)
-      | Some _ ->
-          ( (fun () ->
-              if t.pc = succ_pc && not (chain_stalled t) then begin
-                t.n_chain <- t.n_chain + 1;
-                !full_tgt ()
-              end),
-            fun () ->
-              if t.pc = succ_pc && not (chain_stalled t) then begin
-                t.n_chain <- t.n_chain + 1;
-                !fast_tgt ()
-              end )
-    in
     (* Each instruction's recorder, made once at compile time and shared
        by both variants: the common no-hook case pays nothing per retired
        instruction. {!set_trace} drops every compiled block, so a chain
@@ -1508,22 +1436,38 @@ let compile_block ?link t (b : block) =
           Array.init n (fun i ->
               Some (f (b.b_pc + (4 * i)) b.b_words.(i) b.b_insns.(i)))
     in
-    (* Built backwards so each closure captures its successor; slot [n]
-       is the fall-off exit (terminator or seam). *)
-    let full = Array.make (n + 1) full_seam in
+    (* Instruction [i]'s exit cache, for one variant: a jalr's predicts
+       its target; a branch or jal gets one fixed on its target, or just
+       continues when that is the next instruction. Other instructions
+       leave the block only by trapping, back to the dispatcher. *)
+    let exit_of i ~next ~entry_of =
+      let pc0 = b.b_pc + (4 * i) in
+      match b.b_insns.(i) with
+      | Insn.JALR _ -> ic_exit t ~entry_of
+      | Insn.JAL (_, off)
+      | Insn.BEQ (_, _, off) | Insn.BNE (_, _, off) | Insn.BLT (_, _, off)
+      | Insn.BGE (_, _, off) | Insn.BLTU (_, _, off) | Insn.BGEU (_, _, off) ->
+          let tgt = mask32 (pc0 + off) in
+          if tgt = mask32 (pc0 + 4) then next
+          else direct_exit t ~tgt ~entry_of
+      | _ -> chain_terminator
+    in
+    (* Slot [n] of each variant is its fall-off exit, to the word after
+       the block. Chains are built backwards so each closure captures its
+       successor. *)
+    let off_pc = mask32 (b.b_pc + (4 * n)) in
     let build_full () =
+      let full =
+        Array.make (n + 1) (direct_exit t ~tgt:off_pc ~entry_of:full_entry)
+      in
       for i = n - 1 downto 0 do
-        let insn = b.b_insns.(i) in
-        let exit_k =
-          match insn with
-          | Insn.JALR _ -> ic_exit t ~entry_of:(fun cb -> cb.cb_full)
-          | _ -> full_seam
-        in
+        let next = full.(i + 1) in
         full.(i) <-
           compile_full t ~guarded:(i > 0)
             ~pc0:(b.b_pc + (4 * i))
-            ~word:b.b_words.(i) ~itag:b.b_tags.(i) ~insn
-            ~record:(record_at records i) ~next:full.(i + 1) ~exit_k
+            ~word:b.b_words.(i) ~itag:b.b_tags.(i) ~insn:b.b_insns.(i)
+            ~record:(record_at records i) ~next
+            ~exit_k:(exit_of i ~next ~entry_of:full_entry)
       done;
       full
     in
@@ -1531,106 +1475,56 @@ let compile_block ?link t (b : block) =
     (* Entry into the full chain at instruction [i]. A block with a
        value-only variant builds its full chain only when something first
        enters it: until then the block's full entry, the fast chain's
-       fallbacks and every seam or inline cache that captured the entry
-       are stubs that build the chain and jump to their own index. Cold
-       code that retires each instruction about once never pays for two
-       chains, and an untracked core, whose blocks all run value-only,
-       never builds one. *)
+       fallbacks and every exit cache that captured the entry are stubs
+       that build the chain and jump to their own index. Cold code that
+       retires each instruction about once never pays for two chains,
+       and an untracked core, whose blocks all run value-only, never
+       builds one. *)
     let full_at =
       if not has_fast then Array.get (build_full ())
       else
         let chain = lazy (build_full ()) in
         fun i ->
-          if i = n then full_seam
-          else fun () -> Array.unsafe_get (Lazy.force chain) i ()
+          let stub () = Array.unsafe_get (Lazy.force chain) i () in
+          stub
     in
     let cb_fast =
       if has_fast then begin
-        let fast = Array.make (n + 1) fast_seam in
+        let fast =
+          Array.make (n + 1) (direct_exit t ~tgt:off_pc ~entry_of:fast_entry)
+        in
         for i = n - 1 downto 0 do
+          let next = fast.(i + 1) in
           fast.(i) <-
             compile_fast t ~guarded:(i > 0)
               ~pc0:(b.b_pc + (4 * i))
-              ~insn:b.b_insns.(i) ~record:(record_at records i)
-              ~next:fast.(i + 1)
+              ~insn:b.b_insns.(i) ~record:(record_at records i) ~next
               ~fallback:(full_at (i + 1))
-              ~exit_k:fast_seam
+              ~exit_k:(exit_of i ~next ~entry_of:fast_entry)
         done;
         Some fast.(0)
       end
       else None
     in
-    let cb_lo, cb_hi =
-      match link with
-      | Some s -> (min lo0 s.cb_lo, max hi0 s.cb_hi)
-      | None -> (lo0, hi0)
-    in
-    let cb =
-      {
-        cb_pc = b.b_pc;
-        cb_n = n;
-        cb_full = full_at 0;
-        cb_fast;
-        cb_blk = b;
-        cb_lo;
-        cb_hi;
-        cb_edge_pc = -1;
-        cb_edge_n = 0;
-        cb_linked = link <> None;
-      }
-    in
-    (match link with
-    | None -> ()
-    | Some succ when succ.cb_pc = b.b_pc ->
-        (* Self-loop: the back edge re-enters this block's own new
-           chain, so a hot loop body spins inside one chain until a
-           stop condition (quantum, interrupt, ...) breaks it. Entries
-           are tail calls, so the spin is stack-safe. *)
-        full_tgt := cb.cb_full;
-        fast_tgt :=
-          (match cb.cb_fast with Some f -> f | None -> chain_terminator)
-    | Some succ ->
-        full_tgt := succ.cb_full;
-        fast_tgt :=
-          (match succ.cb_fast with Some f -> f | None -> succ.cb_full));
-    cb
+    {
+      cb_n = n;
+      cb_full = full_at 0;
+      cb_fast;
+      cb_hi = b.b_pc + (4 * n) - 1;
+    }
   end
-
-(* Consecutive observations of the same exit edge before the
-   predecessor is recompiled into a superblock. *)
-let superblock_threshold = 8
-
-let ends_in_jalr b =
-  let n = Array.length b.b_insns in
-  n > 0 && (match b.b_insns.(n - 1) with Insn.JALR _ -> true | _ -> false)
-
-(* Recompile [pred] chained across its exit edge into [succ], replacing
-   pred's cache slot and registering the new chain's two-block span for
-   invalidation. Compiled from the stored decoded block — nothing is
-   re-fetched, so [blocks_built] is unchanged. *)
-let link_superblock t pred pidx succ =
-  let sb = compile_block ~link:succ t pred.cb_blk in
-  slot_set t pidx (Some sb);
-  t.sblocks <- (pidx, sb) :: t.sblocks;
-  t.n_superblocks <- t.n_superblocks + 1;
-  sb
 
 (* One scheduling round: take a pending interrupt, or run one compiled
    chain from the cache, building it on a miss; pcs outside the
    cacheable region and system instructions fall back to {!step}. The
-   fast/full decision is made once per chain entry. *)
+   fast/full decision is made once per chain entry; the exit caches
+   carry it from chain to chain. *)
 let dispatch t =
-  if interrupt_pending t then begin
-    t.prev_cb <- None;
-    take_interrupt t
-  end
+  if interrupt_pending t then take_interrupt t
   else begin
     let pc0 = t.pc in
     let idx = (pc0 - t.dmi_base) lsr 2 in
-    if pc0 land 3 <> 0 || idx >= t.dmi_words then begin
-      t.prev_cb <- None;
-      step t
-    end
+    if pc0 land 3 <> 0 || idx >= t.dmi_words then step t
     else
       let cb =
         match slot_get t idx with
@@ -1640,45 +1534,8 @@ let dispatch t =
             slot_set t idx (Some cb);
             cb
       in
-      if cb.cb_n = 0 then begin
-        t.prev_cb <- None;
-        step t
-      end
+      if cb.cb_n = 0 then step t
       else begin
-        (* Exit-edge profiling: each dispatcher entry is an edge from
-           the chain that ran last round to [pc0]. When the same edge
-           repeats superblock_threshold times, the predecessor is
-           recompiled chained into this block — jalr exits are excluded
-           (their inline caches cover them). The slot identity check
-           refuses to resurrect a chain that was flushed since it last
-           ran; a self-loop link swaps in the new chain for the current
-           round as well. *)
-        let cb =
-          match t.prev_cb with
-          | Some p when not p.cb_linked ->
-              if p.cb_edge_pc = pc0 then begin
-                p.cb_edge_n <- p.cb_edge_n + 1;
-                if
-                  p.cb_edge_n >= superblock_threshold
-                  && not (ends_in_jalr p.cb_blk)
-                then begin
-                  let pidx = (p.cb_pc - t.dmi_base) lsr 2 in
-                  match slot_get t pidx with
-                  | Some cur when cur == p ->
-                      let sb = link_superblock t p pidx cb in
-                      if p.cb_pc = pc0 then sb else cb
-                  | _ -> cb
-                end
-                else cb
-              end
-              else begin
-                p.cb_edge_pc <- pc0;
-                p.cb_edge_n <- 1;
-                cb
-              end
-          | _ -> cb
-        in
-        t.prev_cb <- Some cb;
         t.chain_epoch <- t.flush_epoch;
         match cb.cb_fast with
         | Some f when (not t.tracking) || regs_all_pub t ->
@@ -1719,7 +1576,7 @@ let sync_time t =
     t.syncing <- false
   end
 
-let spawn_thread ?(stop_kernel_on_halt = true) t =
+let spawn_thread t =
   let round = if t.use_blocks then dispatch else step in
   Sysc.Kernel.spawn t.kernel ~name:"cpu" (fun () ->
       if t.syncing then begin
@@ -1745,7 +1602,7 @@ let spawn_thread ?(stop_kernel_on_halt = true) t =
         end
       done;
       sync_time t;
-      if stop_kernel_on_halt then Sysc.Kernel.stop t.kernel)
+      Sysc.Kernel.stop t.kernel)
 
 (* --- Snapshot ------------------------------------------------------- *)
 
@@ -1847,9 +1704,8 @@ let load t r =
      flag. *)
   t.paused <- t.syncing;
   t.pause_at <- max_int;
-  (* The restored state came from an arbitrary other run: drop the
-     exit-edge profile and force every inline cache to re-validate.
-     (The memory restore already flushed the compiled blocks through
-     the write hook; this covers cores restored without one.) *)
-  t.prev_cb <- None;
+  (* The restored state came from an arbitrary other run: force every
+     exit cache to re-validate. (The memory restore already flushed the
+     compiled blocks through the write hook; this covers cores restored
+     without one.) *)
   t.flush_epoch <- t.flush_epoch + 1

@@ -23,15 +23,17 @@
     - the single-step reference ([~block_cache:false]): fetch, decode and
       execute one instruction per scheduling step, with full tag
       propagation and exact check accounting;
-    - the superblock compiler (the default): a decoded basic-block cache
+    - the block compiler (the default): a decoded basic-block cache
       over the DMI (RAM) region, where straight-line runs terminated by a
       control transfer are fetched and decoded once and compiled into a
       chain of closures — one per instruction, operands pre-resolved,
-      chained tail-first. Hot block pairs are recompiled into superblocks
-      chained across their exit edge and [jalr] targets are
-      inline-cached, so hot control transfers skip the dispatcher. Stores
-      into cached code (self-modifying code via the CPU, DMA via the
-      memory model) invalidate overlapping chains through {!flush_code}.
+      chained tail-first. Every exit of a chain (a taken branch, a [jal],
+      falling off the block's end, a [jalr]) goes through its own exit
+      cache, which holds the target chain's entry and jumps straight into
+      it while no flush epoch has passed since it was filled, so
+      transfers between compiled chains skip the dispatcher. Stores into
+      cached code (self-modifying code via the CPU, DMA via the memory
+      model) invalidate overlapping chains through {!flush_code}.
       Each block also gets a value-only variant with its tag plumbing
       compiled out: on the plain VP it is exact semantics; on VP+ it is
       the untainted fast path, entered while every live register tag and
@@ -89,7 +91,7 @@ val create :
     instruction costs a modelled 10 ns; [quantum] is the number of local
     cycles the core runs ahead before synchronising with the kernel
     (default 1000, loosely-timed style).
-    [block_cache] (default true) selects the superblock compiler over
+    [block_cache] (default true) selects the block compiler over
     the DMI region; with it off (or no DMI region) the core runs the
     single-step reference, with no compiled chains and no fast path.
     [strict_align] (default false) traps naturally misaligned data
@@ -125,10 +127,9 @@ val step : t -> unit
     Must run inside a kernel process if firmware touches TLM peripherals
     whose transport suspends, or uses [wfi]. *)
 
-val spawn_thread : ?stop_kernel_on_halt:bool -> t -> unit
-(** Register the fetch-decode-execute loop as a kernel process (default
-    name ["cpu"]). When the core halts and [stop_kernel_on_halt] is true
-    (default), the whole simulation stops. *)
+val spawn_thread : t -> unit
+(** Register the fetch-decode-execute loop as a kernel process (named
+    ["cpu"]). When the core halts, the whole simulation stops. *)
 
 val set_max_instructions : t -> int -> unit
 val exit_reason : t -> exit_reason
@@ -163,8 +164,8 @@ val set_trace : t -> (int -> int -> Insn.t -> int -> unit) option -> unit
     there (the reference path without a block cache, and the breakers a
     compiled chain hands to {!step}) whatever the factory allocates is
     paid per retired instruction. The factory may also run for instructions that
-    never retire and more than once for one instruction (superblock
-    recompilation, rebuilt chains); a factory should only precompute.
+    never retire and more than once for one instruction (chains rebuilt
+    after a flush); a factory should only precompute.
 
     Contract (pinned by the [hook x block cache] tier-1 test): the
     recorders observe {e every} retired instruction {e exactly once}, in
@@ -178,8 +179,9 @@ val set_trace : t -> (int -> int -> Insn.t -> int -> unit) option -> unit
     error, DIFT exec-fetch violation) is not reported, and interrupt
     entry reports no event of its own (the first handler instruction is
     reported normally). Installing a factory drops the compiled chains
-    (they capture their recorders when built) but disables neither
-    block building nor the fast path. *)
+    (they capture their recorders when built) and moves the flush epoch,
+    so no exit cache enters a chain built before it, but disables
+    neither block building nor the fast path. *)
 
 val set_trap_hook : t -> (trap_event -> unit) option -> unit
 (** Install (or remove) an observer of trap entries and [mret]s, fired
@@ -201,27 +203,32 @@ val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
 
 val flush_code : t -> addr:int -> len:int -> unit
 (** Invalidate cached basic blocks overlapping
-    [addr .. addr + len - 1]. Wired automatically to {!Bus_if}'s DMI
-    store hook at [create] time; external writers that bypass the bus
-    (loaders, DMA models not routed through {!Vp}'s memory) must call it
-    themselves. No-op when the block cache is disabled. *)
+    [addr .. addr + len - 1]. A write that overlaps compiled code moves
+    the flush epoch, which invalidates every exit cache at once, so no
+    chain is entered through a cache filled before the write. Wired
+    automatically to {!Bus_if}'s DMI store hook at [create] time;
+    external writers that bypass the bus (loaders, DMA models not routed
+    through {!Vp}'s memory) must call it themselves. No-op when the
+    block cache is disabled. *)
 
 val blocks_built : t -> int
 (** Number of basic blocks fetch-decoded so far (rebuilds after
-    invalidation count again). Superblock recompilation reuses the
-    already-decoded block and does not count. *)
+    invalidation count again). *)
 
 val superblocks_built : t -> int
-(** Number of hot block pairs recompiled into a chained superblock
-    (0 on the single-step reference). *)
+(** Number of direct block exits (a taken branch, a [jal], falling off
+    the block's end) linked to their target's compiled chain; an exit
+    re-linked after a flush counts again (0 on the single-step
+    reference). The name is the benchmark ledger's and the
+    [BENCH_*.json] key. *)
 
 val chain_hits : t -> int
-(** Number of times execution crossed a superblock seam directly into
-    the chained successor, skipping the dispatcher. *)
+(** Number of transitions through a linked direct exit straight into
+    the target's compiled chain, skipping the dispatcher. *)
 
 val ic_hits : t -> int
-(** Number of [jalr] retirements that jumped through a valid inline
-    cache straight into the target's compiled chain. *)
+(** Number of [jalr] retirements that jumped through a valid exit cache
+    straight into the target's compiled chain. *)
 
 val ic_misses : t -> int
 (** Number of [jalr] retirements (with an off-fall-through target) that

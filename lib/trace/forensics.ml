@@ -15,7 +15,10 @@ let last_time tracer =
   Ring.iter tracer.Tracer.ring (fun e -> t := e.Event.time);
   !t
 
-let make ?(window = 32) ?violation ?(context = "") tracer () =
+(* Trailing events a report captures. *)
+let window = 32
+
+let make ?violation ?(context = "") tracer () =
   {
     r_violation = violation;
     r_time = last_time tracer;

@@ -17,14 +17,13 @@ type report = {
 }
 
 val make :
-  ?window:int ->
   ?violation:Dift.Violation.t ->
   ?context:string ->
   Tracer.t ->
   unit ->
   report
-(** Snapshot a report from the tracer's current state. [window] is the
-    number of trailing events to capture (default 32). *)
+(** Snapshot a report from the tracer's current state, with its 32
+    trailing events. *)
 
 val pp : Format.formatter -> report -> unit
 val to_string : report -> string

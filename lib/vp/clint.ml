@@ -1,7 +1,6 @@
 type t = {
   env : Env.t;
   name : string;
-  tick : Sysc.Time.t;
   (* mtimecmp is architecturally a 64-bit register written as two 32-bit
      halves. It is kept as its halves: composing into one OCaml int is
      exactly the historical bug — [hi lsl 32] overflows the 63-bit int for
@@ -16,11 +15,13 @@ type t = {
   latency : Sysc.Time.t;
 }
 
-let create env ~name ?(tick = Sysc.Time.us 1) () =
+(* One mtime tick per microsecond. *)
+let tick = Sysc.Time.us 1
+
+let create env ~name () =
   {
     env;
     name;
-    tick;
     (* Reset to all-ones = "never" (the conventional RISC-V idle value,
        and what firmware writes to park the timer). *)
     cmp_lo = 0xffffffff;
@@ -38,7 +39,7 @@ let set_soft_irq_callback c fn = c.soft_irq <- fn
 (* mtime never wraps in practice: [Kernel.now] is an OCaml int of
    picoseconds, so mtime <= 2^62 / tick and both halves stay exact under
    [lsr]/[land] (no sign bit is ever set). *)
-let mtime c = Sysc.Kernel.now c.env.Env.kernel / c.tick
+let mtime c = Sysc.Kernel.now c.env.Env.kernel / tick
 
 let disabled c = c.cmp_lo = 0xffffffff && c.cmp_hi = 0xffffffff
 
@@ -68,8 +69,8 @@ let update_timer c =
         (* >= 2^62 ticks: beyond any representable simulation time. *)
       else begin
         let delta = ((c.cmp_hi lsl 32) lor c.cmp_lo) - mt in
-        let max_ticks = far_chunk / c.tick in
-        if delta > max_ticks then far_chunk else delta * c.tick
+        let max_ticks = far_chunk / tick in
+        if delta > max_ticks then far_chunk else delta * tick
       end
     in
     Sysc.Kernel.notify_after c.wake dt

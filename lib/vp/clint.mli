@@ -17,7 +17,8 @@
 
 type t
 
-val create : Env.t -> name:string -> ?tick:Sysc.Time.t -> unit -> t
+val create : Env.t -> name:string -> unit -> t
+(** [mtime] advances one tick per microsecond of simulated time. *)
 
 val socket : t -> Tlm.Socket.target
 

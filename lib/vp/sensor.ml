@@ -86,12 +86,20 @@ let transport s (p : Tlm.Payload.t) delay =
      p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
    end
    else if addr = 0x40 then begin
-     (match p.Tlm.Payload.cmd with
+     match p.Tlm.Payload.cmd with
      | Tlm.Payload.Read ->
          (* The configured class itself is not confidential (Fig. 4 l.45). *)
-         Tlm.Payload.set_value p s.tag ~tag:s.env.Env.pub
-     | Tlm.Payload.Write -> s.tag <- Tlm.Payload.get_byte p 0);
-     p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
+         Tlm.Payload.set_value p s.tag ~tag:s.env.Env.pub;
+         p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
+     | Tlm.Payload.Write ->
+         (* A class the lattice does not have would tag the next frame
+            with an index past its tables: refuse it. *)
+         let tag = Tlm.Payload.get_byte p 0 in
+         if tag < Dift.Lattice.size s.env.Env.lat then begin
+           s.tag <- tag;
+           p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
+         end
+         else p.Tlm.Payload.resp <- Tlm.Payload.Command_error
    end
    else p.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay s.latency
@@ -108,7 +116,14 @@ let save s w =
 
 let load s r =
   let open Snapshot.Codec in
-  s.tag <- get_u8 r;
+  let ntags = Dift.Lattice.size s.env.Env.lat in
+  let tag = get_u8 r in
+  if tag >= ntags then
+    raise
+      (Corrupt
+         (Printf.sprintf "sensor class %d not below the lattice's %d classes"
+            tag ntags));
+  s.tag <- tag;
   s.rng <- get_u32 r;
   s.frames <- get_i64 r;
   let blit_into dst str =
@@ -117,4 +132,7 @@ let load s r =
     Bytes.blit_string str 0 dst 0 (String.length str)
   in
   blit_into s.frame (get_string r);
-  blit_into s.frame_tags (get_string r)
+  let tags = get_string r in
+  if String.exists (fun c -> Char.code c >= ntags) tags then
+    raise (Corrupt "sensor frame tag not below the lattice's size");
+  blit_into s.frame_tags tags

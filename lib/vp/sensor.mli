@@ -6,7 +6,9 @@
     - [0x00..0x3f]: the data frame (read/write);
     - [0x40] DATA_TAG: reading returns the configured security class (as a
       low-confidentiality value, mirroring Fig. 4 line 45); writing sets the
-      class assigned to subsequently generated sensor data. *)
+      class assigned to subsequently generated sensor data. A class at or
+      above the lattice's size is refused with [Command_error], which the
+      firmware sees as a store access fault, and the class is kept. *)
 
 type t
 
@@ -34,4 +36,7 @@ val start : t -> unit
 val frames_generated : t -> int
 
 val save : t -> Snapshot.Codec.writer -> unit
+
 val load : t -> Snapshot.Codec.reader -> unit
+(** Raises {!Snapshot.Codec.Corrupt} on a class or frame tag not below
+    the lattice's size. *)

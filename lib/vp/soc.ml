@@ -297,8 +297,7 @@ let seed_taint soc ~origin ~addr ~len tag =
   Memory.fill_tags soc.memory ~off:(addr - ram_base) ~len tag;
   Env.taint_source soc.env ~origin ~addr tag
 
-let start ?(stop_on_halt = true) soc =
-  Rv32.Core.spawn_thread ~stop_kernel_on_halt:stop_on_halt soc.core
+let start soc = Rv32.Core.spawn_thread soc.core
 
 let run ?until soc = Sysc.Kernel.run ?until soc.kernel
 

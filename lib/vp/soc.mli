@@ -92,7 +92,7 @@ val create :
     (default true): it sets the CPU bus's flavour, which the core takes
     ({!Rv32.Bus_if.tracking}). [dmi] enables the direct RAM fast path
     (default true); [block_cache] (default true) selects the core's
-    superblock compiler, false the single-step reference (see
+    block compiler, false the single-step reference (see
     {!Rv32.Core.create}); [strict_align] traps misaligned data accesses
     (default false); [aes_out_tag] defaults to the lattice bottom (fully
     declassified ciphertext). RAM writes that bypass the CPU (DMA,
@@ -129,8 +129,8 @@ val seed_taint :
     tracer is attached). Raises [Invalid_argument] if the range
     is outside RAM. *)
 
-val start : ?stop_on_halt:bool -> t -> unit
-(** Spawn the CPU thread. *)
+val start : t -> unit
+(** Spawn the CPU thread; the simulation stops when the core halts. *)
 
 val run : ?until:Sysc.Time.t -> t -> unit
 (** Run the simulation (forwards to {!Sysc.Kernel.run}). *)

@@ -182,7 +182,7 @@ let test_real_report () =
     vpp.D.m_instructions;
   check_bool "vp+ built blocks" true (vpp.D.m_blocks_built > 0);
   check_bool "vp+ used the fast path" true (vpp.D.m_fast_retired > 0);
-  check_bool "vp+ linked superblocks" true (vpp.D.m_superblocks > 0);
+  check_bool "vp+ linked exits" true (vpp.D.m_superblocks > 0);
   List.iter
     (fun m ->
       check_bool (m.D.m_mode ^ ": p25 <= median <= p75") true
@@ -224,8 +224,8 @@ let test_real_report () =
             (match ovh with Some o -> o > 0. | None -> false))
 
 (* The branch-heavy dispatch workload drives all three counter classes
-   on the default compiled path: linked superblocks, in-chain
-   transitions, inline-cache hits (monomorphic rets) and misses (the
+   on the default compiled path: linked direct exits, transitions
+   through them, jalr exit-cache hits (monomorphic rets) and misses (the
    rotating dispatch site). *)
 let test_dispatch_counters () =
   let defs = D.table2 ~scale:0.01 in
@@ -234,7 +234,7 @@ let test_dispatch_counters () =
     (fun m ->
       let ctx what = Printf.sprintf "dispatch %s: %s" m.D.m_mode what in
       check_bool (ctx "exited cleanly") true m.D.m_exit_ok;
-      check_bool (ctx "superblocks linked") true (m.D.m_superblocks > 0);
+      check_bool (ctx "exits linked") true (m.D.m_superblocks > 0);
       check_bool (ctx "chains taken") true (m.D.m_chain_hits > 0);
       check_bool (ctx "ic hits") true (m.D.m_ic_hits > 0);
       check_bool (ctx "ic misses") true (m.D.m_ic_misses > 0))
@@ -243,7 +243,7 @@ let test_dispatch_counters () =
      counters as zero. *)
   List.iter
     (fun m ->
-      check_int "reference rows carry zero superblocks" 0 m.D.m_superblocks;
+      check_int "reference rows carry zero linked exits" 0 m.D.m_superblocks;
       check_int "reference rows carry zero chain hits" 0 m.D.m_chain_hits;
       check_int "reference rows carry zero ic traffic" 0
         (m.D.m_ic_hits + m.D.m_ic_misses))

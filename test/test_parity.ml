@@ -1,20 +1,21 @@
-(* Parity of the core's two execution paths: the superblock compiler
-   (the default — each cached block compiled into a closure chain with a
-   value-only variant, hot block pairs linked into superblocks, jalr
-   targets inline-cached) must be observationally identical to the
-   single-step reference ([~block_cache:false]) — same exit reason, same
-   retired-instruction count, byte-identical architectural state
-   including every register's taint tag, and byte-identical
-   full-platform snapshots.  Covers every rv32im opcode class, both as
-   cold straight-line code and looped well past the link threshold so
-   the profiler actually promotes blocks; taint entering mid-block and
-   mid-chain (fast variant -> guard -> full-chain fallback); SMC and DMA
-   patches landing in compiled and linked code; polymorphic jalr
-   demotion; a trap firing out of the middle of a chain; the Fatal_trap
-   path when no handler is installed (mtvec = 0); and a snapshot saved
-   on the reference and restored under the compiler.  The counter
-   assertions pin that compiled chains, superblocks, chain transitions
-   and inline-cache hits/misses really happened. *)
+(* Parity of the core's two execution paths: the block compiler (the
+   default — each cached block compiled into a closure chain with a
+   value-only variant, every block exit linked to its target's chain
+   through an exit cache, jalr targets predicted) must be
+   observationally identical to the single-step reference
+   ([~block_cache:false]) — same exit reason, same retired-instruction
+   count, byte-identical architectural state including every register's
+   taint tag, and byte-identical full-platform snapshots.  Covers every
+   rv32im opcode class, both as cold straight-line code and looped so
+   its exits link; taint entering mid-block and mid-chain (fast variant
+   -> guard -> full-chain fallback); SMC and DMA patches landing in
+   compiled and linked code; polymorphic jalr demotion; a trap firing
+   out of the middle of a chain; the Fatal_trap path when no handler is
+   installed (mtvec = 0); and a snapshot saved on the reference and
+   restored under the compiler.  The counter assertions pin that
+   compiled chains, linked exits, chain transitions and jalr exit-cache
+   hits/misses really happened, and that every crossing of a hot direct
+   edge after the first runs through a linked exit. *)
 
 open Helpers
 module A = Rv32_asm.Asm
@@ -181,10 +182,9 @@ let alu_straight_prog p =
   A.andi p R.s0 R.s0 0x3f;
   exit_with p R.s0
 
-(* A hot self-loop (the canonical superblock case: the block links to its
-   own recompilation) plus a two-block loop whose first edge alternates
-   every iteration — the profiler must keep resetting that edge counter
-   and only ever link the stable back-edge. *)
+(* A hot self-loop (the block's back-branch exit links to its own
+   entry) plus a two-block loop whose first branch alternates every
+   iteration, so its taken and fall-off exits both link. *)
 let alu_loop_prog p =
   A.li p R.s0 0;
   A.li p R.s1 100;
@@ -236,8 +236,8 @@ let muldiv_pairs =
   ]
 
 (* The table walk, repeated [passes] times: one pass retires every edge
-   case from unlinked chains, four passes link the loop body so they
-   retire inside a chained superblock. *)
+   case from chains linked only as the walk first crosses their exits,
+   four passes retire them from chains entered through linked exits. *)
 let muldiv_prog ~passes p =
   A.li p R.s3 passes;
   A.li p R.s0 0;
@@ -564,11 +564,12 @@ let conf_policy () =
    word mid-block — the fast variant's guard must catch the non-bottom
    tag and fall back to the full chain for the rest of the block.  The
    tainted value is parked in memory and the registers are scrubbed
-   before the back-branch, so the next dispatch starts on the fast
-   variant again: every iteration exercises the fast -> guard ->
-   fallback transition.  Fewer iterations than the link threshold keep
-   the loop body a plain block; more put the fallback in the middle of a
-   linked superblock. *)
+   before the back-branch, so every iteration a dispatcher round starts
+   enters on the fast variant and exercises the fast -> guard ->
+   fallback transition.  Once the full chain's back branch is linked to
+   the loop's full entry, iterations run without a dispatcher round
+   until the next sync quantum: 4 iterations run mostly from the
+   dispatcher, 50 mostly through the linked exit. *)
 let taint_prog ~iterations p =
   A.li p R.s2 iterations;
   A.li p R.s0 0;
@@ -622,7 +623,7 @@ let test_taint_mid_block () =
 
 let test_taint_mid_chain () =
   let soc = check_taint ~name:"taint mid-chain" ~iterations:50 in
-  check_bool "superblocks were linked" true
+  check_bool "exits were linked" true
     (Rv32.Core.superblocks_built soc.Vp.Soc.core > 0)
 
 (* --- invalidation of compiled and linked chains -------------------------- *)
@@ -860,7 +861,7 @@ let test_restore_under_superblocks () =
   Vp.Soc.run soc2;
   check_bool "final snapshot matches the uninterrupted compiled run" true
     (String.equal final0 (Vp.Soc.save soc2));
-  check_bool "superblocks linked after the restore" true
+  check_bool "exits linked after the restore" true
     (Rv32.Core.superblocks_built soc2.Vp.Soc.core > 0)
 
 (* --- counters: the machinery actually fired ------------------------------ *)
@@ -888,15 +889,15 @@ let tainted_callret_prog p =
   A.word p 0x5ec2e700
 
 let test_counters () =
-  (* Hot call/return: superblocks link, chains run, the monomorphic ret
-     hits its inline cache. *)
+  (* Hot call/return: direct exits link, chains run, the monomorphic ret
+     hits its exit cache. *)
   let soc, reason = run_e ~block_cache:true callret_prog in
   (match reason with
   | Rv32.Core.Exited _ -> ()
   | r -> Alcotest.failf "callret compiled: %s" (reason_str r));
   let c = soc.Vp.Soc.core in
   check_bool "blocks built" true (Rv32.Core.blocks_built c > 0);
-  check_bool "superblocks built" true (Rv32.Core.superblocks_built c > 0);
+  check_bool "exits linked" true (Rv32.Core.superblocks_built c > 0);
   check_bool "chain transitions taken" true (Rv32.Core.chain_hits c > 0);
   check_bool "inline-cache hits" true (Rv32.Core.ic_hits c > 0);
   (* The same loop under taint: the full variant's ret hits its own
@@ -922,10 +923,64 @@ let test_counters () =
   let soc, _ = run_e ~block_cache:false callret_prog in
   let c = soc.Vp.Soc.core in
   check_int "reference builds no blocks" 0 (Rv32.Core.blocks_built c);
-  check_int "reference links no superblocks" 0
+  check_int "reference links no exits" 0
     (Rv32.Core.superblocks_built c);
   check_int "reference installs no inline caches" 0
     (Rv32.Core.ic_hits c + Rv32.Core.ic_misses c)
+
+(* --- linked exits: every direct block exit skips the dispatcher ---------- *)
+
+(* A two-block loop: [loop] ends in a jal to [mid], [mid] in the back
+   branch, so each iteration crosses two direct exits. *)
+let two_block_loop_prog p =
+  A.li p R.s0 0;
+  A.li p R.s1 10_000;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 1;
+  A.j p "mid";
+  A.label p "done";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0;
+  A.label p "mid";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.j p "done"
+
+(* A loop whose first branch alternates every iteration: the odd path
+   falls off into a block that jumps on to [even], so iterations cross
+   three and two direct exits in turn. *)
+let alternating_loop_prog p =
+  A.li p R.s0 0;
+  A.li p R.s1 10_000;
+  A.label p "loop";
+  A.addi p R.s0 R.s0 3;
+  A.andi p R.t0 R.s1 1;
+  A.beqz_l p R.t0 "even";
+  A.addi p R.s0 R.s0 5;
+  A.j p "even";
+  A.label p "even";
+  A.addi p R.s1 R.s1 (-1);
+  A.bnez_l p R.s1 "loop";
+  A.andi p R.s0 R.s0 0x3f;
+  exit_with p R.s0
+
+(* Once both ends of an edge are compiled, every crossing goes through a
+   linked exit: only the first crossings and the returns to the
+   dispatcher at each sync quantum (one per 1,000 instructions) are
+   missing from [chain_hits]. *)
+let check_linked ~name ~min_hits build =
+  let soc = check_engines ~name build in
+  let hits = Rv32.Core.chain_hits soc.Vp.Soc.core in
+  if hits < min_hits then
+    Alcotest.failf "%s: %d chain hits, expected at least %d" name hits
+      min_hits
+
+let test_linked_two_block () =
+  check_linked ~name:"two-block loop" ~min_hits:19_900 two_block_loop_prog
+
+let test_linked_alternating () =
+  check_linked ~name:"alternating branch" ~min_hits:24_500
+    alternating_loop_prog
 
 (* --- tag shapes: the compiled full variant vs the reference -------------- *)
 
@@ -956,8 +1011,8 @@ let shapes_policy img =
    and writes to x0 from each shape that has an rd. Tainted branch
    conditions, addresses, vault stores and jump targets violate; the
    call into "tfn" fetches LI code, so its every fetch violates too; the
-   ecall declassifies its tainted a0. Twelve iterations link the loop
-   into superblocks.
+   ecall declassifies its tainted a0. Twelve iterations link the loop's
+   exits.
 
    With [~pinned], t6 holds a tainted word from the first two
    instructions on, which join nothing: every dispatch then enters the
@@ -1283,6 +1338,12 @@ let () =
         [
           Alcotest.test_case "superblock/chain/ic counters" `Quick
             test_counters;
+        ] );
+      ( "linked exits",
+        [
+          Alcotest.test_case "two-block loop" `Quick test_linked_two_block;
+          Alcotest.test_case "alternating branch" `Quick
+            test_linked_alternating;
         ] );
       ( "tag shapes",
         [

@@ -255,7 +255,19 @@ let test_sensor_frame_and_tag_reg () =
   check_int "data_tag register itself is public" env.Vp.Env.pub (P.get_tag r 0);
   (* Writing the register reconfigures the class (Fig. 4 line 47). *)
   ignore (write_reg sock ~addr:0x40 ~bytes:[ t "LC,LI" ] ~tag:(t "LC,HI"));
-  check_int "reconfigured" (t "LC,LI") (Vp.Sensor.data_tag s)
+  check_int "reconfigured" (t "LC,LI") (Vp.Sensor.data_tag s);
+  (* A class at or above the lattice's size would tag the next frame
+     with an index past the core's tables: refused with a command error
+     (a store access fault for the firmware), the class unchanged. *)
+  List.iter
+    (fun cls ->
+      let p = write_reg sock ~addr:0x40 ~bytes:[ cls ] ~tag:(t "LC,LI") in
+      check_bool (Printf.sprintf "class %d refused" cls) true
+        (p.P.resp = P.Command_error);
+      check_int
+        (Printf.sprintf "class %d leaves the class" cls)
+        (t "LC,LI") (Vp.Sensor.data_tag s))
+    [ Dift.Lattice.size lat; 200; 255 ]
 
 let test_sensor_generates_tagged_frames () =
   let env, _ = env_and_monitor () in

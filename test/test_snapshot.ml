@@ -777,10 +777,33 @@ let test_out_of_lattice_tag_is_corrupt () =
     Codec.put_bytes_rle w tags;
     Codec.contents w
   in
+  (* The sensor section: its class (u8), rng (u32), frames (i64), then
+     the frame's data and tag bytes (strings). *)
+  let sensor ~cls ~frame_tag s =
+    let r = Codec.reader s in
+    let c = Codec.get_u8 r in
+    let rng = Codec.get_u32 r in
+    let frames = Codec.get_i64 r in
+    let data = Codec.get_string r in
+    let tags = Codec.get_string r in
+    Codec.expect_end r;
+    let w = Codec.writer () in
+    Codec.put_u8 w (if cls then ntags else c);
+    Codec.put_u32 w rng;
+    Codec.put_i64 w frames;
+    Codec.put_string w data;
+    Codec.put_string w
+      (if frame_tag then
+         String.mapi (fun i c -> if i = 5 then Char.chr ntags else c) tags
+       else tags);
+    Codec.contents w
+  in
   let bad = Char.chr ntags in
   (* Unpatched, the round trip through the decoder keeps the bytes. *)
   check_bool "mem section re-encodes byte-identically" true
     (patch "mem" (mem_tags ignore) = snap);
+  check_bool "sensor section re-encodes byte-identically" true
+    (patch "sensor" (sensor ~cls:false ~frame_tag:false) = snap);
   List.iter
     (fun (what, blob) ->
       match Vp.Soc.restore (irq_soc ()) blob with
@@ -797,6 +820,9 @@ let test_out_of_lattice_tag_is_corrupt () =
         patch "mem" (mem_tags (fun t -> Bytes.fill t 0x1000 64 bad)) );
       ( "RAM tag literal",
         patch "mem" (mem_tags (fun t -> Bytes.set t 0x2001 bad)) );
+      ("sensor class", patch "sensor" (sensor ~cls:true ~frame_tag:false));
+      ( "sensor frame tag",
+        patch "sensor" (sensor ~cls:false ~frame_tag:true) );
     ]
 
 let () =

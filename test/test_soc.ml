@@ -51,6 +51,47 @@ let test_memory_roundtrip () =
         | Rv32.Core.Insn_limit -> "insn limit"));
   ignore reason
 
+(* Firmware writes a class the lattice does not have to the sensor's
+   DATA_TAG register: the store faults (cause 7) and the class stays as
+   it was, so the frames refilled after it, loaded and added into a
+   register, carry a class the core's tables know. *)
+let test_sensor_class_refused () =
+  let policy = integrity_policy () in
+  let soc = soc_of_policy ~sensor_period:(Sysc.Time.us 50) policy in
+  let before = Vp.Sensor.data_tag soc.Vp.Soc.sensor in
+  let p = A.create () in
+  A.j p "start";
+  A.align p 4;
+  A.label p "handler";
+  (* Record the cause and step over the faulting store. *)
+  A.csrrs p R.s0 Rv32.Csr.mcause R.zero;
+  A.csrrs p R.t5 Rv32.Csr.mepc R.zero;
+  A.addi p R.t5 R.t5 4;
+  A.csrrw p R.zero Rv32.Csr.mepc R.t5;
+  A.mret p;
+  A.label p "start";
+  A.la p R.t0 "handler";
+  A.csrrw p R.zero Rv32.Csr.mtvec R.t0;
+  A.li p R.t0 Vp.Soc.sensor_base;
+  A.li p R.t1 200;
+  A.sb p R.t1 R.t0 0x40;
+  (* Several refill periods of 5,000 instructions each. *)
+  A.li p R.t2 20_000;
+  A.label p "wait";
+  A.addi p R.t2 R.t2 (-1);
+  A.bnez_l p R.t2 "wait";
+  A.lw p R.t3 R.t0 0;
+  A.add p R.t4 R.t3 R.t3;
+  A.mv p R.a0 R.s0;
+  A.li p R.a7 93;
+  A.ecall p;
+  Vp.Soc.load_image soc (A.assemble p);
+  let reason = Vp.Soc.run_for_instructions soc 200_000 in
+  expect_exit reason Rv32.Csr.cause_store_fault;
+  check_bool "frames were refilled" true
+    (Vp.Sensor.frames_generated soc.Vp.Soc.sensor > 0);
+  check_int "class unchanged" before (Vp.Sensor.data_tag soc.Vp.Soc.sensor)
+
 (* Write a string to the UART; check it on the host side. *)
 let test_uart_tx () =
   let soc, reason =
@@ -491,6 +532,8 @@ let () =
           Alcotest.test_case "uart rx" `Quick test_uart_rx;
           Alcotest.test_case "timer interrupt" `Quick test_timer_interrupt;
           Alcotest.test_case "sensor interrupt" `Quick test_sensor_interrupt;
+          Alcotest.test_case "sensor class outside the lattice" `Quick
+            test_sensor_class_refused;
           Alcotest.test_case "dma copy" `Quick test_dma_copy;
           Alcotest.test_case "aes peripheral" `Quick test_aes_peripheral;
           Alcotest.test_case "can roundtrip" `Quick test_can_roundtrip;

@@ -1,7 +1,7 @@
 (* Architectural trap tests: every synchronous exception cause delivered
    to an installed machine handler, with mcause/mepc/mtval and the
    mstatus MIE/MPIE/MPP stack-unstack checked — on both execution paths:
-   the threaded-code superblock compiler (the default) and, with the
+   the threaded-code block compiler (the default) and, with the
    block cache off, the single-step reference. *)
 
 open Helpers
