@@ -5,7 +5,8 @@
 
    Exit status: 0 clean exit, 1 refused input (a source that does not
    assemble, a corrupt or truncated --resume checkpoint), 2 instruction
-   limit / idle, 3 security violation (also when the firmware exited 0
+   limit / idle (also a core in wfi when the budget's simulated time runs
+   out), 3 security violation (also when the firmware exited 0
    but violations were recorded), 4 fatal trap; a nonzero firmware exit
    code is passed through. *)
 
@@ -143,6 +144,26 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
             Printf.eprintf "vp_run: corrupt checkpoint %s: %s\n" path msg;
             exit 1)
       | None -> ());
+      (* A core idling in [wfi] retires nothing, so the budget alone
+         never ends its run. The kernel runs in windows of the time the
+         budget takes at the core's modelled cost of one instruction, on
+         a grid from time 0 (so a resumed run stops where the straight
+         run would), and the run stops at a window's end that finds the
+         core in [wfi]. Stopping the kernel and running on is invisible
+         to the simulation. *)
+      let window =
+        if max_insns > max_int / Rv32.Core.cycle_time then max_int
+        else max 1 max_insns * Rv32.Core.cycle_time
+      in
+      let kernel = soc.Vp.Soc.kernel and idle_at_window_end = ref false in
+      let rec run_windows () =
+        let until = ((Sysc.Kernel.now kernel / window) + 1) * window in
+        Vp.Soc.run ~until soc;
+        if (not (Sysc.Kernel.stopped kernel)) && Sysc.Kernel.now kernel >= until
+        then
+          if Rv32.Core.idle core then idle_at_window_end := true
+          else run_windows ()
+      in
       let stopped_at_checkpoint = ref false in
       let execute () =
         Rv32.Core.set_max_instructions core max_insns;
@@ -151,13 +172,13 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
         Rv32.Core.clear_paused core;
         match checkpoint_every with
         | None ->
-            Vp.Soc.run soc;
+            run_windows ();
             Rv32.Core.exit_reason core
         | Some every ->
             let k = ref 0 in
             let rec go () =
               Vp.Soc.pause_at soc (Rv32.Core.instret core + every);
-              Vp.Soc.run soc;
+              run_windows ();
               if Vp.Soc.paused soc then begin
                 let path = Printf.sprintf "%s.%d" checkpoint_out !k in
                 incr k;
@@ -260,6 +281,13 @@ let run file policy_kind tracking max_insns uart_input show_symbols quiet
               Printf.printf "[vp] stopped at checkpoint after %d instructions\n"
                 (Rv32.Core.instret core);
             ("checkpoint", 0)
+        | Ok Rv32.Core.Running when !idle_at_window_end ->
+            Printf.printf
+              "[vp] idle in wfi at %s after %d instructions (time limit: \
+               the budget at 10 ns per instruction)\n"
+              (Format.asprintf "%a" Sysc.Time.pp (Sysc.Kernel.now kernel))
+              (Rv32.Core.instret core);
+            ("idle", 2)
         | Ok Rv32.Core.Running ->
             Printf.printf "[vp] simulation idle (deadlock?)\n";
             ("idle", 2)
@@ -399,7 +427,13 @@ let tracking_arg =
   Arg.(value & flag & info [ "no-tracking" ] ~doc:"Run the plain VP (no DIFT engine).")
 
 let max_arg =
-  Arg.(value & opt int 100_000_000 & info [ "max-insns" ] ~docv:"N" ~doc:"Instruction budget.")
+  Arg.(value & opt int 100_000_000
+       & info [ "max-insns" ] ~docv:"N"
+           ~doc:"Instruction budget. Firmware idling in $(b,wfi) retires \
+                 nothing, so the budget also bounds simulated time: at each \
+                 multiple of $(docv) × 10 ns (the budget at the core's \
+                 modelled cost of one instruction) the run stops if the core \
+                 is in $(b,wfi).")
 
 let uart_arg =
   Arg.(value & opt (some string) None
@@ -633,8 +667,10 @@ let run_exits =
       info 1 ~doc:"when the input is refused before the simulation starts: \
                    the source does not assemble, or the $(b,--resume) \
                    checkpoint is corrupt or truncated.";
-      info 2 ~doc:"when the instruction limit is reached or the simulation \
-                   goes idle.";
+      info 2 ~doc:"when the instruction budget is spent, or the simulation \
+                   goes idle (no activity left, or the core in $(b,wfi) when \
+                   the budget's simulated time runs out; see \
+                   $(b,--max-insns)).";
       info 3 ~doc:"on a security violation, also when the firmware exited 0 \
                    but violations were recorded.";
       info 4 ~doc:"on a fatal trap.";

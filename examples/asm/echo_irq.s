@@ -1,8 +1,9 @@
 # echo_irq.s — interrupt-driven UART echo: every received byte is echoed
 # back; a NUL byte exits.
 # run: dune exec bin/vp_run.exe -- examples/asm/echo_irq.s --uart-input 'hi there'
-# (vp_run appends no NUL; the run ends at the instruction limit unless the
-#  input contains a 0 byte — use the test harness for a scripted run)
+# (vp_run appends no NUL, so after the input the core waits in wfi and the
+#  run ends with exit 2 once the budget's simulated time, --max-insns x 10 ns,
+#  runs out; only a 0 byte exits 0 — use the test harness for a scripted run)
 
     .equ UART, 0x10000000
     .equ PLIC, 0x0c000000

@@ -271,9 +271,9 @@ type check = {
 }
 
 (* The oracle run the checks read, plus the VP+ leg's coverage. *)
-let oracle_run ?warm ~policy img =
+let oracle_run ~policy img =
   let cov = Coverage.create () in
-  (Oracle.run ~policy ~trace:(Coverage.hook cov) ?warm img, cov)
+  (Oracle.run ~policy ~trace:(Coverage.hook cov) img, cov)
 
 (* The checks due on program [index], in reporting order. Each [test]
    both detects a failure — given the program's own oracle run — and
@@ -374,10 +374,10 @@ let check_table cfg prng ~index ~policy =
    shard reproduces the historical sequential stream exactly.
 
    Everything a shard touches is private to it (fresh RNGs, fresh
-   coverage table, fresh SoCs per oracle call); the only shared value is
-   the immutable warm-boot blob.  Reproducer files are keyed by the
-   global program index, so concurrent shards never collide on paths. *)
-let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
+   coverage table, fresh SoCs per oracle call).  Reproducer files are
+   keyed by the global program index, so concurrent shards never collide
+   on paths. *)
+let run_shard cfg (sh : Parallelkit.Campaign.shard) =
   let rng = Rng.create ~seed:sh.Parallelkit.Campaign.seed in
   let prng =
     Rng.create ~seed:(sh.Parallelkit.Campaign.seed lxor 0x9e3779b9)
@@ -390,7 +390,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       let prog = Gen.program rng cov ~size:cfg.size in
       let img = Prog.assemble prog in
       let policy = Gen.policy rng img in
-      let res, percov = oracle_run ~warm ~policy img in
+      let res, percov = oracle_run ~policy img in
       Coverage.merge ~into:cov percov;
       bump tally violations res.Oracle.violations;
       bump tally checks res.Oracle.checks;
@@ -471,9 +471,7 @@ let run ?(config = default) () =
   in
   let fresh =
     if Array.length pending = 0 then [||]
-    else
-      let warm = Oracle.warm_boot () in
-      Parallelkit.Pool.map ?on_done ~jobs:cfg.jobs (run_shard cfg warm) pending
+    else Parallelkit.Pool.map ?on_done ~jobs:cfg.jobs (run_shard cfg) pending
   in
   Array.iteri
     (fun pi out -> outs.(pending.(pi).Parallelkit.Campaign.index) <- Some out)

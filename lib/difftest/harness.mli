@@ -142,8 +142,7 @@ val run : ?config:config -> unit -> report
     coverage, failure list and shrunk reproducer sources — is
     byte-identical for every [jobs] value and across any
     kill/checkpoint/resume split; the tier-1 determinism tests pin both.
-    Shrinking runs inside the worker that found the failure. The
-    plain-VP leg of every oracle call warm-starts from one boot snapshot
-    ({!Oracle.warm_boot}) taken before the shards run. *)
+    Shrinking runs inside the worker that found the failure. Every
+    oracle call boots its platforms cold. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -114,22 +114,11 @@ let unrestricted_policy () =
   let lat = Dift.Lattice.make_exn ~classes:[ "ANY" ] ~flows:[] in
   Dift.Policy.unrestricted lat ~default_tag:0
 
-type warm = string
+(* Kept only for the benchmark ledger, which calls both: every platform
+   boots cold, so a [warm] value carries nothing and [run_vp] ignores it. *)
+type warm = unit
 
-(* The boot snapshot covers only the configuration [run] uses for its
-   untracked VP leg: default SoC options, unrestricted single-class
-   policy. VP+ legs get a fresh random policy per task (different default
-   tags change the initial tag state), so one shared blob cannot serve
-   them. *)
-let warm_boot () =
-  let policy = unrestricted_policy () in
-  let monitor =
-    Dift.Monitor.create ~mode:Dift.Monitor.Record policy.Dift.Policy.lattice
-  in
-  let soc = Vp.Soc.create ~policy ~monitor ~tracking:false () in
-  let blob = Vp.Soc.boot_snapshot soc in
-  Vp.Soc.release soc;
-  blob
+let warm_boot () = ()
 
 let stop_of = function
   | Rv32.Core.Exited c -> Exited c
@@ -163,7 +152,7 @@ let monitor_counts m =
     Dift.Monitor.declassification_count m )
 
 let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
-    ?warm img =
+    ?warm:_ img =
   let policy =
     match policy with Some p -> p | None -> unrestricted_policy ()
   in
@@ -173,7 +162,6 @@ let run_vp ~tracking ?(block_cache = true) ?policy ?trace ?tracer ?quantum
   let soc =
     Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ?tracer ?quantum ()
   in
-  (match warm with Some blob -> Vp.Soc.warm_start soc blob | None -> ());
   Vp.Soc.load_image soc img;
   Vp.Soc.set_trace soc trace;
   let stop =
@@ -246,9 +234,9 @@ let run_vp_snapshot ?policy img =
       Vp.Soc.release soc;
       (outcome, !totals)
 
-let run ?policy ?trace ?warm img =
+let run ?policy ?trace img =
   let golden = run_golden img in
-  let vp, _ = run_vp ~tracking:false ?warm img in
+  let vp, _ = run_vp ~tracking:false img in
   let vpp, (violations, checks, declassifications) =
     run_vp ~tracking:true ?policy ?trace img
   in

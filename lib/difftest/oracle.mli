@@ -52,14 +52,12 @@ val unrestricted_policy : unit -> Dift.Policy.t
     lattice. *)
 
 type warm
-(** A {!Vp.Soc.boot_snapshot} blob for the configuration {!run} uses on
-    its untracked VP leg (default SoC options, {!unrestricted_policy}).
-    An immutable string under the hood — share one value across domains. *)
+(** Kept only for the benchmark ledger, which may call {!warm_boot} and
+    {!run_vp} [~warm]: every platform boots cold, so a value of this type
+    carries nothing. *)
 
 val warm_boot : unit -> warm
-(** Boot a throwaway default-configuration untracked SoC to its post-reset
-    settlement point and serialise it. Campaign drivers call this once in
-    the parent and hand the blob to every worker ({!run} [?warm]). *)
+(** A no-op kept for the benchmark ledger. *)
 
 val run_vp :
   tracking:bool ->
@@ -80,11 +78,8 @@ val run_vp :
     testing. [tracer] attaches the tracing
     subsystem to the SoC (forensic replay of reproducers). [quantum]
     forwards to {!Vp.Soc.create} (snapshot-vs-straight comparisons need
-    both runs on the same time-sync grid). [warm] stamps a boot snapshot
-    into the fresh SoC with {!Vp.Soc.warm_start} before the image load —
-    only valid when the call's configuration matches {!warm_boot}'s
-    (untracked, default options, unrestricted policy); architecturally
-    identical to the cold path. *)
+    both runs on the same time-sync grid). [warm] is ignored; it is kept
+    for the benchmark ledger. *)
 
 val snap_quantum : int
 (** Time-sync quantum used by {!run_vp_snapshot}; a straight run to be
@@ -102,12 +97,8 @@ val run_vp_snapshot :
 val run :
   ?policy:Dift.Policy.t ->
   ?trace:(int -> Rv32.Insn.t -> unit) ->
-  ?warm:warm ->
   Rv32_asm.Image.t ->
   result3
 (** All three models, both VP legs on the default compiled path. [policy]
     applies to the VP+ run only (the plain VP runs check-free on the same
-    lattice); [trace] is installed on the VP+ run (coverage); [warm]
-    warm-starts the plain-VP leg from a shared boot snapshot (the VP+ leg
-    always cold-boots: its per-task policy changes the initial tag
-    state). *)
+    lattice); [trace] is installed on the VP+ run (coverage). *)

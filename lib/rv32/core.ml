@@ -298,8 +298,8 @@ let slot_set t idx cb =
    caller already wrote the bytes). Cheap when the write is outside any
    code executed so far: one range compare. Otherwise the positional
    window is walked page by page, jumping over pages that were never
-   allocated, so a full-RAM flush (snapshot restore, warm start) costs
-   the pages the program used. *)
+   allocated, so a full-RAM flush (a snapshot restore) costs the pages
+   the program used. *)
 let flush_code t ~addr ~len =
   if
     len > 0 && t.use_blocks
@@ -1547,7 +1547,7 @@ let dispatch t =
       end
   end
 
-let unhalt t = t.exit_reason <- Running
+let idle t = t.in_wfi
 
 let set_pause_at t n = t.pause_at <- n
 let paused t = t.paused

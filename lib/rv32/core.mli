@@ -132,19 +132,18 @@ val spawn_thread : t -> unit
     ["cpu"]). When the core halts, the whole simulation stops. *)
 
 val set_max_instructions : t -> int -> unit
+
+val cycle_time : Sysc.Time.t
+(** The modelled cost of one instruction: 10 ns. *)
+
+val idle : t -> bool
+(** The core is in [wfi], waiting for an interrupt. *)
+
 val exit_reason : t -> exit_reason
 val halted : t -> bool
 
 val halt : t -> exit_reason -> unit
 (** Force the core to stop (used by peripherals/tests). *)
-
-val unhalt : t -> unit
-(** Clear a halt back to [Running]. Only meaningful on a core that has
-    not executed past the halt point — the warm-start protocol restores
-    a boot snapshot taken with a zero instruction budget (so the core
-    halted with {!Insn_limit} at [instret = 0] before its first fetch)
-    and un-halts it before loading the real firmware; see
-    {!Vp.Soc.boot_snapshot}. No-op when already running. *)
 
 val set_trace : t -> (int -> int -> Insn.t -> int -> unit) option -> unit
 (** Install (or remove) a per-instruction recorder factory, for tracing

@@ -3,7 +3,6 @@ type t = {
   name : string;
   out_tag : int;
   in_clearance : int option;
-  latency : Sysc.Time.t;
   key : Bytes.t;
   key_tags : Bytes.t;
   din : Bytes.t;
@@ -21,13 +20,15 @@ type t = {
   done_ev : Sysc.Kernel.event;
 }
 
-let create env ~name ~out_tag ?in_clearance ?(latency = Sysc.Time.us 2) () =
+(* The modelled encryption time. *)
+let latency = Sysc.Time.us 2
+
+let create env ~name ~out_tag ?in_clearance () =
   {
     env;
     name;
     out_tag;
     in_clearance;
-    latency;
     key = Bytes.make 16 '\000';
     key_tags = Bytes.make 16 (Char.chr env.Env.pub);
     din = Bytes.make 16 '\000';
@@ -76,7 +77,7 @@ let start a =
           Sysc.Kernel.wait_event a.start_ev;
           if a.busy then begin
             a.in_flight <- true;
-            Sysc.Kernel.notify_after a.done_ev a.latency
+            Sysc.Kernel.notify_after a.done_ev latency
           end
         end
       done)

@@ -17,7 +17,6 @@ val create :
   name:string ->
   out_tag:Dift.Lattice.tag ->
   ?in_clearance:Dift.Lattice.tag ->
-  ?latency:Sysc.Time.t ->
   unit ->
   t
 (** [out_tag] is the declassified class of the ciphertext. [in_clearance],
@@ -25,8 +24,8 @@ val create :
     register: key writes whose class may not flow to it are violations
     (e.g. (HC,HI) in the immobilizer policy, which also blocks attacker key
     substitution); plaintext writes are never checked since the engine's
-    purpose is to encrypt untrusted challenges. [latency] models the encryption time (default
-    2 us). *)
+    purpose is to encrypt untrusted challenges. An encryption takes 2 us
+    of simulated time. *)
 
 val socket : t -> Tlm.Socket.target
 

@@ -17,7 +17,7 @@ type t = {
 
 let frame_size = 64
 
-let create env ~name ?(period = Sysc.Time.ms 25) ?(seed = 0x2545f491) () =
+let create env ~name ?(period = Sysc.Time.ms 25) () =
   {
     env;
     name;
@@ -25,7 +25,7 @@ let create env ~name ?(period = Sysc.Time.ms 25) ?(seed = 0x2545f491) () =
     frame = Bytes.make frame_size '\000';
     frame_tags = Bytes.make frame_size (Char.chr env.Env.pub);
     tag = env.Env.policy.Dift.Policy.default_tag;
-    rng = seed;
+    rng = 0x2545f491;
     irq = (fun () -> ());
     frames = 0;
     tick_ev = Sysc.Kernel.create_event env.Env.kernel (name ^ ".tick");

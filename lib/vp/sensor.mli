@@ -12,9 +12,9 @@
 
 type t
 
-val create : Env.t -> name:string -> ?period:Sysc.Time.t -> ?seed:int -> unit -> t
+val create : Env.t -> name:string -> ?period:Sysc.Time.t -> unit -> t
 (** [period] defaults to 25 ms (40 Hz, as in the paper). Data is generated
-    with a deterministic xorshift PRNG seeded by [seed] so simulations are
+    with a deterministic xorshift PRNG from a fixed seed so simulations are
     reproducible. *)
 
 val socket : t -> Tlm.Socket.target

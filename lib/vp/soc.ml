@@ -358,26 +358,6 @@ let save soc =
       section "wdt" (Watchdog.save soc.watchdog);
     ]
 
-(* --- Warm start --------------------------------------------------------
-
-   The campaign engine's per-task setup shortcut (docs/parallel.md): the
-   parent builds one SoC, brings it to the post-reset settlement point
-   without retiring a single instruction (instruction budget 0: the CPU
-   thread halts with Insn_limit at instret 0 before its first fetch, then
-   the save below drains the instant so every peripheral's time-0 work is
-   folded into the serialised state), and hands the resulting blob to the
-   workers. Each worker restores the blob into a freshly created SoC of
-   the same configuration *before* loading its task's firmware image —
-   replacing the construction-time settlement with a codec decode. *)
-
-let boot_snapshot soc =
-  if Rv32.Core.instret soc.core <> 0 then
-    invalid_arg "Soc.boot_snapshot: SoC has already executed instructions";
-  Rv32.Core.set_max_instructions soc.core 0;
-  start soc;
-  run soc;
-  save soc
-
 let restore soc data =
   let open Snapshot.Codec in
   let version, sections = Container.decode_versioned data in
@@ -424,12 +404,3 @@ let restore soc data =
   sec "clint" (Clint.load soc.clint);
   sec "plic" (Plic.load soc.plic);
   sec "wdt" (Watchdog.load soc.watchdog)
-
-let warm_start soc data =
-  restore soc data;
-  (* The blob was taken halted-at-0 (Insn_limit); the worker's core must
-     run for real. [restore] also marked the core paused iff it was parked
-     on a sync (it was not — no instruction retired, no sync pending), so
-     only the halt needs clearing. *)
-  Rv32.Core.unhalt soc.core;
-  Rv32.Core.clear_paused soc.core

@@ -182,31 +182,3 @@ val restore : t -> string -> unit
 
 val resume : ?until:Sysc.Time.t -> t -> unit
 (** Clear the pause flag and continue the simulation in-process. *)
-
-(** {1 Warm start}
-
-    The campaign engine's per-task setup shortcut (see
-    [docs/parallel.md]): serialise the post-reset settlement point of a
-    freshly built, image-free platform once, then stamp it into each
-    worker's freshly created SoC {e before} {!load_image} — so the
-    construction-time time-0 settlement (peripheral processes running
-    their first evaluation, initial notifications re-armed) becomes a
-    codec decode. Unlike {!restore}, which expects the same firmware to
-    already be loaded, {!warm_start} runs before the image load, so one
-    blob serves every task of a campaign regardless of its program. The
-    blob is an immutable string: share it freely across domains. *)
-
-val boot_snapshot : t -> string
-(** On a freshly created SoC ({e no} image loaded, never started): halt
-    the CPU before its first fetch (zero instruction budget), settle all
-    time-0 peripheral activity, and {!save}. The SoC is spent afterwards
-    (its CPU thread has exited); discard it. Raises [Invalid_argument] if
-    the SoC has already executed instructions. *)
-
-val warm_start : t -> string -> unit
-(** Load a {!boot_snapshot} blob into a freshly created SoC of the same
-    configuration (same flavour, policy lattice shape, quantum, RAM size)
-    and clear the halt it was taken under. Call {e before} {!load_image};
-    then proceed exactly as after a cold {!create} — load the image,
-    set the budget, {!start}, {!run}. Architecturally equivalent to the
-    cold path; the determinism suite asserts it. *)

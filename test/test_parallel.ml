@@ -11,7 +11,8 @@
      shard seeds never colliding across sweeps;
    - a difftest campaign (including injected failures, shrinking and
      merged coverage) renders to a byte-identical report at jobs=1 and
-     jobs=4, and a warm-started oracle run agrees with a cold boot;
+     jobs=4, and the benchmark ledger's [run_vp ~warm] runs exactly the
+     cold program;
    - a campaign killed mid-run and resumed from its DIFTVPCP checkpoint
      (even at a different --jobs) produces the byte-identical report,
      while corrupt or mismatched checkpoints are refused up front. *)
@@ -319,6 +320,8 @@ let test_jobs_byte_identical () =
   check_string "jobs=1 and jobs=4 reports byte-identical" (render r1)
     (render r4)
 
+(* Every platform boots cold; the benchmark ledger still hands [run_vp] a
+   [warm] value, and its runs must be the cold ones. *)
 let test_warm_start_equivalent () =
   let prog =
     Difftest.Gen.program
@@ -327,13 +330,13 @@ let test_warm_start_equivalent () =
       ~size:30
   in
   let img = Difftest.Prog.assemble prog in
-  let cold = Difftest.Oracle.run img in
+  let cold, _ = Difftest.Oracle.run_vp ~tracking:false img in
   let warm = Difftest.Oracle.warm_boot () in
-  let warmed = Difftest.Oracle.run ~warm img in
-  check_bool "plain-VP legs agree architecturally" true
-    (Difftest.Oracle.agree cold.Difftest.Oracle.vp warmed.Difftest.Oracle.vp);
-  check_int "same instret" cold.Difftest.Oracle.vp.Difftest.Oracle.instret
-    warmed.Difftest.Oracle.vp.Difftest.Oracle.instret
+  let warmed, _ = Difftest.Oracle.run_vp ~tracking:false ~warm img in
+  check_bool "plain-VP runs agree architecturally" true
+    (Difftest.Oracle.agree cold warmed);
+  check_int "same instret" cold.Difftest.Oracle.instret
+    warmed.Difftest.Oracle.instret
 
 (* A campaign that fits one shard reproduces the historical sequential
    stream: this pins the shard-0-keeps-seed compatibility rule that the

@@ -374,7 +374,7 @@ let test_aes_declassifies () =
   let env, monitor = env_and_monitor () in
   let aes =
     Vp.Aes_periph.create env ~name:"aes" ~out_tag:(t "LC,LI")
-      ~in_clearance:(t "HC,HI") ~latency:(Sysc.Time.ns 100) ()
+      ~in_clearance:(t "HC,HI") ()
   in
   let sock = Vp.Aes_periph.socket aes in
   Vp.Aes_periph.start aes;
